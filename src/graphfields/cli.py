@@ -217,6 +217,7 @@ def _cmd_distmatrix(args) -> int:
 
 
 def _cmd_cov(args) -> int:
+    """``cov`` emits the certified matrix, ``psd-check`` only its certificate."""
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
@@ -230,49 +231,25 @@ def _cmd_cov(args) -> int:
         rel_tol=args.tol,
         min_separation=MIN_POINT_SEPARATION,
     )
-    extra = {"kernel": kernel_spec_to_json(spec), "psd_certificate": _psd_json(cov.psd_certificate)}
-    if kind is MetricKind.RESISTANCE:
-        extra["origin"] = args.origin if args.origin else g.vertices[0]
-    _emit(
-        args,
-        _matrix_payload(kind.value, cov.labels, cov.values, **extra),
-        csv_text=_matrix_csv(cov.labels, cov.values),
-    )
+    certificate = _psd_json(cov.psd_certificate)
+    if args.certificate_only:
+        _emit(args, certificate)
+    else:
+        extra = {"kernel": kernel_spec_to_json(spec), "psd_certificate": certificate}
+        if kind is MetricKind.RESISTANCE:
+            extra["origin"] = args.origin if args.origin else g.vertices[0]
+        _emit(
+            args,
+            _matrix_payload(kind.value, cov.labels, cov.values, **extra),
+            csv_text=_matrix_csv(cov.labels, cov.values),
+        )
     if args.strict and not cov.psd_certificate.is_psd:
         raise _CliFailure(
             2,
             {
                 "error": "NotPSD",
                 "message": "covariance matrix failed the PSD check",
-                **_psd_json(cov.psd_certificate),
-            },
-        )
-    return 0
-
-
-def _cmd_psd_check(args) -> int:
-    g = _load_graph(args.graph)
-    kind = MetricKind(args.metric)
-    points = _load_points(g, args.points)
-    spec = _load_kernel(args.kernel)
-    cov = covariance_matrix(
-        g,
-        points,
-        spec,
-        kind,
-        origin=args.origin,
-        rel_tol=args.tol,
-        min_separation=MIN_POINT_SEPARATION,
-    )
-    report = cov.psd_certificate
-    _emit(args, _psd_json(report))
-    if args.strict and not report.is_psd:
-        raise _CliFailure(
-            2,
-            {
-                "error": "NotPSD",
-                "message": "covariance matrix failed the PSD check",
-                **_psd_json(report),
+                **certificate,
             },
         )
     return 0
@@ -427,17 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph=True, points=True, metric=True)
     p.set_defaults(func=_cmd_distmatrix)
 
-    p = sub.add_parser("cov", help="covariance matrix with PSD certificate")
-    _add_common(p, graph=True, points=True, metric=True, kernel=True)
-    p.add_argument("--tol", type=float, default=1e-9, help="relative PSD tolerance")
-    p.add_argument("--strict", action="store_true", help="exit 2 when not PSD")
-    p.set_defaults(func=_cmd_cov)
-
-    p = sub.add_parser("psd-check", help="PSD certificate for a kernel on a point set")
-    _add_common(p, graph=True, points=True, metric=True, kernel=True)
-    p.add_argument("--tol", type=float, default=1e-9, help="relative PSD tolerance")
-    p.add_argument("--strict", action="store_true", help="exit 2 when not PSD")
-    p.set_defaults(func=_cmd_psd_check)
+    for name, helptext, certificate_only in (
+        ("cov", "covariance matrix with PSD certificate", False),
+        ("psd-check", "PSD certificate for a kernel on a point set", True),
+    ):
+        p = sub.add_parser(name, help=helptext)
+        _add_common(p, graph=True, points=True, metric=True, kernel=True)
+        p.add_argument("--tol", type=float, default=1e-9, help="relative PSD tolerance")
+        p.add_argument("--strict", action="store_true", help="exit 2 when not PSD")
+        p.set_defaults(func=_cmd_cov, certificate_only=certificate_only)
 
     p = sub.add_parser(
         "forbidden-check",

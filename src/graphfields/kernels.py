@@ -102,21 +102,6 @@ def validate_params(spec: KernelSpec) -> None:
         _check_range(xi is not None and 0 < xi <= 1, "xi", "0 < xi <= 1")
 
 
-def bessel_k_fractional(order: float, x):
-    """Modified Bessel function of the second kind for order in (0, 1/2].
-
-    Vectorized over positive ``x``; relative accuracy is far inside the
-    1e-10 contract for the bounded orders needed by the Matern family.
-    """
-    if not 0 < order <= 0.5:
-        raise ValueError(f"order must be in (0, 1/2], got {order}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("x must be positive")
-    out = _bessel_kv(order, arr)
-    return float(out) if np.isscalar(x) else out
-
-
 def radial_profile(spec: KernelSpec, t):
     """Evaluate C(t) for a validated spec; C(0) = 1 for every family.
 

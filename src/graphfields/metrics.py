@@ -9,11 +9,11 @@ multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
 is the conductance Laplacian, conductance = 1/length, plus a unit bump at an
 origin vertex that makes it strictly positive definite), linearly
 interpolated along edges, plus an independent Brownian bridge on each edge.
-Its kernels ``r_mu``/``r_edge``/``r_graph`` are evaluated here in closed
-form, and the induced distance coincides with classical effective resistance
-on the vertices.  The distance is invariant to the origin choice and to
-splitting or merging edges, and never exceeds the geodesic distance, with
-equality exactly on trees.
+Its kernels ``r_mu``/``r_edge``/``r_graph`` are evaluated here through one
+sparse factorization of ``L``, and the induced distance coincides with
+classical effective resistance on the vertices.  The distance is invariant
+to the origin choice and to splitting or merging edges, and never exceeds
+the geodesic distance, with equality exactly on trees.
 
 ``oracle_effective_resistance`` is an independent cross-check: it assembles
 the plain conductance Laplacian of the network with the query points added
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (
     DuplicatePointsError,
@@ -40,10 +41,6 @@ from .graph import (
     is_tree,
     vertex_point,
 )
-
-# Above this vertex count the inverse of L is not materialized; entries are
-# obtained through cached triangular solves instead.
-DENSE_INVERSE_MAX = 2000
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
@@ -65,29 +62,35 @@ def canonical_points(g: EuclideanGraph, points) -> list[GraphPoint]:
 def _point_frame(g: EuclideanGraph, points):
     """Decompose canonical points into endpoint indices and edge coordinates.
 
-    Returns arrays (lo, hi, frac, elen, eidx): the vertex indices of the low
-    and high endpoints, the relative position in [0, 1), the containing edge
-    length, and the containing edge's index in ``g.edges`` (-1 for vertices).
+    Returns arrays (lo, hi, frac, off, elen, eidx): the vertex indices of the
+    low and high endpoints, the relative position in [0, 1), the offset from
+    the low endpoint, the containing edge length, and a label that points on
+    the same edge share (-1 for vertices).  Vertices have ``lo == hi`` and
+    zero position, offset and length.
     """
-    edge_index = {e.id: k for k, e in enumerate(g.edges)}
     m = len(points)
     lo = np.empty(m, dtype=np.intp)
     hi = np.empty(m, dtype=np.intp)
-    frac = np.zeros(m)
+    off = np.zeros(m)
     elen = np.zeros(m)
     eidx = np.full(m, -1, dtype=np.intp)
+    slots: dict[str, int] = {}
     for k, p in enumerate(points):
         if p.is_vertex:
-            i = g.vertex_index(p.vertex)
-            lo[k] = hi[k] = i
+            lo[k] = hi[k] = g.vertex_index(p.vertex)
         else:
             e = g.edge(p.edge)
             lo[k] = g.vertex_index(e.u)
             hi[k] = g.vertex_index(e.v)
-            frac[k] = p.offset / e.length
+            off[k] = p.offset
             elen[k] = e.length
-            eidx[k] = edge_index[e.id]
-    return lo, hi, frac, elen, eidx
+            eidx[k] = slots.setdefault(e.id, len(slots))
+    frac = np.divide(off, elen, out=np.zeros(m), where=eidx >= 0)
+    return lo, hi, frac, off, elen, eidx
+
+
+def _shared_edge(eidx: np.ndarray) -> np.ndarray:
+    return (eidx[:, None] == eidx[None, :]) & (eidx[:, None] >= 0)
 
 
 def relative_position(g: EuclideanGraph, p: GraphPoint) -> float:
@@ -106,177 +109,126 @@ def relative_position(g: EuclideanGraph, p: GraphPoint) -> float:
 
 
 def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
-    """Length of the shortest route between two points of the continuum.
-
-    Routes through the four endpoint pairings are compared, plus the direct
-    within-edge segment when both points lie on the same edge (required for
-    correctness on cycles, where the around route can be longer).
-    """
-    p = canonicalize(g, p)
-    q = canonicalize(g, q)
-    if p == q:
-        return 0.0
-    dist = g.vertex_distances
-    plo, phi, p_to_lo, p_to_hi = _endpoint_legs(g, p)
-    qlo, qhi, q_to_lo, q_to_hi = _endpoint_legs(g, q)
-    best = min(
-        p_to_lo + dist[plo, qlo] + q_to_lo,
-        p_to_lo + dist[plo, qhi] + q_to_hi,
-        p_to_hi + dist[phi, qlo] + q_to_lo,
-        p_to_hi + dist[phi, qhi] + q_to_hi,
-    )
-    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-        best = min(best, abs(p.offset - q.offset))
-    return float(best)
-
-
-def _endpoint_legs(g: EuclideanGraph, p: GraphPoint):
-    if p.is_vertex:
-        i = g.vertex_index(p.vertex)
-        return i, i, 0.0, 0.0
-    e = g.edge(p.edge)
-    return (
-        g.vertex_index(e.u),
-        g.vertex_index(e.v),
-        p.offset,
-        e.length - p.offset,
-    )
+    """Length of the shortest route between two points of the continuum."""
+    return float(geodesic_matrix(g, canonical_points(g, (p, q)))[0, 1])
 
 
 # -- resistance metric -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResistanceContext:
-    """Origin choice plus the factored matrix L enabling kernel evaluation.
+    """Origin choice plus the sparse factorization of L.
 
-    ``L`` is the conductance Laplacian of the network (conductance of an edge
-    is 1/length) with an extra unit added on the diagonal at the origin
-    vertex, which makes it strictly positive definite.  The context is
-    immutable in use and safe for concurrent queries.
+    ``L`` (CSC) is the conductance Laplacian of the network (conductance of
+    an edge is 1/length) with an extra unit added on the diagonal at the
+    origin vertex, which makes it strictly positive definite.  ``factor`` is
+    its symmetric-mode sparse LU: with the fill-reducing permutation ``P``
+    (``perm_r == perm_c``), unit lower factor ``F`` and positive pivots ``D``,
+    ``L = P^T F D F^T P``.  The context is frozen and holds no cache; every
+    query solves against ``factor``.
     """
 
     graph: EuclideanGraph
     origin: str
-    L: np.ndarray
-    _chol_lower: np.ndarray
-    _linv: np.ndarray | None
-    _column_cache: dict = field(default_factory=dict, repr=False)
+    L: scipy.sparse.csc_array
+    factor: SuperLU = field(repr=False)
 
     @property
     def origin_index(self) -> int:
         return self.graph.vertex_index(self.origin)
 
-    @property
-    def cholesky_factor(self) -> np.ndarray:
-        """Lower-triangular M with M @ M.T = L."""
-        return self._chol_lower
-
-    def linv_column(self, j: int) -> np.ndarray:
-        if self._linv is not None:
-            return self._linv[:, j]
-        col = self._column_cache.get(j)
-        if col is None:
-            rhs = np.zeros(self.L.shape[0])
-            rhs[j] = 1.0
-            col = scipy.linalg.cho_solve((self._chol_lower, True), rhs)
-            self._column_cache[j] = col
-        return col
-
-    def linv_entry(self, i: int, j: int) -> float:
-        if self._linv is not None:
-            return float(self._linv[i, j])
-        # Solve for the smaller index so the cache is shared across pairs.
-        return float(self.linv_column(min(i, j))[max(i, j)])
-
-    def linv_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if self._linv is not None:
-            return self._linv[np.ix_(rows, cols)]
-        needed = np.unique(cols)
-        gathered = np.column_stack([self.linv_column(int(j)) for j in needed])
-        pos = {int(j): k for k, j in enumerate(needed)}
-        return gathered[np.ix_(rows, [pos[int(j)] for j in cols])]
-
 
 def build_resistance_context(
-    g: EuclideanGraph,
-    origin: str | None = None,
-    *,
-    dense_inverse_max: int = DENSE_INVERSE_MAX,
+    g: EuclideanGraph, origin: str | None = None
 ) -> ResistanceContext:
     """Assemble and factor L; the origin defaults to the smallest label.
 
-    Raises :class:`FactorizationFailedError` if the Cholesky factorization
-    fails, which signals a numerically singular L and should be impossible
-    for a validated graph.
+    Raises :class:`FactorizationFailedError` if the factorization fails or
+    its pivots are not symmetric and positive, which signals a numerically
+    singular L and should be impossible for a validated graph.
     """
     if origin is None:
         origin = g.vertices[0]
     io = g.vertex_index(origin)
     n = len(g.vertices)
-    L = np.zeros((n, n))
-    for e in g.edges:
-        i, j = g.vertex_index(e.u), g.vertex_index(e.v)
-        c = 1.0 / e.length
-        L[i, j] -= c
-        L[j, i] -= c
-        L[i, i] += c
-        L[j, j] += c
-    L[io, io] += 1.0
+    u = np.array([g.vertex_index(e.u) for e in g.edges], dtype=np.intp)
+    v = np.array([g.vertex_index(e.v) for e in g.edges], dtype=np.intp)
+    c = 1.0 / np.array([e.length for e in g.edges], dtype=float)
+    # Duplicate (row, col) pairs are summed, so each diagonal entry is the
+    # sum of its incident conductances.
+    L = scipy.sparse.csc_array(
+        (
+            np.concatenate([-c, -c, c, c, [1.0]]),
+            (np.concatenate([u, v, u, v, [io]]), np.concatenate([v, u, u, v, [io]])),
+        ),
+        shape=(n, n),
+    )
     try:
-        chol = np.linalg.cholesky(L)
-    except np.linalg.LinAlgError as exc:
+        factor = splu(
+            L,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
         raise FactorizationFailedError(
             f"conductance matrix is numerically singular: {exc}"
         ) from exc
-    linv = None
-    if n <= dense_inverse_max:
-        linv = scipy.linalg.cho_solve((chol, True), np.eye(n))
-        linv = 0.5 * (linv + linv.T)
-    return ResistanceContext(graph=g, origin=origin, L=L, _chol_lower=chol, _linv=linv)
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise FactorizationFailedError("factorization of L pivoted off the diagonal")
+    if not np.all(factor.U.diagonal() > 0):
+        raise FactorizationFailedError("conductance matrix is not positive definite")
+    return ResistanceContext(graph=g, origin=origin, L=L, factor=factor)
+
+
+def _vertex_covariance(ctx: ResistanceContext, lo, hi, frac) -> np.ndarray:
+    """Covariance of the interpolated vertex field between point frames.
+
+    All the columns of ``L^-1`` the frames touch come from one solve.
+    """
+    needed, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    rhs = np.zeros((ctx.L.shape[0], needed.size))
+    rhs[needed, np.arange(needed.size)] = 1.0
+    block = ctx.factor.solve(rhs)[needed]
+    ilo, ihi = where[: lo.size], where[lo.size :]
+    a = frac
+    one_m = 1.0 - frac
+    t12 = np.outer(a, a) * block[np.ix_(ihi, ihi)] + np.outer(
+        one_m, one_m
+    ) * block[np.ix_(ilo, ilo)]
+    t34 = np.outer(a, one_m) * block[np.ix_(ihi, ilo)] + np.outer(
+        one_m, a
+    ) * block[np.ix_(ilo, ihi)]
+    return t12 + t34
+
+
+def _bridge_covariance(frac, elen, eidx) -> np.ndarray:
+    """Brownian-bridge covariance ``(min(a, b) - a*b) * length`` between
+    interior points sharing an edge, zero elsewhere."""
+    bridge = (np.minimum.outer(frac, frac) - np.outer(frac, frac)) * elen[:, None]
+    return np.where(_shared_edge(eidx), bridge, 0.0)
 
 
 def r_mu(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
     """Covariance of the interpolated vertex field between two points."""
-    g = ctx.graph
-    p = canonicalize(g, p)
-    q = canonicalize(g, q)
-    plo, phi, a = _interp_frame(g, p)
-    qlo, qhi, b = _interp_frame(g, q)
-    t12 = a * b * ctx.linv_entry(phi, qhi) + (1.0 - a) * (1.0 - b) * ctx.linv_entry(
-        plo, qlo
+    lo, hi, frac, _, _, _ = _point_frame(
+        ctx.graph, canonical_points(ctx.graph, (p, q))
     )
-    t34 = a * (1.0 - b) * ctx.linv_entry(phi, qlo) + (1.0 - a) * b * ctx.linv_entry(
-        plo, qhi
-    )
-    return float(t12 + t34)
-
-
-def _interp_frame(g: EuclideanGraph, p: GraphPoint):
-    if p.is_vertex:
-        i = g.vertex_index(p.vertex)
-        return i, i, 0.0
-    e = g.edge(p.edge)
-    return g.vertex_index(e.u), g.vertex_index(e.v), p.offset / e.length
+    return float(_vertex_covariance(ctx, lo, hi, frac)[0, 1])
 
 
 def r_edge(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
     """Brownian-bridge covariance; nonzero only for interior points sharing
     an edge, where it equals ``(min(a, b) - a*b) * length`` in relative
     positions ``a``, ``b``."""
-    p = canonicalize(g, p)
-    q = canonicalize(g, q)
-    if p.is_vertex or q.is_vertex or p.edge != q.edge:
-        return 0.0
-    e = g.edge(p.edge)
-    a = p.offset / e.length
-    b = q.offset / e.length
-    return float((min(a, b) - a * b) * e.length)
+    _, _, frac, _, elen, eidx = _point_frame(g, canonical_points(g, (p, q)))
+    return float(_bridge_covariance(frac, elen, eidx)[0, 1])
 
 
 def r_graph(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
     """Covariance of the canonical field: vertex part plus bridge part."""
-    return r_mu(ctx, p, q) + r_edge(ctx.graph, p, q)
+    return float(r_graph_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
 
 
 def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
@@ -285,12 +237,7 @@ def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) ->
     Equals classical effective resistance (conductance = 1/length) on the
     vertices, and extends it to edge points without re-assembling L.
     """
-    g = ctx.graph
-    p = canonicalize(g, p)
-    q = canonicalize(g, q)
-    if p == q:
-        return 0.0
-    return r_graph(ctx, p, p) + r_graph(ctx, q, q) - 2.0 * r_graph(ctx, p, q)
+    return float(resistance_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
 
 
 def tree_kernel_closed_form(
@@ -394,19 +341,22 @@ def _require_distinct(points: list[GraphPoint]) -> None:
 
 
 def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
-    """Pairwise geodesic distances for canonical points (vectorized)."""
-    lo, hi, frac, elen, eidx = _point_frame(g, points)
+    """Pairwise geodesic distances for canonical points (vectorized).
+
+    Routes through the four endpoint pairings are compared, plus the direct
+    within-edge segment when both points lie on the same edge (required for
+    correctness on cycles, where the around route can be longer).
+    """
+    lo, hi, _, to_lo, elen, eidx = _point_frame(g, points)
     dist = g.vertex_distances
-    to_lo = frac * elen
-    to_hi = (1.0 - frac) * elen
+    to_hi = elen - to_lo
     best = to_lo[:, None] + dist[np.ix_(lo, lo)] + to_lo[None, :]
     np.minimum(best, to_lo[:, None] + dist[np.ix_(lo, hi)] + to_hi[None, :], out=best)
     np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, lo)] + to_lo[None, :], out=best)
     np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, hi)] + to_hi[None, :], out=best)
-    shared_edge = (eidx[:, None] == eidx[None, :]) & (eidx[:, None] >= 0)
+    shared_edge = _shared_edge(eidx)
     if shared_edge.any():
-        offs = frac * elen
-        direct = np.abs(offs[:, None] - offs[None, :])
+        direct = np.abs(to_lo[:, None] - to_lo[None, :])
         best = np.where(shared_edge, np.minimum(best, direct), best)
     np.fill_diagonal(best, 0.0)
     return np.minimum(best, best.T)
@@ -414,22 +364,9 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
 
 def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     """Canonical-field covariance matrix for canonical points (vectorized)."""
-    lo, hi, frac, elen, eidx = _point_frame(ctx.graph, points)
-    a = frac
-    one_m = 1.0 - frac
-    t12 = np.outer(a, a) * ctx.linv_block(hi, hi) + np.outer(
-        one_m, one_m
-    ) * ctx.linv_block(lo, lo)
-    t34 = np.outer(a, one_m) * ctx.linv_block(hi, lo) + np.outer(
-        one_m, a
-    ) * ctx.linv_block(lo, hi)
-    cov = t12 + t34
-    shared_edge = (eidx[:, None] == eidx[None, :]) & (eidx[:, None] >= 0)
-    if shared_edge.any():
-        bridge = (np.minimum(a[:, None], a[None, :]) - np.outer(a, a)) * elen[:, None]
-        cov = np.where(shared_edge, cov + bridge, cov)
-    # No-op when the inverse was materialized (already exactly symmetric);
-    # repairs last-ulp asymmetry from per-column solves otherwise.
+    lo, hi, frac, _, elen, eidx = _point_frame(ctx.graph, points)
+    cov = _vertex_covariance(ctx, lo, hi, frac) + _bridge_covariance(frac, elen, eidx)
+    # Repairs last-ulp asymmetry of the solved columns of L^-1.
     return 0.5 * (cov + cov.T)
 
 

@@ -3,11 +3,11 @@
 Two samplers are provided.  ``sample_from_covariance`` draws from any PSD
 covariance matrix through a triangular factorization.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it draws the
-vertex field by a triangular solve against the factored conductance matrix,
-interpolates linearly along edges, and adds an independent Brownian-bridge
-contribution per edge evaluated exactly at the sampled offsets.  The
-empirical variogram of such samples converges to the resistance distance,
-which is how the metric is verified end to end.
+vertex field by a triangular solve against the sparse factor of the
+conductance matrix, interpolates linearly along edges, and adds an
+independent Brownian-bridge contribution per edge evaluated exactly at the
+sampled offsets.  The empirical variogram of such samples converges to the
+resistance distance, which is how the metric is verified end to end.
 
 Reproducibility: all draws derive from ``numpy.random.SeedSequence(seed)``
 with the Philox counter-based generator.  Stream derivation is fixed by
@@ -23,11 +23,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
 from .graph import GraphPoint, point_label
-from .metrics import ResistanceContext, canonical_points
+from .metrics import (
+    ResistanceContext,
+    _bridge_covariance,
+    _point_frame,
+    canonical_points,
+)
 from .kernels import psd_check
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
@@ -109,13 +114,32 @@ def sample_from_covariance(
     )
 
 
+def _vertex_field(
+    ctx: ResistanceContext, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """``n`` draws of the vertex field, one per column, rows in factor order.
+
+    With ``L = P^T F D F^T P`` (see :class:`ResistanceContext`) and ``x``
+    solving ``F^T x = D^(-1/2) w`` for white noise ``w``, ``P^T x`` has
+    covariance exactly ``L^-1``: the value at vertex ``i`` is row
+    ``perm_r[i]`` of the result.  One row of ``n_vertices`` normals is drawn
+    per realization.
+    """
+    lu = ctx.factor
+    white = rng.standard_normal((n, lu.shape[0])).T
+    white /= np.sqrt(lu.U.diagonal())[:, None]
+    return spsolve_triangular(
+        lu.L.T, white, lower=False, unit_diagonal=True, overwrite_b=True
+    )
+
+
 def sample_canonical_field(
     ctx: ResistanceContext, points, n: int, seed: int
 ) -> FieldSample:
     """Constructively sample the canonical field at a finite point set.
 
     Vertex values are drawn with covariance equal to the inverse conductance
-    matrix by solving ``M^T z = w`` against the Cholesky factor ``M`` (no
+    matrix by one triangular solve against the sparse factor of ``L`` (no
     explicit inverse), interpolated to edge points by relative position, and
     each edge with sampled interior points receives an independent bridge
     draw whose covariance is the exact bridge kernel at those offsets.  The
@@ -125,40 +149,27 @@ def sample_canonical_field(
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
     g = ctx.graph
     pts = canonical_points(g, points)
-    m = len(pts)
 
     root = np.random.SeedSequence(seed)
     sorted_edge_ids = sorted(e.id for e in g.edges)
     streams = root.spawn(1 + len(sorted_edge_ids))
     edge_stream = {eid: streams[1 + k] for k, eid in enumerate(sorted_edge_ids)}
 
-    vertex_rng = _generator(streams[0])
-    n_vertices = len(g.vertices)
-    white = vertex_rng.standard_normal((n, n_vertices))
-    z = scipy.linalg.solve_triangular(
-        ctx.cholesky_factor.T, white.T, lower=False
+    x = _vertex_field(ctx, _generator(streams[0]), n)
+    lo, hi, frac, _, elen, eidx = _point_frame(g, pts)
+    rows = ctx.factor.perm_r
+    draws = (
+        (1.0 - frac)[:, None] * x[rows[lo]] + frac[:, None] * x[rows[hi]]
     ).T
-
-    draws = np.empty((n, m))
     by_edge: dict[str, list[int]] = {}
     for k, p in enumerate(pts):
-        if p.is_vertex:
-            draws[:, k] = z[:, g.vertex_index(p.vertex)]
-        else:
-            e = g.edge(p.edge)
-            frac = p.offset / e.length
-            iu, iv = g.vertex_index(e.u), g.vertex_index(e.v)
-            draws[:, k] = (1.0 - frac) * z[:, iu] + frac * z[:, iv]
-            by_edge.setdefault(e.id, []).append(k)
+        if not p.is_vertex:
+            by_edge.setdefault(p.edge, []).append(k)
 
     total_jitter = 0.0
     for eid in sorted(by_edge):
         cols = by_edge[eid]
-        e = g.edge(eid)
-        fracs = np.array([pts[k].offset / e.length for k in cols])
-        bridge_cov = (
-            np.minimum(fracs[:, None], fracs[None, :]) - np.outer(fracs, fracs)
-        ) * e.length
+        bridge_cov = _bridge_covariance(frac[cols], elen[cols], eidx[cols])
         factor, jitter = _chol_with_jitter(bridge_cov, f"bridge covariance on {eid!r}")
         total_jitter = max(total_jitter, jitter)
         rng = _generator(edge_stream[eid])

@@ -284,6 +284,28 @@ def test_psd_check_passes_under_resistance_on_witness_config(capsys, workdir):
     assert json.loads(out)["verdict"] == "psd"
 
 
+def test_psd_check_matches_cov_certificate(capsys, workdir):
+    cases = [
+        ("edge", "points", "matern", "resistance"),
+        ("witness_graph", "witness_points", "flat_exp", "geodesic"),
+    ]
+    for graph, points, kernel, metric in cases:
+        inputs = [
+            "--graph",
+            str(workdir[graph]),
+            "--points",
+            str(workdir[points]),
+            "--kernel",
+            str(workdir[kernel]),
+            "--metric",
+            metric,
+        ]
+        code_cov, out_cov, _ = _run(capsys, ["cov", *inputs])
+        code_psd, out_psd, _ = _run(capsys, ["psd-check", *inputs])
+        assert code_cov == code_psd == 0
+        assert json.loads(out_psd) == json.loads(out_cov)["psd_certificate"]
+
+
 def test_star_check(capsys, workdir):
     code, out, _ = _run(
         capsys, ["star-check", "--kernel", str(workdir["matern"]), "--n", "4"]

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind
@@ -96,43 +95,6 @@ def test_profiles_reject_negative_distance_and_bad_spec():
         gf.radial_profile(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0), -0.5)
     with pytest.raises(gf.ParamOutOfRangeError):
         gf.radial_profile(KernelSpec(KernelFamily.MATERN, 0.9, 1.0), 1.0)
-
-
-# -- Bessel K -------------------------------------------------------------------
-
-
-def _bessel_quadrature(order: float, x: float) -> float:
-    def integrand(s: float) -> float:
-        if s > 700.0:
-            return 0.0
-        c = math.cosh(s)
-        return 0.5 * (math.exp(order * s - x * c) + math.exp(-order * s - x * c))
-
-    value, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return value
-
-
-def test_bessel_half_order_closed_form():
-    assert gf.bessel_k_fractional(0.5, 1.0) == pytest.approx(
-        math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-13
-    )
-    assert gf.bessel_k_fractional(0.5, 2.0) == pytest.approx(
-        math.sqrt(math.pi / 4.0) * math.exp(-2.0), rel=1e-13
-    )
-
-
-def test_bessel_matches_integral_representation():
-    for order, x in [(0.3, 1.0), (0.1, 0.5), (0.49, 3.0), (0.25, 0.05)]:
-        assert gf.bessel_k_fractional(order, x) == pytest.approx(
-            _bessel_quadrature(order, x), rel=1e-10
-        )
-
-
-def test_bessel_domain_checks():
-    with pytest.raises(ValueError):
-        gf.bessel_k_fractional(0.7, 1.0)
-    with pytest.raises(ValueError):
-        gf.bessel_k_fractional(0.3, -1.0)
 
 
 # -- covariance matrices ----------------------------------------------------------

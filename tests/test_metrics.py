@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,9 @@ def test_geodesic_matches_brute_force_enumeration():
 def test_single_edge_conductance_matrix():
     ctx = gf.build_resistance_context(single_edge())
     assert ctx.origin == "0"
-    assert np.array_equal(ctx.L, np.array([[2.0, -1.0], [-1.0, 1.0]]))
+    assert np.array_equal(ctx.L.toarray(), np.array([[2.0, -1.0], [-1.0, 1.0]]))
     expected_inverse = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(ctx._linv, expected_inverse, atol=1e-12)
+    assert np.allclose(np.linalg.inv(ctx.L.toarray()), expected_inverse, atol=1e-12)
 
 
 def test_L_strictly_positive_definite_on_random_graphs():
@@ -86,23 +88,52 @@ def test_L_strictly_positive_definite_on_random_graphs():
     for _ in range(8):
         g = random_graph(rng, 12, int(rng.integers(0, 3)))
         ctx = gf.build_resistance_context(g)
-        assert np.linalg.eigvalsh(ctx.L)[0] > 0
+        assert np.linalg.eigvalsh(ctx.L.toarray())[0] > 0
 
 
-def test_on_demand_columns_match_dense_inverse():
+def test_context_is_frozen():
+    ctx = gf.build_resistance_context(single_edge())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.origin = "1"
+
+
+def test_factor_columns_match_dense_inverse():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 10, 2)
     pts = random_points(rng, g, 8)
-    dense = gf.build_resistance_context(g)
-    lazy = gf.build_resistance_context(g, dense_inverse_max=0)
-    assert lazy._linv is None
-    dm_dense = gf.distance_matrix(g, pts, MetricKind.RESISTANCE, ctx=dense)
-    dm_lazy = gf.distance_matrix(g, pts, MetricKind.RESISTANCE, ctx=lazy)
-    assert np.allclose(dm_dense, dm_lazy, atol=1e-12)
-    p, q = pts[0], pts[1]
-    assert gf.resistance_distance(lazy, p, q) == pytest.approx(
-        gf.resistance_distance(dense, p, q), abs=1e-12
-    )
+    ctx = gf.build_resistance_context(g)
+    dense = np.linalg.inv(ctx.L.toarray())
+    columns = ctx.factor.solve(np.eye(len(g.vertices)))
+    assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)
+    # The same entries assembled by hand from the dense inverse.
+    lo, hi, a = [], [], []
+    for p in pts:
+        if p.is_vertex:
+            lo.append(g.vertex_index(p.vertex))
+            hi.append(lo[-1])
+            a.append(0.0)
+        else:
+            e = g.edge(p.edge)
+            lo.append(g.vertex_index(e.u))
+            hi.append(g.vertex_index(e.v))
+            a.append(p.offset / e.length)
+    lo, hi, a = np.array(lo), np.array(hi), np.array(a)
+    weights = np.zeros((len(pts), len(g.vertices)))
+    np.add.at(weights, (np.arange(len(pts)), lo), 1.0 - a)
+    np.add.at(weights, (np.arange(len(pts)), hi), a)
+    expected_mu = weights @ dense @ weights.T
+    got_mu = np.array([[gf.r_mu(ctx, p, q) for q in pts] for p in pts])
+    assert np.allclose(got_mu, expected_mu, rtol=0.0, atol=1e-12)
+
+
+def test_large_tree_resistance_equals_geodesic():
+    # Larger than every other fixture: trees must keep d_R == d_G at scale.
+    rng = np.random.default_rng(9)
+    g = random_tree(rng, 2100)
+    pts = random_points(rng, g, 40)
+    geo = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
+    res = gf.distance_matrix(g, pts, MetricKind.RESISTANCE)
+    assert np.max(np.abs(geo - res)) <= 1e-9
 
 
 # -- field kernels on the single edge -------------------------------------------
