@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -97,20 +96,17 @@ def _load_kernel(path: str):
     return kernel_spec_from_json(_read_json(path, "kernel spec"))
 
 
-def _matrix_csv(labels, matrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(labels)
-    for row in np.asarray(matrix):
-        writer.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
-
-
-def _emit(args, payload: dict, *, csv_text: str | None = None) -> None:
-    out = getattr(args, "out", None)
-    if out and csv_text is not None and out.endswith(".csv"):
+def _emit(args, payload: dict, *, table=None) -> None:
+    """Write ``payload`` as JSON, or ``table = (labels, matrix)`` as CSV when
+    ``--out`` ends in ``.csv``."""
+    out = args.out
+    if out and table is not None and out.endswith(".csv"):
+        labels, matrix = table
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+            writer = csv.writer(fh)
+            writer.writerow(labels)
+            for row in np.asarray(matrix):
+                writer.writerow([repr(float(x)) for x in row])
         return
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -211,7 +207,7 @@ def _cmd_distmatrix(args) -> int:
     _emit(
         args,
         _matrix_payload(kind.value, labels, matrix, **extra),
-        csv_text=_matrix_csv(labels, matrix),
+        table=(labels, matrix),
     )
     return 0
 
@@ -241,7 +237,7 @@ def _cmd_cov(args) -> int:
         _emit(
             args,
             _matrix_payload(kind.value, cov.labels, cov.values, **extra),
-            csv_text=_matrix_csv(cov.labels, cov.values),
+            table=(cov.labels, cov.values),
         )
     if args.strict and not cov.psd_certificate.is_psd:
         raise _CliFailure(
@@ -333,7 +329,7 @@ def _cmd_simulate(args) -> int:
         "draws": [[float(x) for x in row] for row in sample.draws],
         **model,
     }
-    _emit(args, payload, csv_text=_matrix_csv(sample.labels, sample.draws))
+    _emit(args, payload, table=(sample.labels, sample.draws))
     return 0
 
 
@@ -353,7 +349,7 @@ def _cmd_variogram(args) -> int:
             seed=sample.seed,
             origin=ctx.origin,
         ),
-        csv_text=_matrix_csv(sample.labels, vario),
+        table=(sample.labels, vario),
     )
     return 0
 
@@ -361,9 +357,8 @@ def _cmd_variogram(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, *, graph=False, points=False, metric=False, kernel=False):
-    if graph:
-        p.add_argument("--graph", required=True, help="graph JSON file (or - for stdin)")
+def _add_common(p, *, points=False, metric=False, kernel=False, origin=False):
+    p.add_argument("--graph", required=True, help="graph JSON file (or - for stdin)")
     if points:
         p.add_argument("--points", required=True, help="JSON array of point objects")
     if metric:
@@ -375,7 +370,8 @@ def _add_common(p, *, graph=False, points=False, metric=False, kernel=False):
         )
     if kernel:
         p.add_argument("--kernel", required=True, help="kernel spec JSON file")
-    p.add_argument("--origin", default=None, help="origin vertex label (resistance)")
+    if origin:
+        p.add_argument("--origin", default=None, help="origin vertex label (resistance)")
     p.add_argument("--out", default=None, help="write output here instead of stdout; .csv selects CSV for matrices/samples")
 
 
@@ -387,21 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a graph file")
-    _add_common(p, graph=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("blocks", help="block decomposition and geodesic validity class")
-    _add_common(p, graph=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("dist", help="distance between two points")
-    _add_common(p, graph=True, metric=True)
+    _add_common(p, metric=True, origin=True)
     p.add_argument("--from", dest="from_point", required=True, help="point JSON")
     p.add_argument("--to", dest="to_point", required=True, help="point JSON")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("distmatrix", help="pairwise distance matrix over a point set")
-    _add_common(p, graph=True, points=True, metric=True)
+    _add_common(p, points=True, metric=True, origin=True)
     p.set_defaults(func=_cmd_distmatrix)
 
     for name, helptext, certificate_only in (
@@ -409,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("psd-check", "PSD certificate for a kernel on a point set", True),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_common(p, graph=True, points=True, metric=True, kernel=True)
+        _add_common(p, points=True, metric=True, kernel=True, origin=True)
         p.add_argument("--tol", type=float, default=1e-9, help="relative PSD tolerance")
         p.add_argument("--strict", action="store_true", help="exit 2 when not PSD")
         p.set_defaults(func=_cmd_cov, certificate_only=certificate_only)
@@ -418,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "forbidden-check",
         help="geodesic validity class, with a six-point witness when forbidden",
     )
-    _add_common(p, graph=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_forbidden_check)
 
     p = sub.add_parser("star-check", help="star covariance inequalities for a kernel")
@@ -429,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_star_check)
 
     p = sub.add_parser("simulate", help="sample a Gaussian field at a point set")
-    _add_common(p, graph=True, points=True, metric=True)
+    _add_common(p, points=True, metric=True, origin=True)
     p.add_argument("--kernel", default=None, help="sample a kernel covariance instead of the canonical field")
     p.add_argument("--n", type=int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("variogram", help="empirical variogram of the canonical field")
-    _add_common(p, graph=True, points=True)
+    _add_common(p, points=True, origin=True)
     p.add_argument("--n", type=int, default=20000, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=_cmd_variogram)

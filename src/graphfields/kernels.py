@@ -48,29 +48,24 @@ class KernelFamily(str, Enum):
     DAGUM = "dagum"
 
 
-_FAMILY_ALIASES = {
-    "power_exponential": KernelFamily.POWER_EXPONENTIAL,
-    "powerexponential": KernelFamily.POWER_EXPONENTIAL,
-    "power-exponential": KernelFamily.POWER_EXPONENTIAL,
-    "exponential": KernelFamily.POWER_EXPONENTIAL,
-    "matern": KernelFamily.MATERN,
-    "generalized_cauchy": KernelFamily.GENERALIZED_CAUCHY,
-    "generalized-cauchy": KernelFamily.GENERALIZED_CAUCHY,
-    "generalizedcauchy": KernelFamily.GENERALIZED_CAUCHY,
-    "cauchy": KernelFamily.GENERALIZED_CAUCHY,
-    "dagum": KernelFamily.DAGUM,
-}
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """One radial family with its parameters; ``xi`` only applies to the
-    generalized Cauchy and Dagum families."""
+    generalized Cauchy and Dagum families.
+
+    A spec is valid by construction: ``family`` is coerced to
+    :class:`KernelFamily` and :func:`validate_params` runs once, so every
+    existing spec lies in its family's validity range.
+    """
 
     family: KernelFamily
     alpha: float
     beta: float
     xi: float | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "family", KernelFamily(self.family))
+        validate_params(self)
 
 
 def _check_range(ok: bool, fieldname: str, allowed: str) -> None:
@@ -80,12 +75,8 @@ def _check_range(ok: bool, fieldname: str, allowed: str) -> None:
 
 def validate_params(spec: KernelSpec) -> None:
     """Reject parameters outside the family's validity range."""
-    family = KernelFamily(spec.family)
-    alpha, beta, xi = spec.alpha, spec.beta, spec.xi
-    finite = all(
-        math.isfinite(x) for x in (alpha, beta) if x is not None
-    ) and (xi is None or math.isfinite(xi))
-    if not finite:
+    family, alpha, beta, xi = spec.family, spec.alpha, spec.beta, spec.xi
+    if not all(math.isfinite(x) for x in (alpha, beta, xi) if x is not None):
         raise ParamOutOfRangeError("alpha/beta/xi", "finite numbers")
     _check_range(beta > 0, "beta", "beta > 0")
     if family is KernelFamily.POWER_EXPONENTIAL:
@@ -103,15 +94,14 @@ def validate_params(spec: KernelSpec) -> None:
 
 
 def radial_profile(spec: KernelSpec, t):
-    """Evaluate C(t) for a validated spec; C(0) = 1 for every family.
+    """Evaluate C(t) for a spec; C(0) = 1 for every family.
 
     Accepts scalars or arrays of nonnegative distances.  The Matern form is
     divided by its own limit at 0 so that it is a correlation like the other
     families; at t = 0 the product form is a removable singularity and is
     evaluated as exactly 1.
     """
-    validate_params(spec)
-    family = KernelFamily(spec.family)
+    family = spec.family
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValueError("distances must be nonnegative")
@@ -169,7 +159,7 @@ class CovarianceMatrix:
     labels: tuple[str, ...]
     values: np.ndarray
     metric: MetricKind
-    psd_certificate: PsdReport | None
+    psd_certificate: PsdReport
 
 
 def covariance_from_distances(dm: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -188,7 +178,6 @@ def covariance_matrix(
     origin: str | None = None,
     rel_tol: float = PSD_REL_TOL,
     min_separation: float | None = None,
-    certify: bool = True,
 ) -> CovarianceMatrix:
     """Covariance matrix C(d(p_i, p_j)) over a point set with a certificate.
 
@@ -196,7 +185,6 @@ def covariance_matrix(
     distance, which a caller may use to keep near-duplicates from producing
     numerically borderline certificates.
     """
-    validate_params(spec)
     pts = canonical_points(g, points)
     dm = distance_matrix(g, pts, kind, origin=origin)
     if min_separation is not None and len(pts) > 1:
@@ -208,12 +196,11 @@ def covariance_matrix(
                 f"separation {min_separation}"
             )
     values = covariance_from_distances(dm, spec)
-    certificate = psd_check(values, rel_tol) if certify else None
     return CovarianceMatrix(
         labels=tuple(point_label(p) for p in pts),
         values=values,
         metric=MetricKind(kind),
-        psd_certificate=certificate,
+        psd_certificate=psd_check(values, rel_tol),
     )
 
 
@@ -378,32 +365,32 @@ def star_inequality_check(profile, n: int, t_values) -> list[StarInequalityResul
 # -- JSON wire format ---------------------------------------------------------
 
 
+# The family spellings accepted on the wire, after strip/lower: the four
+# canonical names plus "cauchy", the README's short name.
+_WIRE_FAMILIES = {f.value: f for f in KernelFamily} | {
+    "cauchy": KernelFamily.GENERALIZED_CAUCHY
+}
+
+
 def kernel_spec_to_json(spec: KernelSpec) -> dict:
-    out = {
-        "family": KernelFamily(spec.family).value,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-    }
+    out = {"family": spec.family.value, "alpha": spec.alpha, "beta": spec.beta}
     if spec.xi is not None:
         out["xi"] = spec.xi
     return out
 
 
 def kernel_spec_from_json(obj: dict) -> KernelSpec:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ParamOutOfRangeError("family", "one of " + ", ".join(sorted({f.value for f in KernelFamily})))
-    name = str(obj["family"]).strip().lower()
-    family = _FAMILY_ALIASES.get(name)
+    family = None
+    if isinstance(obj, dict) and "family" in obj:
+        family = _WIRE_FAMILIES.get(str(obj["family"]).strip().lower())
     if family is None:
         raise ParamOutOfRangeError(
-            "family", "one of " + ", ".join(sorted({f.value for f in KernelFamily}))
+            "family", "one of " + ", ".join(sorted(f.value for f in KernelFamily))
         )
     try:
         alpha = float(obj["alpha"])
         beta = float(obj["beta"])
     except KeyError as exc:
         raise ParamOutOfRangeError(str(exc.args[0]), "required") from exc
-    xi = float(obj["xi"]) if "xi" in obj and obj["xi"] is not None else None
-    spec = KernelSpec(family=family, alpha=alpha, beta=beta, xi=xi)
-    validate_params(spec)
-    return spec
+    xi = float(obj["xi"]) if obj.get("xi") is not None else None
+    return KernelSpec(family=family, alpha=alpha, beta=beta, xi=xi)

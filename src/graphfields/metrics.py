@@ -370,12 +370,17 @@ def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    cov = r_graph_matrix(ctx, points)
-    diag = np.diag(cov).copy()
+def _variogram(cov: np.ndarray) -> np.ndarray:
+    """Variogram ``cov_ii + cov_jj - 2 cov_ij`` of a covariance matrix, with
+    an exact zero diagonal."""
+    diag = np.diag(cov)
     out = diag[:, None] + diag[None, :] - 2.0 * cov
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
+    return _variogram(r_graph_matrix(ctx, points))
 
 
 def distance_matrix(

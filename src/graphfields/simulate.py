@@ -9,28 +9,32 @@ independent Brownian-bridge contribution per edge evaluated exactly at the
 sampled offsets.  The empirical variogram of such samples converges to the
 resistance distance, which is how the metric is verified end to end.
 
-Reproducibility: all draws derive from ``numpy.random.SeedSequence(seed)``
-with the Philox counter-based generator.  Stream derivation is fixed by
-convention -- child 0 drives the vertex field (or the covariance sampler),
-and child 1 + k drives the bridge on the k-th edge in sorted edge-id order
--- so results are bit-identical for a given seed regardless of how the work
-is ordered or parallelized.
+Reproducibility: stream ``k`` of a seed is the Philox generator over
+``numpy.random.SeedSequence(seed, spawn_key=(k,))``, which is the ``k``-th
+child that ``SeedSequence(seed).spawn`` would return.  Stream derivation is
+fixed by convention -- stream 0 drives the vertex field (or the covariance
+sampler), and stream 1 + k drives the bridge on the k-th edge in sorted
+edge-id order -- so results are bit-identical for a given seed regardless of
+how the work is ordered or parallelized, and only the streams a draw uses
+are built.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
-from .graph import GraphPoint, point_label
+from .graph import point_label
 from .metrics import (
     ResistanceContext,
     _bridge_covariance,
     _point_frame,
+    _variogram,
     canonical_points,
 )
 from .kernels import psd_check
@@ -53,7 +57,6 @@ class FieldSample:
     labels: tuple[str, ...]
     draws: np.ndarray
     seed: int
-    points: tuple[GraphPoint, ...] | None = None
     jitter: float = 0.0
 
 
@@ -78,18 +81,14 @@ def _chol_with_jitter(cov: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     raise NotPSDError(f"{what} is not positive semi-definite enough to factorize")
 
 
-def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _stream(seed: int, k: int) -> np.random.Generator:
+    """Stream ``k`` of ``seed``; see the module docstring."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,)))
+    )
 
 
-def sample_from_covariance(
-    cov,
-    n: int,
-    seed: int,
-    *,
-    labels=None,
-    points=None,
-) -> FieldSample:
+def sample_from_covariance(cov, n: int, seed: int, *, labels=None) -> FieldSample:
     """Draw ``n`` independent zero-mean vectors with the given covariance."""
     cov = np.asarray(cov, dtype=float)
     if n < 1:
@@ -100,18 +99,11 @@ def sample_from_covariance(
             f"covariance is not PSD (min eigenvalue {report.min_eig:g})"
         )
     factor, jitter = _chol_with_jitter(cov, "covariance matrix")
-    rng = _generator(np.random.SeedSequence(seed).spawn(1)[0])
-    normals = rng.standard_normal((n, cov.shape[0]))
+    normals = _stream(seed, 0).standard_normal((n, cov.shape[0]))
     draws = normals @ factor.T
     if labels is None:
         labels = tuple(f"p{k}" for k in range(cov.shape[0]))
-    return FieldSample(
-        labels=tuple(labels),
-        draws=draws,
-        seed=int(seed),
-        points=tuple(points) if points is not None else None,
-        jitter=jitter,
-    )
+    return FieldSample(labels=tuple(labels), draws=draws, seed=int(seed), jitter=jitter)
 
 
 def _vertex_field(
@@ -150,12 +142,7 @@ def sample_canonical_field(
     g = ctx.graph
     pts = canonical_points(g, points)
 
-    root = np.random.SeedSequence(seed)
-    sorted_edge_ids = sorted(e.id for e in g.edges)
-    streams = root.spawn(1 + len(sorted_edge_ids))
-    edge_stream = {eid: streams[1 + k] for k, eid in enumerate(sorted_edge_ids)}
-
-    x = _vertex_field(ctx, _generator(streams[0]), n)
+    x = _vertex_field(ctx, _stream(seed, 0), n)
     lo, hi, frac, _, elen, eidx = _point_frame(g, pts)
     rows = ctx.factor.perm_r
     draws = (
@@ -166,13 +153,14 @@ def sample_canonical_field(
         if not p.is_vertex:
             by_edge.setdefault(p.edge, []).append(k)
 
+    sorted_edge_ids = sorted(e.id for e in g.edges)
     total_jitter = 0.0
     for eid in sorted(by_edge):
         cols = by_edge[eid]
         bridge_cov = _bridge_covariance(frac[cols], elen[cols], eidx[cols])
         factor, jitter = _chol_with_jitter(bridge_cov, f"bridge covariance on {eid!r}")
         total_jitter = max(total_jitter, jitter)
-        rng = _generator(edge_stream[eid])
+        rng = _stream(seed, 1 + bisect_left(sorted_edge_ids, eid))
         bridge = rng.standard_normal((n, len(cols))) @ factor.T
         draws[:, cols] += bridge
 
@@ -180,7 +168,6 @@ def sample_canonical_field(
         labels=tuple(point_label(p) for p in pts),
         draws=draws,
         seed=int(seed),
-        points=tuple(pts),
         jitter=total_jitter,
     )
 
@@ -192,9 +179,4 @@ def empirical_variogram(sample: FieldSample) -> np.ndarray:
         raise TooFewSamplesError(
             f"variogram needs at least 2 draws, got {draws.shape[0]}"
         )
-    cov = np.cov(draws, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    diag = np.diag(cov).copy()
-    out = diag[:, None] + diag[None, :] - 2.0 * cov
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _variogram(np.atleast_2d(np.cov(draws, rowvar=False, ddof=1)))

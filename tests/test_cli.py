@@ -177,46 +177,44 @@ def test_forbidden_check_safe_graph_has_no_witness(capsys, workdir):
 
 
 def test_distmatrix_json_and_csv_agree(capsys, workdir):
-    code, out, _ = _run(
-        capsys,
-        [
-            "distmatrix",
-            "--graph",
-            str(workdir["edge"]),
-            "--points",
-            str(workdir["points"]),
-            "--metric",
-            "geodesic",
-        ],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["metric"] == "geodesic"
-    assert payload["labels"] == ["0", "e1@0.25", "e1@0.75", "1"]
-    matrix = np.array(payload["matrix"])
-    assert np.array_equal(matrix, matrix.T)
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    cases = [
+        (["distmatrix", *inputs, "--metric", "geodesic"], "geodesic"),
+        (["cov", *inputs, "--kernel", str(workdir["matern"])], "resistance"),
+        (["variogram", *inputs, "--n", "50", "--seed", "3"], "empirical_variogram"),
+    ]
+    for argv, metric in cases:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metric"] == metric
+        assert payload["labels"] == ["0", "e1@0.25", "e1@0.75", "1"]
+        matrix = np.array(payload["matrix"])
+        assert np.array_equal(matrix, matrix.T)
 
-    out_csv = workdir["dir"] / "dm.csv"
-    code, _, _ = _run(
-        capsys,
-        [
-            "distmatrix",
-            "--graph",
-            str(workdir["edge"]),
-            "--points",
-            str(workdir["points"]),
-            "--metric",
-            "geodesic",
-            "--out",
-            str(out_csv),
-        ],
-    )
-    assert code == 0
-    with open(out_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == payload["labels"]
-    parsed = np.array([[float(x) for x in row] for row in rows[1:]])
-    assert np.array_equal(parsed, matrix)
+        out_csv = workdir["dir"] / "dm.csv"
+        code, _, _ = _run(capsys, [*argv, "--out", str(out_csv)])
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == payload["labels"]
+        parsed = np.array([[float(x) for x in row] for row in rows[1:]])
+        assert np.array_equal(parsed, matrix)
+
+
+def test_origin_only_on_commands_that_read_it(capsys, workdir):
+    for command in ("validate", "blocks", "forbidden-check"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--graph", str(workdir["edge"]), "--origin", "0"])
+        assert info.value.code == 2
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"]), "--origin", "1"]
+    for argv in (
+        ["distmatrix", *inputs],
+        ["cov", *inputs, "--kernel", str(workdir["matern"])],
+        ["variogram", *inputs, "--n", "10"],
+    ):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and json.loads(out)["origin"] == "1"
 
 
 def test_cov_reports_psd_certificate(capsys, workdir):

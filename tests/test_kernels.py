@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind
@@ -54,6 +56,42 @@ def test_validate_params_edges():
         gf.validate_params(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0, 0.5))
     with pytest.raises(gf.ParamOutOfRangeError):
         gf.validate_params(KernelSpec(KernelFamily.DAGUM, 1.0, 1.0, 0.0))
+
+
+def _in_range(family, alpha, beta, xi) -> bool:
+    """The validity ranges written out independently of validate_params."""
+    if not all(math.isfinite(x) for x in (alpha, beta, xi) if x is not None):
+        return False
+    alpha_max = 0.5 if family is KernelFamily.MATERN else 1.0
+    if not (beta > 0 and 0 < alpha <= alpha_max):
+        return False
+    if family in (KernelFamily.POWER_EXPONENTIAL, KernelFamily.MATERN):
+        return xi is None
+    if family is KernelFamily.GENERALIZED_CAUCHY:
+        return xi is not None and xi > 0
+    return xi is not None and 0 < xi <= 1
+
+
+_PARAM = st.floats(-1.0, 2.0) | st.sampled_from([0.5, 1.0, math.inf, math.nan])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    family=st.sampled_from(list(KernelFamily)),
+    as_text=st.booleans(),
+    alpha=_PARAM,
+    beta=_PARAM,
+    xi=st.none() | _PARAM,
+)
+def test_spec_constructs_exactly_in_range(family, as_text, alpha, beta, xi):
+    name = family.value if as_text else family
+    if _in_range(family, alpha, beta, xi):
+        spec = KernelSpec(name, alpha, beta, xi)
+        assert spec.family is family
+        assert gf.radial_profile(spec, 0.0) == 1.0
+    else:
+        with pytest.raises(gf.ParamOutOfRangeError):
+            KernelSpec(name, alpha, beta, xi)
 
 
 # -- radial profiles ------------------------------------------------------------
@@ -349,6 +387,11 @@ def test_kernel_json_round_trip_and_aliases():
     assert gf.kernel_spec_from_json(gf.kernel_spec_to_json(spec)) == spec
     parsed = gf.kernel_spec_from_json({"family": "cauchy", "alpha": 0.5, "beta": 1.0, "xi": 1.0})
     assert parsed.family is KernelFamily.GENERALIZED_CAUCHY
+    parsed = gf.kernel_spec_from_json({"family": " Cauchy ", "alpha": 0.5, "beta": 1.0, "xi": 1.0})
+    assert parsed.family is KernelFamily.GENERALIZED_CAUCHY
+    for name in ("exponential", "power-exponential", "generalizedcauchy"):
+        with pytest.raises(gf.ParamOutOfRangeError):
+            gf.kernel_spec_from_json({"family": name, "alpha": 1.0, "beta": 1.0, "xi": 1.0})
     parsed = gf.kernel_spec_from_json({"family": "matern", "alpha": 0.5, "beta": 1.0})
     assert parsed.family is KernelFamily.MATERN and parsed.xi is None
 

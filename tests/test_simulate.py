@@ -9,6 +9,7 @@ import pytest
 
 import graphfields as gf
 from graphfields import MetricKind
+from graphfields.simulate import _stream
 from .helpers import figure_eight, single_edge, unit_square
 
 
@@ -101,6 +102,14 @@ def test_canonical_field_is_seed_deterministic():
     b = gf.sample_canonical_field(ctx, pts, 50, seed=77)
     assert a.draws.tobytes() == b.draws.tobytes()
     assert a.labels == b.labels
+
+
+def test_stream_matches_spawned_child():
+    for seed in (0, 1, 77, 2**40):
+        for k in (0, 1, 5, 40):
+            child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+            expected = np.random.Generator(np.random.Philox(child)).standard_normal(64)
+            assert _stream(seed, k).standard_normal(64).tobytes() == expected.tobytes()
 
 
 def test_variogram_diagonal_is_zero_and_needs_two_draws():
