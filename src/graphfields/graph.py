@@ -88,14 +88,14 @@ def point_label(p: GraphPoint) -> str:
 
 def _coerce_edge(raw, position: int) -> Edge:
     if isinstance(raw, Edge):
-        return Edge(str(raw.id), str(raw.u), str(raw.v), float(raw.length))
-    if isinstance(raw, dict):
+        eid, u, v, length = raw.id, raw.u, raw.v, raw.length
+    elif isinstance(raw, dict):
         eid = raw.get("id", f"e{position + 1}")
         try:
-            return Edge(str(eid), str(raw["u"]), str(raw["v"]), float(raw["length"]))
+            u, v, length = raw["u"], raw["v"], raw["length"]
         except KeyError as exc:
             raise InvalidGraphError(f"edge record missing field {exc}") from exc
-    if isinstance(raw, (tuple, list)):
+    elif isinstance(raw, (tuple, list)):
         if len(raw) == 4:
             eid, u, v, length = raw
         elif len(raw) == 3:
@@ -105,8 +105,15 @@ def _coerce_edge(raw, position: int) -> Edge:
             raise InvalidGraphError(
                 "edge tuples must be (id, u, v, length) or (u, v, length)"
             )
-        return Edge(str(eid), str(u), str(v), float(length))
-    raise InvalidGraphError(f"cannot interpret edge record {raw!r}")
+    else:
+        raise InvalidGraphError(f"cannot interpret edge record {raw!r}")
+    try:
+        length = float(length)
+    except (TypeError, ValueError) as exc:
+        raise InvalidGraphError(
+            f"edge {eid!r} must have a numeric length, got {length!r}"
+        ) from exc
+    return Edge(str(eid), str(u), str(v), length)
 
 
 class EuclideanGraph:
@@ -497,7 +504,13 @@ def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:
     if "vertex" in obj:
         return canonicalize(g, vertex_point(obj["vertex"]))
     if "edge" in obj and "offset" in obj:
-        return canonicalize(g, edge_point(obj["edge"], obj["offset"]))
+        try:
+            offset = float(obj["offset"])
+        except (TypeError, ValueError) as exc:
+            raise OffsetOutOfRangeError(
+                f"offset must be a number, got {obj['offset']!r}"
+            ) from exc
+        return canonicalize(g, edge_point(obj["edge"], offset))
     raise OffsetOutOfRangeError(
         'point JSON must be {"vertex": ...} or {"edge": ..., "offset": ...}'
     )

@@ -379,6 +379,15 @@ def kernel_spec_to_json(spec: KernelSpec) -> dict:
     return out
 
 
+def _number(obj: dict, key: str) -> float:
+    try:
+        return float(obj[key])
+    except KeyError as exc:
+        raise ParamOutOfRangeError(key, "required") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParamOutOfRangeError(key, "a number") from exc
+
+
 def kernel_spec_from_json(obj: dict) -> KernelSpec:
     family = None
     if isinstance(obj, dict) and "family" in obj:
@@ -387,10 +396,6 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
         raise ParamOutOfRangeError(
             "family", "one of " + ", ".join(sorted(f.value for f in KernelFamily))
         )
-    try:
-        alpha = float(obj["alpha"])
-        beta = float(obj["beta"])
-    except KeyError as exc:
-        raise ParamOutOfRangeError(str(exc.args[0]), "required") from exc
-    xi = float(obj["xi"]) if obj.get("xi") is not None else None
+    alpha, beta = _number(obj, "alpha"), _number(obj, "beta")
+    xi = _number(obj, "xi") if obj.get("xi") is not None else None
     return KernelSpec(family=family, alpha=alpha, beta=beta, xi=xi)

@@ -9,11 +9,14 @@ multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
 is the conductance Laplacian, conductance = 1/length, plus a unit bump at an
 origin vertex that makes it strictly positive definite), linearly
 interpolated along edges, plus an independent Brownian bridge on each edge.
-Its kernels ``r_mu``/``r_edge``/``r_graph`` are evaluated here through one
-sparse factorization of ``L``, and the induced distance coincides with
-classical effective resistance on the vertices.  The distance is invariant
-to the origin choice and to splitting or merging edges, and never exceeds
-the geodesic distance, with equality exactly on trees.
+The field is invariant to splitting edges, so at a finite point set it is
+the vertex field of the graph subdivided there: its covariance ``r_graph``
+is a block of ``L'^-1``, with ``L'`` the conductance matrix of the
+subdivided graph (same origin bump), and every query reads it from one
+sparse factorization of ``L'``.  The distance coincides with classical
+effective resistance on the vertices, is invariant to the origin choice and
+to splitting or merging edges, and never exceeds the geodesic distance, with
+equality exactly on trees.
 
 ``oracle_effective_resistance`` is an independent cross-check: it assembles
 the plain conductance Laplacian of the network with the query points added
@@ -46,6 +49,10 @@ from .graph import (
 # Laplacian in the oracle's pseudoinverse.
 _PINV_RTOL = 1e-12
 
+# Right-hand sides are solved this many columns at a time: a block that stays
+# in cache solves two to three times faster than one wide block.
+_SOLVE_COLUMNS = 64
+
 
 class MetricKind(str, Enum):
     GEODESIC = "geodesic"
@@ -62,11 +69,10 @@ def canonical_points(g: EuclideanGraph, points) -> list[GraphPoint]:
 def _point_frame(g: EuclideanGraph, points):
     """Decompose canonical points into endpoint indices and edge coordinates.
 
-    Returns arrays (lo, hi, frac, off, elen, eidx): the vertex indices of the
-    low and high endpoints, the relative position in [0, 1), the offset from
-    the low endpoint, the containing edge length, and a label that points on
-    the same edge share (-1 for vertices).  Vertices have ``lo == hi`` and
-    zero position, offset and length.
+    Returns arrays (lo, hi, off, elen, eidx): the vertex indices of the low
+    and high endpoints, the offset from the low endpoint, the containing edge
+    length, and a label that points on the same edge share (-1 for
+    vertices).  Vertices have ``lo == hi`` and zero offset and length.
     """
     m = len(points)
     lo = np.empty(m, dtype=np.intp)
@@ -85,24 +91,11 @@ def _point_frame(g: EuclideanGraph, points):
             off[k] = p.offset
             elen[k] = e.length
             eidx[k] = slots.setdefault(e.id, len(slots))
-    frac = np.divide(off, elen, out=np.zeros(m), where=eidx >= 0)
-    return lo, hi, frac, off, elen, eidx
+    return lo, hi, off, elen, eidx
 
 
 def _shared_edge(eidx: np.ndarray) -> np.ndarray:
     return (eidx[:, None] == eidx[None, :]) & (eidx[:, None] >= 0)
-
-
-def relative_position(g: EuclideanGraph, p: GraphPoint) -> float:
-    """Position of a point along its edge as a proportion of the length.
-
-    Vertices return 0; an interior point at ``offset`` on an edge of length
-    ``L`` returns ``offset / L``.
-    """
-    p = canonicalize(g, p)
-    if p.is_vertex:
-        return 0.0
-    return p.offset / g.edge(p.edge).length
 
 
 # -- geodesic metric ---------------------------------------------------------
@@ -118,52 +111,91 @@ def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
 
 @dataclass(frozen=True)
 class ResistanceContext:
-    """Origin choice plus the sparse factorization of L.
+    """Origin choice plus the edge arrays of the network: endpoint vertex
+    indices ``u``, ``v`` and ``length``, in the order of ``graph.edges``.
 
-    ``L`` (CSC) is the conductance Laplacian of the network (conductance of
-    an edge is 1/length) with an extra unit added on the diagonal at the
-    origin vertex, which makes it strictly positive definite.  ``factor`` is
-    its symmetric-mode sparse LU: with the fill-reducing permutation ``P``
-    (``perm_r == perm_c``), unit lower factor ``F`` and positive pivots ``D``,
-    ``L = P^T F D F^T P``.  The context is frozen and holds no cache; every
-    query solves against ``factor``.
+    Every query assembles from them the conductance matrix ``L'`` of the
+    graph subdivided at its points and factors it.  The context is frozen
+    and holds no cache.
     """
 
     graph: EuclideanGraph
     origin: str
-    L: scipy.sparse.csc_array
-    factor: SuperLU = field(repr=False)
-
-    @property
-    def origin_index(self) -> int:
-        return self.graph.vertex_index(self.origin)
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    length: np.ndarray = field(repr=False)
 
 
 def build_resistance_context(
     g: EuclideanGraph, origin: str | None = None
 ) -> ResistanceContext:
-    """Assemble and factor L; the origin defaults to the smallest label.
-
-    Raises :class:`FactorizationFailedError` if the factorization fails or
-    its pivots are not symmetric and positive, which signals a numerically
-    singular L and should be impossible for a validated graph.
-    """
+    """Assemble the edge arrays; the origin defaults to the smallest label."""
     if origin is None:
         origin = g.vertices[0]
-    io = g.vertex_index(origin)
+    g.vertex_index(origin)
+    return ResistanceContext(
+        graph=g,
+        origin=origin,
+        u=np.array([g.vertex_index(e.u) for e in g.edges], dtype=np.intp),
+        v=np.array([g.vertex_index(e.v) for e in g.edges], dtype=np.intp),
+        length=np.array([e.length for e in g.edges], dtype=float),
+    )
+
+
+def _subdivided(ctx: ResistanceContext, points):
+    """Conductance matrix ``L'`` (CSC) of the graph subdivided at canonical
+    ``points``, and the node of each point.
+
+    Conductance is 1/length, plus a unit on the diagonal at the origin.
+    Each distinct interior point becomes a node, numbered after the vertices
+    in (edge, offset) order, that cuts its edge into consecutive segments;
+    vertex points and repeated points share a node.
+    """
+    g = ctx.graph
     n = len(g.vertices)
-    u = np.array([g.vertex_index(e.u) for e in g.edges], dtype=np.intp)
-    v = np.array([g.vertex_index(e.v) for e in g.edges], dtype=np.intp)
-    c = 1.0 / np.array([e.length for e in g.edges], dtype=float)
+    lo, hi, off, elen, eidx = _point_frame(g, points)
+    inner = np.flatnonzero(eidx >= 0)
+    keys = np.column_stack([eidx[inner], off[inner]])
+    _, first_seen, rank = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    node = lo.copy()
+    node[inner] = n + rank
+    cut = inner[first_seen]
+    # The first cut on an edge hangs from u, each later one from the cut
+    # before it, and the last one also runs on to v.
+    first = np.diff(eidx[cut], prepend=-1) != 0
+    last = cut[np.diff(eidx[cut], append=-1) != 0]
+    prev_node = np.where(first, lo[cut], np.roll(node[cut], 1))
+    prev_off = np.where(first, 0.0, np.roll(off[cut], 1))
+    # A simple graph has one edge per endpoint pair, so the pairs name the
+    # edges that are cut.
+    kept = ~np.isin(ctx.u * n + ctx.v, lo[cut] * n + hi[cut])
+    a = np.concatenate([ctx.u[kept], prev_node, node[last]])
+    b = np.concatenate([ctx.v[kept], node[cut], hi[last]])
+    c = 1.0 / np.concatenate(
+        [ctx.length[kept], off[cut] - prev_off, elen[last] - off[last]]
+    )
+    io = g.vertex_index(ctx.origin)
+    size = n + cut.size
     # Duplicate (row, col) pairs are summed, so each diagonal entry is the
     # sum of its incident conductances.
     L = scipy.sparse.csc_array(
         (
             np.concatenate([-c, -c, c, c, [1.0]]),
-            (np.concatenate([u, v, u, v, [io]]), np.concatenate([v, u, u, v, [io]])),
+            (np.concatenate([a, b, a, b, [io]]), np.concatenate([b, a, a, b, [io]])),
         ),
-        shape=(n, n),
+        shape=(size, size),
     )
+    return L, node
+
+
+def _factor(L: scipy.sparse.csc_array) -> SuperLU:
+    """Symmetric-mode sparse LU ``L = P^T F D F^T P`` of a conductance
+    matrix: fill-reducing ``P`` (``perm_r == perm_c``), unit lower ``F`` and
+    positive pivots ``D``.
+
+    Raises :class:`FactorizationFailedError` when that structure fails,
+    which signals a numerically singular L.
+    """
     try:
         factor = splu(
             L,
@@ -179,55 +211,40 @@ def build_resistance_context(
         raise FactorizationFailedError("factorization of L pivoted off the diagonal")
     if not np.all(factor.U.diagonal() > 0):
         raise FactorizationFailedError("conductance matrix is not positive definite")
-    return ResistanceContext(graph=g, origin=origin, L=L, factor=factor)
+    return factor
 
 
-def _vertex_covariance(ctx: ResistanceContext, lo, hi, frac) -> np.ndarray:
-    """Covariance of the interpolated vertex field between point frames.
+def _solve(ctx: ResistanceContext, points, u=(), v=()):
+    """Factor ``L'`` once and solve it for the point columns plus a column
+    ``e_u[k] - e_v[k]`` per vertex pair.
 
-    All the columns of ``L^-1`` the frames touch come from one solve.
+    Returns the symmetric covariance among the distinct point nodes, the
+    row of each point in it, and the resistance of each pair ``(u[k], v[k])``.
     """
-    needed, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    rhs = np.zeros((ctx.L.shape[0], needed.size))
-    rhs[needed, np.arange(needed.size)] = 1.0
-    block = ctx.factor.solve(rhs)[needed]
-    ilo, ihi = where[: lo.size], where[lo.size :]
-    a = frac
-    one_m = 1.0 - frac
-    t12 = np.outer(a, a) * block[np.ix_(ihi, ihi)] + np.outer(
-        one_m, one_m
-    ) * block[np.ix_(ilo, ilo)]
-    t34 = np.outer(a, one_m) * block[np.ix_(ihi, ilo)] + np.outer(
-        one_m, a
-    ) * block[np.ix_(ilo, ihi)]
-    return t12 + t34
-
-
-def _bridge_covariance(frac, elen, eidx) -> np.ndarray:
-    """Brownian-bridge covariance ``(min(a, b) - a*b) * length`` between
-    interior points sharing an edge, zero elsewhere."""
-    bridge = (np.minimum.outer(frac, frac) - np.outer(frac, frac)) * elen[:, None]
-    return np.where(_shared_edge(eidx), bridge, 0.0)
-
-
-def r_mu(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
-    """Covariance of the interpolated vertex field between two points."""
-    lo, hi, frac, _, _, _ = _point_frame(
-        ctx.graph, canonical_points(ctx.graph, (p, q))
+    L, node = _subdivided(ctx, points)
+    needed, where = np.unique(node, return_inverse=True)
+    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+    k, pairs = needed.size, np.arange(u.size)
+    rows = np.concatenate([needed, u, v])
+    cols = np.concatenate([np.arange(k), k + pairs, k + pairs])
+    rhs = scipy.sparse.csc_array(
+        (np.repeat([1.0, -1.0], [k + u.size, v.size]), (rows, cols)),
+        shape=(L.shape[0], k + u.size),
     )
-    return float(_vertex_covariance(ctx, lo, hi, frac)[0, 1])
-
-
-def r_edge(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
-    """Brownian-bridge covariance; nonzero only for interior points sharing
-    an edge, where it equals ``(min(a, b) - a*b) * length`` in relative
-    positions ``a``, ``b``."""
-    _, _, frac, _, elen, eidx = _point_frame(g, canonical_points(g, (p, q)))
-    return float(_bridge_covariance(frac, elen, eidx)[0, 1])
+    lu = _factor(L)
+    x = np.zeros((rows.size, rhs.shape[1]))
+    for s in range(0, rhs.shape[1], _SOLVE_COLUMNS):
+        x[:, s : s + _SOLVE_COLUMNS] = lu.solve(
+            rhs[:, s : s + _SOLVE_COLUMNS].toarray()
+        )[rows]
+    block = x[:k, :k]
+    r_uv = x[k + pairs, k + pairs] - x[k + u.size + pairs, k + pairs]
+    # Repairs last-ulp asymmetry of the solved columns of L'^-1.
+    return 0.5 * (block + block.T), where, r_uv
 
 
 def r_graph(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
-    """Covariance of the canonical field: vertex part plus bridge part."""
+    """Covariance of the canonical field between two points."""
     return float(r_graph_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
 
 
@@ -235,7 +252,7 @@ def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) ->
     """Variogram of the canonical field between two points.
 
     Equals classical effective resistance (conductance = 1/length) on the
-    vertices, and extends it to edge points without re-assembling L.
+    vertices, and on the graph subdivided at the two points.
     """
     return float(resistance_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
 
@@ -347,7 +364,7 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     within-edge segment when both points lie on the same edge (required for
     correctness on cycles, where the around route can be longer).
     """
-    lo, hi, _, to_lo, elen, eidx = _point_frame(g, points)
+    lo, hi, to_lo, elen, eidx = _point_frame(g, points)
     dist = g.vertex_distances
     to_hi = elen - to_lo
     best = to_lo[:, None] + dist[np.ix_(lo, lo)] + to_lo[None, :]
@@ -364,10 +381,8 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
 
 def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     """Canonical-field covariance matrix for canonical points (vectorized)."""
-    lo, hi, frac, _, elen, eidx = _point_frame(ctx.graph, points)
-    cov = _vertex_covariance(ctx, lo, hi, frac) + _bridge_covariance(frac, elen, eidx)
-    # Repairs last-ulp asymmetry of the solved columns of L^-1.
-    return 0.5 * (cov + cov.T)
+    block, where, _ = _solve(ctx, points)
+    return block[np.ix_(where, where)]
 
 
 def _variogram(cov: np.ndarray) -> np.ndarray:
@@ -380,7 +395,23 @@ def _variogram(cov: np.ndarray) -> np.ndarray:
 
 
 def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    return _variogram(r_graph_matrix(ctx, points))
+    """Pairwise resistance distances for canonical points.
+
+    The variogram subtracts covariances on the scale of the distance to the
+    origin, which loses nearby points far from it, so pairs on one edge
+    ``(u, v)`` of length ``l`` at gap ``d`` take the exact series-parallel
+    form ``d (l - d) / l + (d / l)^2 R(u, v)`` instead.
+    """
+    lo, hi, off, elen, eidx = _point_frame(ctx.graph, points)
+    shared = _shared_edge(eidx)
+    np.fill_diagonal(shared, False)
+    i, j = np.nonzero(shared)
+    _, first, edge_of = np.unique(eidx[i], return_index=True, return_inverse=True)
+    block, where, r_uv = _solve(ctx, points, lo[i[first]], hi[i[first]])
+    dist = _variogram(block[np.ix_(where, where)])
+    gap = np.abs(off[i] - off[j])
+    dist[i, j] = gap * (elen[i] - gap) / elen[i] + (gap / elen[i]) ** 2 * r_uv[edge_of]
+    return dist
 
 
 def distance_matrix(
@@ -394,8 +425,8 @@ def distance_matrix(
     """Symmetric matrix of pairwise distances under the chosen metric.
 
     Points must be pairwise distinct after canonicalization.  For the
-    resistance metric an existing context can be passed to reuse its
-    factorization.
+    resistance metric an existing context can be passed to reuse its origin
+    and edge arrays.
     """
     kind = MetricKind(kind)
     pts = canonical_points(g, points)

@@ -239,6 +239,40 @@ def brute_force_point_distance(
     return best
 
 
+def dense_canonical_covariance(g: gf.EuclideanGraph, origin: str, points):
+    """The canonical covariance at canonical points, built densely from the
+    definition and returned as its two parts ``(mu, bridge)``.
+
+    ``mu = W inv(L) W^T`` is the vertex field (covariance ``inv(L)``, with
+    ``L`` the conductance Laplacian plus a unit bump at ``origin``)
+    interpolated by relative position, and ``bridge`` is the Brownian bridge
+    ``(min(a, b) - a b) length`` between interior points on one edge.
+    """
+    n = len(g.vertices)
+    lap = np.zeros((n, n))
+    for e in g.edges:
+        i, j = g.vertex_index(e.u), g.vertex_index(e.v)
+        c = 1.0 / e.length
+        lap[[i, j, i, j], [i, j, j, i]] += [c, c, -c, -c]
+    lap[g.vertex_index(origin), g.vertex_index(origin)] += 1.0
+    m = len(points)
+    weights = np.zeros((m, n))
+    bridge = np.zeros((m, m))
+    for k, p in enumerate(points):
+        if p.is_vertex:
+            weights[k, g.vertex_index(p.vertex)] = 1.0
+            continue
+        e = g.edge(p.edge)
+        a = p.offset / e.length
+        weights[k, g.vertex_index(e.u)] = 1.0 - a
+        weights[k, g.vertex_index(e.v)] = a
+        for j, q in enumerate(points):
+            if not q.is_vertex and q.edge == p.edge:
+                b = q.offset / e.length
+                bridge[k, j] = (min(a, b) - a * b) * e.length
+    return weights @ np.linalg.inv(lap) @ weights.T, bridge
+
+
 def isomorphic_by_labels(
     g1: gf.EuclideanGraph, g2: gf.EuclideanGraph, tol: float = 1e-12
 ) -> bool:

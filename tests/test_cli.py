@@ -325,6 +325,28 @@ def test_param_out_of_range_exits_2(capsys, workdir):
     assert json.loads(err)["error"] == "ParamOutOfRange"
 
 
+@pytest.mark.parametrize(
+    "command, payload, error",
+    [
+        ("star-check", {"family": "matern", "alpha": "x", "beta": 1}, "ParamOutOfRange"),
+        ("star-check", {"family": "matern", "alpha": None, "beta": 1}, "ParamOutOfRange"),
+        ("distmatrix", [{"edge": "e1", "offset": "abc"}], "OffsetOutOfRange"),
+        ("validate", {"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": "z"}]}, "InvalidGraph"),
+    ],
+)
+def test_non_numeric_json_fields_exit_2(capsys, workdir, command, payload, error):
+    path = workdir["dir"] / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "star-check": ["star-check", "--kernel", str(path), "--n", "3"],
+        "distmatrix": ["distmatrix", "--graph", str(workdir["edge"]), "--points", str(path)],
+        "validate": ["validate", "--graph", str(path)],
+    }[command]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert json.loads(err)["error"] == error
+
+
 def test_simulate_canonical_deterministic(capsys, workdir):
     args = [
         "simulate",

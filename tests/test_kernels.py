@@ -75,7 +75,7 @@ def _in_range(family, alpha, beta, xi) -> bool:
 _PARAM = st.floats(-1.0, 2.0) | st.sampled_from([0.5, 1.0, math.inf, math.nan])
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(
     family=st.sampled_from(list(KernelFamily)),
     as_text=st.booleans(),

@@ -6,11 +6,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphfields as gf
 from graphfields import MetricKind
+from graphfields.metrics import _factor, _subdivided, resistance_matrix
 from .helpers import (
     brute_force_point_distance,
+    dense_canonical_covariance,
     figure_eight,
     path_abc,
     random_graph,
@@ -28,16 +32,6 @@ def _vp(label):
 
 def _ep(edge, offset):
     return gf.edge_point(edge, offset)
-
-
-# -- relative position ---------------------------------------------------------
-
-
-def test_relative_position():
-    g = path_abc()
-    assert gf.relative_position(g, _vp("A")) == 0.0
-    assert gf.relative_position(g, _ep("bc", 0.3)) == pytest.approx(0.15, abs=1e-15)
-    assert gf.relative_position(g, _ep("bc", 1.5)) == pytest.approx(0.75, abs=1e-15)
 
 
 # -- geodesic ------------------------------------------------------------------
@@ -78,9 +72,10 @@ def test_geodesic_matches_brute_force_enumeration():
 def test_single_edge_conductance_matrix():
     ctx = gf.build_resistance_context(single_edge())
     assert ctx.origin == "0"
-    assert np.array_equal(ctx.L.toarray(), np.array([[2.0, -1.0], [-1.0, 1.0]]))
+    L = _subdivided(ctx, [])[0].toarray()
+    assert np.array_equal(L, np.array([[2.0, -1.0], [-1.0, 1.0]]))
     expected_inverse = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(np.linalg.inv(ctx.L.toarray()), expected_inverse, atol=1e-12)
+    assert np.allclose(np.linalg.inv(L), expected_inverse, atol=1e-12)
 
 
 def test_L_strictly_positive_definite_on_random_graphs():
@@ -88,7 +83,7 @@ def test_L_strictly_positive_definite_on_random_graphs():
     for _ in range(8):
         g = random_graph(rng, 12, int(rng.integers(0, 3)))
         ctx = gf.build_resistance_context(g)
-        assert np.linalg.eigvalsh(ctx.L.toarray())[0] > 0
+        assert np.linalg.eigvalsh(_subdivided(ctx, [])[0].toarray())[0] > 0
 
 
 def test_context_is_frozen():
@@ -102,28 +97,50 @@ def test_factor_columns_match_dense_inverse():
     g = random_graph(rng, 10, 2)
     pts = random_points(rng, g, 8)
     ctx = gf.build_resistance_context(g)
-    dense = np.linalg.inv(ctx.L.toarray())
-    columns = ctx.factor.solve(np.eye(len(g.vertices)))
+    L = _subdivided(ctx, [])[0]
+    dense = np.linalg.inv(L.toarray())
+    columns = _factor(L).solve(np.eye(len(g.vertices)))
     assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)
-    # The same entries assembled by hand from the dense inverse.
-    lo, hi, a = [], [], []
-    for p in pts:
-        if p.is_vertex:
-            lo.append(g.vertex_index(p.vertex))
-            hi.append(lo[-1])
-            a.append(0.0)
-        else:
-            e = g.edge(p.edge)
-            lo.append(g.vertex_index(e.u))
-            hi.append(g.vertex_index(e.v))
-            a.append(p.offset / e.length)
-    lo, hi, a = np.array(lo), np.array(hi), np.array(a)
-    weights = np.zeros((len(pts), len(g.vertices)))
-    np.add.at(weights, (np.arange(len(pts)), lo), 1.0 - a)
-    np.add.at(weights, (np.arange(len(pts)), hi), a)
-    expected_mu = weights @ dense @ weights.T
-    got_mu = np.array([[gf.r_mu(ctx, p, q) for q in pts] for p in pts])
-    assert np.allclose(got_mu, expected_mu, rtol=0.0, atol=1e-12)
+    # The same covariance assembled by hand from the definition.
+    mu, bridge = dense_canonical_covariance(g, ctx.origin, pts)
+    got = gf.r_graph_matrix(ctx, pts)
+    assert np.allclose(got, mu + bridge, rtol=0.0, atol=1e-12)
+
+
+def _points_sharing_edges(rng, g):
+    """Random points plus several more on one edge and one repeat."""
+    pts = random_points(rng, g, int(rng.integers(1, 7)), vertex_share=0.3)
+    e = g.edges[int(rng.integers(0, len(g.edges)))]
+    offsets = rng.uniform(0.02, 0.98, size=int(rng.integers(2, 5))) * e.length
+    pts += [gf.edge_point(e.id, float(off)) for off in offsets]
+    return pts + [pts[int(rng.integers(0, len(pts)))]]
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(4, 10),
+    n_chords=st.integers(0, 3),
+)
+# Two points 3.7e-4 l apart on one edge: the leak term below is needed here.
+@example(seed=88997, n_vertices=4, n_chords=0)
+def test_subdivided_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, n_chords)
+    pts = _points_sharing_edges(rng, g)
+    origin = g.vertices[int(rng.integers(0, n_vertices))]
+    ctx = gf.build_resistance_context(g, origin)
+    mu, bridge = dense_canonical_covariance(g, origin, pts)
+    expected = mu + bridge
+    diag = np.diag(expected)
+    variogram = diag[:, None] + diag[None, :] - 2.0 * expected
+    # Rounding in the factor of L' acts like a leak of about eps * c to
+    # ground at the ends of a segment of conductance c, which moves an entry
+    # by up to eps * c times the square of the covariance scale.
+    c_max = -_subdivided(ctx, pts)[0].min()
+    leak = 4.0 * np.finfo(float).eps * c_max * np.max(expected) ** 2
+    assert np.max(np.abs(gf.r_graph_matrix(ctx, pts) - expected)) <= 1e-12 + leak
+    assert np.max(np.abs(resistance_matrix(ctx, pts) - variogram)) <= 1e-12 + leak
 
 
 def test_large_tree_resistance_equals_geodesic():
@@ -143,22 +160,44 @@ def test_field_kernels_single_edge_values():
     g = single_edge()
     ctx = gf.build_resistance_context(g)
     p25, p75 = _ep("e1", 0.25), _ep("e1", 0.75)
-    assert gf.r_mu(ctx, p25, p25) == pytest.approx(1.0625, abs=1e-12)
-    assert gf.r_mu(ctx, p25, p75) == pytest.approx(1.1875, abs=1e-12)
-    assert gf.r_mu(ctx, _vp("0"), _vp("0")) == pytest.approx(1.0, abs=1e-12)
-    assert gf.r_edge(g, p25, p75) == 0.0625
-    assert gf.r_edge(g, p25, p25) == 0.1875
-    assert gf.r_edge(g, _vp("0"), p25) == 0.0
-    assert gf.r_edge(g, _vp("0"), _vp("1")) == 0.0
+    mu, bridge = dense_canonical_covariance(g, "0", [p25, p75, _vp("0"), _vp("1")])
+    assert mu[0, 0] == pytest.approx(1.0625, abs=1e-12)
+    assert mu[0, 1] == pytest.approx(1.1875, abs=1e-12)
+    assert mu[2, 2] == pytest.approx(1.0, abs=1e-12)
+    assert bridge[0, 1] == 0.0625
+    assert bridge[0, 0] == 0.1875
+    assert bridge[2, 0] == 0.0
+    assert bridge[2, 3] == 0.0
     assert gf.r_graph(ctx, p25, p75) == pytest.approx(1.25, abs=1e-12)
     assert gf.r_graph(ctx, p25, p25) == pytest.approx(1.25, abs=1e-12)
     assert gf.r_graph(ctx, _vp("0"), _vp("0")) == pytest.approx(1.0, abs=1e-12)
     assert gf.resistance_distance(ctx, p25, p75) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_r_edge_zero_across_edges():
-    g = unit_square()
-    assert gf.r_edge(g, _ep("ab", 0.5), _ep("bc", 0.5)) == 0.0
+def _chain(n_edges: int, length: float, closed: bool):
+    """A path, or a cycle when ``closed``, of equal edges with the origin
+    "v0000" at one end, and the edge farthest from it."""
+    labels = [f"v{i:04d}" for i in range(n_edges + (0 if closed else 1))]
+    edges = [
+        (f"e{i:04d}", labels[i], labels[(i + 1) % len(labels)], length)
+        for i in range(n_edges)
+    ]
+    far = edges[n_edges // 2 if closed else -1][0]
+    return gf.build_graph(labels, edges), far
+
+
+@pytest.mark.parametrize("length", [1.0, 1000.0])
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+def test_same_edge_pair_far_from_origin_is_exact(length, gap):
+    # d_R == d_G on a path, and d (l - d) / l on a cycle of length l.
+    for closed in (False, True):
+        g, far = _chain(1000, length, closed)
+        p, q = _ep(far, 0.3 * length), _ep(far, (0.3 + gap) * length)
+        got = gf.resistance_distance(gf.build_resistance_context(g), p, q)
+        d = gf.geodesic_distance(g, p, q)
+        if closed:
+            d = d * (1000 * length - d) / (1000 * length)
+        assert abs(got - d) <= 1e-12 * d
 
 
 def test_resistance_on_triangle_and_square():

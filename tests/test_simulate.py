@@ -9,6 +9,7 @@ import pytest
 
 import graphfields as gf
 from graphfields import MetricKind
+from graphfields.metrics import _subdivided
 from graphfields.simulate import _stream
 from .helpers import figure_eight, single_edge, unit_square
 
@@ -57,7 +58,7 @@ def test_canonical_vertex_sample_covariance_matches_inverse():
     n = 20000
     sample = gf.sample_canonical_field(ctx, pts, n, seed=5)
     empirical = np.cov(sample.draws, rowvar=False)
-    target = np.linalg.inv(ctx.L.toarray())
+    target = np.linalg.inv(_subdivided(ctx, [])[0].toarray())
     sd = np.sqrt(
         (np.outer(np.diag(target), np.diag(target)) + target**2) / n
     )
@@ -106,10 +107,9 @@ def test_canonical_field_is_seed_deterministic():
 
 def test_stream_matches_spawned_child():
     for seed in (0, 1, 77, 2**40):
-        for k in (0, 1, 5, 40):
-            child = np.random.SeedSequence(seed).spawn(k + 1)[k]
-            expected = np.random.Generator(np.random.Philox(child)).standard_normal(64)
-            assert _stream(seed, k).standard_normal(64).tobytes() == expected.tobytes()
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        expected = np.random.Generator(np.random.Philox(child)).standard_normal(64)
+        assert _stream(seed).standard_normal(64).tobytes() == expected.tobytes()
 
 
 def test_variogram_diagonal_is_zero_and_needs_two_draws():
