@@ -11,9 +11,9 @@ origin vertex that makes it strictly positive definite), linearly
 interpolated along edges, plus an independent Brownian bridge on each edge.
 The field is invariant to splitting edges, so at a finite point set it is
 the vertex field of the graph subdivided there: its covariance ``r_graph``
-is a block of ``L'^-1``, with ``L'`` the conductance matrix of the
-subdivided graph (same origin bump), and every query reads it from one
-sparse factorization of ``L'``.  The distance coincides with classical
+is read from one sparse factorization of ``L'``, the conductance matrix of
+the subdivided graph (same origin bump) in unknowns that keep short
+segments exact (see ``_subdivided``).  The distance coincides with classical
 effective resistance on the vertices, is invariant to the origin choice and
 to splitting or merging edges, and never exceeds the geodesic distance, with
 equality exactly on trees.
@@ -25,6 +25,7 @@ as nodes and evaluates the resistance through an eigenvalue pseudoinverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -49,8 +50,9 @@ from .graph import (
 # Laplacian in the oracle's pseudoinverse.
 _PINV_RTOL = 1e-12
 
-# Right-hand sides are solved this many columns at a time: a block that stays
-# in cache solves two to three times faster than one wide block.
+# Right-hand sides are solved, and canonical realizations drawn, this many
+# columns at a time: a block that stays in cache solves two to three times
+# faster than one wide block, and a block of draws bounds the noise held.
 _SOLVE_COLUMNS = 64
 
 
@@ -142,18 +144,27 @@ def build_resistance_context(
     )
 
 
-def _subdivided(ctx: ResistanceContext, points):
-    """Conductance matrix ``L'`` (CSC) of the graph subdivided at canonical
-    ``points``, and the node of each point.
+def _subdivided(ctx: ResistanceContext, frame):
+    """Conductance matrix ``L'`` (CSC) of the graph subdivided at the points
+    of ``frame`` (see :func:`_point_frame`), the map ``T`` (CSR) from its
+    unknowns ``y`` to node potentials ``x = T y``, and the node of each point.
 
     Conductance is 1/length, plus a unit on the diagonal at the origin.
     Each distinct interior point becomes a node, numbered after the vertices
     in (edge, offset) order, that cuts its edge into consecutive segments;
-    vertex points and repeated points share a node.
+    vertex points and repeated points share a node.  In plain potentials a
+    segment much shorter than its neighbours rounds their conductance away
+    in the diagonal they share: a leak of ``eps/length`` to ground.  So all
+    segments of a cut edge but the longest join its nodes, shortest first;
+    of two joined runs, the one without a vertex (else the smaller) hangs
+    from the other's lead, and its own lead's unknown becomes the difference
+    of the two leads' potentials.  A conductance then reaches only unknowns
+    of its own and shorter joins, and a row of ``T`` is the node, its
+    O(log k) leads and a vertex, all with weight 1.  Vertices keep theirs.
     """
     g = ctx.graph
     n = len(g.vertices)
-    lo, hi, off, elen, eidx = _point_frame(g, points)
+    lo, hi, off, elen, eidx = frame
     inner = np.flatnonzero(eidx >= 0)
     keys = np.column_stack([eidx[inner], off[inner]])
     _, first_seen, rank = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -171,21 +182,40 @@ def _subdivided(ctx: ResistanceContext, points):
     kept = ~np.isin(ctx.u * n + ctx.v, lo[cut] * n + hi[cut])
     a = np.concatenate([ctx.u[kept], prev_node, node[last]])
     b = np.concatenate([ctx.v[kept], node[cut], hi[last]])
-    c = 1.0 / np.concatenate(
-        [ctx.length[kept], off[cut] - prev_off, elen[last] - off[last]]
-    )
+    length = np.concatenate([ctx.length[kept], off[cut] - prev_off, elen[last] - off[last]])
+    # The cut segments of each edge, shortest first and without the longest.
+    edge = np.concatenate([np.full(np.count_nonzero(kept), -1), eidx[cut], eidx[last]])
+    order = np.lexsort((length, edge))
+    joins = order[(edge[order] >= 0) & (np.diff(edge[order], append=-2) == 0)]
+    lead = list(range(n + cut.size))
+    weight = [math.inf] * n + [1] * cut.size
+    for p, q in zip(a[joins].tolist(), b[joins].tolist()):
+        keep, moved = _lead(lead, p), _lead(lead, q)
+        if weight[keep] < weight[moved]:
+            keep, moved = moved, keep
+        lead[moved] = keep
+        weight[keep] += weight[moved]
+    # Row k of T: node k and each lead above it, up to a vertex.
+    lead = np.asarray(lead)
+    row = col = np.arange(lead.size)
+    rows, cols = [row], [col]
+    while (up := lead[col] != col).any():
+        row, col = row[up], lead[col[up]]
+        rows.append(row)
+        cols.append(col)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    T = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(lead.size,) * 2)
     io = g.vertex_index(ctx.origin)
-    size = n + cut.size
-    # Duplicate (row, col) pairs are summed, so each diagonal entry is the
-    # sum of its incident conductances.
-    L = scipy.sparse.csc_array(
-        (
-            np.concatenate([-c, -c, c, c, [1.0]]),
-            (np.concatenate([a, b, a, b, [io]]), np.concatenate([b, a, a, b, [io]])),
-        ),
-        shape=(size, size),
-    )
-    return L, node
+    W = scipy.sparse.vstack([T[a] - T[b], T[[io]]], format="csr")
+    c = scipy.sparse.diags_array(np.append(1.0 / length, 1.0))
+    return (W.T @ (c @ W)).tocsc(), T, node
+
+
+def _lead(lead: list[int], k: int) -> int:
+    """The lead of the run that holds node ``k``."""
+    while lead[k] != k:
+        k = lead[k]
+    return k
 
 
 def _factor(L: scipy.sparse.csc_array) -> SuperLU:
@@ -214,33 +244,25 @@ def _factor(L: scipy.sparse.csc_array) -> SuperLU:
     return factor
 
 
-def _solve(ctx: ResistanceContext, points, u=(), v=()):
-    """Factor ``L'`` once and solve it for the point columns plus a column
-    ``e_u[k] - e_v[k]`` per vertex pair.
+def _solve(ctx: ResistanceContext, frame, u=(), v=()):
+    """Factor ``L'`` once and read ``L'^-1`` through the rows of ``T`` at
+    the point nodes and at each vertex pair ``(u[k], v[k])``.
 
     Returns the symmetric covariance among the distinct point nodes, the
-    row of each point in it, and the resistance of each pair ``(u[k], v[k])``.
+    row of each point in it, and the resistance of each vertex pair.
     """
-    L, node = _subdivided(ctx, points)
+    L, T, node = _subdivided(ctx, frame)
     needed, where = np.unique(node, return_inverse=True)
     u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-    k, pairs = needed.size, np.arange(u.size)
-    rows = np.concatenate([needed, u, v])
-    cols = np.concatenate([np.arange(k), k + pairs, k + pairs])
-    rhs = scipy.sparse.csc_array(
-        (np.repeat([1.0, -1.0], [k + u.size, v.size]), (rows, cols)),
-        shape=(L.shape[0], k + u.size),
-    )
+    # Vertex potentials are unknowns of their own, so T[u] - T[v] = e_u - e_v.
+    readout = scipy.sparse.vstack([T[needed], T[u] - T[v]], format="csr")
+    rhs = readout.T.tocsc()
     lu = _factor(L)
-    x = np.zeros((rows.size, rhs.shape[1]))
-    for s in range(0, rhs.shape[1], _SOLVE_COLUMNS):
-        x[:, s : s + _SOLVE_COLUMNS] = lu.solve(
-            rhs[:, s : s + _SOLVE_COLUMNS].toarray()
-        )[rows]
-    block = x[:k, :k]
-    r_uv = x[k + pairs, k + pairs] - x[k + u.size + pairs, k + pairs]
+    blocks = range(0, rhs.shape[1], _SOLVE_COLUMNS)
+    out = np.hstack([readout @ lu.solve(rhs[:, s : s + _SOLVE_COLUMNS].toarray()) for s in blocks])
+    block = out[: needed.size, : needed.size]
     # Repairs last-ulp asymmetry of the solved columns of L'^-1.
-    return 0.5 * (block + block.T), where, r_uv
+    return 0.5 * (block + block.T), where, np.diag(out)[needed.size :]
 
 
 def r_graph(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
@@ -381,7 +403,7 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
 
 def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     """Canonical-field covariance matrix for canonical points (vectorized)."""
-    block, where, _ = _solve(ctx, points)
+    block, where, _ = _solve(ctx, _point_frame(ctx.graph, points))
     return block[np.ix_(where, where)]
 
 
@@ -402,12 +424,13 @@ def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     ``(u, v)`` of length ``l`` at gap ``d`` take the exact series-parallel
     form ``d (l - d) / l + (d / l)^2 R(u, v)`` instead.
     """
-    lo, hi, off, elen, eidx = _point_frame(ctx.graph, points)
+    frame = _point_frame(ctx.graph, points)
+    lo, hi, off, elen, eidx = frame
     shared = _shared_edge(eidx)
     np.fill_diagonal(shared, False)
     i, j = np.nonzero(shared)
     _, first, edge_of = np.unique(eidx[i], return_index=True, return_inverse=True)
-    block, where, r_uv = _solve(ctx, points, lo[i[first]], hi[i[first]])
+    block, where, r_uv = _solve(ctx, frame, lo[i[first]], hi[i[first]])
     dist = _variogram(block[np.ix_(where, where)])
     gap = np.abs(off[i] - off[j])
     dist[i, j] = gap * (elen[i] - gap) / elen[i] + (gap / elen[i]) ** 2 * r_uv[edge_of]

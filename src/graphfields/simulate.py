@@ -5,7 +5,8 @@ covariance matrix through a triangular factorization.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it draws the
 vertex field of the graph subdivided at the sampled points, which has the
 canonical law there, by a triangular solve against the sparse factor of its
-conductance matrix ``L'``.  The empirical variogram of such samples
+conductance matrix ``L'`` and the map ``T`` from the unknowns of ``L'`` to
+node potentials.  The empirical variogram of such samples
 converges to the resistance distance, which verifies the metric end to end.
 
 Reproducibility: every draw takes all its normals from one stream, the
@@ -28,6 +29,7 @@ from .metrics import (
     _SOLVE_COLUMNS,
     ResistanceContext,
     _factor,
+    _point_frame,
     _subdivided,
     _variogram,
     canonical_points,
@@ -102,10 +104,10 @@ def sample_from_covariance(cov, n: int, seed: int, *, labels=None) -> FieldSampl
 
 
 def _vertex_field(lu: SuperLU, rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` draws of the vertex field of ``L = P^T F D F^T P`` (see
+    """``n`` draws with covariance ``L^-1`` for ``L = P^T F D F^T P`` (see
     :func:`metrics._factor`), one per column: ``x`` solving
-    ``F^T x = D^(-1/2) w`` for white noise ``w`` (one normal per node) has
-    covariance ``P L^-1 P^T``, so node ``i`` is row ``perm_r[i]``.
+    ``F^T x = D^(-1/2) w`` for white noise ``w`` (one normal per unknown)
+    has covariance ``P L^-1 P^T``, so unknown ``i`` is row ``perm_r[i]``.
     """
     white = rng.standard_normal((n, lu.shape[0])).T
     white /= np.sqrt(lu.U.diagonal())[:, None]
@@ -120,19 +122,20 @@ def sample_canonical_field(
     """Constructively sample the canonical field at a finite point set.
 
     The graph is subdivided at the points, and the vertex field of the
-    subdivided graph, with covariance the inverse of its conductance matrix
-    ``L'``, is drawn by one triangular solve against the sparse factor of
-    ``L'`` (no explicit inverse).  The rows of the points have exactly the
-    canonical covariance.
+    subdivided graph is drawn by one triangular solve against the sparse
+    factor of its conductance matrix ``L'`` (no explicit inverse), mapped to
+    the points by the rows of ``T``.  The points have exactly the canonical
+    covariance.
     """
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
     pts = canonical_points(ctx.graph, points)
-    L, node = _subdivided(ctx, pts)
+    L, T, node = _subdivided(ctx, _point_frame(ctx.graph, pts))
     lu = _factor(L)
-    rng, rows, step = _stream(seed), lu.perm_r[node], _SOLVE_COLUMNS
-    # Realizations are drawn a block at a time to bound the noise held.
-    blocks = [_vertex_field(lu, rng, min(step, n - s))[rows].T for s in range(0, n, step)]
+    rng, step = _stream(seed), _SOLVE_COLUMNS
+    # Unknown i of L' is row perm_r[i] of a block of draws.
+    rows = T[node][:, np.argsort(lu.perm_r)]
+    blocks = [(rows @ _vertex_field(lu, rng, min(step, n - s))).T for s in range(0, n, step)]
     return FieldSample(
         labels=tuple(point_label(p) for p in pts),
         draws=np.vstack(blocks),

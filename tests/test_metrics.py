@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _factor, _subdivided, resistance_matrix
+from graphfields.metrics import _factor, _point_frame, _subdivided, resistance_matrix
 from .helpers import (
     brute_force_point_distance,
     dense_canonical_covariance,
@@ -70,9 +70,10 @@ def test_geodesic_matches_brute_force_enumeration():
 
 
 def test_single_edge_conductance_matrix():
-    ctx = gf.build_resistance_context(single_edge())
+    g = single_edge()
+    ctx = gf.build_resistance_context(g)
     assert ctx.origin == "0"
-    L = _subdivided(ctx, [])[0].toarray()
+    L = _subdivided(ctx, _point_frame(g, []))[0].toarray()
     assert np.array_equal(L, np.array([[2.0, -1.0], [-1.0, 1.0]]))
     expected_inverse = np.array([[1.0, 1.0], [1.0, 2.0]])
     assert np.allclose(np.linalg.inv(L), expected_inverse, atol=1e-12)
@@ -83,7 +84,8 @@ def test_L_strictly_positive_definite_on_random_graphs():
     for _ in range(8):
         g = random_graph(rng, 12, int(rng.integers(0, 3)))
         ctx = gf.build_resistance_context(g)
-        assert np.linalg.eigvalsh(_subdivided(ctx, [])[0].toarray())[0] > 0
+        L = _subdivided(ctx, _point_frame(g, []))[0]
+        assert np.linalg.eigvalsh(L.toarray())[0] > 0
 
 
 def test_context_is_frozen():
@@ -97,7 +99,7 @@ def test_factor_columns_match_dense_inverse():
     g = random_graph(rng, 10, 2)
     pts = random_points(rng, g, 8)
     ctx = gf.build_resistance_context(g)
-    L = _subdivided(ctx, [])[0]
+    L = _subdivided(ctx, _point_frame(g, []))[0]
     dense = np.linalg.inv(L.toarray())
     columns = _factor(L).solve(np.eye(len(g.vertices)))
     assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)
@@ -122,7 +124,7 @@ def _points_sharing_edges(rng, g):
     n_vertices=st.integers(4, 10),
     n_chords=st.integers(0, 3),
 )
-# Two points 3.7e-4 l apart on one edge: the leak term below is needed here.
+# Two points 3.7e-4 l apart on one edge.
 @example(seed=88997, n_vertices=4, n_chords=0)
 def test_subdivided_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
     rng = np.random.default_rng(seed)
@@ -134,13 +136,40 @@ def test_subdivided_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
     expected = mu + bridge
     diag = np.diag(expected)
     variogram = diag[:, None] + diag[None, :] - 2.0 * expected
-    # Rounding in the factor of L' acts like a leak of about eps * c to
-    # ground at the ends of a segment of conductance c, which moves an entry
-    # by up to eps * c times the square of the covariance scale.
-    c_max = -_subdivided(ctx, pts)[0].min()
-    leak = 4.0 * np.finfo(float).eps * c_max * np.max(expected) ** 2
-    assert np.max(np.abs(gf.r_graph_matrix(ctx, pts) - expected)) <= 1e-12 + leak
-    assert np.max(np.abs(resistance_matrix(ctx, pts) - variogram)) <= 1e-12 + leak
+    assert np.max(np.abs(gf.r_graph_matrix(ctx, pts) - expected)) <= 1e-12
+    assert np.max(np.abs(resistance_matrix(ctx, pts) - variogram)) <= 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_near_duplicate_points_keep_other_pairs_exact(gap):
+    # A segment of length gap * l in L' must not leak current: every pair
+    # with at most one point on the crowded edge stays exact, here for a
+    # close pair inside the edge and for a point that close to a vertex.
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        g = random_graph(rng, 12, 3)
+        e = g.edges[int(rng.integers(0, len(g.edges)))]
+        crowded = [
+            _ep(e.id, 0.37 * e.length),
+            _ep(e.id, (0.37 + gap) * e.length),
+            _ep(e.id, gap * e.length),
+        ]
+        others = [
+            p
+            for p in random_points(rng, g, 8)
+            if p.is_vertex or p.edge != e.id
+        ]
+        pts = crowded + others
+        ctx = gf.build_resistance_context(g)
+        mu, bridge = dense_canonical_covariance(g, ctx.origin, pts)
+        diag = np.diag(mu + bridge)
+        expected = diag[:, None] + diag[None, :] - 2.0 * (mu + bridge)
+        got = resistance_matrix(ctx, pts)
+        off_edge = np.ones_like(got, dtype=bool)
+        off_edge[:3, :3] = False
+        np.fill_diagonal(off_edge, False)
+        rel = np.abs(got - expected)[off_edge] / expected[off_edge]
+        assert np.max(rel) <= 1e-12
 
 
 def test_large_tree_resistance_equals_geodesic():
@@ -198,6 +227,29 @@ def test_same_edge_pair_far_from_origin_is_exact(length, gap):
         if closed:
             d = d * (1000 * length - d) / (1000 * length)
         assert abs(got - d) <= 1e-12 * d
+
+
+@pytest.mark.parametrize("length", [1.0, 1000.0])
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_near_duplicate_pair_far_from_origin_leaves_other_distances_exact(length, gap):
+    # The close pair shares its edge with two more points (one gap * l from
+    # a vertex) and is matched against points elsewhere on the chain.
+    for closed in (False, True):
+        g, far = _chain(1000, length, closed)
+        pts = [
+            _ep(far, 0.3 * length),
+            _ep(far, (0.3 + gap) * length),
+            _ep(far, 0.7 * length),
+            _ep(far, gap * length),
+            _ep("e0100", 0.5 * length),
+            _vp("v0000"),
+        ]
+        got = gf.distance_matrix(g, pts, MetricKind.RESISTANCE)
+        d = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
+        if closed:
+            d = d * (1000 * length - d) / (1000 * length)
+        off = ~np.eye(len(pts), dtype=bool)
+        assert np.max(np.abs(got - d)[off] / d[off]) <= 1e-12
 
 
 def test_resistance_on_triangle_and_square():

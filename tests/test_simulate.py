@@ -9,7 +9,7 @@ import pytest
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _subdivided
+from graphfields.metrics import _point_frame, _subdivided
 from graphfields.simulate import _stream
 from .helpers import figure_eight, single_edge, unit_square
 
@@ -58,7 +58,7 @@ def test_canonical_vertex_sample_covariance_matches_inverse():
     n = 20000
     sample = gf.sample_canonical_field(ctx, pts, n, seed=5)
     empirical = np.cov(sample.draws, rowvar=False)
-    target = np.linalg.inv(_subdivided(ctx, [])[0].toarray())
+    target = np.linalg.inv(_subdivided(ctx, _point_frame(g, []))[0].toarray())
     sd = np.sqrt(
         (np.outer(np.diag(target), np.diag(target)) + target**2) / n
     )
