@@ -20,6 +20,7 @@ import numpy as np
 from .errors import GraphFieldsError
 from .graph import (
     GeodesicValidity,
+    _validity_of,
     block_decomposition,
     geodesic_validity_class,
     graph_from_json,
@@ -157,7 +158,7 @@ def _cmd_blocks(args) -> int:
     _emit(
         args,
         {
-            "class": geodesic_validity_class(g).value,
+            "class": _validity_of(decomposition).value,
             "articulation_vertices": sorted(decomposition.articulation_vertices),
             "blocks": [
                 {

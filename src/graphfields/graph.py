@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DistanceInconsistentError,
@@ -37,6 +38,11 @@ from .errors import (
 # Absolute tolerance for the distance-consistency check is this factor times
 # the largest edge length; the check itself is scale covariant.
 DISTANCE_TOL_SCALE = 1e-9
+
+# The consistency check runs Dijkstra from as many source rows at a time as
+# fill this many float64 entries (16 MB), so its memory stays O(rows * n)
+# and never reaches the n x n table.
+_CHECK_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,11 @@ class EuclideanGraph:
 
     Use :func:`build_graph` (or the constructor directly): validation runs
     once at construction and covers simplicity, connectivity, and distance
-    consistency.  All-pairs shortest-path distances between vertices are
-    computed during validation and kept on the instance, which makes later
-    point-to-point geodesic queries a matter of endpoint lookups.
+    consistency.  Consistency needs distances only up to the longest edge,
+    so construction never forms the all-pairs table.  That table,
+    :attr:`vertex_distances`, is computed on the first geodesic query and
+    kept on the instance, which makes later point-to-point geodesic queries
+    a matter of endpoint lookups.
     """
 
     def __init__(self, vertices, edges):
@@ -178,39 +186,73 @@ class EuclideanGraph:
         self.adjacency: dict[str, tuple[str, ...]] = {
             v: tuple(ids) for v, ids in adj.items()
         }
-        self.vertex_distances = self._check_connected_and_consistent()
+        self._weights = self._check_connected_and_consistent()
 
     # -- validation -----------------------------------------------------
 
-    def _check_connected_and_consistent(self) -> np.ndarray:
-        n = len(self.vertices)
-        if self.edges:
-            rows, cols, data = [], [], []
-            for e in self.edges:
-                i, j = self._vindex[e.u], self._vindex[e.v]
-                rows += [i, j]
-                cols += [j, i]
-                data += [e.length, e.length]
-            weights = csr_matrix((data, (rows, cols)), shape=(n, n))
-            dist = dijkstra(weights, directed=False)
-        else:
-            dist = np.zeros((n, n))
-        if np.isinf(dist).any():
-            raise NotConnectedError("graph is not connected")
-        dist = np.minimum(dist, dist.T)
+    def _check_connected_and_consistent(self) -> csr_matrix:
+        """Raise unless the graph is connected and every edge is a shortest
+        route between its endpoints; return the symmetric sparse matrix of
+        edge lengths.
 
-        max_len = max((e.length for e in self.edges), default=0.0)
-        tol = DISTANCE_TOL_SCALE * max_len
-        for e in self.edges:
-            shortest = dist[self._vindex[e.u], self._vindex[e.v]]
-            if shortest < e.length - tol:
-                raise DistanceInconsistentError(
-                    f"edge {e.id!r} has length {e.length} but a route of "
-                    f"length {shortest} connects its endpoints",
-                    edge_id=e.id,
-                    shortest=float(shortest),
+        A route shorter than an edge is shorter than the longest edge, so
+        Dijkstra stops at that distance and runs over blocks of source rows.
+        An edge's route length is the minimum over both directions, as in
+        :attr:`vertex_distances`.  The matrix holds both directions of every
+        edge, so the directed search relaxes the same sums as the undirected
+        one, and every distance within the limit is bit-identical to the
+        all-pairs table.
+        """
+        n = len(self.vertices)
+        iu = np.array([self._vindex[e.u] for e in self.edges], dtype=np.intp)
+        iv = np.array([self._vindex[e.v] for e in self.edges], dtype=np.intp)
+        lengths = np.array([e.length for e in self.edges], dtype=float)
+        weights = csr_matrix(
+            (np.concatenate((lengths, lengths)),
+             (np.concatenate((iu, iv)), np.concatenate((iv, iu)))),
+            shape=(n, n),
+        )
+        n_components, _ = connected_components(weights, directed=False)
+        if n_components > 1:
+            raise NotConnectedError("graph is not connected")
+        if not self.edges:
+            return weights
+
+        max_len = float(lengths.max())
+        shortest = np.full(len(lengths), np.inf)
+        step = max(1, _CHECK_BLOCK_ENTRIES // n)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            dist = dijkstra(
+                weights, directed=True, indices=np.arange(start, stop), limit=max_len
+            )
+            for src, dst in ((iu, iv), (iv, iu)):
+                here = np.flatnonzero((src >= start) & (src < stop))
+                shortest[here] = np.minimum(
+                    shortest[here], dist[src[here] - start, dst[here]]
                 )
-        return dist
+
+        tol = DISTANCE_TOL_SCALE * max_len
+        bad = np.flatnonzero(shortest < lengths - tol)
+        if bad.size:
+            e = self.edges[bad[0]]
+            raise DistanceInconsistentError(
+                f"edge {e.id!r} has length {e.length} but a route of "
+                f"length {shortest[bad[0]]} connects its endpoints",
+                edge_id=e.id,
+                shortest=float(shortest[bad[0]]),
+            )
+        return weights
+
+    @cached_property
+    def vertex_distances(self) -> np.ndarray:
+        """All-pairs shortest-route distances between vertices (``n x n``).
+
+        Computed on first access and kept on the instance; construction
+        does not need it.
+        """
+        dist = dijkstra(self._weights, directed=False)
+        return np.minimum(dist, dist.T)
 
     # -- lookups ----------------------------------------------------------
 
@@ -467,7 +509,11 @@ def geodesic_validity_class(g: EuclideanGraph) -> GeodesicValidity:
     geodesic metric; a Complex block makes the graph forbidden for the
     exponential class under that metric.
     """
-    decomposition = block_decomposition(g)
+    return _validity_of(block_decomposition(g))
+
+
+def _validity_of(decomposition: BlockDecomposition) -> GeodesicValidity:
+    """The geodesic validity class read off a block decomposition."""
     for block in decomposition.blocks:
         if block.kind is BlockKind.COMPLEX:
             return GeodesicValidity.FORBIDDEN

@@ -2,7 +2,8 @@
 
 The geodesic distance between two points is the length of the shortest route
 between them; for vertices this is the usual weighted shortest-path metric,
-and point queries reduce to lookups in the cached all-pairs vertex table.
+and point queries reduce to lookups in the all-pairs vertex table, which the
+first geodesic query computes and keeps on the graph.
 
 The resistance metric is the variogram of a canonical Gaussian field: a
 multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfields as gf
 from .helpers import (
@@ -36,6 +43,15 @@ def test_triangle_inequality_violation_rejected():
         )
     assert info.value.detail["edge_id"] == "ca"
     assert info.value.detail["shortest"] == 2.0
+    # Of two offending edges, the first in edge order is named.
+    square = [("ab", "A", "B", 1.0), ("bc", "B", "C", 1.0), ("cd", "C", "D", 1.0)]
+    with pytest.raises(gf.DistanceInconsistentError) as info:
+        gf.build_graph(
+            ["A", "B", "C", "D"],
+            square + [("bd", "B", "D", 3.0), ("da", "D", "A", 1.0), ("ac", "A", "C", 2.5)],
+        )
+    assert info.value.detail["edge_id"] == "bd"
+    assert info.value.detail["shortest"] == 2.0
 
 
 def test_square_cycle_valid_and_distances_match_enumeration():
@@ -64,6 +80,16 @@ def test_parallel_edge_rejected():
 def test_disconnected_rejected():
     with pytest.raises(gf.NotConnectedError):
         gf.build_graph(["A", "B", "C"], [("ab", "A", "B", 1.0)])
+    # Without edges only a single vertex is connected.
+    with pytest.raises(gf.NotConnectedError):
+        gf.build_graph(["a", "b"], [])
+    assert gf.build_graph(["a"], []).vertex_distances.tolist() == [[0.0]]
+    # Connectivity is checked before distance consistency.
+    with pytest.raises(gf.NotConnectedError):
+        gf.build_graph(
+            ["A", "B", "C", "D"],
+            [("ab", "A", "B", 1.0), ("bc", "B", "C", 1.0), ("ca", "C", "A", 3.0)],
+        )
 
 
 def test_unknown_endpoint_rejected():
@@ -91,6 +117,104 @@ def test_edge_distance_consistency_holds_exactly_per_edge():
         for e in g.edges:
             d = g.vertex_distances[g.vertex_index(e.u), g.vertex_index(e.v)]
             assert d == pytest.approx(e.length, abs=1e-9 * e.length)
+
+
+def _all_pairs_reference(vertices, edges) -> dict:
+    """Dijkstra from every vertex with a binary heap; route lengths are
+    summed from the source outwards."""
+    adjacent = {v: [] for v in vertices}
+    for _, u, v, length in edges:
+        adjacent[u].append((v, length))
+        adjacent[v].append((u, length))
+    table = {}
+    for source in vertices:
+        dist, done, heap = {source: 0.0}, set(), [(0.0, source)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x in done:
+                continue
+            done.add(x)
+            for y, length in adjacent[x]:
+                if y not in done and d + length < dist.get(y, math.inf):
+                    dist[y] = d + length
+                    heapq.heappush(heap, (dist[y], y))
+        table[source] = dist
+    return table
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(6, 12),
+    n_chords=st.integers(0, 3),
+    factor=st.one_of(
+        st.just(1.0),
+        st.floats(0.01, 1.0, exclude_max=True),
+        st.floats(1.0, 3.0, exclude_min=True),
+    ),
+    position=st.integers(0, 2**16),
+)
+def test_consistency_errors_match_all_pairs_reference(
+    seed, n_vertices, n_chords, factor, position
+):
+    # One more chord, shorter than its endpoints' distance, equal to it or
+    # longer, goes anywhere in the edge order.  Construction must raise
+    # exactly when some edge is longer than its endpoints' distance minus the
+    # tolerance, naming the first such edge and that distance.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, n_chords)
+    free = [
+        (a, b)
+        for a, b in itertools.combinations(g.vertices, 2)
+        if not g.has_edge_between(a, b)
+    ]
+    u, v = free[int(rng.integers(len(free)))]
+    base = float(g.vertex_distances[g.vertex_index(u), g.vertex_index(v)])
+    edges = [(e.id, e.u, e.v, e.length) for e in g.edges]
+    edges.insert(position % (len(edges) + 1), ("chord", u, v, factor * base))
+
+    reference = _all_pairs_reference(g.vertices, edges)
+    tol = gf.graph.DISTANCE_TOL_SCALE * max(length for *_, length in edges)
+    offending = [
+        (eid, shortest)
+        for eid, a, b, length in edges
+        for shortest in [min(reference[a][b], reference[b][a])]
+        if shortest < length - tol
+    ]
+    if not offending:
+        gf.build_graph(g.vertices, edges)
+        return
+    with pytest.raises(gf.DistanceInconsistentError) as info:
+        gf.build_graph(g.vertices, edges)
+    edge_id, shortest = offending[0]
+    assert info.value.detail["edge_id"] == edge_id
+    assert abs(info.value.detail["shortest"] - shortest) <= 4 * np.spacing(shortest)
+
+
+def test_large_grid_builds_without_all_pairs_table():
+    # A 100 x 100 grid: the n x n float table alone would take 800 MB.
+    side = 100
+    rng = np.random.default_rng(5)
+    label = [[f"v{i}_{j}" for j in range(side)] for i in range(side)]
+    edges = [
+        (f"h{i}_{j}", label[i][j], label[i][j + 1], float(rng.uniform(0.8, 1.2)))
+        for i in range(side)
+        for j in range(side - 1)
+    ] + [
+        (f"v{i}_{j}", label[i][j], label[i + 1][j], float(rng.uniform(0.8, 1.2)))
+        for i in range(side - 1)
+        for j in range(side)
+    ]
+    vertices = [x for row in label for x in row]
+    tracemalloc.start()
+    try:
+        g = gf.build_graph(vertices, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = (side * side) ** 2 * 8
+    assert peak < table_bytes / 8
+    assert "vertex_distances" not in g.__dict__
 
 
 # -- points and canonicalization ----------------------------------------------
