@@ -121,7 +121,7 @@ def _matrix_payload(metric: str, labels, matrix, **extra) -> dict:
     payload = {
         "metric": metric,
         "labels": list(labels),
-        "matrix": [[float(x) for x in row] for row in np.asarray(matrix)],
+        "matrix": np.asarray(matrix, dtype=float).tolist(),
     }
     payload.update(extra)
     return payload
@@ -327,7 +327,7 @@ def _cmd_simulate(args) -> int:
         "labels": list(sample.labels),
         "seed": sample.seed,
         "n": int(sample.draws.shape[0]),
-        "draws": [[float(x) for x in row] for row in sample.draws],
+        "draws": np.asarray(sample.draws, dtype=float).tolist(),
         **model,
     }
     _emit(args, payload, table=(sample.labels, sample.draws))

@@ -8,8 +8,9 @@ consistency*: every edge must itself be a shortest route between its
 endpoints.  On a cycle this is exactly the requirement that no edge exceeds
 half the circumference.
 
-Graphs are immutable once built; the editing operations (:func:`split_edge`,
-:func:`merge_at_degree_two`) return new graphs.
+The vertices, edges and lengths of a graph are fixed once it is built; the
+editing operations (:func:`split_edge`, :func:`merge_at_degree_two`) return
+new graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -128,10 +128,16 @@ class EuclideanGraph:
     Use :func:`build_graph` (or the constructor directly): validation runs
     once at construction and covers simplicity, connectivity, and distance
     consistency.  Consistency needs distances only up to the longest edge,
-    so construction never forms the all-pairs table.  That table,
-    :attr:`vertex_distances`, is computed on the first geodesic query and
-    kept on the instance, which makes later point-to-point geodesic queries
-    a matter of endpoint lookups.
+    so construction never forms the all-pairs table.
+
+    Vertices, edges and lengths never change after construction.  The one
+    state that does is a store of single-source Dijkstra rows: geodesic
+    queries read vertex distances through :meth:`_distance_block`, which
+    computes only the rows it has not computed before and keeps them.  Each
+    growth publishes a fresh (position map, rows) pair in one attribute
+    assignment and writes to no array a reader may hold, so concurrent
+    queries always read a consistent store, and a race at worst computes a
+    row twice.  No result depends on which rows were stored before.
     """
 
     def __init__(self, vertices, edges):
@@ -187,6 +193,10 @@ class EuclideanGraph:
             v: tuple(ids) for v, ids in adj.items()
         }
         self._weights = self._check_connected_and_consistent()
+        n = len(self.vertices)
+        # Row k of the store holds the distances from the vertex whose
+        # position is k; vertices without a row have position -1.
+        self._row_store = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
 
     # -- validation -----------------------------------------------------
 
@@ -198,10 +208,10 @@ class EuclideanGraph:
         A route shorter than an edge is shorter than the longest edge, so
         Dijkstra stops at that distance and runs over blocks of source rows.
         An edge's route length is the minimum over both directions, as in
-        :attr:`vertex_distances`.  The matrix holds both directions of every
+        :meth:`_distance_block`.  The matrix holds both directions of every
         edge, so the directed search relaxes the same sums as the undirected
         one, and every distance within the limit is bit-identical to the
-        all-pairs table.
+        rows a geodesic query reads.
         """
         n = len(self.vertices)
         iu = np.array([self._vindex[e.u] for e in self.edges], dtype=np.intp)
@@ -244,15 +254,24 @@ class EuclideanGraph:
             )
         return weights
 
-    @cached_property
-    def vertex_distances(self) -> np.ndarray:
-        """All-pairs shortest-route distances between vertices (``n x n``).
+    def _distance_block(self, idx: np.ndarray) -> np.ndarray:
+        """Shortest-route distances between the vertices with the distinct
+        indices ``idx``: the symmetric block ``minimum(B, B.T)`` of
+        ``B = D[idx][:, idx]``, where row ``i`` of ``D`` is the undirected
+        Dijkstra search from vertex ``i``.
 
-        Computed on first access and kept on the instance; construction
-        does not need it.
+        Rows not yet in the store are computed in one call and appended.
         """
-        dist = dijkstra(self._weights, directed=False)
-        return np.minimum(dist, dist.T)
+        pos, rows = self._row_store
+        missing = idx[pos[idx] < 0]
+        if missing.size:
+            new = dijkstra(self._weights, directed=False, indices=missing)
+            pos = pos.copy()
+            pos[missing] = np.arange(len(rows), len(rows) + len(missing))
+            rows = np.concatenate((rows, new)) if len(rows) else new
+            self._row_store = (pos, rows)
+        block = rows[np.ix_(pos[idx], idx)]
+        return np.minimum(block, block.T)
 
     # -- lookups ----------------------------------------------------------
 

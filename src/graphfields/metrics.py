@@ -2,8 +2,8 @@
 
 The geodesic distance between two points is the length of the shortest route
 between them; for vertices this is the usual weighted shortest-path metric,
-and point queries reduce to lookups in the all-pairs vertex table, which the
-first geodesic query computes and keeps on the graph.
+and point queries reduce to lookups among the endpoint vertices of the
+points, whose Dijkstra rows the graph computes on demand and keeps.
 
 The resistance metric is the variogram of a canonical Gaussian field: a
 multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
@@ -385,10 +385,15 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
 
     Routes through the four endpoint pairings are compared, plus the direct
     within-edge segment when both points lie on the same edge (required for
-    correctness on cycles, where the around route can be longer).
+    correctness on cycles, where the around route can be longer).  Vertex
+    distances come from the graph's block over the distinct endpoint
+    vertices of the points, so a query costs one Dijkstra row per endpoint
+    the graph has not searched from before, and never an ``n x n`` table.
     """
     lo, hi, to_lo, elen, eidx = _point_frame(g, points)
-    dist = g.vertex_distances
+    ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    dist = g._distance_block(ends)
+    lo, hi = where[: len(lo)], where[len(lo) :]
     to_hi = elen - to_lo
     best = to_lo[:, None] + dist[np.ix_(lo, lo)] + to_lo[None, :]
     np.minimum(best, to_lo[:, None] + dist[np.ix_(lo, hi)] + to_hi[None, :], out=best)

@@ -110,7 +110,7 @@ def random_graph(
         u, v = g.vertices[int(i)], g.vertices[int(j)]
         if g.has_edge_between(u, v):
             continue
-        base = float(g.vertex_distances[g.vertex_index(u), g.vertex_index(v)])
+        base = vertex_distance(g, u, v)
         for delta in (float(rng.uniform(0.7, 1.0)), 1.0):
             try:
                 g = gf.build_graph(
@@ -123,6 +123,22 @@ def random_graph(
                 continue
     assert added == n_chords, "chord construction failed"
     return g
+
+
+def jittered_grid(rng: np.random.Generator, side: int) -> gf.EuclideanGraph:
+    """``side`` x ``side`` grid with edge lengths uniform in [0.8, 1.2]; any
+    detour around a square is at least 2.4, so every edge is consistent."""
+    label = [[f"v{i}_{j}" for j in range(side)] for i in range(side)]
+    edges = [
+        (f"h{i}_{j}", label[i][j], label[i][j + 1], float(rng.uniform(0.8, 1.2)))
+        for i in range(side)
+        for j in range(side - 1)
+    ] + [
+        (f"v{i}_{j}", label[i][j], label[i + 1][j], float(rng.uniform(0.8, 1.2)))
+        for i in range(side - 1)
+        for j in range(side)
+    ]
+    return gf.build_graph([x for row in label for x in row], edges)
 
 
 def random_cycle_lengths(rng: np.random.Generator, size: int) -> list[float]:
@@ -192,6 +208,13 @@ def random_points(
 
 
 # -- brute-force oracles ------------------------------------------------------
+
+
+def vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
+    """Shortest-route distance between two vertices, as the graph's row
+    store gives it to geodesic queries."""
+    idx = np.unique([g.vertex_index(u), g.vertex_index(v)])
+    return float(g._distance_block(idx)[0, -1])
 
 
 def brute_force_vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:

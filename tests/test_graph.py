@@ -22,6 +22,7 @@ from .helpers import (
     theta_graph,
     unit_square,
     unit_triangle,
+    vertex_distance,
 )
 
 
@@ -61,7 +62,7 @@ def test_square_cycle_valid_and_distances_match_enumeration():
     for u in g.vertices:
         for v in g.vertices:
             expected = brute_force_vertex_distance(g, u, v)
-            got = g.vertex_distances[g.vertex_index(u), g.vertex_index(v)]
+            got = vertex_distance(g, u, v)
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -83,7 +84,7 @@ def test_disconnected_rejected():
     # Without edges only a single vertex is connected.
     with pytest.raises(gf.NotConnectedError):
         gf.build_graph(["a", "b"], [])
-    assert gf.build_graph(["a"], []).vertex_distances.tolist() == [[0.0]]
+    assert vertex_distance(gf.build_graph(["a"], []), "a", "a") == 0.0
     # Connectivity is checked before distance consistency.
     with pytest.raises(gf.NotConnectedError):
         gf.build_graph(
@@ -115,7 +116,7 @@ def test_edge_distance_consistency_holds_exactly_per_edge():
     for _ in range(10):
         g = random_graph(rng, 12, 2)
         for e in g.edges:
-            d = g.vertex_distances[g.vertex_index(e.u), g.vertex_index(e.v)]
+            d = vertex_distance(g, e.u, e.v)
             assert d == pytest.approx(e.length, abs=1e-9 * e.length)
 
 
@@ -169,7 +170,7 @@ def test_consistency_errors_match_all_pairs_reference(
         if not g.has_edge_between(a, b)
     ]
     u, v = free[int(rng.integers(len(free)))]
-    base = float(g.vertex_distances[g.vertex_index(u), g.vertex_index(v)])
+    base = vertex_distance(g, u, v)
     edges = [(e.id, e.u, e.v, e.length) for e in g.edges]
     edges.insert(position % (len(edges) + 1), ("chord", u, v, factor * base))
 
@@ -214,7 +215,7 @@ def test_large_grid_builds_without_all_pairs_table():
         tracemalloc.stop()
     table_bytes = (side * side) ** 2 * 8
     assert peak < table_bytes / 8
-    assert "vertex_distances" not in g.__dict__
+    assert g._row_store[1].shape[0] == 0
 
 
 # -- points and canonicalization ----------------------------------------------

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import graphfields as gf
 from graphfields import MetricKind
@@ -16,6 +21,7 @@ from .helpers import (
     brute_force_point_distance,
     dense_canonical_covariance,
     figure_eight,
+    jittered_grid,
     path_abc,
     random_graph,
     random_points,
@@ -64,6 +70,121 @@ def test_geodesic_matches_brute_force_enumeration():
                 got = gf.geodesic_distance(g, p, q)
                 expected = brute_force_point_distance(g, p, q)
                 assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _all_pairs_geodesic(g, pts) -> np.ndarray:
+    """Reference: scipy's all-pairs Dijkstra on an edge matrix built here,
+    symmetrized as ``minimum(D, D.T)``, read through the four endpoint
+    pairings plus the direct segment between points on one edge."""
+    n = len(g.vertices)
+    iu = [g.vertex_index(e.u) for e in g.edges]
+    iv = [g.vertex_index(e.v) for e in g.edges]
+    weights = csr_matrix(([e.length for e in g.edges], (iu, iv)), shape=(n, n))
+    table = dijkstra(weights, directed=False)
+    table = np.minimum(table, table.T)
+    m = len(pts)
+    lo, hi = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    to_lo, to_hi = np.zeros(m), np.zeros(m)
+    for k, p in enumerate(pts):
+        if p.is_vertex:
+            lo[k] = hi[k] = g.vertex_index(p.vertex)
+        else:
+            e = g.edge(p.edge)
+            lo[k], hi[k] = g.vertex_index(e.u), g.vertex_index(e.v)
+            to_lo[k], to_hi[k] = p.offset, e.length - p.offset
+    best = to_lo[:, None] + table[np.ix_(lo, lo)] + to_lo[None, :]
+    pairings = ((to_lo, lo, to_hi, hi), (to_hi, hi, to_lo, lo), (to_hi, hi, to_hi, hi))
+    for a, ia, b, ib in pairings:
+        best = np.minimum(best, a[:, None] + table[np.ix_(ia, ib)] + b[None, :])
+    shared = np.array(
+        [[p.edge is not None and p.edge == q.edge for q in pts] for p in pts], dtype=bool
+    ).reshape(m, m)
+    direct = np.abs(to_lo[:, None] - to_lo[None, :])
+    best = np.where(shared, np.minimum(best, direct), best)
+    np.fill_diagonal(best, 0.0)
+    return np.minimum(best, best.T)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(1, 10),
+    n_chords=st.integers(0, 3),
+)
+def test_geodesic_matrix_bit_equals_all_pairs_reference(seed, n_vertices, n_chords):
+    # Several point sets in turn on one graph: a cold row store, then a warm
+    # one, overlapping sets, a subset and the empty set.  A second instance
+    # of the same graph asks them in the reverse order, so no number may
+    # depend on which rows an earlier query left behind.
+    rng = np.random.default_rng(seed)
+    n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
+    g = random_graph(rng, n_vertices, n_chords)
+    if g.edges:
+        first = _points_sharing_edges(rng, g)[:-1]
+        if not any(p.is_vertex for p in first):
+            first.append(_vp(g.vertices[0]))
+        fresh = random_points(rng, g, int(rng.integers(1, 8)))
+        overlap = [p for p in first if p not in fresh][::2] + fresh
+        subset = first[1::2]
+    else:
+        first = fresh = overlap = [_vp(g.vertices[0])]
+        subset = []
+    sets = [first, overlap, subset, [], fresh]
+    expected = [_all_pairs_geodesic(g, pts) for pts in sets]
+    again = gf.build_graph(g.vertices, g.edges)
+    for graph, order in ((g, range(len(sets))), (again, reversed(range(len(sets))))):
+        for k in order:
+            got = gf.distance_matrix(graph, sets[k], MetricKind.GEODESIC)
+            assert np.array_equal(got, expected[k])
+
+
+def test_concurrent_geodesic_queries_read_a_consistent_row_store():
+    # More threads than cores grow one graph's row store at once, switching
+    # every microsecond, on ten fresh instances; a reader that saw a
+    # position map without its rows would index the wrong row or fail.
+    rng = np.random.default_rng(12)
+    base = random_graph(rng, 40, 6)
+    sets = [random_points(rng, base, int(rng.integers(2, 12))) for _ in range(24)]
+    expected = [_all_pairs_geodesic(base, pts) for pts in sets]
+
+    def work(g, first, results):
+        for k in range(first, len(sets), 8):
+            results[k] = gf.distance_matrix(g, sets[k], MetricKind.GEODESIC)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = gf.build_graph(base.vertices, base.edges)
+            results = [None] * len(sets)
+            threads = [
+                threading.Thread(target=work, args=(g, k, results)) for k in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for got, want in zip(results, expected):
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_geodesic_queries_on_large_grid_stay_far_below_all_pairs_table():
+    # A 100 x 100 grid: the n x n float table alone would take 800 MB.
+    side = 100
+    g = jittered_grid(np.random.default_rng(5), side)
+    pts = random_points(np.random.default_rng(6), g, 50, vertex_share=0.0)
+    tracemalloc.start()
+    try:
+        d = gf.geodesic_distance(g, pts[0], pts[1])
+        dm = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (side * side) ** 2 * 8 / 8
+    assert d == dm[0, 1] and np.isfinite(dm).all()
 
 
 # -- resistance context ---------------------------------------------------------
