@@ -82,6 +82,13 @@ def theta_graph():
 # -- random generators --------------------------------------------------------
 
 
+def vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
+    """Shortest-route distance between two vertices, as the graph's row
+    store gives it to geodesic queries."""
+    idx = np.unique([g.vertex_index(u), g.vertex_index(v)])
+    return float(g._distance_block(idx)[0, -1])
+
+
 def random_tree(rng: np.random.Generator, n_vertices: int) -> gf.EuclideanGraph:
     labels = [f"v{i:03d}" for i in range(n_vertices)]
     edges = []
@@ -208,13 +215,6 @@ def random_points(
 
 
 # -- brute-force oracles ------------------------------------------------------
-
-
-def vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
-    """Shortest-route distance between two vertices, as the graph's row
-    store gives it to geodesic queries."""
-    idx = np.unique([g.vertex_index(u), g.vertex_index(v)])
-    return float(g._distance_block(idx)[0, -1])
 
 
 def brute_force_vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
