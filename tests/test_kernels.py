@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfields as gf
-from graphfields import KernelFamily, KernelSpec, MetricKind
+from graphfields import KernelFamily, KernelSpec, MetricKind, kernels
 from .helpers import (
     path_abc,
     random_graph,
@@ -184,6 +185,58 @@ def test_covariance_min_separation_guard():
             MetricKind.GEODESIC,
             min_separation=1e-12,
         )
+
+
+def test_covariance_from_distances_reads_upper_triangle_only():
+    # Three row blocks; a negative distance below the diagonal would raise
+    # if it were read.
+    x = np.random.default_rng(7).uniform(0.0, 5.0, size=2 * kernels._ROW_BLOCK + 6)
+    dm = np.abs(x[:, None] - x[None, :])
+    upper = dm.copy()
+    upper[np.tril_indices(len(x), -1)] = -1.0
+    for spec in IN_RANGE_SPECS:
+        cov = gf.covariance_from_distances(upper, spec)
+        assert np.array_equal(cov, cov.T)
+        assert np.array_equal(cov, gf.covariance_from_distances(dm, spec))
+
+
+def test_covariance_from_distances_rejects_non_square():
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError):
+            gf.covariance_from_distances(np.zeros(shape), IN_RANGE_SPECS[0])
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_covariance_matrix_equals_entrywise_profile_across_row_blocks(kind):
+    # Sizes on both sides of the first row blocks of the upper triangle.
+    block = kernels._ROW_BLOCK
+    sizes = sorted({1, 2, 63, 64, 65, 130, block - 1, block, block + 1})
+    rng = np.random.default_rng(19)
+    g = random_graph(rng, 30, 5)
+    pts = random_points(rng, g, max(sizes), vertex_share=0.2)
+    for m in sizes:
+        dm = gf.distance_matrix(g, pts[:m], kind)
+        for spec in IN_RANGE_SPECS[1::2]:
+            expected = gf.radial_profile(spec, dm)
+            np.fill_diagonal(expected, 1.0)
+            cov = gf.covariance_matrix(g, pts[:m], spec, kind)
+            assert np.array_equal(cov.values, expected), (m, spec)
+
+
+def test_matern_covariance_peaks_below_two_matrices():
+    # Per row block, the temporaries stay far below one m x m matrix
+    # beside the result.
+    m = 1000
+    x = np.random.default_rng(3).uniform(0.0, 10.0, size=m)
+    dm = np.abs(x[:, None] - x[None, :])
+    tracemalloc.start()
+    try:
+        cov = gf.covariance_from_distances(dm, KernelSpec(KernelFamily.MATERN, 0.25, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * m * 8
+    assert cov.shape == (m, m) and np.all(np.diag(cov) == 1.0)
 
 
 # -- psd_check ---------------------------------------------------------------------

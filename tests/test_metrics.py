@@ -486,6 +486,25 @@ def test_matrix_matches_scalar_queries():
             )
 
 
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 10),
+    n_chords=st.integers(0, 3),
+)
+def test_distance_matrix_is_exactly_symmetric(seed, n_vertices, n_chords):
+    # covariance_from_distances reads one triangle only, so both metrics
+    # must give d(p, q) and d(q, p) bit for bit, also where several points
+    # on one edge take the same-edge closed form.
+    rng = np.random.default_rng(seed)
+    n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
+    g = random_graph(rng, n_vertices, n_chords)
+    pts = _points_sharing_edges(rng, g)[:-1]
+    for kind in MetricKind:
+        dm = gf.distance_matrix(g, pts, kind)
+        assert np.array_equal(dm, dm.T), kind
+
+
 # -- metric properties ----------------------------------------------------------
 
 
