@@ -20,14 +20,13 @@ import numpy as np
 from .errors import GraphFieldsError
 from .graph import (
     GeodesicValidity,
-    _validity_of,
     block_decomposition,
-    geodesic_validity_class,
     graph_from_json,
     point_from_json,
     point_label,
 )
 from .kernels import (
+    PSD_REL_TOL,
     covariance_matrix,
     forbidden_certificate,
     kernel_spec_from_json,
@@ -65,7 +64,7 @@ def _read_json(path: str, what: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _CliFailure(
             1, {"error": "InputError", "message": f"cannot read {what}: {exc}"}
         ) from exc
@@ -158,7 +157,7 @@ def _cmd_blocks(args) -> int:
     _emit(
         args,
         {
-            "class": _validity_of(decomposition).value,
+            "class": decomposition.validity.value,
             "articulation_vertices": sorted(decomposition.articulation_vertices),
             "blocks": [
                 {
@@ -254,7 +253,7 @@ def _cmd_cov(args) -> int:
 
 def _cmd_forbidden_check(args) -> int:
     g = _load_graph(args.graph)
-    validity = geodesic_validity_class(g)
+    validity = block_decomposition(g).validity
     payload = {"class": validity.value}
     if validity is GeodesicValidity.FORBIDDEN:
         witness = forbidden_certificate(0.5, 1.0)
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_common(p, points=True, metric=True, kernel=True, origin=True)
-        p.add_argument("--tol", type=float, default=1e-9, help="relative PSD tolerance")
+        p.add_argument("--tol", type=float, default=PSD_REL_TOL, help="relative PSD tolerance")
         p.add_argument("--strict", action="store_true", help="exit 2 when not PSD")
         p.set_defaults(func=_cmd_cov, certificate_only=certificate_only)
 

@@ -48,18 +48,6 @@ class OffsetOutOfRangeError(GraphFieldsError):
     code = "OffsetOutOfRange"
 
 
-class NotDegreeTwoError(GraphFieldsError):
-    code = "NotDegreeTwo"
-
-
-class WouldCreateMultiEdgeOrLoopError(GraphFieldsError):
-    code = "WouldCreateMultiEdgeOrLoop"
-
-
-class NotATreeError(GraphFieldsError):
-    code = "NotATree"
-
-
 class DuplicatePointsError(GraphFieldsError):
     code = "DuplicatePoints"
 

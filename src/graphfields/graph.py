@@ -8,9 +8,8 @@ consistency*: every edge must itself be a shortest route between its
 endpoints.  On a cycle this is exactly the requirement that no edge exceeds
 half the circumference.
 
-The vertices, edges and lengths of a graph are fixed once it is built; the
-editing operations (:func:`split_edge`, :func:`merge_at_degree_two`) return
-new graphs.
+The vertices, edges and lengths of a graph are fixed once it is built;
+:func:`split_edge` returns a new graph.
 """
 
 from __future__ import annotations
@@ -28,11 +27,9 @@ from .errors import (
     InvalidGraphError,
     MultiEdgeOrLoopError,
     NotConnectedError,
-    NotDegreeTwoError,
     OffsetOutOfRangeError,
     UnknownEdgeError,
     UnknownVertexError,
-    WouldCreateMultiEdgeOrLoopError,
 )
 
 # Absolute tolerance for the distance-consistency check is this factor times
@@ -102,15 +99,9 @@ def _coerce_edge(raw, position: int) -> Edge:
         except KeyError as exc:
             raise InvalidGraphError(f"edge record missing field {exc}") from exc
     elif isinstance(raw, (tuple, list)):
-        if len(raw) == 4:
-            eid, u, v, length = raw
-        elif len(raw) == 3:
-            u, v, length = raw
-            eid = f"e{position + 1}"
-        else:
-            raise InvalidGraphError(
-                "edge tuples must be (id, u, v, length) or (u, v, length)"
-            )
+        if len(raw) != 4:
+            raise InvalidGraphError("edge tuples must be (id, u, v, length)")
+        eid, u, v, length = raw
     else:
         raise InvalidGraphError(f"cannot interpret edge record {raw!r}")
     try:
@@ -287,13 +278,6 @@ class EuclideanGraph:
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {edge_id!r}", edge_id=edge_id)
 
-    def degree(self, label: str) -> int:
-        self.vertex_index(label)
-        return len(self.adjacency[label])
-
-    def has_edge_between(self, u: str, v: str) -> bool:
-        return any(self._edge_by_id[eid].other(u) == v for eid in self.adjacency[u])
-
     @property
     def total_length(self) -> float:
         return float(sum(e.length for e in self.edges))
@@ -310,14 +294,9 @@ def build_graph(vertices, edges) -> EuclideanGraph:
 
     Edges may be given as :class:`Edge` instances, dicts with keys
     ``id``/``u``/``v``/``length`` (``id`` optional), or tuples
-    ``(id, u, v, length)`` / ``(u, v, length)``.
+    ``(id, u, v, length)``.
     """
     return EuclideanGraph(vertices, edges)
-
-
-def is_tree(g: EuclideanGraph) -> bool:
-    """True when the (connected) graph has no cycles."""
-    return len(g.edges) == len(g.vertices) - 1
 
 
 def canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
@@ -351,15 +330,14 @@ def _unique_label(base: str, taken) -> str:
     return f"{base}~{k}"
 
 
-def split_edge(
-    g: EuclideanGraph, p: GraphPoint, new_vertex: str | None = None
-) -> tuple[EuclideanGraph, str]:
+def split_edge(g: EuclideanGraph, p: GraphPoint) -> tuple[EuclideanGraph, str]:
     """Split an edge at an interior point, returning (new graph, new vertex).
 
-    The replaced edge ``e`` becomes two edges whose ids default to ``e.id + ":a"``
-    (the side containing ``e.u``) and ``e.id + ":b"``; the new vertex label
-    defaults to ``"{e.id}@{offset}"``.  All other edges are untouched and both
-    metrics on the point continuum are unchanged by this operation.
+    The replaced edge ``e`` becomes two edges with ids ``e.id + ":a"`` (the
+    side containing ``e.u``) and ``e.id + ":b"``; the new vertex is labelled
+    ``"{e.id}@{offset}"``.  Each label gets a ``~k`` suffix if it is taken.
+    All other edges are untouched and both metrics on the point continuum
+    are unchanged by this operation.
     """
     p = canonicalize(g, p)
     if p.is_vertex:
@@ -367,9 +345,7 @@ def split_edge(
             "split point must lie strictly inside an edge", vertex=p.vertex
         )
     e = g.edge(p.edge)
-    taken_vertices = set(g.vertices)
-    w = new_vertex if new_vertex is not None else f"{e.id}@{p.offset!r}"
-    w = _unique_label(str(w), taken_vertices)
+    w = _unique_label(f"{e.id}@{p.offset!r}", set(g.vertices))
     taken_edges = set(g._edge_by_id) - {e.id}
     left_id = _unique_label(f"{e.id}:a", taken_edges)
     right_id = _unique_label(f"{e.id}:b", taken_edges | {left_id})
@@ -378,37 +354,6 @@ def split_edge(
     edges.append(Edge(left_id, e.u, w, p.offset))
     edges.append(Edge(right_id, w, e.v, e.length - p.offset))
     return EuclideanGraph([*g.vertices, w], edges), w
-
-
-def merge_at_degree_two(g: EuclideanGraph, v: str) -> EuclideanGraph:
-    """Remove a degree-2 vertex, merging its two edges into one.
-
-    Refuses (rather than silently generalizing) when the merged edge would be
-    a loop or duplicate an existing edge, e.g. merging any vertex of a
-    triangle; in that case the vertex must be kept.
-    """
-    if g.degree(v) != 2:
-        raise NotDegreeTwoError(
-            f"vertex {v!r} has degree {g.degree(v)}, expected 2", vertex=v
-        )
-    eid1, eid2 = sorted(g.adjacency[v])
-    e1, e2 = g.edge(eid1), g.edge(eid2)
-    a, b = e1.other(v), e2.other(v)
-    if a == b:
-        raise WouldCreateMultiEdgeOrLoopError(
-            f"merging at {v!r} would create a loop at {a!r}", vertex=v
-        )
-    if g.has_edge_between(a, b):
-        raise WouldCreateMultiEdgeOrLoopError(
-            f"merging at {v!r} would duplicate the edge between {a!r} and {b!r}",
-            vertex=v,
-        )
-    taken_edges = set(g._edge_by_id) - {e1.id, e2.id}
-    merged_id = _unique_label(f"{e1.id}+{e2.id}", taken_edges)
-    edges = [e for e in g.edges if e.id not in (e1.id, e2.id)]
-    edges.append(Edge(merged_id, a, b, e1.length + e2.length))
-    vertices = [u for u in g.vertices if u != v]
-    return EuclideanGraph(vertices, edges)
 
 
 # -- block structure -------------------------------------------------------
@@ -436,6 +381,18 @@ class Block:
 class BlockDecomposition:
     blocks: tuple[Block, ...]
     articulation_vertices: frozenset[str]
+
+    @property
+    def validity(self) -> GeodesicValidity:
+        """Safe when every block is a bridge or a simple cycle.
+
+        On such graphs the usual decaying radial profiles remain valid under
+        the geodesic metric; a Complex block makes the graph forbidden for
+        the exponential class under that metric.
+        """
+        if any(block.kind is BlockKind.COMPLEX for block in self.blocks):
+            return GeodesicValidity.FORBIDDEN
+        return GeodesicValidity.SAFE
 
 
 def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
@@ -521,24 +478,6 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), frozenset(articulation))
 
 
-def geodesic_validity_class(g: EuclideanGraph) -> GeodesicValidity:
-    """Safe when every block is a bridge or a simple cycle.
-
-    On such graphs the usual decaying radial profiles remain valid under the
-    geodesic metric; a Complex block makes the graph forbidden for the
-    exponential class under that metric.
-    """
-    return _validity_of(block_decomposition(g))
-
-
-def _validity_of(decomposition: BlockDecomposition) -> GeodesicValidity:
-    """The geodesic validity class read off a block decomposition."""
-    for block in decomposition.blocks:
-        if block.kind is BlockKind.COMPLEX:
-            return GeodesicValidity.FORBIDDEN
-    return GeodesicValidity.SAFE
-
-
 # -- JSON wire format --------------------------------------------------------
 
 
@@ -552,8 +491,10 @@ def graph_to_json(g: EuclideanGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> EuclideanGraph:
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-        raise InvalidGraphError('graph JSON must have "vertices" and "edges"')
+    if not isinstance(obj, dict) or not all(
+        isinstance(obj.get(key), list) for key in ("vertices", "edges")
+    ):
+        raise InvalidGraphError('graph JSON must have "vertices" and "edges" arrays')
     return build_graph(obj["vertices"], obj["edges"])
 
 

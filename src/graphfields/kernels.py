@@ -11,10 +11,9 @@ symmetric) distance matrix, and mirrors each block below the diagonal; the
 values equal the entrywise evaluation bit for bit.
 
 Beyond kernel evaluation the module certifies positive semi-definiteness of
-matrices numerically, builds the Gram matrix whose PSD-ness is equivalent to
-a sqrt-metric Hilbert embedding, constructs an explicit six-point witness
-showing that graphs containing three disjoint routes between two points
-break the exponential family under the geodesic metric, and implements the
+matrices numerically, constructs an explicit six-point witness showing that
+graphs containing three disjoint routes between two points break the
+exponential family under the geodesic metric, and implements the
 degree-based bound and covariance inequalities that any valid radial profile
 must satisfy on star-shaped networks.
 """
@@ -65,7 +64,7 @@ class KernelSpec:
     generalized Cauchy and Dagum families.
 
     A spec is valid by construction: ``family`` is coerced to
-    :class:`KernelFamily` and :func:`validate_params` runs once, so every
+    :class:`KernelFamily` and the parameters are checked once, so every
     existing spec lies in its family's validity range.
     """
 
@@ -76,32 +75,31 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", KernelFamily(self.family))
-        validate_params(self)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Reject parameters outside the family's validity range."""
+        family, alpha, beta, xi = self.family, self.alpha, self.beta, self.xi
+        if not all(math.isfinite(x) for x in (alpha, beta, xi) if x is not None):
+            raise ParamOutOfRangeError("alpha/beta/xi", "finite numbers")
+        _check_range(beta > 0, "beta", "beta > 0")
+        if family is KernelFamily.POWER_EXPONENTIAL:
+            _check_range(0 < alpha <= 1, "alpha", "0 < alpha <= 1")
+            _check_range(xi is None, "xi", "not used by power_exponential")
+        elif family is KernelFamily.MATERN:
+            _check_range(0 < alpha <= 0.5, "alpha", "0 < alpha <= 1/2")
+            _check_range(xi is None, "xi", "not used by matern")
+        elif family is KernelFamily.GENERALIZED_CAUCHY:
+            _check_range(0 < alpha <= 1, "alpha", "0 < alpha <= 1")
+            _check_range(xi is not None and xi > 0, "xi", "xi > 0")
+        elif family is KernelFamily.DAGUM:
+            _check_range(0 < alpha <= 1, "alpha", "0 < alpha <= 1")
+            _check_range(xi is not None and 0 < xi <= 1, "xi", "0 < xi <= 1")
 
 
 def _check_range(ok: bool, fieldname: str, allowed: str) -> None:
     if not ok:
         raise ParamOutOfRangeError(fieldname, allowed)
-
-
-def validate_params(spec: KernelSpec) -> None:
-    """Reject parameters outside the family's validity range."""
-    family, alpha, beta, xi = spec.family, spec.alpha, spec.beta, spec.xi
-    if not all(math.isfinite(x) for x in (alpha, beta, xi) if x is not None):
-        raise ParamOutOfRangeError("alpha/beta/xi", "finite numbers")
-    _check_range(beta > 0, "beta", "beta > 0")
-    if family is KernelFamily.POWER_EXPONENTIAL:
-        _check_range(0 < alpha <= 1, "alpha", "0 < alpha <= 1")
-        _check_range(xi is None, "xi", "not used by power_exponential")
-    elif family is KernelFamily.MATERN:
-        _check_range(0 < alpha <= 0.5, "alpha", "0 < alpha <= 1/2")
-        _check_range(xi is None, "xi", "not used by matern")
-    elif family is KernelFamily.GENERALIZED_CAUCHY:
-        _check_range(0 < alpha <= 1, "alpha", "0 < alpha <= 1")
-        _check_range(xi is not None and xi > 0, "xi", "xi > 0")
-    elif family is KernelFamily.DAGUM:
-        _check_range(0 < alpha <= 1, "alpha", "0 < alpha <= 1")
-        _check_range(xi is not None and 0 < xi <= 1, "xi", "0 < xi <= 1")
 
 
 def radial_profile(spec: KernelSpec, t):
@@ -151,8 +149,13 @@ def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
     """Certify positive semi-definiteness up to a relative eigenvalue band.
 
     The input is symmetrized as (M + M^T)/2 first; the verdict is PSD when
-    min_eig >= -rel_tol * max(|max_eig|, 1).
+    min_eig >= -rel_tol * max(|max_eig|, 1).  ``rel_tol`` must be finite
+    and nonnegative: a NaN or negative band would report a positive
+    definite matrix as not PSD.
     """
+    _check_range(
+        math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0"
+    )
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -233,28 +236,6 @@ def covariance_matrix(
         metric=MetricKind(kind),
         psd_certificate=psd_check(values, rel_tol),
     )
-
-
-def embedding_gram(
-    g: EuclideanGraph,
-    points,
-    base_index: int,
-    kind: MetricKind,
-    *,
-    origin: str | None = None,
-) -> np.ndarray:
-    """Gram matrix (d(p_i, x0) + d(p_j, x0) - d(p_i, p_j)) / 2.
-
-    PSD exactly when the square root of the metric embeds in a Hilbert
-    space; under the resistance metric this holds for every graph, under
-    the geodesic metric only for bridge/cycle assemblies.
-    """
-    pts = canonical_points(g, points)
-    if not 0 <= base_index < len(pts):
-        raise ValueError(f"base_index {base_index} outside the point list")
-    dm = distance_matrix(g, pts, kind, origin=origin)
-    col = dm[:, base_index]
-    return 0.5 * (col[:, None] + col[None, :] - dm)
 
 
 # -- six-point witness against the geodesic exponential family ---------------

@@ -11,13 +11,13 @@ is the conductance Laplacian, conductance = 1/length, plus a unit bump at an
 origin vertex that makes it strictly positive definite), linearly
 interpolated along edges, plus an independent Brownian bridge on each edge.
 The field is invariant to splitting edges, so at a finite point set it is
-the vertex field of the graph subdivided there: its covariance ``r_graph``
-is read from one sparse factorization of ``L'``, the conductance matrix of
-the subdivided graph (same origin bump) in unknowns that keep short
-segments exact (see ``_subdivided``).  The distance coincides with classical
-effective resistance on the vertices, is invariant to the origin choice and
-to splitting or merging edges, and never exceeds the geodesic distance, with
-equality exactly on trees.
+the vertex field of the graph subdivided there: its covariance matrix
+(``r_graph_matrix``) is read from one sparse factorization of ``L'``, the
+conductance matrix of the subdivided graph (same origin bump) in unknowns
+that keep short segments exact (see ``_subdivided``).  The distance
+coincides with classical effective resistance on the vertices, is invariant
+to the origin choice and to splitting edges, and never exceeds the geodesic
+distance, with equality exactly on trees.
 
 ``oracle_effective_resistance`` is an independent cross-check: it assembles
 the plain conductance Laplacian of the network with the query points added
@@ -34,18 +34,8 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import SuperLU, splu
 
-from .errors import (
-    DuplicatePointsError,
-    FactorizationFailedError,
-    NotATreeError,
-)
-from .graph import (
-    EuclideanGraph,
-    GraphPoint,
-    canonicalize,
-    is_tree,
-    vertex_point,
-)
+from .errors import DuplicatePointsError, FactorizationFailedError
+from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
@@ -266,11 +256,6 @@ def _solve(ctx: ResistanceContext, frame, u=(), v=()):
     return 0.5 * (block + block.T), where, np.diag(out)[needed.size :]
 
 
-def r_graph(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
-    """Covariance of the canonical field between two points."""
-    return float(r_graph_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
-
-
 def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
     """Variogram of the canonical field between two points.
 
@@ -278,26 +263,6 @@ def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) ->
     vertices, and on the graph subdivided at the two points.
     """
     return float(resistance_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
-
-
-def tree_kernel_closed_form(
-    ctx: ResistanceContext, p: GraphPoint, q: GraphPoint
-) -> float:
-    """Closed form of the canonical-field covariance valid on trees only:
-    half the rooted-path overlap plus one."""
-    g = ctx.graph
-    if not is_tree(g):
-        raise NotATreeError("closed form requires a tree")
-    o = vertex_point(ctx.origin)
-    return (
-        0.5
-        * (
-            geodesic_distance(g, p, o)
-            + geodesic_distance(g, q, o)
-            - geodesic_distance(g, p, q)
-        )
-        + 1.0
-    )
 
 
 # -- independent oracle ------------------------------------------------------
@@ -374,8 +339,6 @@ def _require_distinct(points: list[GraphPoint]) -> None:
     for p in points:
         key = (p.vertex, p.edge, p.offset)
         if key in seen:
-            from .graph import point_label
-
             raise DuplicatePointsError(f"duplicate point {point_label(p)!r}")
         seen.add(key)
 

@@ -89,6 +89,10 @@ def vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
     return float(g._distance_block(idx)[0, -1])
 
 
+def has_edge_between(g: gf.EuclideanGraph, u: str, v: str) -> bool:
+    return any(g.edge(eid).other(u) == v for eid in g.adjacency[u])
+
+
 def random_tree(rng: np.random.Generator, n_vertices: int) -> gf.EuclideanGraph:
     labels = [f"v{i:03d}" for i in range(n_vertices)]
     edges = []
@@ -115,7 +119,7 @@ def random_graph(
         attempts += 1
         i, j = rng.choice(len(g.vertices), size=2, replace=False)
         u, v = g.vertices[int(i)], g.vertices[int(j)]
-        if g.has_edge_between(u, v):
+        if has_edge_between(g, u, v):
             continue
         base = vertex_distance(g, u, v)
         for delta in (float(rng.uniform(0.7, 1.0)), 1.0):
@@ -182,7 +186,7 @@ def random_onesum(rng: np.random.Generator, n_blocks: int) -> gf.EuclideanGraph:
                 edges.append((f"g{part}e{k}", prev, nxt, float(rng.uniform(0.5, 2.0))))
                 prev = nxt
     g = gf.build_graph(vertices, edges)
-    assert gf.geodesic_validity_class(g) is gf.GeodesicValidity.SAFE
+    assert gf.block_decomposition(g).validity is gf.GeodesicValidity.SAFE
     return g
 
 
@@ -215,6 +219,38 @@ def random_points(
 
 
 # -- brute-force oracles ------------------------------------------------------
+
+
+def r_graph(ctx: gf.ResistanceContext, p: gf.GraphPoint, q: gf.GraphPoint) -> float:
+    """Covariance of the canonical field between two points."""
+    pts = [gf.canonicalize(ctx.graph, x) for x in (p, q)]
+    return float(gf.r_graph_matrix(ctx, pts)[0, 1])
+
+
+def tree_kernel_closed_form(
+    ctx: gf.ResistanceContext, p: gf.GraphPoint, q: gf.GraphPoint
+) -> float:
+    """Closed form of the canonical-field covariance on a tree: half the
+    rooted-path overlap plus one."""
+    g = ctx.graph
+    assert len(g.edges) == len(g.vertices) - 1, "closed form requires a tree"
+    o = gf.vertex_point(ctx.origin)
+    overlap = (
+        gf.geodesic_distance(g, p, o)
+        + gf.geodesic_distance(g, q, o)
+        - gf.geodesic_distance(g, p, q)
+    )
+    return 0.5 * overlap + 1.0
+
+
+def embedding_gram(g: gf.EuclideanGraph, points, base_index: int, kind) -> np.ndarray:
+    """Gram matrix (d(p_i, x0) + d(p_j, x0) - d(p_i, p_j)) / 2 with x0 the
+    base point: PSD exactly when the square root of the metric embeds in a
+    Hilbert space, which holds for every graph under the resistance metric
+    and only for bridge/cycle assemblies under the geodesic metric."""
+    dm = gf.distance_matrix(g, points, kind)
+    col = dm[:, base_index]
+    return 0.5 * (col[:, None] + col[None, :] - dm)
 
 
 def brute_force_vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:

@@ -16,6 +16,7 @@ import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind
 from .helpers import (
     figure_eight,
+    r_graph,
     random_graph,
     random_onesum,
     random_points,
@@ -148,8 +149,8 @@ def test_criterion_05_closed_form_single_edge():
     p25 = gf.edge_point("e1", 0.25)
     p75 = gf.edge_point("e1", 0.75)
     checks = {
-        "r_graph(0.25,0.75)=1.25": abs(gf.r_graph(ctx, p25, p75) - 1.25),
-        "r_graph(0.75,0.75)=1.75": abs(gf.r_graph(ctx, p75, p75) - 1.75),
+        "r_graph(0.25,0.75)=1.25": abs(r_graph(ctx, p25, p75) - 1.25),
+        "r_graph(0.75,0.75)=1.75": abs(r_graph(ctx, p75, p75) - 1.75),
         "d_R(0.25,0.75)=0.5": abs(gf.resistance_distance(ctx, p25, p75) - 0.5),
     }
     worst = max(checks.values())

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
 import graphfields as gf
-from graphfields.cli import main
+from graphfields.cli import build_parser, main
+from graphfields.kernels import PSD_REL_TOL
 from .helpers import single_edge, theta_graph, unit_triangle
 
 
@@ -102,6 +106,21 @@ def test_malformed_json_exits_1(capsys, workdir):
     broken.write_text("{not json")
     code, _, err = _run(capsys, ["validate", "--graph", str(broken)])
     assert code == 1
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exits_1(capsys, workdir, monkeypatch, source):
+    raw = b"\xff\xfe{\x00}\x00"
+    if source == "file":
+        path = workdir["dir"] / "utf16.json"
+        path.write_bytes(raw)
+        argv = ["validate", "--graph", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        argv = ["validate", "--graph", "-"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InputError"
 
 
@@ -263,6 +282,33 @@ def test_psd_check_not_psd_and_strict_exit(capsys, workdir):
     assert json.loads(err)["error"] == "NotPSD"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-5"])
+def test_psd_check_rejects_bad_tolerance(capsys, workdir, tol):
+    # Two points at resistance distance 0.5: exp(-0.5) off the diagonal, a
+    # positive definite matrix with min_eig 0.632.
+    points = workdir["dir"] / "two.json"
+    points.write_text(json.dumps([{"edge": "e1", "offset": 0.25}, {"edge": "e1", "offset": 0.75}]))
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(points),
+              "--kernel", str(workdir["matern"])]
+    code, out, _ = _run(capsys, ["psd-check", *inputs])
+    assert code == 0
+    assert json.loads(out)["min_eig"] == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
+    for command in ("psd-check", "cov"):
+        for strict in ([], ["--strict"]):
+            code, out, err = _run(capsys, [command, *inputs, "--tol", tol, *strict])
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "ParamOutOfRange" and payload["field"] == "rel_tol"
+
+
+def test_psd_tolerance_default_is_the_library_default():
+    for command in ("cov", "psd-check"):
+        args = build_parser().parse_args(
+            [command, "--graph", "g", "--points", "p", "--kernel", "k"]
+        )
+        assert args.tol == PSD_REL_TOL
+
+
 def test_psd_check_passes_under_resistance_on_witness_config(capsys, workdir):
     code, out, _ = _run(
         capsys,
@@ -332,6 +378,11 @@ def test_param_out_of_range_exits_2(capsys, workdir):
         ("star-check", {"family": "matern", "alpha": None, "beta": 1}, "ParamOutOfRange"),
         ("distmatrix", [{"edge": "e1", "offset": "abc"}], "OffsetOutOfRange"),
         ("validate", {"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": "z"}]}, "InvalidGraph"),
+        # "vertices" and "edges" must be JSON arrays: a string used to give
+        # a graph on its characters, a number a TypeError traceback.
+        ("validate", {"vertices": 5, "edges": [{"u": "A", "v": "B", "length": 1}]}, "InvalidGraph"),
+        ("validate", {"vertices": ["A", "B"], "edges": 7}, "InvalidGraph"),
+        ("validate", {"vertices": "AB", "edges": [{"u": "A", "v": "B", "length": 1}]}, "InvalidGraph"),
     ],
 )
 def test_non_numeric_json_fields_exit_2(capsys, workdir, command, payload, error):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind, kernels
 from .helpers import (
+    embedding_gram,
     path_abc,
     random_graph,
     random_onesum,
@@ -38,29 +39,29 @@ IN_RANGE_SPECS = [
 
 
 def test_validate_params_examples():
-    gf.validate_params(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 2.0))
+    KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 2.0)
     with pytest.raises(gf.ParamOutOfRangeError) as info:
-        gf.validate_params(KernelSpec(KernelFamily.MATERN, 0.7, 1.0))
+        KernelSpec(KernelFamily.MATERN, 0.7, 1.0)
     assert info.value.field == "alpha"
     with pytest.raises(gf.ParamOutOfRangeError):
-        gf.validate_params(KernelSpec(KernelFamily.DAGUM, 1.0, 1.0, 1.5))
+        KernelSpec(KernelFamily.DAGUM, 1.0, 1.0, 1.5)
 
 
 def test_validate_params_edges():
     with pytest.raises(gf.ParamOutOfRangeError):
-        gf.validate_params(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.2, 1.0))
+        KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.2, 1.0)
     with pytest.raises(gf.ParamOutOfRangeError):
-        gf.validate_params(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 0.0))
+        KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 0.0)
     with pytest.raises(gf.ParamOutOfRangeError):
-        gf.validate_params(KernelSpec(KernelFamily.GENERALIZED_CAUCHY, 1.0, 1.0))
+        KernelSpec(KernelFamily.GENERALIZED_CAUCHY, 1.0, 1.0)
     with pytest.raises(gf.ParamOutOfRangeError):
-        gf.validate_params(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0, 0.5))
+        KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0, 0.5)
     with pytest.raises(gf.ParamOutOfRangeError):
-        gf.validate_params(KernelSpec(KernelFamily.DAGUM, 1.0, 1.0, 0.0))
+        KernelSpec(KernelFamily.DAGUM, 1.0, 1.0, 0.0)
 
 
 def _in_range(family, alpha, beta, xi) -> bool:
-    """The validity ranges written out independently of validate_params."""
+    """The validity ranges written out independently of KernelSpec."""
     if not all(math.isfinite(x) for x in (alpha, beta, xi) if x is not None):
         return False
     alpha_max = 0.5 if family is KernelFamily.MATERN else 1.0
@@ -271,6 +272,17 @@ def test_psd_check_symmetrizes():
     assert report.max_eig == pytest.approx(1.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("rel_tol", [float("nan"), -5.0, -1e-300, float("inf")])
+def test_psd_check_rejects_band_that_is_not_finite_and_nonnegative(rel_tol):
+    # A NaN or negative band used to report this positive definite matrix
+    # (min_eig 0.632) as not PSD.
+    positive_definite = np.array([[1.0, math.exp(-0.5)], [math.exp(-0.5), 1.0]])
+    with pytest.raises(gf.ParamOutOfRangeError) as info:
+        gf.psd_check(positive_definite, rel_tol)
+    assert info.value.field == "rel_tol"
+    assert gf.psd_check(positive_definite, 0.0).is_psd
+
+
 # -- embedding gram -----------------------------------------------------------------
 
 
@@ -279,7 +291,7 @@ def test_embedding_gram_resistance_always_psd():
     for _ in range(5):
         g = random_graph(rng, 10, int(rng.integers(0, 4)))
         pts = random_points(rng, g, 8)
-        gram = gf.embedding_gram(g, pts, 0, MetricKind.RESISTANCE)
+        gram = embedding_gram(g, pts, 0, MetricKind.RESISTANCE)
         assert gf.psd_check(gram).is_psd
 
 
@@ -287,15 +299,15 @@ def test_embedding_gram_tree_geodesic_equals_resistance():
     rng = np.random.default_rng(71)
     g = random_tree(rng, 10)
     pts = random_points(rng, g, 8)
-    geo = gf.embedding_gram(g, pts, 2, MetricKind.GEODESIC)
-    res = gf.embedding_gram(g, pts, 2, MetricKind.RESISTANCE)
+    geo = embedding_gram(g, pts, 2, MetricKind.GEODESIC)
+    res = embedding_gram(g, pts, 2, MetricKind.RESISTANCE)
     assert gf.psd_check(geo).is_psd
     assert np.allclose(geo, res, atol=1e-9)
 
 
 def test_embedding_gram_theta_config_not_psd():
     g, pts = gf.theta_witness_graph(0.5, 1.0)
-    gram = gf.embedding_gram(g, pts, 0, MetricKind.GEODESIC)
+    gram = embedding_gram(g, pts, 0, MetricKind.GEODESIC)
     assert not gf.psd_check(gram).is_psd
 
 

@@ -23,10 +23,12 @@ from .helpers import (
     figure_eight,
     jittered_grid,
     path_abc,
+    r_graph,
     random_graph,
     random_points,
     random_tree,
     single_edge,
+    tree_kernel_closed_form,
     unit_square,
     unit_triangle,
 )
@@ -318,9 +320,9 @@ def test_field_kernels_single_edge_values():
     assert bridge[0, 0] == 0.1875
     assert bridge[2, 0] == 0.0
     assert bridge[2, 3] == 0.0
-    assert gf.r_graph(ctx, p25, p75) == pytest.approx(1.25, abs=1e-12)
-    assert gf.r_graph(ctx, p25, p25) == pytest.approx(1.25, abs=1e-12)
-    assert gf.r_graph(ctx, _vp("0"), _vp("0")) == pytest.approx(1.0, abs=1e-12)
+    assert r_graph(ctx, p25, p75) == pytest.approx(1.25, abs=1e-12)
+    assert r_graph(ctx, p25, p25) == pytest.approx(1.25, abs=1e-12)
+    assert r_graph(ctx, _vp("0"), _vp("0")) == pytest.approx(1.0, abs=1e-12)
     assert gf.resistance_distance(ctx, p25, p75) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -392,8 +394,8 @@ def test_resistance_on_triangle_and_square():
 def test_tree_closed_form_examples():
     g = single_edge()
     ctx = gf.build_resistance_context(g)
-    assert gf.tree_kernel_closed_form(ctx, _vp("0"), _vp("0")) == 1.0
-    assert gf.tree_kernel_closed_form(ctx, _ep("e1", 0.25), _ep("e1", 0.75)) == 1.25
+    assert tree_kernel_closed_form(ctx, _vp("0"), _vp("0")) == 1.0
+    assert tree_kernel_closed_form(ctx, _ep("e1", 0.25), _ep("e1", 0.75)) == 1.25
 
 
 def test_tree_closed_form_matches_field_kernel_on_random_tree():
@@ -403,15 +405,9 @@ def test_tree_closed_form_matches_field_kernel_on_random_tree():
     pts = random_points(rng, g, 20)
     for i, p in enumerate(pts):
         for q in pts[i:]:
-            assert gf.tree_kernel_closed_form(ctx, p, q) == pytest.approx(
-                gf.r_graph(ctx, p, q), abs=1e-9
+            assert tree_kernel_closed_form(ctx, p, q) == pytest.approx(
+                r_graph(ctx, p, q), abs=1e-9
             )
-
-
-def test_tree_closed_form_requires_tree():
-    ctx = gf.build_resistance_context(unit_triangle())
-    with pytest.raises(gf.NotATreeError):
-        gf.tree_kernel_closed_form(ctx, _vp("A"), _vp("B"))
 
 
 # -- effective resistance oracle --------------------------------------------------
