@@ -199,11 +199,8 @@ def _cmd_distmatrix(args) -> int:
     labels = [point_label(p) for p in canonical_points(g, points)]
     extra = {}
     if kind is MetricKind.RESISTANCE:
-        ctx = build_resistance_context(g, args.origin)
-        matrix = distance_matrix(g, points, kind, ctx=ctx)
-        extra["origin"] = ctx.origin
-    else:
-        matrix = distance_matrix(g, points, kind)
+        extra["origin"] = build_resistance_context(g, args.origin).origin
+    matrix = distance_matrix(g, points, kind, origin=args.origin)
     _emit(
         args,
         _matrix_payload(kind.value, labels, matrix, **extra),
@@ -233,7 +230,7 @@ def _cmd_cov(args) -> int:
     else:
         extra = {"kernel": kernel_spec_to_json(spec), "psd_certificate": certificate}
         if kind is MetricKind.RESISTANCE:
-            extra["origin"] = args.origin if args.origin else g.vertices[0]
+            extra["origin"] = build_resistance_context(g, args.origin).origin
         _emit(
             args,
             _matrix_payload(kind.value, cov.labels, cov.values, **extra),

@@ -89,28 +89,30 @@ def point_label(p: GraphPoint) -> str:
     return f"{p.edge}@{p.offset!r}"
 
 
-def _coerce_edge(raw, position: int) -> Edge:
+def _as_float(x) -> float:
+    """``float(x)``, except that a bool (JSON ``true``) is not a number."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
+def _edge_fields(raw) -> tuple:
+    """``(id, u, v, length)`` of an edge record as given; the id is a string,
+    or None when a dict has no ``"id"``."""
     if isinstance(raw, Edge):
-        eid, u, v, length = raw.id, raw.u, raw.v, raw.length
-    elif isinstance(raw, dict):
-        eid = raw.get("id", f"e{position + 1}")
+        return str(raw.id), raw.u, raw.v, raw.length
+    if isinstance(raw, dict):
+        eid = str(raw["id"]) if "id" in raw else None
         try:
-            u, v, length = raw["u"], raw["v"], raw["length"]
+            return eid, raw["u"], raw["v"], raw["length"]
         except KeyError as exc:
             raise InvalidGraphError(f"edge record missing field {exc}") from exc
-    elif isinstance(raw, (tuple, list)):
+    if isinstance(raw, (tuple, list)):
         if len(raw) != 4:
             raise InvalidGraphError("edge tuples must be (id, u, v, length)")
         eid, u, v, length = raw
-    else:
-        raise InvalidGraphError(f"cannot interpret edge record {raw!r}")
-    try:
-        length = float(length)
-    except (TypeError, ValueError) as exc:
-        raise InvalidGraphError(
-            f"edge {eid!r} must have a numeric length, got {length!r}"
-        ) from exc
-    return Edge(str(eid), str(u), str(v), length)
+        return str(eid), u, v, length
+    raise InvalidGraphError(f"cannot interpret edge record {raw!r}")
 
 
 class EuclideanGraph:
@@ -135,19 +137,30 @@ class EuclideanGraph:
         vlabels = [str(v) for v in vertices]
         if not vlabels:
             raise InvalidGraphError("vertex list must be non-empty")
-        if len(set(vlabels)) != len(vlabels):
+        self.vertices: tuple[str, ...] = tuple(sorted(vlabels))
+        self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._vindex) != len(vlabels):
             raise InvalidGraphError("duplicate vertex labels")
-        vset = set(vlabels)
 
+        records = [_edge_fields(raw) for raw in edges]
+        explicit = {eid for eid, *_ in records if eid is not None}
         normalized: list[Edge] = []
-        seen_ids: set[str] = set()
+        self._edge_pos: dict[str, int] = {}
         seen_pairs: set[frozenset[str]] = set()
-        for k, raw in enumerate(edges):
-            e = _coerce_edge(raw, k)
-            if e.id in seen_ids:
+        for k, (eid, u, v, length) in enumerate(records):
+            if eid is None:
+                eid = _unique_label(f"e{k + 1}", explicit)
+            try:
+                length = _as_float(length)
+            except (TypeError, ValueError) as exc:
+                raise InvalidGraphError(
+                    f"edge {eid!r} must have a numeric length, got {length!r}"
+                ) from exc
+            e = Edge(eid, str(u), str(v), length)
+            if e.id in self._edge_pos:
                 raise InvalidGraphError(f"duplicate edge id {e.id!r}")
             for endpoint in (e.u, e.v):
-                if endpoint not in vset:
+                if endpoint not in self._vindex:
                     raise UnknownVertexError(
                         f"edge {e.id!r} references unknown vertex {endpoint!r}",
                         vertex=endpoint,
@@ -168,21 +181,21 @@ class EuclideanGraph:
                 raise InvalidGraphError(
                     f"edge {e.id!r} must have positive finite length, got {e.length}"
                 )
-            seen_ids.add(e.id)
+            self._edge_pos[e.id] = k
             seen_pairs.add(pair)
             normalized.append(e)
 
-        self.vertices: tuple[str, ...] = tuple(sorted(vlabels))
         self.edges: tuple[Edge, ...] = tuple(normalized)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_by_id = {e.id: e for e in self.edges}
+        # The edge table: endpoint vertex indices and length of each edge,
+        # in the order of ``edges``.
+        self._u = np.array([self._vindex[e.u] for e in self.edges], dtype=np.intp)
+        self._v = np.array([self._vindex[e.v] for e in self.edges], dtype=np.intp)
+        self._length = np.array([e.length for e in self.edges], dtype=float)
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in self.edges:
             adj[e.u].append(e.id)
             adj[e.v].append(e.id)
-        self.adjacency: dict[str, tuple[str, ...]] = {
-            v: tuple(ids) for v, ids in adj.items()
-        }
+        self.adjacency = {v: tuple(ids) for v, ids in adj.items()}
         self._weights = self._check_connected_and_consistent()
         n = len(self.vertices)
         # Row k of the store holds the distances from the vertex whose
@@ -205,9 +218,7 @@ class EuclideanGraph:
         rows a geodesic query reads.
         """
         n = len(self.vertices)
-        iu = np.array([self._vindex[e.u] for e in self.edges], dtype=np.intp)
-        iv = np.array([self._vindex[e.v] for e in self.edges], dtype=np.intp)
-        lengths = np.array([e.length for e in self.edges], dtype=float)
+        iu, iv, lengths = self._u, self._v, self._length
         weights = csr_matrix(
             (np.concatenate((lengths, lengths)),
              (np.concatenate((iu, iv)), np.concatenate((iv, iu)))),
@@ -274,7 +285,7 @@ class EuclideanGraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._edge_by_id[edge_id]
+            return self.edges[self._edge_pos[edge_id]]
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {edge_id!r}", edge_id=edge_id)
 
@@ -293,8 +304,9 @@ def build_graph(vertices, edges) -> EuclideanGraph:
     """Construct and validate a graph with Euclidean edges.
 
     Edges may be given as :class:`Edge` instances, dicts with keys
-    ``id``/``u``/``v``/``length`` (``id`` optional), or tuples
-    ``(id, u, v, length)``.
+    ``id``/``u``/``v``/``length``, or tuples ``(id, u, v, length)``.  A dict
+    without ``id`` is edge ``e{k}`` for its position ``k`` from 1, with a
+    ``~2`` (``~3``, ...) suffix when an explicit id in the input is ``e{k}``.
     """
     return EuclideanGraph(vertices, edges)
 
@@ -346,7 +358,7 @@ def split_edge(g: EuclideanGraph, p: GraphPoint) -> tuple[EuclideanGraph, str]:
         )
     e = g.edge(p.edge)
     w = _unique_label(f"{e.id}@{p.offset!r}", set(g.vertices))
-    taken_edges = set(g._edge_by_id) - {e.id}
+    taken_edges = set(g._edge_pos) - {e.id}
     left_id = _unique_label(f"{e.id}:a", taken_edges)
     right_id = _unique_label(f"{e.id}:b", taken_edges | {left_id})
 
@@ -511,7 +523,7 @@ def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:
         return canonicalize(g, vertex_point(obj["vertex"]))
     if "edge" in obj and "offset" in obj:
         try:
-            offset = float(obj["offset"])
+            offset = _as_float(obj["offset"])
         except (TypeError, ValueError) as exc:
             raise OffsetOutOfRangeError(
                 f"offset must be a number, got {obj['offset']!r}"

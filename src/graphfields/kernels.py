@@ -34,7 +34,7 @@ from .errors import (
     NOutOfRangeError,
     ParamOutOfRangeError,
 )
-from .graph import EuclideanGraph, build_graph, point_label, vertex_point
+from .graph import EuclideanGraph, _as_float, build_graph, point_label, vertex_point
 from .metrics import MetricKind, canonical_points, distance_matrix
 
 PSD_REL_TOL = 1e-9
@@ -393,7 +393,7 @@ def kernel_spec_to_json(spec: KernelSpec) -> dict:
 
 def _number(obj: dict, key: str) -> float:
     try:
-        return float(obj[key])
+        return _as_float(obj[key])
     except KeyError as exc:
         raise ParamOutOfRangeError(key, "required") from exc
     except (TypeError, ValueError) as exc:

@@ -14,7 +14,9 @@ The field is invariant to splitting edges, so at a finite point set it is
 the vertex field of the graph subdivided there: its covariance matrix
 (``r_graph_matrix``) is read from one sparse factorization of ``L'``, the
 conductance matrix of the subdivided graph (same origin bump) in unknowns
-that keep short segments exact (see ``_subdivided``).  The distance
+that keep short segments exact (see ``_subdivided``), assembled from the
+edge table the graph builds once; a :class:`ResistanceContext` is just the
+graph and an origin checked against it.  The distance
 coincides with classical effective resistance on the vertices, is invariant
 to the origin choice and to splitting edges, and never exceeds the geodesic
 distance, with equality exactly on trees.
@@ -27,7 +29,7 @@ as nodes and evaluates the resistance through an eigenvalue pseudoinverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -68,22 +70,22 @@ def _point_frame(g: EuclideanGraph, points):
     vertices).  Vertices have ``lo == hi`` and zero offset and length.
     """
     m = len(points)
-    lo = np.empty(m, dtype=np.intp)
-    hi = np.empty(m, dtype=np.intp)
+    # The vertex index of a vertex, the edge position of an interior point.
+    pos = np.empty(m, dtype=np.intp)
     off = np.zeros(m)
-    elen = np.zeros(m)
     eidx = np.full(m, -1, dtype=np.intp)
     slots: dict[str, int] = {}
     for k, p in enumerate(points):
         if p.is_vertex:
-            lo[k] = hi[k] = g.vertex_index(p.vertex)
+            pos[k] = g.vertex_index(p.vertex)
         else:
-            e = g.edge(p.edge)
-            lo[k] = g.vertex_index(e.u)
-            hi[k] = g.vertex_index(e.v)
+            pos[k] = g._edge_pos[p.edge]
             off[k] = p.offset
-            elen[k] = e.length
-            eidx[k] = slots.setdefault(e.id, len(slots))
+            eidx[k] = slots.setdefault(p.edge, len(slots))
+    inner = eidx >= 0
+    at = pos[inner]
+    lo, hi, elen = pos.copy(), pos.copy(), np.zeros(m)
+    lo[inner], hi[inner], elen[inner] = g._u[at], g._v[at], g._length[at]
     return lo, hi, off, elen, eidx
 
 
@@ -104,35 +106,24 @@ def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
 
 @dataclass(frozen=True)
 class ResistanceContext:
-    """Origin choice plus the edge arrays of the network: endpoint vertex
-    indices ``u``, ``v`` and ``length``, in the order of ``graph.edges``.
+    """An origin vertex checked against its graph.
 
-    Every query assembles from them the conductance matrix ``L'`` of the
-    graph subdivided at its points and factors it.  The context is frozen
-    and holds no cache.
+    Every query assembles the conductance matrix ``L'`` of the graph
+    subdivided at its points from the graph's edge table and factors it.
+    The context is frozen and holds no cache.
     """
 
     graph: EuclideanGraph
     origin: str
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    length: np.ndarray = field(repr=False)
 
 
 def build_resistance_context(
     g: EuclideanGraph, origin: str | None = None
 ) -> ResistanceContext:
-    """Assemble the edge arrays; the origin defaults to the smallest label."""
-    if origin is None:
-        origin = g.vertices[0]
+    """Check the origin against the graph; it defaults to the smallest label."""
+    origin = g.vertices[0] if origin is None else origin
     g.vertex_index(origin)
-    return ResistanceContext(
-        graph=g,
-        origin=origin,
-        u=np.array([g.vertex_index(e.u) for e in g.edges], dtype=np.intp),
-        v=np.array([g.vertex_index(e.v) for e in g.edges], dtype=np.intp),
-        length=np.array([e.length for e in g.edges], dtype=float),
-    )
+    return ResistanceContext(g, origin)
 
 
 def _subdivided(ctx: ResistanceContext, frame):
@@ -170,10 +161,10 @@ def _subdivided(ctx: ResistanceContext, frame):
     prev_off = np.where(first, 0.0, np.roll(off[cut], 1))
     # A simple graph has one edge per endpoint pair, so the pairs name the
     # edges that are cut.
-    kept = ~np.isin(ctx.u * n + ctx.v, lo[cut] * n + hi[cut])
-    a = np.concatenate([ctx.u[kept], prev_node, node[last]])
-    b = np.concatenate([ctx.v[kept], node[cut], hi[last]])
-    length = np.concatenate([ctx.length[kept], off[cut] - prev_off, elen[last] - off[last]])
+    kept = ~np.isin(g._u * n + g._v, lo[cut] * n + hi[cut])
+    a = np.concatenate([g._u[kept], prev_node, node[last]])
+    b = np.concatenate([g._v[kept], node[cut], hi[last]])
+    length = np.concatenate([g._length[kept], off[cut] - prev_off, elen[last] - off[last]])
     # The cut segments of each edge, shortest first and without the longest.
     edge = np.concatenate([np.full(np.count_nonzero(kept), -1), eidx[cut], eidx[last]])
     order = np.lexsort((length, edge))
@@ -417,8 +408,7 @@ def distance_matrix(
     """Symmetric matrix of pairwise distances under the chosen metric.
 
     Points must be pairwise distinct after canonicalization.  For the
-    resistance metric an existing context can be passed to reuse its origin
-    and edge arrays.
+    resistance metric an existing context can be passed to reuse its origin.
     """
     kind = MetricKind(kind)
     pts = canonical_points(g, points)

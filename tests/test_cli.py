@@ -383,6 +383,10 @@ def test_param_out_of_range_exits_2(capsys, workdir):
         ("validate", {"vertices": 5, "edges": [{"u": "A", "v": "B", "length": 1}]}, "InvalidGraph"),
         ("validate", {"vertices": ["A", "B"], "edges": 7}, "InvalidGraph"),
         ("validate", {"vertices": "AB", "edges": [{"u": "A", "v": "B", "length": 1}]}, "InvalidGraph"),
+        # A JSON true is not the number 1.
+        ("star-check", {"family": "matern", "alpha": 0.5, "beta": True}, "ParamOutOfRange"),
+        ("distmatrix", [{"edge": "e1", "offset": True}], "OffsetOutOfRange"),
+        ("validate", {"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": True}]}, "InvalidGraph"),
     ],
 )
 def test_non_numeric_json_fields_exit_2(capsys, workdir, command, payload, error):

@@ -111,6 +111,22 @@ def test_bad_lengths_and_duplicate_ids_rejected():
         gf.build_graph([], [])
 
 
+def test_auto_edge_ids_avoid_explicit_ones():
+    # The first edge would be e1, which the second edge names explicitly.
+    g = gf.build_graph(
+        ["A", "B", "C"],
+        [{"u": "A", "v": "B", "length": 1.0}, {"id": "e1", "u": "B", "v": "C", "length": 1.0}],
+    )
+    assert tuple(e.id for e in g.edges) == ("e1~2", "e1")
+    g = gf.build_graph(["A", "B", "C"], [{"u": "A", "v": "B", "length": 1.0}, ("x", "B", "C", 1.0)])
+    assert tuple(e.id for e in g.edges) == ("e1", "x")
+    with pytest.raises(gf.InvalidGraphError, match="duplicate edge id"):
+        gf.build_graph(
+            ["A", "B", "C"],
+            [{"id": "e1", "u": "A", "v": "B", "length": 1.0}, ("e1", "B", "C", 1.0)],
+        )
+
+
 def test_edge_distance_consistency_holds_exactly_per_edge():
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -525,8 +525,11 @@ def test_metric_axioms_on_random_graphs():
         _metric_axioms(gf.distance_matrix(g, pts, MetricKind.RESISTANCE))
 
 
-def test_resistance_below_geodesic_with_tree_equality():
-    rng = np.random.default_rng(37)
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=37)
+def test_resistance_below_geodesic_with_tree_equality(seed):
+    rng = np.random.default_rng(seed)
     tree = random_tree(rng, 14)
     pts = random_points(rng, tree, 10)
     geo = gf.distance_matrix(tree, pts, MetricKind.GEODESIC)
@@ -541,8 +544,11 @@ def test_resistance_below_geodesic_with_tree_equality():
     assert np.max(geo - res) > 1e-9
 
 
-def test_origin_invariance_of_resistance():
-    rng = np.random.default_rng(43)
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=43)
+def test_origin_invariance_of_resistance(seed):
+    rng = np.random.default_rng(seed)
     g = random_graph(rng, 10, 2)
     pts = random_points(rng, g, 8)
     first = gf.distance_matrix(g, pts, MetricKind.RESISTANCE, origin=g.vertices[0])
@@ -564,8 +570,11 @@ def _remap_after_split(points, edge, offset, left_id, right_id, new_vertex):
     return remapped
 
 
-def test_split_invariance_of_both_metrics():
-    rng = np.random.default_rng(47)
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=47)
+def test_split_invariance_of_both_metrics(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(5):
         g = random_graph(rng, 9, int(rng.integers(1, 3)))
         pts = random_points(rng, g, 7)
@@ -597,8 +606,11 @@ def test_onesum_additivity_through_articulation():
                 )
 
 
-def test_resistance_is_negative_type():
-    rng = np.random.default_rng(53)
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=53)
+def test_resistance_is_negative_type(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(5):
         g = random_graph(rng, 10, int(rng.integers(0, 3)))
         pts = random_points(rng, g, 8)
