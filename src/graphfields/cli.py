@@ -3,7 +3,8 @@
 Commands read graphs, point lists, and kernel specs from JSON files (or
 stdin via ``-``) and write JSON to stdout, or to ``--out``; matrix- and
 sample-shaped payloads are written as CSV instead when the ``--out`` path
-ends in ``.csv``.  Exit codes: 0 success, 1 I/O or parse errors, 2
+ends in ``.csv``.  Exit codes: 0 success, 1 I/O or parse errors (an empty
+points array, an unwritable ``--out``), 2
 validation failures (including a not-PSD verdict under ``--strict``).
 Errors are emitted as machine-readable JSON objects on stderr.
 """
@@ -85,9 +86,10 @@ def _load_graph(path: str):
 
 def _load_points(g, path: str):
     raw = _read_json(path, "points")
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not raw:
         raise _CliFailure(
-            1, {"error": "InputError", "message": "points file must be a JSON array"}
+            1,
+            {"error": "InputError", "message": "points file must be a non-empty JSON array"},
         )
     return [point_from_json(g, obj) for obj in raw]
 
@@ -100,20 +102,23 @@ def _emit(args, payload: dict, *, table=None) -> None:
     """Write ``payload`` as JSON, or ``table = (labels, matrix)`` as CSV when
     ``--out`` ends in ``.csv``."""
     out = args.out
-    if out and table is not None and out.endswith(".csv"):
-        labels, matrix = table
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(labels)
-            for row in np.asarray(matrix):
-                writer.writerow([repr(float(x)) for x in row])
+    if not out:
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    as_csv = table is not None and out.endswith(".csv")
+    try:
+        with open(out, "w", encoding="utf-8", newline="" if as_csv else None) as fh:
+            if as_csv:
+                writer = csv.writer(fh)
+                writer.writerow(table[0])
+                for row in np.asarray(table[1]):
+                    writer.writerow([repr(float(x)) for x in row])
+            else:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise _CliFailure(
+            1, {"error": "OutputError", "message": f"cannot write output: {exc}"}
+        ) from exc
 
 
 def _matrix_payload(metric: str, labels, matrix, **extra) -> dict:
@@ -311,9 +316,7 @@ def _cmd_simulate(args) -> int:
             origin=args.origin,
             min_separation=MIN_POINT_SEPARATION,
         )
-        sample = sample_from_covariance(
-            cov.values, args.n, args.seed, labels=cov.labels
-        )
+        sample = sample_from_covariance(cov, args.n, args.seed)
         model = {"model": "kernel", "kernel": kernel_spec_to_json(spec), "metric": kind.value}
     else:
         ctx = build_resistance_context(g, args.origin)

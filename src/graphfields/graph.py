@@ -51,9 +51,6 @@ class Edge:
     v: str
     length: float
 
-    def other(self, vertex: str) -> str:
-        return self.v if vertex == self.u else self.u
-
 
 @dataclass(frozen=True)
 class GraphPoint:
@@ -191,11 +188,6 @@ class EuclideanGraph:
         self._u = np.array([self._vindex[e.u] for e in self.edges], dtype=np.intp)
         self._v = np.array([self._vindex[e.v] for e in self.edges], dtype=np.intp)
         self._length = np.array([e.length for e in self.edges], dtype=float)
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e.id)
-            adj[e.v].append(e.id)
-        self.adjacency = {v: tuple(ids) for v, ids in adj.items()}
         self._weights = self._check_connected_and_consistent()
         n = len(self.vertices)
         # Row k of the store holds the distances from the vertex whose
@@ -413,81 +405,74 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
     Kinds are exhaustive and exclusive: Bridge (single edge), Cycle (as many
     edges as vertices within the block, i.e. a simple ring), Complex (more
     edges than vertices, i.e. the block contains two points joined by three
-    internally disjoint routes).  Uses an iterative depth-first search so
-    large graphs do not hit the recursion limit.
+    internally disjoint routes).  An iterative depth-first search from the
+    first vertex walks the edge table by integer positions; each vertex
+    meets its edges in the order of ``g.edges``, which fixes the block order.
     """
-    neighbors = {
-        v: tuple((eid, g.edge(eid).other(v)) for eid in g.adjacency[v])
-        for v in g.vertices
-    }
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    counter = 0
-    edge_stack: list[str] = []
-    raw_blocks: list[frozenset[str]] = []
-    articulation: set[str] = set()
+    n, m = len(g.vertices), len(g.edges)
+    # The edges at vertex v are entries start[v]:start[v + 1] of nbr_edge
+    # (edge positions, ascending) and nbr_vertex (the other endpoints).
+    ends, pos = np.concatenate((g._u, g._v)), np.tile(np.arange(m), 2)
+    order = np.lexsort((pos, ends))
+    nbr_edge = pos[order].tolist()
+    nbr_vertex = np.concatenate((g._v, g._u))[order].tolist()
+    start = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
 
-    for root in g.vertices:
-        if root in disc:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        root_children = 0
-        frames = [(root, None, iter(neighbors[root]))]
-        while frames:
-            v, parent_eid, it = frames[-1]
-            descended = False
-            for eid, w in it:
-                if eid == parent_eid:
-                    continue
-                if w not in disc:
-                    edge_stack.append(eid)
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    frames.append((w, eid, iter(neighbors[w])))
-                    descended = True
-                    break
-                if disc[w] < disc[v]:
-                    edge_stack.append(eid)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if descended:
+    disc, low = [-1] * n, [0] * n
+    disc[0] = counter = 0
+    edge_stack: list[int] = []
+    raw_blocks: list[list[int]] = []
+    cuts: list[int] = []  # the vertex at which each raw block closed
+    # A frame is [vertex, edge it was entered by, next incidence entry].
+    frames = [[0, -1, start[0]]]
+    while frames:
+        frame = frames[-1]
+        v, parent_e, first = frame
+        for k in range(first, start[v + 1]):
+            e, w = nbr_edge[k], nbr_vertex[k]
+            if e == parent_e:
                 continue
+            if disc[w] < 0:
+                edge_stack.append(e)
+                counter += 1
+                disc[w] = low[w] = counter
+                frame[2] = k + 1
+                frames.append([w, e, start[w]])
+                break
+            if disc[w] < disc[v]:
+                edge_stack.append(e)
+                low[v] = min(low[v], disc[w])
+        else:
             frames.pop()
             if not frames:
-                continue
+                break
             u = frames[-1][0]
-            if u == root:
-                root_children += 1
-            if low[v] < low[u]:
-                low[u] = low[v]
+            low[u] = min(low[u], low[v])
             if low[v] >= disc[u]:
-                block_edges = []
-                while True:
-                    eid = edge_stack.pop()
-                    block_edges.append(eid)
-                    if eid == parent_eid:
-                        break
-                raw_blocks.append(frozenset(block_edges))
-                if u != root:
-                    articulation.add(u)
-        if root_children >= 2:
-            articulation.add(root)
+                block = [edge_stack.pop()]
+                while block[-1] != parent_e:
+                    block.append(edge_stack.pop())
+                raw_blocks.append(block)
+                cuts.append(u)
+    articulation = {u for u in cuts if u != 0}
+    if cuts.count(0) >= 2:  # the root separates two blocks that close at it
+        articulation.add(0)
 
+    labels, iu, iv = g.vertices, g._u.tolist(), g._v.tolist()
     blocks = []
-    for edge_ids in raw_blocks:
-        block_vertices = set()
-        for eid in edge_ids:
-            e = g.edge(eid)
-            block_vertices.update((e.u, e.v))
-        if len(edge_ids) == 1:
+    for block in raw_blocks:
+        vertices = frozenset(labels[x] for e in block for x in (iu[e], iv[e]))
+        if len(block) == 1:
             kind = BlockKind.BRIDGE
-        elif len(edge_ids) == len(block_vertices):
+        elif len(block) == len(vertices):
             kind = BlockKind.CYCLE
         else:
             kind = BlockKind.COMPLEX
-        blocks.append(Block(edge_ids, frozenset(block_vertices), kind))
-    return BlockDecomposition(tuple(blocks), frozenset(articulation))
+        edge_ids = frozenset(g.edges[e].id for e in block)
+        blocks.append(Block(edge_ids, vertices, kind))
+    return BlockDecomposition(
+        tuple(blocks), frozenset(labels[x] for x in articulation)
+    )
 
 
 # -- JSON wire format --------------------------------------------------------

@@ -157,8 +157,8 @@ def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
         math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0"
     )
     arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteError("matrix contains non-finite entries")
     sym = 0.5 * (arr + arr.T)
@@ -170,9 +170,15 @@ def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
+    """A covariance matrix over labeled points with its eigen-certificate.
+
+    ``psd_certificate`` is :func:`psd_check` of ``values``, computed once
+    when the matrix is built; :func:`sample_from_covariance` reads it
+    instead of decomposing the matrix again.
+    """
+
     labels: tuple[str, ...]
     values: np.ndarray
-    metric: MetricKind
     psd_certificate: PsdReport
 
 
@@ -233,7 +239,6 @@ def covariance_matrix(
     return CovarianceMatrix(
         labels=tuple(point_label(p) for p in pts),
         values=values,
-        metric=MetricKind(kind),
         psd_certificate=psd_check(values, rel_tol),
     )
 

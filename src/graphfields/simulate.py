@@ -1,7 +1,8 @@
 """Gaussian field simulation on graphs and empirical variograms.
 
-Two samplers are provided.  ``sample_from_covariance`` draws from any PSD
-covariance matrix through a triangular factorization.  The constructive
+Two samplers are provided.  ``sample_from_covariance`` draws from a certified
+``CovarianceMatrix``: it reads the eigen-certificate that ``covariance_matrix``
+computed and factors the values by Cholesky.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it draws the
 vertex field of the graph subdivided at the sampled points, which has the
 canonical law there, by a triangular solve against the sparse factor of its
@@ -25,6 +26,7 @@ from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
 from .graph import point_label
+from .kernels import CovarianceMatrix
 from .metrics import (
     _SOLVE_COLUMNS,
     ResistanceContext,
@@ -34,7 +36,6 @@ from .metrics import (
     _variogram,
     canonical_points,
 )
-from .kernels import psd_check
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
@@ -85,22 +86,25 @@ def _stream(seed: int) -> np.random.Generator:
     )
 
 
-def sample_from_covariance(cov, n: int, seed: int, *, labels=None) -> FieldSample:
-    """Draw ``n`` independent zero-mean vectors with the given covariance."""
-    cov = np.asarray(cov, dtype=float)
+def sample_from_covariance(cov: CovarianceMatrix, n: int, seed: int) -> FieldSample:
+    """Draw ``n`` independent zero-mean vectors with the covariance ``cov``.
+
+    A not-PSD ``cov.psd_certificate`` is refused without decomposing the
+    values again; the Cholesky factor, with bounded diagonal jitter reported
+    in ``FieldSample.jitter``, guards the values.  Draws carry ``cov.labels``.
+    """
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
-    report = psd_check(cov)
+    report = cov.psd_certificate
     if not report.is_psd:
         raise NotPSDError(
             f"covariance is not PSD (min eigenvalue {report.min_eig:g})"
         )
-    factor, jitter = _chol_with_jitter(cov)
-    normals = _stream(seed).standard_normal((n, cov.shape[0]))
-    draws = normals @ factor.T
-    if labels is None:
-        labels = tuple(f"p{k}" for k in range(cov.shape[0]))
-    return FieldSample(labels=tuple(labels), draws=draws, seed=int(seed), jitter=jitter)
+    factor, jitter = _chol_with_jitter(cov.values)
+    normals = _stream(seed).standard_normal((n, cov.values.shape[0]))
+    return FieldSample(
+        labels=cov.labels, draws=normals @ factor.T, seed=int(seed), jitter=jitter
+    )
 
 
 def _vertex_field(lu: SuperLU, rng: np.random.Generator, n: int) -> np.ndarray:

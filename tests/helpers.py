@@ -90,7 +90,7 @@ def vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
 
 
 def has_edge_between(g: gf.EuclideanGraph, u: str, v: str) -> bool:
-    return any(g.edge(eid).other(u) == v for eid in g.adjacency[u])
+    return any({e.u, e.v} == {u, v} for e in g.edges)
 
 
 def random_tree(rng: np.random.Generator, n_vertices: int) -> gf.EuclideanGraph:
@@ -256,6 +256,10 @@ def embedding_gram(g: gf.EuclideanGraph, points, base_index: int, kind) -> np.nd
 def brute_force_vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
     """Minimum length over all simple vertex paths, by full enumeration."""
     best = math.inf
+    neighbors: dict[str, list[tuple[str, float]]] = {x: [] for x in g.vertices}
+    for e in g.edges:
+        neighbors[e.u].append((e.v, e.length))
+        neighbors[e.v].append((e.u, e.length))
 
     def descend(cur: str, acc: float, visited: frozenset) -> None:
         nonlocal best
@@ -264,11 +268,9 @@ def brute_force_vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
         if cur == v:
             best = acc
             return
-        for eid in g.adjacency[cur]:
-            e = g.edge(eid)
-            nxt = e.other(cur)
+        for nxt, length in neighbors[cur]:
             if nxt not in visited:
-                descend(nxt, acc + e.length, visited | {nxt})
+                descend(nxt, acc + length, visited | {nxt})
 
     descend(u, 0.0, frozenset({u}))
     return best

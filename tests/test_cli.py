@@ -14,7 +14,7 @@ import pytest
 import graphfields as gf
 from graphfields.cli import build_parser, main
 from graphfields.kernels import PSD_REL_TOL
-from .helpers import single_edge, theta_graph, unit_triangle
+from .helpers import figure_eight, single_edge, theta_graph, unit_triangle
 
 
 @pytest.fixture()
@@ -517,3 +517,93 @@ def test_unknown_point_reference_exits_2(capsys, workdir):
     )
     assert code == 2
     assert json.loads(err)["error"] == "UnknownVertex"
+
+
+def test_blocks_payload_is_byte_stable(capsys, workdir):
+    g = figure_eight()
+    g = gf.build_graph([*g.vertices, "F"], [*g.edges, ("bf", "B", "F", 2.0)])
+    path = workdir["dir"] / "eight_bridge.json"
+    path.write_text(json.dumps(gf.graph_to_json(g)))
+    code, out, _ = _run(capsys, ["blocks", "--graph", str(path)])
+    assert code == 0
+    assert json.loads(out) == {
+        "class": "SafeForGeodesic",
+        "articulation_vertices": ["A", "B"],
+        "blocks": [
+            {"kind": "Bridge", "edges": ["bf"], "vertices": ["B", "F"]},
+            {"kind": "Cycle", "edges": ["ab", "bc", "ca"], "vertices": ["A", "B", "C"]},
+            {"kind": "Cycle", "edges": ["ad", "de", "ea"], "vertices": ["A", "D", "E"]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, kernel",
+    [
+        (["distmatrix", "--metric", "resistance"], False),
+        (["distmatrix", "--metric", "geodesic"], False),
+        (["cov", "--metric", "resistance"], True),
+        (["cov", "--metric", "geodesic"], True),
+        (["psd-check", "--metric", "resistance"], True),
+        (["psd-check", "--metric", "geodesic"], True),
+        (["simulate"], False),
+        (["simulate", "--metric", "resistance"], True),
+        (["simulate", "--metric", "geodesic"], True),
+        (["variogram"], False),
+    ],
+)
+def test_empty_points_file_exits_1(capsys, workdir, command, kernel):
+    empty = workdir["dir"] / "empty.json"
+    empty.write_text("[]")
+    argv = [*command, "--graph", str(workdir["edge"]), "--points", str(empty)]
+    if kernel:
+        argv += ["--kernel", str(workdir["matern"])]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "InputError",
+        "message": "points file must be a non-empty JSON array",
+    }
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_unwritable_out_exits_1(capsys, workdir, suffix):
+    target = workdir["dir"] / "missing" / f"x{suffix}"
+    inputs = ["--graph", str(workdir["edge"]), "--out", str(target)]
+    for argv in (
+        ["validate", *inputs],
+        ["distmatrix", *inputs, "--points", str(workdir["points"])],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "OutputError"
+        assert payload["message"].startswith("cannot write output: ")
+        assert not target.exists()
+
+
+def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, _, _ = _run(
+        capsys,
+        [
+            "simulate",
+            "--graph",
+            str(workdir["edge"]),
+            "--points",
+            str(workdir["points"]),
+            "--kernel",
+            str(workdir["matern"]),
+            "--n",
+            "3",
+        ],
+    )
+    assert code == 0
+    assert calls == [(4, 4)]

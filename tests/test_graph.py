@@ -17,8 +17,10 @@ from .helpers import (
     figure_eight,
     has_edge_between,
     isomorphic_by_labels,
+    jittered_grid,
     path_abc,
     random_graph,
+    random_onesum,
     single_edge,
     theta_graph,
     unit_square,
@@ -279,7 +281,7 @@ def test_split_partitions_length():
     assert len(g2.edges) == 2 and len(g2.vertices) == 3
     lengths = sorted(e.length for e in g2.edges)
     assert lengths == [0.25, 0.75]
-    assert len(g2.adjacency[w]) == 2
+    assert sum(w in (e.u, e.v) for e in g2.edges) == 2
 
 
 def test_split_square_midpoint_revalidates_as_cycle():
@@ -348,3 +350,41 @@ def test_blocks_partition_edges_and_kinds_are_consistent():
             gf.GeodesicValidity.FORBIDDEN if has_complex else gf.GeodesicValidity.SAFE
         )
         assert decomposition.validity is expected
+
+
+def _assert_blocks_match_networkx(g):
+    """Block edge sets and articulation vertices equal networkx's, which
+    shares no code with the decomposition under test."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    edge_id = {}
+    for e in g.edges:
+        h.add_edge(e.u, e.v)
+        edge_id[frozenset((e.u, e.v))] = e.id
+    expected = [
+        frozenset(edge_id[frozenset(pair)] for pair in component)
+        for component in nx.biconnected_component_edges(h)
+    ]
+    decomposition = gf.block_decomposition(g)
+    got = [b.edge_ids for b in decomposition.blocks]
+    assert len(got) == len(expected) and set(got) == set(expected)
+    assert decomposition.articulation_vertices == frozenset(nx.articulation_points(h))
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 30),
+    n_chords=st.integers(0, 8),
+)
+def test_blocks_match_networkx_on_random_graphs(seed, n_vertices, n_chords):
+    rng = np.random.default_rng(seed)
+    n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
+    _assert_blocks_match_networkx(random_graph(rng, n_vertices, n_chords))
+
+
+def test_blocks_match_networkx_on_grid_and_cactus():
+    rng = np.random.default_rng(29)
+    _assert_blocks_match_networkx(jittered_grid(rng, 12))
+    _assert_blocks_match_networkx(random_onesum(rng, 40))

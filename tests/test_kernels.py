@@ -265,6 +265,12 @@ def test_psd_check_rejects_non_finite():
         gf.psd_check(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_psd_check_rejects_empty_and_non_square():
+    for shape in ((0, 0), (2, 3), (4,)):
+        with pytest.raises(ValueError):
+            gf.psd_check(np.zeros(shape))
+
+
 def test_psd_check_symmetrizes():
     asym = np.array([[1.0, 0.2], [0.0, 1.0]])
     report = gf.psd_check(asym)

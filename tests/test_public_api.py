@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import graphfields as gf
+from .helpers import unit_square
 
 # Adding or removing a public name must edit this list on purpose.
 PUBLIC_NAMES = [
@@ -75,3 +78,31 @@ def test_public_names_are_exactly_the_locked_list_and_resolve():
     assert sorted(gf.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gf, name) is not None, name
+
+
+# The fields, in order, of the public dataclasses, and their other public
+# members (properties and methods).  Each change edits these on purpose.
+DATACLASS_FIELDS = {
+    "CovarianceMatrix": (["labels", "values", "psd_certificate"], []),
+    "Edge": (["id", "u", "v", "length"], []),
+    "FieldSample": (["labels", "draws", "seed", "jitter"], []),
+    "GraphPoint": (["vertex", "edge", "offset"], ["is_vertex"]),
+    "KernelSpec": (["family", "alpha", "beta", "xi"], []),
+    "PsdReport": (["min_eig", "max_eig", "is_psd"], ["verdict"]),
+}
+
+GRAPH_ATTRIBUTES = ["edge", "edges", "total_length", "vertex_index", "vertices"]
+
+
+def test_dataclass_fields_are_locked():
+    for name, (fields, members) in DATACLASS_FIELDS.items():
+        cls = getattr(gf, name)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert names == fields, name
+        public = {a for a in dir(cls) if not a.startswith("_")}
+        assert sorted(public - set(names)) == members, name
+
+
+def test_built_graph_attributes_are_locked():
+    g = unit_square()
+    assert sorted(a for a in dir(g) if not a.startswith("_")) == GRAPH_ATTRIBUTES

@@ -14,36 +14,51 @@ from graphfields.simulate import _stream
 from .helpers import figure_eight, single_edge, unit_square
 
 
+def certified(values, labels=None) -> gf.CovarianceMatrix:
+    """``values`` as a covariance matrix with its eigen-certificate."""
+    values = np.asarray(values, dtype=float)
+    if labels is None:
+        labels = tuple(str(k) for k in range(len(values)))
+    return gf.CovarianceMatrix(labels, values, gf.psd_check(values))
+
+
 def test_identity_covariance_monte_carlo():
-    sample = gf.sample_from_covariance(np.eye(4), 10000, seed=7)
+    sample = gf.sample_from_covariance(certified(np.eye(4)), 10000, seed=7)
     empirical = np.cov(sample.draws, rowvar=False)
     assert np.max(np.abs(empirical - np.eye(4))) < 0.05
 
 
 def test_scalar_covariance_draws_are_standard_normal():
-    sample = gf.sample_from_covariance(np.array([[1.0]]), 10000, seed=3)
+    sample = gf.sample_from_covariance(certified([[1.0]]), 10000, seed=3)
     assert abs(float(sample.draws.mean())) < 0.03
     assert float(sample.draws.std()) == pytest.approx(1.0, abs=0.05)
 
 
 def test_fixed_seed_is_bitwise_reproducible():
-    a = gf.sample_from_covariance(np.eye(3), 17, seed=42)
-    b = gf.sample_from_covariance(np.eye(3), 17, seed=42)
+    a = gf.sample_from_covariance(certified(np.eye(3)), 17, seed=42)
+    b = gf.sample_from_covariance(certified(np.eye(3)), 17, seed=42)
     assert a.draws.tobytes() == b.draws.tobytes()
-    c = gf.sample_from_covariance(np.eye(3), 17, seed=43)
+    c = gf.sample_from_covariance(certified(np.eye(3)), 17, seed=43)
     assert a.draws.tobytes() != c.draws.tobytes()
 
 
 def test_not_psd_rejected():
     with pytest.raises(gf.NotPSDError):
-        gf.sample_from_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, seed=0)
+        gf.sample_from_covariance(certified([[1.0, 2.0], [2.0, 1.0]]), 5, seed=0)
+
+
+def test_sampler_reads_the_certificate_not_the_values():
+    # Cholesky would factor these values; the certificate says not PSD.
+    cov = gf.CovarianceMatrix(("a", "b"), np.eye(2), gf.PsdReport(-0.5, 1.0, False))
+    with pytest.raises(gf.NotPSDError, match=r"^covariance is not PSD \(min eigenvalue -0.5\)$"):
+        gf.sample_from_covariance(cov, 5, seed=0)
 
 
 def test_singular_psd_gets_reported_jitter():
     cov = np.ones((2, 2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sample = gf.sample_from_covariance(cov, 1000, seed=1)
+        sample = gf.sample_from_covariance(certified(cov), 1000, seed=1)
     assert sample.jitter > 0.0
     assert sample.jitter <= 1e-10 * cov.diagonal().max()
     assert any("jitter" in str(w.message) for w in caught)
@@ -87,7 +102,9 @@ def test_constructive_and_covariance_routes_agree():
     n = 20000
     constructive = gf.sample_canonical_field(ctx, pts, n, seed=13)
     target = gf.r_graph_matrix(ctx, [gf.canonicalize(g, p) for p in pts])
-    direct = gf.sample_from_covariance(target, n, seed=14, labels=constructive.labels)
+    direct = gf.sample_from_covariance(
+        certified(target, constructive.labels), n, seed=14
+    )
     cov_a = np.cov(constructive.draws, rowvar=False)
     cov_b = np.cov(direct.draws, rowvar=False)
     sd = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
@@ -147,7 +164,7 @@ def test_variogram_single_edge_pair_value():
 
 def test_draw_count_validation():
     with pytest.raises(gf.TooFewSamplesError):
-        gf.sample_from_covariance(np.eye(2), 0, seed=1)
+        gf.sample_from_covariance(certified(np.eye(2)), 0, seed=1)
     g = single_edge()
     ctx = gf.build_resistance_context(g)
     with pytest.raises(gf.TooFewSamplesError):
