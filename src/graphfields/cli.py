@@ -3,9 +3,12 @@
 Commands read graphs, point lists, and kernel specs from JSON files (or
 stdin via ``-``) and write JSON to stdout, or to ``--out``; matrix- and
 sample-shaped payloads are written as CSV instead when the ``--out`` path
-ends in ``.csv``.  Exit codes: 0 success, 1 I/O or parse errors (an empty
-points array, an unwritable ``--out``), 2
-validation failures (including a not-PSD verdict under ``--strict``).
+ends in ``.csv``.  JSON output is byte for byte ``json.dumps(payload,
+indent=2)`` and CSV cells are ``repr`` of each float, so both are
+byte-stable; each distinct float of a matrix or sample is formatted once.
+Exit codes: 0 success, 1 I/O or parse errors (an empty points array, an
+unwritable ``--out``), 2 validation failures (including a not-PSD verdict
+under ``--strict``).
 Errors are emitted as machine-readable JSON objects on stderr.
 """
 
@@ -98,12 +101,60 @@ def _load_kernel(path: str):
     return kernel_spec_from_json(_read_json(path, "kernel spec"))
 
 
+# json's spelling of the non-finite floats -> repr's, which CSV cells keep.
+_REPR_SPECIALS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
+def _float_text(a, *, as_repr: bool = False) -> np.ndarray:
+    """The text of each entry of the float array ``a``, as ``json`` writes it
+    (or ``repr`` with ``as_repr``), in an object array of ``a``'s shape.
+
+    Each distinct bit pattern is formatted once, by one call into json's C
+    encoder; keying on bits keeps ``0.0`` and ``-0.0`` apart.  A symmetric
+    matrix holds about half as many distinct values as entries.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    tokens = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+    if as_repr:
+        tokens = [_REPR_SPECIALS.get(t, t) for t in tokens]
+    return np.array(tokens, dtype=object)[inverse.reshape(a.shape)]
+
+
+def _matrix_json(a) -> str:
+    """A 2-D float array as ``json.dumps(a.tolist(), indent=2)`` writes it one
+    level deep, as a value of a top-level key."""
+    rows = [
+        "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
+        for row in _float_text(a).tolist()
+    ]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+
+
+def _dumps(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, indent=2)`` with 2-D float arrays in
+    place of nested lists.
+
+    The arrays are laid out by ``_matrix_json``; every other value goes
+    through ``json`` and is re-indented one level, which is exact because
+    JSON text holds no raw newline.
+    """
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            text = _matrix_json(value)
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
 def _emit(args, payload: dict, *, table=None) -> None:
     """Write ``payload`` as JSON, or ``table = (labels, matrix)`` as CSV when
     ``--out`` ends in ``.csv``."""
     out = args.out
     if not out:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
         return
     as_csv = table is not None and out.endswith(".csv")
     try:
@@ -111,10 +162,9 @@ def _emit(args, payload: dict, *, table=None) -> None:
             if as_csv:
                 writer = csv.writer(fh)
                 writer.writerow(table[0])
-                for row in np.asarray(table[1]):
-                    writer.writerow([repr(float(x)) for x in row])
+                writer.writerows(_float_text(table[1], as_repr=True).tolist())
             else:
-                fh.write(json.dumps(payload, indent=2) + "\n")
+                fh.write(_dumps(payload) + "\n")
     except OSError as exc:
         raise _CliFailure(
             1, {"error": "OutputError", "message": f"cannot write output: {exc}"}
@@ -125,7 +175,7 @@ def _matrix_payload(metric: str, labels, matrix, **extra) -> dict:
     payload = {
         "metric": metric,
         "labels": list(labels),
-        "matrix": np.asarray(matrix, dtype=float).tolist(),
+        "matrix": np.asarray(matrix, dtype=float),
     }
     payload.update(extra)
     return payload
@@ -326,7 +376,7 @@ def _cmd_simulate(args) -> int:
         "labels": list(sample.labels),
         "seed": sample.seed,
         "n": int(sample.draws.shape[0]),
-        "draws": np.asarray(sample.draws, dtype=float).tolist(),
+        "draws": np.asarray(sample.draws, dtype=float),
         **model,
     }
     _emit(args, payload, table=(sample.labels, sample.draws))

@@ -10,9 +10,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfields as gf
-from graphfields.cli import build_parser, main
+from graphfields.cli import _dumps, _float_text, build_parser, main
 from graphfields.kernels import PSD_REL_TOL
 from .helpers import figure_eight, single_edge, theta_graph, unit_triangle
 
@@ -607,3 +609,102 @@ def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeyp
     )
     assert code == 0
     assert calls == [(4, 4)]
+
+
+# Floats whose text is easy to get wrong: signed zeros, non-finite values,
+# subnormals and both sides of repr's switches to exponent notation.
+_EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e16, 9999999999999998.0, 1e-5, 0.0001, 1e-300, 1.5e300, 0.1, 1.0, -1.0,
+]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats()
+_LABELS = st.sampled_from(['"', "\\", ", ", "], [", 'a,"b', "\u00e9t\u00e9", "\u65e5\u672c", "\n"]) | st.text(max_size=6)
+
+
+@st.composite
+def _float_arrays(draw):
+    """1 x k, k x 1 or k x k float arrays (k may be 0), square ones possibly
+    bit-symmetric; the edge floats make values repeat."""
+    shape = draw(st.sampled_from(["row", "column", "square"]))
+    k = draw(st.integers(0, 6))
+    rows, cols = {"row": (1, k), "column": (k, 1), "square": (k, k)}[shape]
+    cells = draw(st.lists(_FLOATS, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(cells, dtype=float).reshape(rows, cols)
+    if shape == "square" and draw(st.booleans()):
+        a = np.where(np.triu(np.ones((k, k), dtype=bool)), a, a.T)
+    return a
+
+
+_PAYLOADS = st.dictionaries(
+    _LABELS,
+    st.one_of(
+        _float_arrays(),
+        st.lists(_LABELS, max_size=4),
+        _FLOATS,
+        st.integers(),
+        st.booleans(),
+        st.none(),
+        st.dictionaries(_LABELS, _FLOATS | _LABELS, max_size=3),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300)
+@given(_PAYLOADS)
+def test_dumps_is_json_dumps_indent_2(payload):
+    as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    assert _dumps(payload) == json.dumps(as_lists, indent=2)
+    for value in payload.values():
+        if isinstance(value, np.ndarray):
+            reference = [[repr(float(x)) for x in row] for row in value]
+            assert _float_text(value, as_repr=True).tolist() == reference
+
+
+def test_every_command_prints_the_indent_2_layout(capsys, workdir):
+    graph = ["--graph", str(workdir["edge"])]
+    inputs = [*graph, "--points", str(workdir["points"])]
+    kernel = ["--kernel", str(workdir["matern"])]
+    ends = ["--from", '{"vertex":"0"}', "--to", '{"edge":"e1","offset":0.25}']
+    for argv in (
+        ["validate", *graph],
+        ["blocks", "--graph", str(workdir["theta"])],
+        ["forbidden-check", "--graph", str(workdir["theta"])],
+        ["dist", *graph, "--metric", "resistance", *ends],
+        ["dist", *graph, "--metric", "geodesic", *ends],
+        ["distmatrix", *inputs, "--metric", "resistance"],
+        ["distmatrix", *inputs, "--metric", "geodesic"],
+        ["cov", *inputs, *kernel],
+        ["psd-check", *inputs, *kernel],
+        ["star-check", *kernel, "--n", "3"],
+        ["simulate", *inputs, "--n", "3", "--seed", "2"],
+        ["simulate", *inputs, *kernel, "--n", "3", "--seed", "2"],
+        ["variogram", *inputs, "--n", "50", "--seed", "3"],
+    ):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        out_json = workdir["dir"] / "out.json"
+        code, _, _ = _run(capsys, [*argv, "--out", str(out_json)])
+        assert code == 0 and out_json.read_text(encoding="utf-8") == out
+
+
+def test_csv_quotes_labels_and_keeps_repr_text(capsys, workdir):
+    g = gf.build_graph(["A", "B"], [('a,"b', "A", "B", 1.0)])
+    path = workdir["dir"] / "quoted.json"
+    path.write_text(json.dumps(gf.graph_to_json(g)))
+    points = workdir["dir"] / "quoted_points.json"
+    points.write_text(json.dumps([{"edge": 'a,"b', "offset": x} for x in (0.0, 0.1, 1e-5)]))
+    argv = ["distmatrix", "--graph", str(path), "--points", str(points), "--metric", "geodesic"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(payload["labels"])
+    for row in payload["matrix"]:
+        writer.writerow([repr(float(x)) for x in row])
+    out_csv = workdir["dir"] / "quoted.csv"
+    code, _, _ = _run(capsys, [*argv, "--out", str(out_csv)])
+    assert code == 0
+    assert out_csv.read_bytes() == expected.getvalue().encode("utf-8")
