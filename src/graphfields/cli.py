@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -41,7 +42,6 @@ from .kernels import (
 from .metrics import (
     MetricKind,
     build_resistance_context,
-    canonical_points,
     distance_matrix,
     geodesic_distance,
     resistance_distance,
@@ -207,23 +207,27 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    g = _load_graph(args.graph)
-    decomposition = block_decomposition(g)
-    _emit(
-        args,
-        {
-            "class": decomposition.validity.value,
-            "articulation_vertices": sorted(decomposition.articulation_vertices),
-            "blocks": [
-                {
-                    "kind": b.kind.value,
-                    "edges": sorted(b.edge_ids),
-                    "vertices": sorted(b.vertices),
-                }
-                for b in decomposition.blocks
-            ],
-        },
-    )
+    """``blocks`` emits the decomposition, ``forbidden-check`` only its class
+    and, for a forbidden graph, a witness."""
+    decomposition = block_decomposition(_load_graph(args.graph))
+    payload = {"class": decomposition.validity.value}
+    if not args.validity_only:
+        payload["articulation_vertices"] = sorted(decomposition.articulation_vertices)
+        payload["blocks"] = [
+            {"kind": b.kind.value, "edges": sorted(b.edge_ids), "vertices": sorted(b.vertices)}
+            for b in decomposition.blocks
+        ]
+    elif decomposition.validity is GeodesicValidity.FORBIDDEN:
+        witness = forbidden_certificate(0.5, 1.0)
+        payload["witness"] = {
+            "t": witness.t,
+            "r": witness.r,
+            "xi_value": witness.xi_value,
+            "quadratic_form": witness.quadratic_form,
+            "beta_found": witness.beta_found,
+            "negative_eigenvalue": witness.negative_eigenvalue,
+        }
+    _emit(args, payload)
     return 0
 
 
@@ -251,11 +255,12 @@ def _cmd_distmatrix(args) -> int:
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
-    labels = [point_label(p) for p in canonical_points(g, points)]
-    extra = {}
+    labels = [point_label(p) for p in points]
+    extra, ctx = {}, None
     if kind is MetricKind.RESISTANCE:
-        extra["origin"] = build_resistance_context(g, args.origin).origin
-    matrix = distance_matrix(g, points, kind, origin=args.origin)
+        ctx = build_resistance_context(g, args.origin)
+        extra["origin"] = ctx.origin
+    matrix = distance_matrix(g, points, kind, ctx=ctx)
     _emit(
         args,
         _matrix_payload(kind.value, labels, matrix, **extra),
@@ -303,24 +308,6 @@ def _cmd_cov(args) -> int:
     return 0
 
 
-def _cmd_forbidden_check(args) -> int:
-    g = _load_graph(args.graph)
-    validity = block_decomposition(g).validity
-    payload = {"class": validity.value}
-    if validity is GeodesicValidity.FORBIDDEN:
-        witness = forbidden_certificate(0.5, 1.0)
-        payload["witness"] = {
-            "t": witness.t,
-            "r": witness.r,
-            "xi_value": witness.xi_value,
-            "quadratic_form": witness.quadratic_form,
-            "beta_found": witness.beta_found,
-            "negative_eigenvalue": witness.negative_eigenvalue,
-        }
-    _emit(args, payload)
-    return 0
-
-
 def _cmd_star_check(args) -> int:
     spec = _load_kernel(args.kernel)
     profile = lambda t: radial_profile(spec, t)  # noqa: E731
@@ -353,6 +340,8 @@ def _cmd_star_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """``simulate`` emits the draws, ``variogram`` only their empirical
+    variogram."""
     g = _load_graph(args.graph)
     points = _load_points(g, args.points)
     if args.kernel:
@@ -372,35 +361,22 @@ def _cmd_simulate(args) -> int:
         ctx = build_resistance_context(g, args.origin)
         sample = sample_canonical_field(ctx, points, args.n, args.seed)
         model = {"model": "canonical", "origin": ctx.origin}
-    payload = {
-        "labels": list(sample.labels),
-        "seed": sample.seed,
-        "n": int(sample.draws.shape[0]),
-        "draws": np.asarray(sample.draws, dtype=float),
-        **model,
-    }
-    _emit(args, payload, table=(sample.labels, sample.draws))
-    return 0
-
-
-def _cmd_variogram(args) -> int:
-    g = _load_graph(args.graph)
-    points = _load_points(g, args.points)
-    ctx = build_resistance_context(g, args.origin)
-    sample = sample_canonical_field(ctx, points, args.n, args.seed)
-    vario = empirical_variogram(sample)
-    _emit(
-        args,
-        _matrix_payload(
-            "empirical_variogram",
-            sample.labels,
-            vario,
-            n=int(sample.draws.shape[0]),
-            seed=sample.seed,
-            origin=ctx.origin,
-        ),
-        table=(sample.labels, vario),
-    )
+    n = int(sample.draws.shape[0])
+    if args.variogram:
+        table = (sample.labels, empirical_variogram(sample))
+        payload = _matrix_payload(
+            "empirical_variogram", *table, n=n, seed=sample.seed, origin=ctx.origin
+        )
+    else:
+        table = (sample.labels, sample.draws)
+        payload = {
+            "labels": list(sample.labels),
+            "seed": sample.seed,
+            "n": n,
+            "draws": np.asarray(sample.draws, dtype=float),
+            **model,
+        }
+    _emit(args, payload, table=table)
     return 0
 
 
@@ -425,7 +401,10 @@ def _add_common(p, *, points=False, metric=False, kernel=False, origin=False):
     p.add_argument("--out", default=None, help="write output here instead of stdout; .csv selects CSV for matrices/samples")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on first use and shared by
+    later calls."""
     parser = argparse.ArgumentParser(
         prog="graphfields",
         description="metrics, covariance kernels, and Gaussian fields on graphs with Euclidean edges",
@@ -438,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blocks", help="block decomposition and geodesic validity class")
     _add_common(p)
-    p.set_defaults(func=_cmd_blocks)
+    p.set_defaults(func=_cmd_blocks, validity_only=False)
 
     p = sub.add_parser("dist", help="distance between two points")
     _add_common(p, metric=True, origin=True)
@@ -465,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="geodesic validity class, with a six-point witness when forbidden",
     )
     _add_common(p)
-    p.set_defaults(func=_cmd_forbidden_check)
+    p.set_defaults(func=_cmd_blocks, validity_only=True)
 
     p = sub.add_parser("star-check", help="star covariance inequalities for a kernel")
     p.add_argument("--kernel", required=True, help="kernel spec JSON file")
@@ -479,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=None, help="sample a kernel covariance instead of the canonical field")
     p.add_argument("--n", type=int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, variogram=False)
 
     p = sub.add_parser("variogram", help="empirical variogram of the canonical field")
     _add_common(p, points=True, origin=True)
     p.add_argument("--n", type=int, default=20000, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=_cmd_variogram)
+    p.set_defaults(func=_cmd_simulate, variogram=True, kernel=None)
 
     return parser
 

@@ -204,10 +204,7 @@ class EuclideanGraph:
         A route shorter than an edge is shorter than the longest edge, so
         Dijkstra stops at that distance and runs over blocks of source rows.
         An edge's route length is the minimum over both directions, as in
-        :meth:`_distance_block`.  The matrix holds both directions of every
-        edge, so the directed search relaxes the same sums as the undirected
-        one, and every distance within the limit is bit-identical to the
-        rows a geodesic query reads.
+        :meth:`_distance_block`, whose directed search reads the same matrix.
         """
         n = len(self.vertices)
         iu, iv, lengths = self._u, self._v, self._length
@@ -251,15 +248,16 @@ class EuclideanGraph:
     def _distance_block(self, idx: np.ndarray) -> np.ndarray:
         """Shortest-route distances between the vertices with the distinct
         indices ``idx``: the symmetric block ``minimum(B, B.T)`` of
-        ``B = D[idx][:, idx]``, where row ``i`` of ``D`` is the undirected
-        Dijkstra search from vertex ``i``.
+        ``B = D[idx][:, idx]``, where row ``i`` of ``D`` is the Dijkstra
+        search from vertex ``i`` over the symmetric matrix of edge lengths
+        that :meth:`_check_connected_and_consistent` searches too.
 
         Rows not yet in the store are computed in one call and appended.
         """
         pos, rows = self._row_store
         missing = idx[pos[idx] < 0]
         if missing.size:
-            new = dijkstra(self._weights, directed=False, indices=missing)
+            new = dijkstra(self._weights, directed=True, indices=missing)
             pos = pos.copy()
             pos[missing] = np.arange(len(rows), len(rows) + len(missing))
             rows = np.concatenate((rows, new)) if len(rows) else new

@@ -180,12 +180,16 @@ def test_forbidden_check_emits_witness(capsys, workdir):
     code, out, _ = _run(capsys, ["forbidden-check", "--graph", str(workdir["theta"])])
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["class", "witness"]
     assert payload["class"] == "ForbiddenForGeodesic"
     witness = payload["witness"]
+    assert list(witness) == [
+        "t", "r", "xi_value", "quadratic_form", "beta_found", "negative_eigenvalue",
+    ]
     assert witness["quadratic_form"] == -0.25
-    assert witness["t"] == 0.5 and witness["r"] == 1.0
-    assert witness["beta_found"] is not None
-    assert witness["negative_eigenvalue"] < -1e-8
+    assert witness["t"] == 0.5 and witness["r"] == 1.0 and witness["xi_value"] == 0.5
+    assert witness["beta_found"] == 0.001
+    assert witness["negative_eigenvalue"] == pytest.approx(-1.3163341117965497e-4, rel=1e-6)
 
 
 def test_forbidden_check_safe_graph_has_no_witness(capsys, workdir):
@@ -193,8 +197,7 @@ def test_forbidden_check_safe_graph_has_no_witness(capsys, workdir):
     safe.write_text(json.dumps(gf.graph_to_json(unit_triangle())))
     code, out, _ = _run(capsys, ["forbidden-check", "--graph", str(safe)])
     assert code == 0
-    payload = json.loads(out)
-    assert payload == {"class": "SafeForGeodesic"}
+    assert out == '{\n  "class": "SafeForGeodesic"\n}\n'
 
 
 def test_distmatrix_json_and_csv_agree(capsys, workdir):
@@ -537,6 +540,78 @@ def test_blocks_payload_is_byte_stable(capsys, workdir):
             {"kind": "Cycle", "edges": ["ad", "de", "ea"], "vertices": ["A", "D", "E"]},
         ],
     }
+
+
+_POINT_LABELS = ["0", "e1@0.25", "e1@0.75", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, kernel, head, array, tail",
+    [
+        (
+            "variogram",
+            False,
+            {"metric": "empirical_variogram", "labels": _POINT_LABELS},
+            ("matrix", (4, 4)),
+            {"n": 3, "seed": 5, "origin": "0"},
+        ),
+        (
+            "simulate",
+            False,
+            {"labels": _POINT_LABELS, "seed": 5, "n": 3},
+            ("draws", (3, 4)),
+            {"model": "canonical", "origin": "0"},
+        ),
+        (
+            "simulate",
+            True,
+            {"labels": _POINT_LABELS, "seed": 5, "n": 3},
+            ("draws", (3, 4)),
+            {
+                "model": "kernel",
+                "kernel": {"family": "matern", "alpha": 0.5, "beta": 1.0},
+                "metric": "resistance",
+            },
+        ),
+    ],
+)
+def test_sample_payloads_are_byte_stable(capsys, workdir, command, kernel, head, array, tail):
+    argv = [command, "--graph", str(workdir["edge"]), "--points", str(workdir["points"]),
+            "--n", "3", "--seed", "5"]
+    if kernel:
+        argv += ["--kernel", str(workdir["matern"])]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [*head, array[0], *tail]
+    assert {k: payload[k] for k in head} == head
+    assert np.shape(payload[array[0]]) == array[1]
+    assert {k: payload[k] for k in tail} == tail
+
+
+def test_repeated_main_calls_share_no_state(capsys, workdir):
+    assert build_parser() is build_parser()
+    cov = ["cov", "--graph", str(workdir["witness_graph"]),
+           "--points", str(workdir["witness_points"]),
+           "--kernel", str(workdir["flat_exp"]), "--metric", "geodesic"]
+    code, _, err = _run(capsys, [*cov, "--strict"])
+    assert code == 2 and json.loads(err)["error"] == "NotPSD"
+    code, out, err = _run(capsys, cov)
+    assert code == 0 and err == ""
+    assert json.loads(out)["psd_certificate"]["verdict"] == "not_psd"
+
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"]), "--n", "3"]
+    code, out, _ = _run(capsys, ["variogram", *inputs])
+    assert code == 0 and json.loads(out)["metric"] == "empirical_variogram"
+    code, out, _ = _run(capsys, ["simulate", *inputs])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["model"] == "canonical" and "draws" in payload and "matrix" not in payload
+
+    code, out, _ = _run(capsys, ["forbidden-check", "--graph", str(workdir["theta"])])
+    assert code == 0 and "witness" in json.loads(out)
+    code, out, _ = _run(capsys, ["blocks", "--graph", str(workdir["theta"])])
+    assert code == 0 and list(json.loads(out)) == ["class", "articulation_vertices", "blocks"]
 
 
 @pytest.mark.parametrize(
