@@ -101,6 +101,11 @@ def _load_kernel(path: str):
     return kernel_spec_from_json(_read_json(path, "kernel spec"))
 
 
+def _resistance_context(g, kind: MetricKind, origin):
+    """The one context a resistance command reads; geodesic ones take none."""
+    return build_resistance_context(g, origin) if kind is MetricKind.RESISTANCE else None
+
+
 # json's spelling of the non-finite floats -> repr's, which CSV cells keep.
 _REPR_SPECIALS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
@@ -256,10 +261,8 @@ def _cmd_distmatrix(args) -> int:
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
     labels = [point_label(p) for p in points]
-    extra, ctx = {}, None
-    if kind is MetricKind.RESISTANCE:
-        ctx = build_resistance_context(g, args.origin)
-        extra["origin"] = ctx.origin
+    ctx = _resistance_context(g, kind, args.origin)
+    extra = {} if ctx is None else {"origin": ctx.origin}
     matrix = distance_matrix(g, points, kind, ctx=ctx)
     _emit(
         args,
@@ -275,12 +278,13 @@ def _cmd_cov(args) -> int:
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
     spec = _load_kernel(args.kernel)
+    ctx = _resistance_context(g, kind, args.origin)
     cov = covariance_matrix(
         g,
         points,
         spec,
         kind,
-        origin=args.origin,
+        ctx=ctx,
         rel_tol=args.tol,
         min_separation=MIN_POINT_SEPARATION,
     )
@@ -289,8 +293,8 @@ def _cmd_cov(args) -> int:
         _emit(args, certificate)
     else:
         extra = {"kernel": kernel_spec_to_json(spec), "psd_certificate": certificate}
-        if kind is MetricKind.RESISTANCE:
-            extra["origin"] = build_resistance_context(g, args.origin).origin
+        if ctx is not None:
+            extra["origin"] = ctx.origin
         _emit(
             args,
             _matrix_payload(kind.value, cov.labels, cov.values, **extra),
@@ -352,7 +356,7 @@ def _cmd_simulate(args) -> int:
             points,
             spec,
             kind,
-            origin=args.origin,
+            ctx=_resistance_context(g, kind, args.origin),
             min_separation=MIN_POINT_SEPARATION,
         )
         sample = sample_from_covariance(cov, args.n, args.seed)

@@ -57,8 +57,19 @@ class MetricKind(str, Enum):
 # -- point bookkeeping -------------------------------------------------------
 
 
-def canonical_points(g: EuclideanGraph, points) -> list[GraphPoint]:
-    return [canonicalize(g, p) for p in points]
+class _CanonicalPoints(tuple):
+    """Points that :func:`canonical_points` checked and normalized on
+    ``graph``; handing them to it again costs nothing."""
+
+    graph: EuclideanGraph
+
+
+def canonical_points(g: EuclideanGraph, points) -> tuple[GraphPoint, ...]:
+    if isinstance(points, _CanonicalPoints) and points.graph is g:
+        return points
+    pts = _CanonicalPoints(canonicalize(g, p) for p in points)
+    pts.graph = g
+    return pts
 
 
 def _point_frame(g: EuclideanGraph, points):

@@ -241,6 +241,28 @@ def test_origin_only_on_commands_that_read_it(capsys, workdir):
         assert code == 0 and json.loads(out)["origin"] == "1"
 
 
+@pytest.mark.parametrize(
+    "command", [["cov"], ["psd-check"], ["simulate", "--n", "2", "--seed", "1"]]
+)
+def test_kernel_commands_build_one_resistance_context(capsys, workdir, monkeypatch, command):
+    origins = []
+    real = gf.metrics.build_resistance_context
+
+    def counting(g, origin=None):
+        origins.append(origin)
+        return real(g, origin)
+
+    monkeypatch.setattr(gf.metrics, "build_resistance_context", counting)
+    monkeypatch.setattr(gf.cli, "build_resistance_context", counting)
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    argv = [command[0], *inputs, "--kernel", str(workdir["matern"]), "--origin", "1"]
+    code, _, _ = _run(capsys, [*argv, *command[1:]])
+    assert code == 0 and origins == ["1"]
+    origins.clear()
+    code, _, _ = _run(capsys, [*argv, *command[1:], "--metric", "geodesic"])
+    assert code == 0 and origins == []
+
+
 def test_cov_reports_psd_certificate(capsys, workdir):
     code, out, _ = _run(
         capsys,

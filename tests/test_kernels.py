@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,7 +114,109 @@ def test_matern_half_matches_exponential():
     t = np.linspace(0.005, 10.0, 100)
     for beta in (0.5, 1.0, 2.0):
         matern = gf.radial_profile(KernelSpec(KernelFamily.MATERN, 0.5, beta), t)
-        assert np.max(np.abs(matern - np.exp(-beta * t))) <= 1e-10
+        assert np.array_equal(matern, np.exp(-beta * t))
+
+
+def _kv_matern(nu, z):
+    """The Matern profile from one scipy.special.kv call per entry."""
+    z = np.asarray(z, dtype=float)
+    tiny = np.maximum(z, 1e-300)
+    out = tiny**nu * scipy.special.kv(nu, tiny) / (2.0 ** (nu - 1.0) * scipy.special.gamma(nu))
+    return np.where(z > 0, out, 1.0)
+
+
+# The band edges 2^k of the Matern evaluator (z_0 = 2 is the first) with
+# both float neighbours, then z = 700, and the profile there at beta = 1:
+# mpmath 1.3 (40 digits) of z^nu besselk(nu, z) / (2^(nu-1) gamma(nu)) at
+# the exact float z and nu.
+MATERN_Z = np.array(
+    [f(2.0**k) for k in range(1, 10) for f in (
+        lambda e: np.nextafter(e, 0.0), lambda e: e, lambda e: np.nextafter(e, np.inf)
+    )] + [700.0]
+)
+MATERN_MPMATH = {
+    1e-06: (
+        2.2778787698161971e-07, 2.2778787698161965e-07, 2.2778787698161952e-07,
+        2.2319380525383956e-08, 2.2319380525383943e-08, 2.2319380525383923e-08,
+        2.9294198563936856e-10, 2.9294198563936825e-10, 2.9294198563936773e-10,
+        6.9988419213665968e-14, 6.998841921366583e-14, 6.9988419213665577e-14,
+        5.5901337633427073e-21, 5.590133763342687e-21, 5.5901337633426463e-21,
+        5.0154874876660331e-35, 5.0154874876659978e-35, 5.0154874876659261e-35,
+        5.6933888996078047e-63, 5.6933888996077226e-63, 5.6933888996075607e-63,
+        1.0360323032665593e-118, 1.0360323032665298e-118, 1.0360323032664708e-118,
+        4.8481600946881423e-230, 4.8481600946878659e-230, 4.848160094687314e-230,
+        9.3396129649695044e-312,
+    ),
+    0.05: (
+        0.011705435476699605, 0.011705435476699602, 0.011705435476699595,
+        0.0011871000735961383, 0.0011871000735961376, 0.0011871000735961363,
+        1.6127981341587107e-05, 1.6127981341587093e-05, 1.6127981341587063e-05,
+        3.9888215723207049e-09, 3.9888215723206974e-09, 3.9888215723206826e-09,
+        3.2981894486974836e-16, 3.2981894486974718e-16, 3.2981894486974481e-16,
+        3.0634405525445834e-30, 3.0634405525445617e-30, 3.0634405525445179e-30,
+        3.600096668051533e-58, 3.6000966680514821e-58, 3.6000966680513795e-58,
+        6.7821235868673345e-114, 6.7821235868671412e-114, 6.7821235868667545e-114,
+        3.2856363658606693e-225, 3.2856363658604821e-225, 3.2856363658601084e-225,
+        6.4292809967830384e-307,
+    ),
+    0.25: (
+        0.063646271806136606, 0.063646271806136592, 0.063646271806136565,
+        0.0073724181519448278, 0.0073724181519448243, 0.0073724181519448173,
+        0.00011468775970047272, 0.00011468775970047261, 0.00011468775970047241,
+        3.2526684438678942e-08, 3.2526684438678882e-08, 3.2526684438678763e-08,
+        3.0866498544333799e-15, 3.0866498544333689e-15, 3.0866498544333468e-15,
+        3.2917606039138117e-29, 3.2917606039137887e-29, 3.2917606039137416e-29,
+        4.4426114342790446e-57, 4.4426114342789818e-57, 4.442611434278855e-57,
+        9.612697319700224e-113, 9.6126973196999504e-113, 9.6126973196994034e-113,
+        5.3490873670538669e-224, 5.3490873670535636e-224, 5.3490873670529551e-224,
+        1.1142467986488878e-305,
+    ),
+    0.4999: (
+        0.13530591755681962, 0.13530591755681959, 0.13530591755681953,
+        0.018310567674709493, 0.018310567674709486, 0.018310567674709469,
+        0.0003353482863934212, 0.00033534828639342088, 0.00033534828639342028,
+        1.1248934257370766e-07, 1.1248934257370746e-07, 1.1248934257370707e-07,
+        1.2658149306352673e-14, 1.2658149306352629e-14, 1.2658149306352539e-14,
+        1.6029390964127388e-28, 1.6029390964127273e-28, 1.6029390964127045e-28,
+        2.5706339833328064e-56, 2.5706339833327698e-56, 2.5706339833326969e-56,
+        6.611751801786113e-112, 6.6117518017859246e-112, 6.6117518017855488e-112,
+        4.3742048149065852e-223, 4.3742048149063364e-223, 4.3742048149058396e-223,
+        9.8519669225595008e-305,
+    ),
+}
+
+
+@pytest.mark.parametrize("nu", sorted(MATERN_MPMATH))
+def test_matern_profile_matches_mpmath_at_band_edges(nu):
+    spec = KernelSpec(KernelFamily.MATERN, nu, 1.0)
+    got = gf.radial_profile(spec, MATERN_Z)
+    ref = np.array(MATERN_MPMATH[nu])
+    # z = 700 at nu = 1e-6 is subnormal: no float is nearer than its spacing.
+    err = np.abs(got - ref) - np.finfo(float).smallest_subnormal
+    quadrature = MATERN_Z >= kernels._KV_Z0
+    assert np.all(err[quadrature] <= 5e-14 * ref[quadrature])
+    # Below z_0 the profile is scipy's kv as before, bit for bit; its series
+    # is off by up to 6.5e-14 just below 2 at these nu.
+    assert np.array_equal(got[~quadrature], _kv_matern(nu, MATERN_Z[~quadrature]))
+    assert np.all(err[~quadrature] <= 1e-13 * ref[~quadrature])
+    assert gf.radial_profile(spec, 800.0) == 0.0
+
+
+@pytest.mark.parametrize("nu", [1e-6, 0.05, 0.25, 0.4999, 0.5])
+def test_matern_profile_follows_kv_densely(nu):
+    z = np.concatenate([[0.0], np.geomspace(1e-3, 1100.0, 40001)])
+    got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), z)
+    assert np.max(np.abs(got - _kv_matern(nu, z))) <= 1e-15
+
+
+@pytest.mark.parametrize("nu", [1e-6, 0.05, 0.25, 0.4999])
+def test_matern_profile_decreases_across_band_edges(nu):
+    # Steps of 1e-11 relative move the profile by about 1e-11 z relative,
+    # far more than the evaluator's error on either side of an edge.
+    steps = 1.0 + 1e-11 * np.arange(-3, 4)
+    for k in range(1, 10):
+        values = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), 2.0**k * steps)
+        assert np.all(np.diff(values) < 0.0), k
 
 
 def test_dagum_value():
@@ -217,11 +320,27 @@ def test_covariance_matrix_equals_entrywise_profile_across_row_blocks(kind):
     pts = random_points(rng, g, max(sizes), vertex_share=0.2)
     for m in sizes:
         dm = gf.distance_matrix(g, pts[:m], kind)
-        for spec in IN_RANGE_SPECS[1::2]:
+        # The last spec puts z = beta t between 0.08 and about 105, across the
+        # kv range and six bands of the Matern evaluator.
+        for spec in [*IN_RANGE_SPECS[1::2], KernelSpec(KernelFamily.MATERN, 0.3, 9.0)]:
             expected = gf.radial_profile(spec, dm)
             np.fill_diagonal(expected, 1.0)
             cov = gf.covariance_matrix(g, pts[:m], spec, kind)
             assert np.array_equal(cov.values, expected), (m, spec)
+
+
+def test_covariance_matrix_canonicalizes_each_point_once(monkeypatch):
+    seen = []
+    real = gf.metrics.canonicalize
+    monkeypatch.setattr(gf.metrics, "canonicalize", lambda g, p: seen.append(p) or real(g, p))
+    g = path_abc()
+    points = [gf.vertex_point("A"), gf.edge_point("ab", 1.0), gf.edge_point("bc", 0.5)]
+    ctx = gf.build_resistance_context(g, "C")
+    cov = gf.covariance_matrix(g, points, IN_RANGE_SPECS[3], MetricKind.RESISTANCE, ctx=ctx)
+    assert seen == points and cov.labels == ("A", "B", "bc@0.5")
+    with pytest.raises(ValueError):
+        gf.covariance_matrix(single_edge(), [gf.vertex_point("0")], IN_RANGE_SPECS[3],
+                             MetricKind.RESISTANCE, ctx=ctx)
 
 
 def test_matern_covariance_peaks_below_two_matrices():
