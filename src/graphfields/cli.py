@@ -36,11 +36,13 @@ from .kernels import (
     forbidden_certificate,
     kernel_spec_from_json,
     kernel_spec_to_json,
+    psd_check,
     radial_profile,
     star_inequality_check,
 )
 from .metrics import (
     MetricKind,
+    _CanonicalPoints,
     build_resistance_context,
     distance_matrix,
     geodesic_distance,
@@ -87,14 +89,15 @@ def _load_graph(path: str):
     return graph_from_json(_read_json(path, "graph"))
 
 
-def _load_points(g, path: str):
+def _load_points(g, path: str) -> _CanonicalPoints:
+    """The points of ``path``, canonicalized once, by ``point_from_json``."""
     raw = _read_json(path, "points")
     if not isinstance(raw, list) or not raw:
         raise _CliFailure(
             1,
             {"error": "InputError", "message": "points file must be a non-empty JSON array"},
         )
-    return [point_from_json(g, obj) for obj in raw]
+    return _CanonicalPoints(g, (point_from_json(g, obj) for obj in raw))
 
 
 def _load_kernel(path: str):
@@ -273,7 +276,11 @@ def _cmd_distmatrix(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    """``cov`` emits the certified matrix, ``psd-check`` only its certificate."""
+    """``cov`` emits the certified matrix, ``psd-check`` only its certificate.
+
+    Both print eigenvalues, so a certificate that proved the matrix
+    positive definite without them is replaced by ``psd_check``'s report.
+    """
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
@@ -288,7 +295,10 @@ def _cmd_cov(args) -> int:
         rel_tol=args.tol,
         min_separation=MIN_POINT_SEPARATION,
     )
-    certificate = _psd_json(cov.psd_certificate)
+    report = cov.psd_certificate
+    if report.min_eig is None:
+        report = psd_check(cov.values, args.tol)
+    certificate = _psd_json(report)
     if args.certificate_only:
         _emit(args, certificate)
     else:
@@ -300,7 +310,7 @@ def _cmd_cov(args) -> int:
             _matrix_payload(kind.value, cov.labels, cov.values, **extra),
             table=(cov.labels, cov.values),
         )
-    if args.strict and not cov.psd_certificate.is_psd:
+    if args.strict and not report.is_psd:
         raise _CliFailure(
             2,
             {

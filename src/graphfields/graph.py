@@ -32,8 +32,10 @@ from .errors import (
     UnknownVertexError,
 )
 
-# Absolute tolerance for the distance-consistency check is this factor times
-# the largest edge length; the check itself is scale covariant.
+# An edge fails the distance-consistency check when a route between its
+# endpoints is shorter than its length by more than this factor times that
+# length.  A shorter route sums lengths below the edge's own, so its rounding
+# is on that scale, and a verdict does not depend on the other edges.
 DISTANCE_TOL_SCALE = 1e-9
 
 # The consistency check runs Dijkstra from as many source rows at a time as
@@ -233,8 +235,7 @@ class EuclideanGraph:
                     shortest[here], dist[src[here] - start, dst[here]]
                 )
 
-        tol = DISTANCE_TOL_SCALE * max_len
-        bad = np.flatnonzero(shortest < lengths - tol)
+        bad = np.flatnonzero(shortest < lengths - DISTANCE_TOL_SCALE * lengths)
         if bad.size:
             e = self.edges[bad[0]]
             raise DistanceInconsistentError(

@@ -22,12 +22,16 @@ its small-z series, which is off by up to 2e-13 relative just below 2;
 above 2 the two agree within 2e-16 absolute in the profile, so the
 covariances move by no more than that.
 
-Beyond kernel evaluation the module certifies positive semi-definiteness of
-matrices numerically, constructs an explicit six-point witness showing that
-graphs containing three disjoint routes between two points break the
-exponential family under the geodesic metric, and implements the
-degree-based bound and covariance inequalities that any valid radial profile
-must satisfy on star-shaped networks.
+Beyond kernel evaluation the module certifies covariance matrices.  A
+covariance matrix is proved positive definite by one Cholesky factorization
+of a slightly shifted copy (Rump's test, :func:`_proves_positive_definite`);
+only a matrix that the proof does not cover gets :func:`psd_check`, a
+relative band around its ``eigvalsh`` eigenvalues.  The module also
+constructs an explicit six-point witness showing that graphs containing
+three disjoint routes between two points break the exponential family under
+the geodesic metric, and implements the degree-based bound and covariance
+inequalities that any valid radial profile must satisfy on star-shaped
+networks.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _bessel_kv
 
@@ -242,11 +247,19 @@ def _matern(nu: float, z: np.ndarray) -> np.ndarray:
 
 # -- PSD certification -------------------------------------------------------
 
+# Unit roundoff and smallest positive (subnormal) number of float64.
+_U = 2.0**-53
+_ETA = 2.0**-1074
+
 
 @dataclass(frozen=True)
 class PsdReport:
-    min_eig: float
-    max_eig: float
+    """A PSD verdict.  With eigenvalues it is :func:`psd_check`'s band
+    verdict; without (``min_eig`` and ``max_eig`` None) it is a proof that
+    the matrix is positive definite."""
+
+    min_eig: float | None
+    max_eig: float | None
     is_psd: bool
 
     @property
@@ -254,17 +267,22 @@ class PsdReport:
         return "psd" if self.is_psd else "not_psd"
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    _check_range(
+        math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0"
+    )
+
+
 def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
     """Certify positive semi-definiteness up to a relative eigenvalue band.
 
     The input is symmetrized as (M + M^T)/2 first; the verdict is PSD when
-    min_eig >= -rel_tol * max(|max_eig|, 1).  ``rel_tol`` must be finite
-    and nonnegative: a NaN or negative band would report a positive
-    definite matrix as not PSD.
+    its ``eigvalsh`` estimate min_eig >= -rel_tol * max(|max_eig|, 1).  The
+    report always carries both eigenvalues.  ``rel_tol`` must be finite and
+    nonnegative: a NaN or negative band would report a positive definite
+    matrix as not PSD.
     """
-    _check_range(
-        math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0"
-    )
+    _check_rel_tol(rel_tol)
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
@@ -277,13 +295,93 @@ def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
     return PsdReport(min_eig, max_eig, min_eig >= -rel_tol * max(abs(max_eig), 1.0))
 
 
+def _proves_positive_definite(a: np.ndarray) -> bool:
+    """True only if the exactly symmetric float matrix ``a`` is positive
+    definite: LAPACK's Cholesky of H = fl(A - cI) ran to completion.
+
+    Let m be the order, u = 2^-53, gamma = gamma_(m+1) with
+    gamma_k = k u / (1 - k u), and eta = 2^-1074.  If the Cholesky factor R
+    of H is computed without underflow, R^T R = H + dH with
+    |dH| <= gamma |R^T| |R| entrywise (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3).  Write r_i for column i of R.
+    By Cauchy-Schwarz |r_i|^T |r_j| <= ||r_i|| ||r_j||, so for a unit
+    vector x, |x^T dH x| <= gamma (sum_i ||r_i|| |x_i|)^2
+    <= gamma sum_i ||r_i||^2; and ||r_i||^2 = h_ii + dh_ii gives
+    ||r_i||^2 <= h_ii / (1 - gamma).  A pivot <= 0 stops the factorization,
+    so h_ii > 0 and a_ii > c, and h_ii = (a_ii - c)(1 + d_i) with
+    |d_i| <= u.  Together,
+
+        x^T A x = x^T R^T R x - x^T dH x + c - sum_i (a_ii - c) d_i x_i^2
+               >= c - gamma / (1 - gamma) (1 + u) tr(A) - u max_i a_ii.
+
+    Underflow adds at most eta to a product and nothing to a sum, so at
+    most tau = (2m + 2 + max_i a_ii) eta to an entry of dH: 2m eta through
+    an inner product, and eta times the pivot's root r_jj <= 1 + max_i a_ii
+    through a division by it.  That is m tau more on |x^T dH x|, and at most
+    m tau more through ||r_i||^2 <= (h_ii + tau) / (1 - gamma).  Hence A is
+    positive definite when
+
+        c > gamma / (1 - gamma) (1 + u) tr(A) + u max_i a_ii
+            + 2m (2m + 2 + max_i a_ii) eta,
+
+    which is about 2.8e-11 for a unit diagonal at m = 500.  ``c`` is that
+    sum, with the trace summed by ``math.fsum``, times 1 + 2^-40, which
+    covers the factor 1 + u and the rounding of the dozen operations that
+    form it.  This is Rump's test (Verification of positive definiteness,
+    BIT 46, 2006), whose corollary takes a shift of this form.  The bound
+    assumes IEEE round to nearest with gradual underflow, and holds for any
+    order of summation, so for the blocked and recursive factorizations
+    that LAPACK's ``dpotrf`` runs; for a division by a pivot taken as a
+    multiplication by its reciprocal, one more rounding that gamma_(m+1)
+    leaves room for; and for fused multiply-adds, which only remove
+    roundings.
+
+    An empty matrix, one with a non-finite entry and one with a diagonal
+    entry <= 0 are not proved.  OpenBLAS's ``dpotrf`` stops on a pivot <= 0
+    but not on a NaN one, which an overflow could leave, so the pivots it
+    leaves on the diagonal must be finite too.  The test reads one
+    triangle; ``a`` is left unchanged.
+    """
+    m = a.shape[0]
+    diag = a.diagonal()
+    if not m or not np.isfinite(a).all() or not (diag > 0.0).all():
+        return False
+    gamma = (m + 1) * _U / (1.0 - (m + 1) * _U)
+    dmax = float(diag.max())
+    shift = (1.0 + 2.0**-40) * (
+        gamma / (1.0 - gamma) * math.fsum(diag.tolist())
+        + _U * dmax
+        + 2.0 * m * (2.0 * m + 2.0 + dmax) * _ETA
+    )
+    if not math.isfinite(shift):
+        return False
+    h = a.copy()
+    h.flat[:: m + 1] -= shift
+    # h is symmetric, so h.T is the same matrix in the Fortran order that
+    # dpotrf factors in place.
+    _, info = _dpotrf(h.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0 and bool(np.isfinite(h.diagonal()).all())
+
+
+def _certificate(values: np.ndarray, rel_tol: float) -> PsdReport:
+    """The proof of :func:`_proves_positive_definite` when it holds, else
+    :func:`psd_check`; ``rel_tol`` is checked either way."""
+    _check_rel_tol(rel_tol)
+    if _proves_positive_definite(values):
+        return PsdReport(min_eig=None, max_eig=None, is_psd=True)
+    return psd_check(values, rel_tol)
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """A covariance matrix over labeled points with its eigen-certificate.
+    """A covariance matrix over labeled points with its PSD certificate.
 
-    ``psd_certificate`` is :func:`psd_check` of ``values``, computed once
-    when the matrix is built; :func:`sample_from_covariance` reads it
-    instead of decomposing the matrix again.
+    ``psd_certificate`` is computed once, when the matrix is built: a proof
+    of positive definiteness without eigenvalues when the shifted Cholesky
+    test holds, else :func:`psd_check` of ``values``.  A proof implies the
+    band verdict at any ``rel_tol`` above ``eigvalsh``'s own error, about
+    m u times the largest eigenvalue.  :func:`sample_from_covariance` reads
+    the certificate instead of decomposing the matrix again.
     """
 
     labels: tuple[str, ...]
@@ -351,7 +449,7 @@ def covariance_matrix(
     return CovarianceMatrix(
         labels=tuple(point_label(p) for p in pts),
         values=values,
-        psd_certificate=psd_check(values, rel_tol),
+        psd_certificate=_certificate(values, rel_tol),
     )
 
 

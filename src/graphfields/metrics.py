@@ -58,18 +58,22 @@ class MetricKind(str, Enum):
 
 
 class _CanonicalPoints(tuple):
-    """Points that :func:`canonical_points` checked and normalized on
-    ``graph``; handing them to it again costs nothing."""
+    """Points checked and normalized on ``graph`` (by :func:`canonical_points`
+    or ``graph.point_from_json``); handing them to :func:`canonical_points`
+    again costs nothing."""
 
     graph: EuclideanGraph
+
+    def __new__(cls, g: EuclideanGraph, points):
+        self = super().__new__(cls, points)
+        self.graph = g
+        return self
 
 
 def canonical_points(g: EuclideanGraph, points) -> tuple[GraphPoint, ...]:
     if isinstance(points, _CanonicalPoints) and points.graph is g:
         return points
-    pts = _CanonicalPoints(canonicalize(g, p) for p in points)
-    pts.graph = g
-    return pts
+    return _CanonicalPoints(g, (canonicalize(g, p) for p in points))
 
 
 def _point_frame(g: EuclideanGraph, points):

@@ -1,8 +1,9 @@
 """Gaussian field simulation on graphs and empirical variograms.
 
 Two samplers are provided.  ``sample_from_covariance`` draws from a certified
-``CovarianceMatrix``: it reads the eigen-certificate that ``covariance_matrix``
-computed and factors the values by Cholesky.  The constructive
+``CovarianceMatrix``: it reads the PSD certificate that ``covariance_matrix``
+computed (a proof, or an eigenvalue band where the proof does not hold) and
+factors the values by Cholesky.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it draws the
 vertex field of the graph subdivided at the sampled points, which has the
 canonical law there, by a triangular solve against the sparse factor of its
@@ -90,8 +91,10 @@ def sample_from_covariance(cov: CovarianceMatrix, n: int, seed: int) -> FieldSam
     """Draw ``n`` independent zero-mean vectors with the covariance ``cov``.
 
     A not-PSD ``cov.psd_certificate`` is refused without decomposing the
-    values again; the Cholesky factor, with bounded diagonal jitter reported
-    in ``FieldSample.jitter``, guards the values.  Draws carry ``cov.labels``.
+    values again; only an eigenvalue report can say not PSD, so the error
+    quotes its smallest eigenvalue.  The Cholesky factor, with bounded
+    diagonal jitter reported in ``FieldSample.jitter``, guards the values.
+    Draws carry ``cov.labels``.
     """
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")

@@ -682,30 +682,68 @@ def test_unwritable_out_exits_1(capsys, workdir, suffix):
 
 
 def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    # Each kernel command proves its matrix by one shifted Cholesky; only
+    # the commands that print eigenvalues run eigvalsh, once.
+    calls = {"eigvalsh": [], "dpotrf": []}
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name, module, attr):
+        real = getattr(module, attr)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    code, _, _ = _run(
-        capsys,
-        [
-            "simulate",
-            "--graph",
-            str(workdir["edge"]),
-            "--points",
-            str(workdir["points"]),
-            "--kernel",
-            str(workdir["matern"]),
-            "--n",
-            "3",
-        ],
-    )
+        def counted(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    counting("eigvalsh", np.linalg, "eigvalsh")
+    counting("dpotrf", gf.kernels, "_dpotrf")
+    files = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"]),
+             "--kernel", str(workdir["matern"])]
+    for argv, eigvalsh in (
+        (["simulate", *files, "--n", "3"], []),
+        (["cov", *files], [(4, 4)]),
+        (["psd-check", *files], [(4, 4)]),
+    ):
+        calls["eigvalsh"].clear()
+        calls["dpotrf"].clear()
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert calls == {"eigvalsh": eigvalsh, "dpotrf": [(4, 4)]}, argv[0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["distmatrix", "--metric", "resistance"],
+        ["distmatrix", "--metric", "geodesic"],
+        ["cov", "--metric", "resistance", "--kernel", "matern"],
+        ["psd-check", "--metric", "geodesic", "--kernel", "matern"],
+        ["simulate", "--kernel", "matern"],
+        ["simulate"],
+        ["variogram", "--n", "2"],
+    ],
+)
+def test_loaded_points_are_canonicalized_once(capsys, workdir, monkeypatch, command):
+    seen = []
+    real = gf.graph.canonicalize
+
+    def counted(g, p):
+        seen.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(gf.graph, "canonicalize", counted)
+    monkeypatch.setattr(gf.metrics, "canonicalize", counted)
+    # The one workdir file named in a command is its kernel.
+    argv = [command[0], "--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    argv += [str(workdir[arg]) if arg in workdir else arg for arg in command[1:]]
+    code, _, _ = _run(capsys, argv)
     assert code == 0
-    assert calls == [(4, 4)]
+    assert [gf.point_to_json(p) for p in seen] == [
+        {"vertex": "0"},
+        {"edge": "e1", "offset": 0.25},
+        {"edge": "e1", "offset": 0.75},
+        {"vertex": "1"},
+    ]
 
 
 # Floats whose text is easy to get wrong: signed zeros, non-finite values,

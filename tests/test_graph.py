@@ -178,8 +178,8 @@ def test_consistency_errors_match_all_pairs_reference(
 ):
     # One more chord, shorter than its endpoints' distance, equal to it or
     # longer, goes anywhere in the edge order.  Construction must raise
-    # exactly when some edge is longer than its endpoints' distance minus the
-    # tolerance, naming the first such edge and that distance.
+    # exactly when some edge is longer than its endpoints' distance minus its
+    # own tolerance, naming the first such edge and that distance.
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_vertices, n_chords)
     free = [
@@ -193,12 +193,12 @@ def test_consistency_errors_match_all_pairs_reference(
     edges.insert(position % (len(edges) + 1), ("chord", u, v, factor * base))
 
     reference = _all_pairs_reference(g.vertices, edges)
-    tol = gf.graph.DISTANCE_TOL_SCALE * max(length for *_, length in edges)
+    scale = gf.graph.DISTANCE_TOL_SCALE
     offending = [
         (eid, shortest)
         for eid, a, b, length in edges
         for shortest in [min(reference[a][b], reference[b][a])]
-        if shortest < length - tol
+        if shortest < length - scale * length
     ]
     if not offending:
         gf.build_graph(g.vertices, edges)
@@ -208,6 +208,54 @@ def test_consistency_errors_match_all_pairs_reference(
     edge_id, shortest = offending[0]
     assert info.value.detail["edge_id"] == edge_id
     assert abs(info.value.detail["shortest"] - shortest) <= 4 * np.spacing(shortest)
+
+
+def _build_verdict(vertices, edges):
+    """None if the graph builds, else the inconsistent edge and its route."""
+    try:
+        gf.build_graph(vertices, edges)
+    except gf.DistanceInconsistentError as exc:
+        return exc.detail["edge_id"], exc.detail["shortest"]
+    return None
+
+
+def test_consistency_tolerance_is_per_edge():
+    # A route 4.8 % shorter than the edge ab is refused whatever else the
+    # graph holds; a tolerance scaled by the longest edge let the pendant
+    # edge ad hide it.
+    triangle = [("ab", "a", "b", 2.1e-3), ("ac", "a", "c", 1e-3), ("cb", "c", "b", 1e-3)]
+    refused = ("ab", 2e-3)
+    assert _build_verdict(["a", "b", "c"], triangle) == refused
+    pendant = [*triangle, ("ad", "a", "d", 1e6)]
+    assert _build_verdict(["a", "b", "c", "d"], pendant) == refused
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(4, 10),
+    shortfall=st.sampled_from([0.0, 2e-10, 8e-10, 1.2e-9, 5e-9, 1e-3]),
+    pendant=st.floats(1.0, 1e9),
+)
+def test_long_pendant_edge_never_changes_a_verdict(seed, n_vertices, shortfall, pendant):
+    # A chord a little longer than its endpoints' distance, by a relative
+    # shortfall on both sides of the tolerance, keeps its verdict when a
+    # long pendant edge is attached anywhere.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, 1)
+    free = [
+        (a, b)
+        for a, b in itertools.combinations(g.vertices, 2)
+        if not has_edge_between(g, a, b)
+    ]
+    u, v = free[int(rng.integers(len(free)))]
+    chord = vertex_distance(g, u, v) / (1.0 - shortfall)
+    edges = [(e.id, e.u, e.v, e.length) for e in g.edges] + [("chord", u, v, chord)]
+    at = g.vertices[int(rng.integers(len(g.vertices)))]
+    verdict = _build_verdict(g.vertices, edges)
+    assert verdict == _build_verdict(
+        [*g.vertices, "far"], [*edges, ("pendant", at, "far", pendant)]
+    )
 
 
 def test_large_grid_builds_without_all_pairs_table():

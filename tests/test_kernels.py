@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -406,6 +407,137 @@ def test_psd_check_rejects_band_that_is_not_finite_and_nonnegative(rel_tol):
         gf.psd_check(positive_definite, rel_tol)
     assert info.value.field == "rel_tol"
     assert gf.psd_check(positive_definite, 0.0).is_psd
+
+
+# -- positive definiteness proof -----------------------------------------------------
+
+
+def test_proof_refuses_theta_witness_matrices_with_a_negative_eigenvalue():
+    # exp(-beta d_G) on the six witness points is indefinite over the low
+    # end of the forbidden_certificate scan and proved above it.
+    g, points = gf.theta_witness_graph(0.5, 1.0)
+    dm = gf.distance_matrix(g, points, MetricKind.GEODESIC)
+    negative = 0
+    for beta in np.geomspace(*kernels._BETA_SCAN_RANGE, kernels._BETA_SCAN_COUNT):
+        cov = gf.covariance_matrix(
+            g, points, KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, beta),
+            MetricKind.GEODESIC,
+        )
+        assert np.array_equal(cov.values, np.exp(-beta * dm))
+        report = gf.psd_check(cov.values)
+        if report.min_eig < 0:
+            negative += 1
+            assert not kernels._proves_positive_definite(cov.values), beta
+            assert cov.psd_certificate == report
+        else:
+            assert cov.psd_certificate == gf.PsdReport(None, None, True), beta
+    assert negative > 50
+
+
+@pytest.mark.parametrize("exponent", [33, 43, 50])
+def test_proof_refuses_planted_negative_eigenvalue(exponent):
+    # H diag(lam) H^T / 16 for the 16 x 16 Hadamard matrix H is dense and
+    # exact: every lam is a multiple of 2^-50 below 1/2, so each inner
+    # product stays within 53 bits.  Its eigenvalues are lam exactly, the
+    # smallest -2^-exponent (-1.2e-10, -1.1e-13, -8.9e-16).  With that sign
+    # flipped the matrix is positive definite, and it is proved when the
+    # eigenvalue clears the shift, about 1.1e-14 here.
+    hadamard = scipy.linalg.hadamard(16).astype(float)
+    lam = np.random.default_rng(exponent).integers(4, 9, size=16) / 16.0
+    for smallest in (-(2.0**-exponent), 2.0**-exponent):
+        lam[0] = smallest
+        a = (hadamard * lam) @ hadamard.T / 16.0
+        assert np.array_equal(a, a.T)
+        report = gf.psd_check(a)
+        # The 1e-9 band admits every one of them.
+        assert abs(report.min_eig - smallest) < 1e-14 and report.is_psd
+        proved = smallest > 1e-13
+        assert kernels._proves_positive_definite(a) is proved
+        assert kernels._certificate(a, kernels.PSD_REL_TOL) == (
+            gf.PsdReport(None, None, True) if proved else report
+        )
+
+
+def test_proof_refuses_zero_diagonal_and_non_finite_entries():
+    # Zero diagonals, and a singular matrix that is only semi-definite.
+    for a in ([[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+              [[1.0, -1.0], [-1.0, 1.0]]):
+        assert not kernels._proves_positive_definite(np.array(a))
+    assert not kernels._proves_positive_definite(np.zeros((0, 0)))
+    # [[0]] and the singular all-ones matrix still read psd through the band.
+    assert kernels._certificate(np.zeros((1, 1)), 0.0) == gf.PsdReport(0.0, 0.0, True)
+    assert kernels._certificate(np.ones((2, 2)), 1e-9).is_psd
+    # OpenBLAS's dpotrf completes on a NaN pivot; the proof does not.
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    assert scipy.linalg.lapack.dpotrf(nan, lower=1)[1] == 0
+    assert not kernels._proves_positive_definite(nan)
+    assert not kernels._proves_positive_definite(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    assert not kernels._proves_positive_definite(np.array([[np.inf]]))
+    # Finite but indefinite: row 4 overflows to inf, inf * 0 leaves a NaN
+    # pivot, and dpotrf again reports success.
+    overflow = np.diag([1e-100] * 4)
+    overflow[3, 0] = overflow[0, 3] = 1e300
+    assert scipy.linalg.lapack.dpotrf(overflow, lower=1)[1] == 0
+    assert not kernels._proves_positive_definite(overflow)
+
+
+def test_proof_leaves_the_matrix_unchanged():
+    x = np.linspace(0.0, 3.0, 40)
+    a = np.exp(-np.abs(x[:, None] - x[None, :]))
+    before = a.copy()
+    assert kernels._proves_positive_definite(a)
+    assert np.array_equal(a, before)
+
+
+def test_covariance_matrix_checks_rel_tol_when_proved():
+    g = path_abc()
+    points = [gf.vertex_point(v) for v in "ABC"]
+    spec, kind = IN_RANGE_SPECS[0], MetricKind.RESISTANCE
+    assert gf.covariance_matrix(g, points, spec, kind).psd_certificate.min_eig is None
+    for rel_tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(gf.ParamOutOfRangeError) as info:
+            gf.covariance_matrix(g, points, spec, kind, rel_tol=rel_tol)
+        assert info.value.field == "rel_tol"
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(IN_RANGE_SPECS),
+    beta_scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+    kind=st.sampled_from(list(MetricKind)),
+    gap=st.sampled_from([None, 1e-6, 1e-10, 1e-13]),
+)
+def test_certificate_verdict_equals_eigenvalue_verdict(seed, spec, beta_scale, kind, gap):
+    # Random graphs (geodesic kernels on their complex blocks can be
+    # indefinite), flat and steep kernels, and twins of some edge points a
+    # relative gap apart: a proof and the band agree on every verdict, and
+    # an unproved matrix carries exactly psd_check's report.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, int(rng.integers(4, 14)), int(rng.integers(0, 4)))
+    points = random_points(rng, g, int(rng.integers(2, 30)), vertex_share=0.2)
+    if gap is not None:
+        for p in points[: int(rng.integers(1, 4))]:
+            if not p.is_vertex:
+                twin = p.offset * (1.0 + gap)
+                if twin < g.edge(p.edge).length:
+                    points.append(gf.edge_point(p.edge, twin))
+    spec = KernelSpec(spec.family, spec.alpha, spec.beta * beta_scale, spec.xi)
+    cov = gf.covariance_matrix(g, points, spec, kind)
+    report = gf.psd_check(cov.values)
+    assert cov.psd_certificate.is_psd == report.is_psd
+    if cov.psd_certificate.min_eig is not None:
+        assert cov.psd_certificate == report
+
+
+def test_random_positive_definite_corpus_is_proved():
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        g = random_graph(rng, int(rng.integers(8, 22)), int(rng.integers(0, 4)))
+        points = random_points(rng, g, 100, vertex_share=0.2)
+        for spec in IN_RANGE_SPECS:
+            cov = gf.covariance_matrix(g, points, spec, MetricKind.RESISTANCE)
+            assert cov.psd_certificate == gf.PsdReport(None, None, True), spec
 
 
 # -- embedding gram -----------------------------------------------------------------
