@@ -207,7 +207,7 @@ def _cmd_validate(args) -> int:
         {
             "valid": True,
             "n_vertices": len(g.vertices),
-            "n_edges": len(g.edges),
+            "n_edges": len(g._ids),
             "total_length": g.total_length,
         },
     )

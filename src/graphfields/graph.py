@@ -14,13 +14,16 @@ The vertices, edges and lengths of a graph are fixed once it is built;
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
 from .errors import (
     DistanceInconsistentError,
@@ -38,10 +41,16 @@ from .errors import (
 # is on that scale, and a verdict does not depend on the other edges.
 DISTANCE_TOL_SCALE = 1e-9
 
-# The consistency check runs Dijkstra from as many source rows at a time as
-# fill this many float64 entries (16 MB), so its memory stays O(rows * n)
-# and never reaches the n x n table.
-_CHECK_BLOCK_ENTRIES = 1 << 21
+# The consistency check searches from chunks of this many sources, each on
+# its halo (see ``_route_lengths``).  Each chunk pays one O(n) search for its
+# halo; larger chunks pay fewer but hold larger halos.  On graded grids of
+# 19881 and 99856 vertices whose edges span six orders of magnitude, 128 to
+# 512 were slower and 1024 to 4096 within run-to-run noise of each other.
+_CHECK_CHUNK = 2048
+
+# A search fills at most this many float64 entries (4 MB) with distances, so
+# a chunk whose halo is most of the graph stays O(rows * n) in memory.
+_CHECK_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -114,13 +123,100 @@ def _edge_fields(raw) -> tuple:
     raise InvalidGraphError(f"cannot interpret edge record {raw!r}")
 
 
+def _edge_columns(edges: list) -> tuple:
+    """The id, ``u``, ``v`` and length columns of the edge records, each
+    read as :func:`_edge_fields` reads it, which raises for the first record
+    it cannot read.  Records that are all dicts, or all 4-tuples, are read a
+    column at a time."""
+    kinds = set(map(type, edges))
+    if kinds == {dict}:
+        try:
+            us, vs = [raw["u"] for raw in edges], [raw["v"] for raw in edges]
+            lengths = [raw["length"] for raw in edges]
+        except KeyError:
+            pass  # read record by record below, to name the first bad one
+        else:
+            return [str(raw["id"]) if "id" in raw else None for raw in edges], us, vs, lengths
+    if kinds == {tuple} and set(map(len, edges)) == {4}:
+        ids, us, vs, lengths = zip(*edges)
+        return list(map(str, ids)), us, vs, lengths
+    records = [_edge_fields(raw) for raw in edges]
+    return tuple(zip(*records)) if records else ((), (), (), ())
+
+
+def _lengths(raw) -> tuple[np.ndarray, int]:
+    """The lengths ``raw`` as floats (see :func:`_as_float`), and the position
+    of the first that is not a number (``len(raw)`` if none); from that
+    position on the array holds NaN."""
+    if set(map(type, raw)) <= {float}:
+        return np.array(raw, dtype=float), len(raw)
+    values = []
+    try:
+        for x in raw:
+            values.append(_as_float(x))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    out = np.full(len(raw), np.nan)
+    out[: len(values)] = values
+    return out, len(values)
+
+
+def _first_repeat(items) -> int:
+    """The position of the first item equal to an earlier one."""
+    seen = set()
+    for k, x in enumerate(items):
+        if x in seen:
+            return k
+        seen.add(x)
+    return len(items)
+
+
+def _raise_edge_error(k, ids, us, vs, raw_lengths, length, vindex) -> NoReturn:
+    """Raise the error of edge ``k``, the first edge of the input that fails
+    a structural check, for the first check it fails: a numeric length, a
+    new id, known endpoints (``u`` first), no loop, a new endpoint pair, a
+    finite positive length.  Every earlier edge passed them all."""
+    eid, u, v = ids[k], us[k], vs[k]
+    try:
+        _as_float(raw_lengths[k])
+    except (TypeError, ValueError) as exc:
+        raise InvalidGraphError(
+            f"edge {eid!r} must have a numeric length, got {raw_lengths[k]!r}"
+        ) from exc
+    if eid in ids[:k]:
+        raise InvalidGraphError(f"duplicate edge id {eid!r}")
+    for endpoint in (u, v):
+        if endpoint not in vindex:
+            raise UnknownVertexError(
+                f"edge {eid!r} references unknown vertex {endpoint!r}",
+                vertex=endpoint,
+                edge_id=eid,
+            )
+    if u == v:
+        raise MultiEdgeOrLoopError(f"edge {eid!r} is a loop at {u!r}", edge_id=eid)
+    if {u, v} in [{a, b} for a, b in zip(us[:k], vs[:k])]:
+        raise MultiEdgeOrLoopError(
+            f"edge {eid!r} duplicates another edge between {u!r} and {v!r}",
+            edge_id=eid,
+        )
+    raise InvalidGraphError(
+        f"edge {eid!r} must have positive finite length, got {float(length[k])}"
+    )
+
+
 class EuclideanGraph:
     """Validated graph with Euclidean edges.
 
     Use :func:`build_graph` (or the constructor directly): validation runs
     once at construction and covers simplicity, connectivity, and distance
-    consistency.  Consistency needs distances only up to the longest edge,
-    so construction never forms the all-pairs table.
+    consistency.  Consistency needs distances only up to the longest edge at
+    each vertex, so construction never forms the all-pairs table.
+
+    The graph keeps its edges as a table of arrays: endpoint vertex indices
+    ``_u``/``_v`` and lengths ``_length`` in input order, with the ids in
+    ``_ids`` and the position of each id in ``_edge_pos``.  The
+    :class:`Edge` tuple :attr:`edges` is built from that table on first
+    access.
 
     Vertices, edges and lengths never change after construction.  The one
     state that does is a store of single-source Dijkstra rows: geodesic
@@ -141,60 +237,60 @@ class EuclideanGraph:
         if len(self._vindex) != len(vlabels):
             raise InvalidGraphError("duplicate vertex labels")
 
-        records = [_edge_fields(raw) for raw in edges]
-        explicit = {eid for eid, *_ in records if eid is not None}
-        normalized: list[Edge] = []
-        self._edge_pos: dict[str, int] = {}
-        seen_pairs: set[frozenset[str]] = set()
-        for k, (eid, u, v, length) in enumerate(records):
-            if eid is None:
-                eid = _unique_label(f"e{k + 1}", explicit)
-            try:
-                length = _as_float(length)
-            except (TypeError, ValueError) as exc:
-                raise InvalidGraphError(
-                    f"edge {eid!r} must have a numeric length, got {length!r}"
-                ) from exc
-            e = Edge(eid, str(u), str(v), length)
-            if e.id in self._edge_pos:
-                raise InvalidGraphError(f"duplicate edge id {e.id!r}")
-            for endpoint in (e.u, e.v):
-                if endpoint not in self._vindex:
-                    raise UnknownVertexError(
-                        f"edge {e.id!r} references unknown vertex {endpoint!r}",
-                        vertex=endpoint,
-                        edge_id=e.id,
-                    )
-            if e.u == e.v:
-                raise MultiEdgeOrLoopError(
-                    f"edge {e.id!r} is a loop at {e.u!r}", edge_id=e.id
-                )
-            pair = frozenset((e.u, e.v))
-            if pair in seen_pairs:
-                raise MultiEdgeOrLoopError(
-                    f"edge {e.id!r} duplicates another edge between "
-                    f"{e.u!r} and {e.v!r}",
-                    edge_id=e.id,
-                )
-            if not math.isfinite(e.length) or e.length <= 0.0:
-                raise InvalidGraphError(
-                    f"edge {e.id!r} must have positive finite length, got {e.length}"
-                )
-            self._edge_pos[e.id] = k
-            seen_pairs.add(pair)
-            normalized.append(e)
+        ids, ends_u, ends_v, raw_lengths = _edge_columns(list(edges))
+        m = len(ids)
+        if None in ids:
+            explicit = {eid for eid in ids if eid is not None}
+            ids = [
+                _unique_label(f"e{k + 1}", explicit) if eid is None else eid
+                for k, eid in enumerate(ids)
+            ]
+        # Every structural check runs over all edges at once; the first edge
+        # that fails one raises, as the checks of one edge at a time would.
+        length, first_bad = _lengths(raw_lengths)
+        iu, iv = (self._vertex_indices(ends) for ends in (ends_u, ends_v))
+        self._edge_pos: dict[str, int] = dict(zip(ids, range(m)))
+        if len(self._edge_pos) < m:
+            first_bad = min(first_bad, _first_repeat(ids))
+        pair = np.minimum(iu, iv) * len(self.vertices) + np.maximum(iu, iv)
+        _, first_seen, which = np.unique(pair, return_index=True, return_inverse=True)
+        bad = (iu < 0) | (iv < 0) | (iu == iv) | (first_seen[which] != np.arange(m))
+        bad |= ~(np.isfinite(length) & (length > 0.0))
+        if bad.any():
+            first_bad = min(first_bad, int(np.argmax(bad)))
+        if first_bad < m:
+            labels_u, labels_v = list(map(str, ends_u)), list(map(str, ends_v))
+            _raise_edge_error(
+                first_bad, ids, labels_u, labels_v, raw_lengths, length, self._vindex
+            )
 
-        self.edges: tuple[Edge, ...] = tuple(normalized)
-        # The edge table: endpoint vertex indices and length of each edge,
-        # in the order of ``edges``.
-        self._u = np.array([self._vindex[e.u] for e in self.edges], dtype=np.intp)
-        self._v = np.array([self._vindex[e.v] for e in self.edges], dtype=np.intp)
-        self._length = np.array([e.length for e in self.edges], dtype=float)
+        # The edge table, in input order.
+        self._ids: tuple[str, ...] = tuple(ids)
+        self._u, self._v, self._length = iu, iv, length
         self._weights = self._check_connected_and_consistent()
         n = len(self.vertices)
         # Row k of the store holds the distances from the vertex whose
         # position is k; vertices without a row have position -1.
         self._row_store = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
+
+    def _vertex_indices(self, labels) -> np.ndarray:
+        """The index of the vertex ``str(label)`` for each label, or -1."""
+        if not set(map(type, labels)) <= {str}:
+            labels = list(map(str, labels))
+        index = self._vindex.get
+        return np.fromiter(map(index, labels, itertools.repeat(-1)), np.intp, len(labels))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in input order, built from the edge table on first
+        access; the CLI and the functions it calls read the table."""
+        labels = self.vertices
+        return tuple(
+            Edge(eid, labels[a], labels[b], length)
+            for eid, a, b, length in zip(
+                self._ids, self._u.tolist(), self._v.tolist(), self._length.tolist()
+            )
+        )
 
     # -- validation -----------------------------------------------------
 
@@ -203,10 +299,8 @@ class EuclideanGraph:
         route between its endpoints; return the symmetric sparse matrix of
         edge lengths.
 
-        A route shorter than an edge is shorter than the longest edge, so
-        Dijkstra stops at that distance and runs over blocks of source rows.
-        An edge's route length is the minimum over both directions, as in
-        :meth:`_distance_block`, whose directed search reads the same matrix.
+        Connectivity is checked first.  The route lengths come from
+        :func:`_route_lengths`, which never forms the all-pairs table.
         """
         n = len(self.vertices)
         iu, iv, lengths = self._u, self._v, self._length
@@ -218,31 +312,17 @@ class EuclideanGraph:
         n_components, _ = connected_components(weights, directed=False)
         if n_components > 1:
             raise NotConnectedError("graph is not connected")
-        if not self.edges:
+        if not lengths.size:
             return weights
-
-        max_len = float(lengths.max())
-        shortest = np.full(len(lengths), np.inf)
-        step = max(1, _CHECK_BLOCK_ENTRIES // n)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            dist = dijkstra(
-                weights, directed=True, indices=np.arange(start, stop), limit=max_len
-            )
-            for src, dst in ((iu, iv), (iv, iu)):
-                here = np.flatnonzero((src >= start) & (src < stop))
-                shortest[here] = np.minimum(
-                    shortest[here], dist[src[here] - start, dst[here]]
-                )
-
+        shortest = _route_lengths(weights, iu, iv, lengths)
         bad = np.flatnonzero(shortest < lengths - DISTANCE_TOL_SCALE * lengths)
         if bad.size:
-            e = self.edges[bad[0]]
+            k = bad[0]
             raise DistanceInconsistentError(
-                f"edge {e.id!r} has length {e.length} but a route of "
-                f"length {shortest[bad[0]]} connects its endpoints",
-                edge_id=e.id,
-                shortest=float(shortest[bad[0]]),
+                f"edge {self._ids[k]!r} has length {float(lengths[k])} but a route "
+                f"of length {shortest[k]} connects its endpoints",
+                edge_id=self._ids[k],
+                shortest=float(shortest[k]),
             )
         return weights
 
@@ -274,21 +354,129 @@ class EuclideanGraph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {label!r}", vertex=label)
 
-    def edge(self, edge_id: str) -> Edge:
+    def _edge_position(self, edge_id: str) -> int:
         try:
-            return self.edges[self._edge_pos[edge_id]]
+            return self._edge_pos[edge_id]
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {edge_id!r}", edge_id=edge_id)
 
+    def edge(self, edge_id: str) -> Edge:
+        k = self._edge_position(edge_id)
+        labels = self.vertices
+        return Edge(
+            self._ids[k], labels[self._u[k]], labels[self._v[k]], float(self._length[k])
+        )
+
     @property
     def total_length(self) -> float:
-        return float(sum(e.length for e in self.edges))
+        return float(sum(self._length.tolist()))
 
     def __repr__(self) -> str:
         return (
             f"EuclideanGraph({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges)"
+            f"{len(self._ids)} edges)"
         )
+
+
+def _route_lengths(
+    weights: csr_matrix, iu: np.ndarray, iv: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The length of the shortest route between the ends of each edge
+    ``(iu[k], iv[k])``, of length ``lengths[k]``, in the connected graph
+    whose symmetric matrix of edge lengths is ``weights``: the minimum of
+    the directed searches from either end, as
+    :meth:`EuclideanGraph._distance_block` reads them.
+
+    Any other route leaves one end and enters the other by other edges.  So
+    an edge is its own route, with no search, when it is a shortest edge at
+    one of its ends, or when it is no longer than the shortest edges at its
+    two ends together.  Routes are searched for the other edges only; they
+    are no longer than the edge, so each search stops at the longest such
+    edge of its source.  Sources are taken in chunks of ``_CHECK_CHUNK``, by
+    the power of two of that limit and then in reverse Cuthill-McKee order,
+    which keeps a chunk compact.  One ``min_only`` search from the whole
+    chunk, to its longest limit, finds the chunk's halo.  Every route a
+    search from the chunk follows lies in the halo, so the searches run on
+    the halo's induced subgraph and give what searches over the whole graph
+    give, bit for bit.  A graph of at most ``_CHECK_CHUNK`` vertices is one
+    chunk and its own halo.
+    """
+    n = weights.shape[0]
+    # Rounding never takes a sum of positive lengths below one of its terms,
+    # and takes less than n 2^-53 of it along a route of fewer than n edges,
+    # so a route found this way is never shorter than the edge either.
+    least = np.minimum.reduceat(weights.data, weights.indptr[:-1])
+    at_u, at_v = least[iu], least[iv]
+    shortest = lengths.copy()
+    todo = np.flatnonzero(
+        (at_u < lengths) & (at_v < lengths) & ((at_u + at_v) * (1.0 - n * 2.0**-52) < lengths)
+    )
+    if not todo.size:
+        return shortest
+    iu, iv = iu[todo], iv[todo]
+    reach = np.zeros(n)
+    np.maximum.at(reach, iu, lengths[todo])
+    np.maximum.at(reach, iv, lengths[todo])
+    if n <= _CHECK_CHUNK:
+        order = np.flatnonzero(reach)
+    else:
+        order = reverse_cuthill_mckee(weights, symmetric_mode=True).astype(np.intp)
+        order = order[reach[order] > 0]
+        # Sources whose limits share a power of two go together, so that a
+        # short limit does not search the halo of a long one.
+        order = order[np.argsort(np.frexp(reach[order])[1], kind="stable")]
+    # Within a chunk, sources by their longest edge: each search stops at
+    # the longest edge of its own rows.
+    order = order[np.lexsort((reach[order], np.arange(order.size) // _CHECK_CHUNK))]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    # Each edge from both ends: edges sorted by the rank of the end the
+    # search starts from, that rank, and the other end.
+    sides = []
+    for src, dst in ((iu, iv), (iv, iu)):
+        by = np.argsort(rank[src], kind="stable")
+        sides.append((by, rank[src[by]], dst[by]))
+    routes = np.full(todo.size, np.inf)
+    for start in range(0, order.size, _CHECK_CHUNK):
+        stop = min(start + _CHECK_CHUNK, order.size)
+        if stop - start == n:
+            halo, sub = np.arange(n), weights
+        else:
+            near = dijkstra(
+                weights,
+                directed=True,
+                indices=order[start:stop],
+                limit=reach[order[stop - 1]],
+                min_only=True,
+            )
+            halo = np.flatnonzero(np.isfinite(near))
+            sub = weights[halo][:, halo]
+        # Row blocks fit the entry budget and share a power of two of limit.
+        rows = max(1, _CHECK_BLOCK_ENTRIES // halo.size)
+        same = np.flatnonzero(np.diff(np.frexp(reach[order[start:stop]])[1])) + start + 1
+        for first, last in _blocks([start, *same.tolist(), stop], rows):
+            dist = dijkstra(
+                sub,
+                directed=True,
+                indices=np.searchsorted(halo, order[first:last]),
+                limit=reach[order[last - 1]],
+            )
+            for by, key, dst in sides:
+                a, b = np.searchsorted(key, (first, last))
+                routes[by[a:b]] = np.minimum(
+                    routes[by[a:b]],
+                    dist[key[a:b] - first, np.searchsorted(halo, dst[a:b])],
+                )
+    shortest[todo] = routes
+    return shortest
+
+
+def _blocks(bounds: list[int], size: int):
+    """Consecutive ``(first, last)`` ranges of at most ``size`` that cover
+    each range between neighbouring ``bounds``."""
+    for lo, hi in zip(bounds, bounds[1:]):
+        for first in range(lo, hi, size):
+            yield first, min(first + size, hi)
 
 
 def build_graph(vertices, edges) -> EuclideanGraph:
@@ -309,19 +497,20 @@ def canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
         return GraphPoint(vertex=p.vertex)
     if p.edge is None or p.offset is None:
         raise OffsetOutOfRangeError(f"malformed point {p!r}")
-    e = g.edge(p.edge)
+    k = g._edge_position(p.edge)
+    eid, length = g._ids[k], float(g._length[k])
     off = float(p.offset)
-    if not math.isfinite(off) or off < 0.0 or off > e.length:
+    if not math.isfinite(off) or off < 0.0 or off > length:
         raise OffsetOutOfRangeError(
-            f"offset {off} outside [0, {e.length}] on edge {e.id!r}",
-            edge_id=e.id,
+            f"offset {off} outside [0, {length}] on edge {eid!r}",
+            edge_id=eid,
             offset=off,
         )
     if off == 0.0:
-        return GraphPoint(vertex=e.u)
-    if off == e.length:
-        return GraphPoint(vertex=e.v)
-    return GraphPoint(edge=e.id, offset=off)
+        return GraphPoint(vertex=g.vertices[g._u[k]])
+    if off == length:
+        return GraphPoint(vertex=g.vertices[g._v[k]])
+    return GraphPoint(edge=eid, offset=off)
 
 
 def _unique_label(base: str, taken) -> str:
@@ -406,9 +595,9 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
     edges than vertices, i.e. the block contains two points joined by three
     internally disjoint routes).  An iterative depth-first search from the
     first vertex walks the edge table by integer positions; each vertex
-    meets its edges in the order of ``g.edges``, which fixes the block order.
+    meets its edges in input order, which fixes the block order.
     """
-    n, m = len(g.vertices), len(g.edges)
+    n, m = len(g.vertices), len(g._ids)
     # The edges at vertex v are entries start[v]:start[v + 1] of nbr_edge
     # (edge positions, ascending) and nbr_vertex (the other endpoints).
     ends, pos = np.concatenate((g._u, g._v)), np.tile(np.arange(m), 2)
@@ -467,7 +656,7 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
             kind = BlockKind.CYCLE
         else:
             kind = BlockKind.COMPLEX
-        edge_ids = frozenset(g.edges[e].id for e in block)
+        edge_ids = frozenset(g._ids[e] for e in block)
         blocks.append(Block(edge_ids, vertices, kind))
     return BlockDecomposition(
         tuple(blocks), frozenset(labels[x] for x in articulation)

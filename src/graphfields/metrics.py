@@ -352,22 +352,24 @@ def _require_distinct(points: list[GraphPoint]) -> None:
 def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     """Pairwise geodesic distances for canonical points (vectorized).
 
-    Routes through the four endpoint pairings are compared, plus the direct
-    within-edge segment when both points lie on the same edge (required for
-    correctness on cycles, where the around route can be longer).  Vertex
-    distances come from the graph's block over the distinct endpoint
-    vertices of the points, so a query costs one Dijkstra row per endpoint
-    the graph has not searched from before, and never an ``n x n`` table.
+    Routes through the four endpoint pairings are compared, in two gathers,
+    plus the direct within-edge segment when both points lie on the same
+    edge (required for correctness on cycles, where the around route can be
+    longer).  Vertex distances come from the graph's block over the distinct
+    endpoint vertices of the points, so a query costs one Dijkstra row per
+    endpoint the graph has not searched from before, and never an ``n x n``
+    table.
     """
     lo, hi, to_lo, elen, eidx = _point_frame(g, points)
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
     dist = g._distance_block(ends)
     lo, hi = where[: len(lo)], where[len(lo) :]
     to_hi = elen - to_lo
-    best = to_lo[:, None] + dist[np.ix_(lo, lo)] + to_lo[None, :]
-    np.minimum(best, to_lo[:, None] + dist[np.ix_(lo, hi)] + to_hi[None, :], out=best)
-    np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, lo)] + to_lo[None, :], out=best)
-    np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, hi)] + to_hi[None, :], out=best)
+    # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
+    # the nearer end of each row point first, then of each column point,
+    # gives the minimum over the four pairings bit for bit.
+    reach = np.minimum(to_lo[:, None] + dist[lo], to_hi[:, None] + dist[hi])
+    best = np.minimum(reach[:, lo] + to_lo, reach[:, hi] + to_hi)
     shared_edge = _shared_edge(eidx)
     if shared_edge.any():
         direct = np.abs(to_lo[:, None] - to_lo[None, :])

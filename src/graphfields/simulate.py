@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
@@ -110,17 +111,31 @@ def sample_from_covariance(cov: CovarianceMatrix, n: int, seed: int) -> FieldSam
     )
 
 
-def _vertex_field(lu: SuperLU, rng: np.random.Generator, n: int) -> np.ndarray:
+def _vertex_field(
+    upper: csr_array, root: np.ndarray, rng: np.random.Generator, n: int
+) -> np.ndarray:
     """``n`` draws with covariance ``L^-1`` for ``L = P^T F D F^T P`` (see
     :func:`metrics._factor`), one per column: ``x`` solving
     ``F^T x = D^(-1/2) w`` for white noise ``w`` (one normal per unknown)
     has covariance ``P L^-1 P^T``, so unknown ``i`` is row ``perm_r[i]``.
+
+    ``upper`` is ``F^T`` as a CSR matrix with sorted indices and ``root`` is
+    ``sqrt(D)``, both prepared once per factor by :func:`_whitening`; the
+    solve reads ``upper`` in place and changes none of its values.
     """
-    white = rng.standard_normal((n, lu.shape[0])).T
-    white /= np.sqrt(lu.U.diagonal())[:, None]
+    white = rng.standard_normal((n, root.size)).T
+    white /= root[:, None]
     return spsolve_triangular(
-        lu.L.T, white, lower=False, unit_diagonal=True, overwrite_b=True
+        upper, white, lower=False, unit_diagonal=True, overwrite_A=True, overwrite_b=True
     )
+
+
+def _whitening(lu: SuperLU) -> tuple[csr_array, np.ndarray]:
+    """``F^T`` (CSR, sorted indices) and ``sqrt(D)`` of a factor, as
+    :func:`_vertex_field` reads them."""
+    upper = csr_array(lu.L.T)
+    upper.sort_indices()
+    return upper, np.sqrt(lu.U.diagonal())
 
 
 def sample_canonical_field(
@@ -139,10 +154,14 @@ def sample_canonical_field(
     pts = canonical_points(ctx.graph, points)
     L, T, node = _subdivided(ctx, _point_frame(ctx.graph, pts))
     lu = _factor(L)
+    upper, root = _whitening(lu)
     rng, step = _stream(seed), _SOLVE_COLUMNS
     # Unknown i of L' is row perm_r[i] of a block of draws.
     rows = T[node][:, np.argsort(lu.perm_r)]
-    blocks = [(rows @ _vertex_field(lu, rng, min(step, n - s))).T for s in range(0, n, step)]
+    blocks = [
+        (rows @ _vertex_field(upper, root, rng, min(step, n - s))).T
+        for s in range(0, n, step)
+    ]
     return FieldSample(
         labels=tuple(point_label(p) for p in pts),
         draws=np.vstack(blocks),

@@ -5,8 +5,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 import graphfields as gf
+from graphfields.graph import _as_float, _edge_fields, _unique_label
+from graphfields.metrics import _point_frame, _shared_edge
 
 
 # -- fixed fixtures -----------------------------------------------------------
@@ -150,6 +154,30 @@ def jittered_grid(rng: np.random.Generator, side: int) -> gf.EuclideanGraph:
         for j in range(side)
     ]
     return gf.build_graph([x for row in label for x in row], edges)
+
+
+def graded_grid(rng: np.random.Generator, side: int, orders: float = 6.5):
+    """Vertices and edge tuples of a ``side`` x ``side`` grid whose column and
+    row spacings grow geometrically over ``orders`` orders of magnitude
+    (times a jitter in [0.8, 1.2]).  Every edge of a row has the same
+    length, so any detour adds two rungs, and the grid is consistent."""
+
+    def spacing():
+        ramp = 10.0 ** np.linspace(-orders / 2, orders / 2, side - 1)
+        return ramp * rng.uniform(0.8, 1.2, side - 1)
+
+    dx, dy = spacing(), spacing()
+    vertices = [f"{r}_{c}" for r in range(side) for c in range(side)]
+    edges = [
+        (f"h{r}_{c}", f"{r}_{c}", f"{r}_{c + 1}", float(dx[c]))
+        for r in range(side)
+        for c in range(side - 1)
+    ] + [
+        (f"v{r}_{c}", f"{r}_{c}", f"{r + 1}_{c}", float(dy[r]))
+        for r in range(side - 1)
+        for c in range(side)
+    ]
+    return vertices, edges
 
 
 def random_cycle_lengths(rng: np.random.Generator, size: int) -> list[float]:
@@ -350,3 +378,132 @@ def isomorphic_by_labels(
         if pair1 != pair2 or abs(len1 - len2) > tol:
             return False
     return True
+
+
+def reference_build_error(vertices, edges):
+    """The error construction raises for ``vertices`` and ``edges``, or None,
+    by the record-by-record validation: each record becomes an
+    :class:`~graphfields.Edge`, checked in input order against the edges
+    before it, then connectivity, then a Dijkstra from blocks of source
+    rows to the longest edge of the graph for consistency."""
+    try:
+        _reference_build(vertices, edges)
+    except gf.GraphFieldsError as exc:
+        return exc
+    return None
+
+
+def _reference_build(vertices, edges) -> None:
+    vlabels = [str(v) for v in vertices]
+    if not vlabels:
+        raise gf.InvalidGraphError("vertex list must be non-empty")
+    vindex = {v: i for i, v in enumerate(sorted(vlabels))}
+    if len(vindex) != len(vlabels):
+        raise gf.InvalidGraphError("duplicate vertex labels")
+
+    records = [_edge_fields(raw) for raw in edges]
+    explicit = {eid for eid, *_ in records if eid is not None}
+    normalized: list[gf.Edge] = []
+    edge_pos: dict[str, int] = {}
+    seen_pairs: set[frozenset[str]] = set()
+    for k, (eid, u, v, length) in enumerate(records):
+        if eid is None:
+            eid = _unique_label(f"e{k + 1}", explicit)
+        try:
+            length = _as_float(length)
+        except (TypeError, ValueError) as exc:
+            raise gf.InvalidGraphError(
+                f"edge {eid!r} must have a numeric length, got {length!r}"
+            ) from exc
+        e = gf.Edge(eid, str(u), str(v), length)
+        if e.id in edge_pos:
+            raise gf.InvalidGraphError(f"duplicate edge id {e.id!r}")
+        for endpoint in (e.u, e.v):
+            if endpoint not in vindex:
+                raise gf.UnknownVertexError(
+                    f"edge {e.id!r} references unknown vertex {endpoint!r}",
+                    vertex=endpoint,
+                    edge_id=e.id,
+                )
+        if e.u == e.v:
+            raise gf.MultiEdgeOrLoopError(
+                f"edge {e.id!r} is a loop at {e.u!r}", edge_id=e.id
+            )
+        pair = frozenset((e.u, e.v))
+        if pair in seen_pairs:
+            raise gf.MultiEdgeOrLoopError(
+                f"edge {e.id!r} duplicates another edge between "
+                f"{e.u!r} and {e.v!r}",
+                edge_id=e.id,
+            )
+        if not math.isfinite(e.length) or e.length <= 0.0:
+            raise gf.InvalidGraphError(
+                f"edge {e.id!r} must have positive finite length, got {e.length}"
+            )
+        edge_pos[e.id] = k
+        seen_pairs.add(pair)
+        normalized.append(e)
+
+    n = len(vindex)
+    iu = np.array([vindex[e.u] for e in normalized], dtype=np.intp)
+    iv = np.array([vindex[e.v] for e in normalized], dtype=np.intp)
+    lengths = np.array([e.length for e in normalized], dtype=float)
+    weights = csr_matrix(
+        (np.concatenate((lengths, lengths)),
+         (np.concatenate((iu, iv)), np.concatenate((iv, iu)))),
+        shape=(n, n),
+    )
+    if connected_components(weights, directed=False)[0] > 1:
+        raise gf.NotConnectedError("graph is not connected")
+    if not normalized:
+        return
+    shortest = blocked_route_lengths(weights, iu, iv)
+    bad = np.flatnonzero(shortest < lengths - gf.graph.DISTANCE_TOL_SCALE * lengths)
+    if bad.size:
+        e = normalized[bad[0]]
+        raise gf.DistanceInconsistentError(
+            f"edge {e.id!r} has length {e.length} but a route of "
+            f"length {shortest[bad[0]]} connects its endpoints",
+            edge_id=e.id,
+            shortest=float(shortest[bad[0]]),
+        )
+
+
+def blocked_route_lengths(weights, iu, iv) -> np.ndarray:
+    """Shortest route between the ends of each edge: the minimum of the
+    directed searches from both ends, each over the whole graph and stopped
+    at its longest edge, from blocks of 2**21 // n source rows."""
+    n = weights.shape[0]
+    max_len = float(weights.data.max())
+    shortest = np.full(len(iu), np.inf)
+    step = max(1, (1 << 21) // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        dist = dijkstra(
+            weights, directed=True, indices=np.arange(start, stop), limit=max_len
+        )
+        for src, dst in ((iu, iv), (iv, iu)):
+            here = np.flatnonzero((src >= start) & (src < stop))
+            shortest[here] = np.minimum(shortest[here], dist[src[here] - start, dst[here]])
+    return shortest
+
+
+def four_pairing_geodesic(g: gf.EuclideanGraph, points) -> np.ndarray:
+    """Pairwise geodesic distances of canonical points read through the four
+    endpoint pairings, one gather each, plus the direct segment between
+    points on one edge."""
+    lo, hi, to_lo, elen, eidx = _point_frame(g, points)
+    ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    dist = g._distance_block(ends)
+    lo, hi = where[: len(lo)], where[len(lo) :]
+    to_hi = elen - to_lo
+    best = to_lo[:, None] + dist[np.ix_(lo, lo)] + to_lo[None, :]
+    np.minimum(best, to_lo[:, None] + dist[np.ix_(lo, hi)] + to_hi[None, :], out=best)
+    np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, lo)] + to_lo[None, :], out=best)
+    np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, hi)] + to_hi[None, :], out=best)
+    shared_edge = _shared_edge(eidx)
+    if shared_edge.any():
+        direct = np.abs(to_lo[:, None] - to_lo[None, :])
+        best = np.where(shared_edge, np.minimum(best, direct), best)
+    np.fill_diagonal(best, 0.0)
+    return np.minimum(best, best.T)

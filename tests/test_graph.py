@@ -6,21 +6,26 @@ import heapq
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import graphfields as gf
 from .helpers import (
+    blocked_route_lengths,
     figure_eight,
+    graded_grid,
     has_edge_between,
     isomorphic_by_labels,
     jittered_grid,
     path_abc,
     random_graph,
     random_onesum,
+    reference_build_error,
     single_edge,
     theta_graph,
     unit_square,
@@ -138,6 +143,15 @@ def test_edge_distance_consistency_holds_exactly_per_edge():
             assert d == pytest.approx(e.length, abs=1e-9 * e.length)
 
 
+def _outcome(vertices, edges):
+    """Class, message and detail of the construction error, or None."""
+    try:
+        gf.build_graph(vertices, edges)
+    except gf.GraphFieldsError as exc:
+        return type(exc), str(exc), exc.detail
+    return None
+
+
 def _all_pairs_reference(vertices, edges) -> dict:
     """Dijkstra from every vertex with a binary heap; route lengths are
     summed from the source outwards."""
@@ -192,6 +206,9 @@ def test_consistency_errors_match_all_pairs_reference(
     edges = [(e.id, e.u, e.v, e.length) for e in g.edges]
     edges.insert(position % (len(edges) + 1), ("chord", u, v, factor * base))
 
+    error = reference_build_error(g.vertices, edges)
+    expected = None if error is None else (type(error), str(error), error.detail)
+    assert _outcome(g.vertices, edges) == expected
     reference = _all_pairs_reference(g.vertices, edges)
     scale = gf.graph.DISTANCE_TOL_SCALE
     offending = [
@@ -258,8 +275,234 @@ def test_long_pendant_edge_never_changes_a_verdict(seed, n_vertices, shortfall, 
     )
 
 
+# Lengths that are refused, then lengths that float() reads.
+_ODD_LENGTHS = (
+    0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False, "abc", None, [1.0],
+    "1.5", " 2 ", 3, np.float64(1.25),
+)
+_MALFORMED = (
+    ("x", "a", "b"), {"id": "x", "v": "a", "length": 1.0}, {"id": "x", "u": "a", "length": 1.0},
+    {"u": "a", "v": "b"}, 7, "e",
+)
+_DEFECTS = (
+    "duplicate_id", "unknown_u", "unknown_v", "loop", "multi_edge", "length",
+    "malformed", "auto_id", "auto_id_collision", "chord", "odd_label",
+)
+
+
+def _with_defects(rng, g, defects):
+    """The vertices and edge records of ``g`` with each defect injected at
+    a random place, each record a tuple, dict, id-less dict or Edge."""
+    rows = [[e.id, e.u, e.v, e.length] for e in g.edges]
+    no_id, malformed, picked = set(), [], []
+
+    def at():
+        return int(rng.integers(len(rows) + 1))
+
+    def pick():
+        # Half the time the row of the defect before, so that checks of one
+        # edge meet and their precedence shows.
+        if not (picked and rng.random() < 0.5):
+            picked.append(rows[int(rng.integers(len(rows)))])
+        return picked[-1]
+
+    for k, defect in enumerate(defects):
+        if defect == "malformed":
+            malformed.append((at(), _MALFORMED[int(rng.integers(len(_MALFORMED)))]))
+        elif defect == "chord":
+            free = [
+                (a, b)
+                for a, b in itertools.combinations(g.vertices, 2)
+                if not has_edge_between(g, a, b)
+            ]
+            if free:
+                u, v = free[int(rng.integers(len(free)))]
+                factor = (float(rng.uniform(0.3, 1.0)), 1.0, float(rng.uniform(1.0, 2.0)))
+                chord = factor[int(rng.integers(3))] * vertex_distance(g, u, v)
+                rows.insert(at(), [f"c{k}", u, v, chord])
+        elif not rows:
+            continue
+        elif defect == "duplicate_id" and len(rows) > 1:
+            row = pick()
+            others = [other for other in rows if other is not row]
+            row[0] = others[int(rng.integers(len(others)))][0]
+        elif defect == "unknown_u":
+            pick()[1] = "zz"
+        elif defect == "unknown_v":
+            pick()[2] = "zz"
+        elif defect == "loop":
+            row = pick()
+            row[2] = row[1]
+        elif defect == "multi_edge":
+            _, u, v, length = pick()
+            rows.insert(at(), [f"m{k}", *((v, u) if rng.random() < 0.5 else (u, v)), length])
+        elif defect == "length":
+            pick()[3] = _ODD_LENGTHS[int(rng.integers(len(_ODD_LENGTHS)))]
+        elif defect == "odd_label":
+            row = pick()
+            side = int(rng.integers(1, 3))
+            row[side] = ([row[side]], (row[side],), 7, None)[int(rng.integers(4))]
+        elif defect == "auto_id":
+            no_id.add(id(pick()))
+        elif defect == "auto_id_collision":
+            j = int(rng.integers(len(rows)))
+            no_id.add(id(rows[j]))
+            pick()[0] = f"e{j + 1}" if rng.random() < 0.7 else f"e{j + 1}~2"
+    records = []
+    for row in rows:
+        eid, u, v, length = row
+        style = "nodict" if id(row) in no_id else ("tuple", "dict", "edge")[int(rng.integers(3))]
+        if style == "nodict":
+            records.append({"u": u, "v": v, "length": length})
+        elif style == "dict":
+            records.append({"id": eid, "u": u, "v": v, "length": length})
+        elif style == "edge":
+            records.append(gf.Edge(eid, u, v, length))
+        else:
+            records.append((eid, u, v, length))
+    for position, record in malformed:
+        records.insert(min(position, len(records)), record)
+    return list(g.vertices), records
+
+
+@settings(max_examples=400)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 10),
+    n_chords=st.integers(0, 3),
+    n_defects=st.integers(0, 4),
+    homogeneous=st.sampled_from([None, "tuple", "dict"]),
+)
+def test_construction_errors_match_record_by_record_reference(
+    seed, n_vertices, n_chords, n_defects, homogeneous
+):
+    # Random graphs with defects injected anywhere, alone or together: the
+    # first failing edge raises the class, message and detail the
+    # record-by-record validation raised, with its precedence between
+    # checks and edges.  Homogeneous inputs take the column-wise reading.
+    rng = np.random.default_rng(seed)
+    n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
+    g = random_graph(rng, n_vertices, n_chords)
+    defects = [_DEFECTS[k] for k in rng.integers(len(_DEFECTS), size=n_defects)]
+    vertices, records = _with_defects(rng, g, defects)
+    if homogeneous == "tuple":
+        records = [r for r in records if isinstance(r, tuple) and len(r) == 4] or records
+    elif homogeneous == "dict":
+        records = [r for r in records if isinstance(r, dict)] or records
+    error = reference_build_error(vertices, records)
+    expected = None if error is None else (type(error), str(error), error.detail)
+    assert _outcome(vertices, records) == expected
+
+
+@pytest.mark.parametrize("length", _ODD_LENGTHS, ids=repr)
+def test_odd_lengths_match_record_by_record_reference(length):
+    # Each odd length on each edge of a path, in each record style, alone
+    # and among float lengths only (the column-wise reading).
+    base = [("ab", "a", "b", 1.0), ("bc", "b", "c", 2.0), ("cd", "c", "d", 0.5)]
+    styles = (
+        lambda r: r,
+        lambda r: {"id": r[0], "u": r[1], "v": r[2], "length": r[3]},
+        lambda r: {"u": r[1], "v": r[2], "length": r[3]},
+        lambda r: gf.Edge(*r),
+    )
+    for k, style in itertools.product(range(len(base)), styles):
+        edges = [style(r) for r in base]
+        edges[k] = style((*base[k][:3], length))
+        error = reference_build_error("abcd", edges)
+        expected = None if error is None else (type(error), str(error), error.detail)
+        assert _outcome("abcd", edges) == expected
+
+
+def _multiscale_table(rng, n_vertices, n_chords, orders):
+    """Edge matrix and ends of a random connected graph, consistent or not,
+    with lengths log-uniform over ``orders`` orders of magnitude."""
+    pairs = [(int(rng.integers(k)), k) for k in range(1, n_vertices)]
+    free = sorted(set(itertools.combinations(range(n_vertices), 2)) - set(pairs))
+    pairs += [free[k] for k in rng.permutation(len(free))[:n_chords]]
+    iu, iv = (np.array(ends, dtype=np.intp) for ends in zip(*pairs))
+    lengths = 10.0 ** rng.uniform(0, orders, len(iu)) * rng.uniform(0.5, 1.5, len(iu))
+    weights = csr_matrix(
+        (np.concatenate((lengths, lengths)), (np.concatenate((iu, iv)), np.concatenate((iv, iu)))),
+        shape=(n_vertices, n_vertices),
+    )
+    return weights, iu, iv, lengths
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 40),
+    n_chords=st.integers(0, 30),
+    orders=st.sampled_from([0.0, 3.0, 8.0]),
+    chunk=st.integers(1, 12),
+    entries=st.sampled_from([1, 7, 1 << 20]),
+)
+def test_route_lengths_bit_equal_a_search_over_the_whole_graph(
+    seed, n_vertices, n_chords, orders, chunk, entries
+):
+    # Small chunks and row budgets make halos and row blocks of every size;
+    # lengths over many orders of magnitude make the limits differ between
+    # and within chunks, and chords may be shorter or longer than the route
+    # they close.  The routes equal those of searches over the whole graph
+    # to its longest edge, bit for bit.
+    weights, iu, iv, lengths = _multiscale_table(
+        np.random.default_rng(seed), n_vertices, n_chords, orders
+    )
+    expected = blocked_route_lengths(weights, iu, iv)
+    with mock.patch.multiple(gf.graph, _CHECK_CHUNK=chunk, _CHECK_BLOCK_ENTRIES=entries):
+        got = gf.graph._route_lengths(weights, iu, iv, lengths)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_graded_grid_routes_bit_equal_a_search_over_the_whole_graph():
+    # Six and a half orders of magnitude of edge length on one grid, with
+    # more vertices than a chunk.
+    vertices, edges = graded_grid(np.random.default_rng(3), 40)
+    g = gf.build_graph(vertices, edges)
+    lengths = g._length
+    assert lengths.max() / lengths.min() > 1e6
+    expected = blocked_route_lengths(g._weights, g._u, g._v)
+    with mock.patch.object(gf.graph, "_CHECK_CHUNK", 100):
+        got = gf.graph._route_lengths(g._weights, g._u, g._v, g._length)
+    assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(got, lengths)
+
+
+def test_edges_are_built_on_first_access():
+    # The library's own paths read the edge table, so none of these builds
+    # the Edge tuple; the first access builds it once.
+    g = jittered_grid(np.random.default_rng(4), 6)
+    pts = [gf.edge_point(eid, 0.5) for eid in g._ids[::6]] + [gf.vertex_point("v0_0")]
+    for metric in ("geodesic", "resistance"):
+        gf.distance_matrix(g, pts, metric)
+    gf.block_decomposition(g)
+    gf.canonicalize(g, gf.edge_point("h0_0", 0.5))
+    assert g.edge("h0_0").id == "h0_0" and repr(g) and g.total_length > 0
+    assert "edges" not in vars(g)
+    edges = g.edges
+    assert edges is g.edges and len(edges) == len(g._ids) == 60
+    assert edges[3] == gf.Edge(g._ids[3], edges[3].u, edges[3].v, float(g._length[3]))
+    assert g.total_length == sum(e.length for e in edges)
+
+
+def test_overflowing_length_raises_where_the_reference_does():
+    # float() overflows on a huge integer: an earlier failing edge is still
+    # named first, and otherwise the OverflowError escapes, as it did.
+    loop_first = [("ab", "a", "b", 1.0), ("aa", "a", "a", 1.0), ("bc", "b", "c", 10**400)]
+    error = reference_build_error("abc", loop_first)
+    assert _outcome("abc", loop_first) == (type(error), str(error), error.detail)
+    for edges in ([("ab", "a", "b", 10**400)], [{"u": "a", "v": "b", "length": 10**400}]):
+        with pytest.raises(OverflowError):
+            reference_build_error("ab", edges)
+        with pytest.raises(OverflowError):
+            gf.build_graph("ab", edges)
+
+
 def test_large_grid_builds_without_all_pairs_table():
-    # A 100 x 100 grid: the n x n float table alone would take 800 MB.
+    # 100 x 100 grids: the n x n float table alone would take 800 MB.  On the
+    # jittered grid every edge is its own route without a search; on the
+    # graded one, whose lengths span six orders of magnitude, most edges
+    # are searched for.
     side = 100
     rng = np.random.default_rng(5)
     label = [[f"v{i}_{j}" for j in range(side)] for i in range(side)]
@@ -273,15 +516,18 @@ def test_large_grid_builds_without_all_pairs_table():
         for j in range(side)
     ]
     vertices = [x for row in label for x in row]
-    tracemalloc.start()
-    try:
-        g = gf.build_graph(vertices, edges)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # Source blocks of 16 MB against the whole graph peaked near 49 MB on
+    # both; the halo check holds a few MB.
     table_bytes = (side * side) ** 2 * 8
-    assert peak < table_bytes / 8
-    assert g._row_store[1].shape[0] == 0
+    for graph in ((vertices, edges), graded_grid(rng, side)):
+        tracemalloc.start()
+        try:
+            g = gf.build_graph(*graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 32
+        assert g._row_store[1].shape[0] == 0
 
 
 # -- points and canonicalization ----------------------------------------------

@@ -21,9 +21,11 @@ from .helpers import (
     brute_force_point_distance,
     dense_canonical_covariance,
     figure_eight,
+    four_pairing_geodesic,
     jittered_grid,
     path_abc,
     r_graph,
+    random_cycle_lengths,
     random_graph,
     random_points,
     random_tree,
@@ -138,6 +140,41 @@ def test_geodesic_matrix_bit_equals_all_pairs_reference(seed, n_vertices, n_chor
         for k in order:
             got = gf.distance_matrix(graph, sets[k], MetricKind.GEODESIC)
             assert np.array_equal(got, expected[k])
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cycle=st.booleans(),
+    n_vertices=st.integers(2, 12),
+    n_chords=st.integers(0, 4),
+    vertex_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_geodesic_two_gathers_bit_equal_four_pairings(
+    seed, cycle, n_vertices, n_chords, vertex_share
+):
+    # Random graphs and cycles; points on edges and at vertices, several on
+    # one edge and one repeated.  The nearer end of one point, then of the
+    # other, gives the minimum over the four pairings bit for bit.
+    rng = np.random.default_rng(seed)
+    if cycle:
+        size = max(n_vertices, 3)
+        ring = [f"r{k}" for k in range(size)]
+        lengths = random_cycle_lengths(rng, size)
+        g = gf.build_graph(
+            ring, [(f"c{k}", ring[k], ring[(k + 1) % size], lengths[k]) for k in range(size)]
+        )
+    else:
+        n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
+        g = random_graph(rng, n_vertices, n_chords)
+    count = min(int(rng.integers(1, 8)), len(g.vertices))
+    pts = random_points(rng, g, count, vertex_share=vertex_share)
+    e = g.edges[int(rng.integers(len(g.edges)))]
+    offsets = rng.uniform(0.0, 1.0, size=int(rng.integers(0, 5))) * e.length
+    pts += [gf.canonicalize(g, gf.edge_point(e.id, float(off))) for off in offsets]
+    pts.append(pts[int(rng.integers(len(pts)))])
+    expected = four_pairing_geodesic(g, pts)
+    assert gf.metrics.geodesic_matrix(g, pts).tobytes() == expected.tobytes()
 
 
 def test_concurrent_geodesic_queries_read_a_consistent_row_store():

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve_triangular
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _point_frame, _subdivided
+from graphfields.metrics import _factor, _point_frame, _subdivided, canonical_points
 from graphfields.simulate import _stream
-from .helpers import figure_eight, single_edge, unit_square
+from .helpers import figure_eight, jittered_grid, random_points, single_edge, unit_square
 
 
 def certified(values, labels=None) -> gf.CovarianceMatrix:
@@ -120,6 +122,35 @@ def test_canonical_field_is_seed_deterministic():
     b = gf.sample_canonical_field(ctx, pts, 50, seed=77)
     assert a.draws.tobytes() == b.draws.tobytes()
     assert a.labels == b.labels
+
+
+def _per_block_draws(ctx, pts, n, seed):
+    """Canonical draws with ``F^T`` and ``sqrt(D)`` taken from the factor
+    again for every block of 64 draws."""
+    L, T, node = _subdivided(ctx, _point_frame(ctx.graph, pts))
+    lu = _factor(L)
+    rng = _stream(seed)
+    rows = T[node][:, np.argsort(lu.perm_r)]
+    blocks = []
+    for start in range(0, n, 64):
+        white = rng.standard_normal((min(64, n - start), lu.shape[0])).T
+        white /= np.sqrt(lu.U.diagonal())[:, None]
+        x = spsolve_triangular(lu.L.T, white, lower=False, unit_diagonal=True, overwrite_b=True)
+        blocks.append((rows @ x).T)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 2000])
+def test_canonical_draws_equal_per_block_whitening(n):
+    # Around the block size of 64 and over many blocks.
+    rng = np.random.default_rng(8)
+    g = jittered_grid(rng, 7)
+    pts = canonical_points(g, random_points(rng, g, 30))
+    ctx = gf.build_resistance_context(g, g.vertices[5])
+    got = gf.sample_canonical_field(ctx, pts, n, seed=21).draws
+    expected = _per_block_draws(ctx, pts, n, seed=21)
+    assert got.shape == (n, 30)
+    assert hashlib.sha256(got.tobytes()).digest() == hashlib.sha256(expected.tobytes()).digest()
 
 
 def test_stream_matches_spawned_child():
