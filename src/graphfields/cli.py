@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import GraphFieldsError
 from .graph import (
     GeodesicValidity,
+    _point_fields,
     block_decomposition,
     graph_from_json,
     point_from_json,
@@ -42,8 +44,8 @@ from .kernels import (
 )
 from .metrics import (
     MetricKind,
-    _CanonicalPoints,
     build_resistance_context,
+    canonical_points,
     distance_matrix,
     geodesic_distance,
     resistance_distance,
@@ -89,15 +91,16 @@ def _load_graph(path: str):
     return graph_from_json(_read_json(path, "graph"))
 
 
-def _load_points(g, path: str) -> _CanonicalPoints:
-    """The points of ``path``, canonicalized once, by ``point_from_json``."""
+def _load_points(g, path: str):
+    """The point table of the points in ``path``; each point is read and
+    then located before the next is read, so the first bad one is named."""
     raw = _read_json(path, "points")
     if not isinstance(raw, list) or not raw:
         raise _CliFailure(
             1,
             {"error": "InputError", "message": "points file must be a non-empty JSON array"},
         )
-    return _CanonicalPoints(g, (point_from_json(g, obj) for obj in raw))
+    return canonical_points(g, map(_point_fields, raw))
 
 
 def _load_kernel(path: str):
@@ -226,15 +229,7 @@ def _cmd_blocks(args) -> int:
             for b in decomposition.blocks
         ]
     elif decomposition.validity is GeodesicValidity.FORBIDDEN:
-        witness = forbidden_certificate(0.5, 1.0)
-        payload["witness"] = {
-            "t": witness.t,
-            "r": witness.r,
-            "xi_value": witness.xi_value,
-            "quadratic_form": witness.quadratic_form,
-            "beta_found": witness.beta_found,
-            "negative_eigenvalue": witness.negative_eigenvalue,
-        }
+        payload["witness"] = dataclasses.asdict(forbidden_certificate(0.5, 1.0))
     _emit(args, payload)
     return 0
 
@@ -263,14 +258,13 @@ def _cmd_distmatrix(args) -> int:
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
-    labels = [point_label(p) for p in points]
     ctx = _resistance_context(g, kind, args.origin)
     extra = {} if ctx is None else {"origin": ctx.origin}
     matrix = distance_matrix(g, points, kind, ctx=ctx)
     _emit(
         args,
-        _matrix_payload(kind.value, labels, matrix, **extra),
-        table=(labels, matrix),
+        _matrix_payload(kind.value, points.labels, matrix, **extra),
+        table=(points.labels, matrix),
     )
     return 0
 
@@ -332,16 +326,7 @@ def _cmd_star_check(args) -> int:
         {
             "kernel": kernel_spec_to_json(spec),
             "n": args.n,
-            "results": [
-                {
-                    "t": r.t,
-                    "lower_ok": r.lower_ok,
-                    "upper_ok": r.upper_ok,
-                    "cross_ok": r.cross_ok,
-                    "passed": r.passed,
-                }
-                for r in results
-            ],
+            "results": [{**dataclasses.asdict(r), "passed": r.passed} for r in results],
             "all_pass": all_pass,
         },
     )

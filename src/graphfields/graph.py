@@ -284,13 +284,12 @@ class EuclideanGraph:
     def edges(self) -> tuple[Edge, ...]:
         """The edges in input order, built from the edge table on first
         access; the CLI and the functions it calls read the table."""
-        labels = self.vertices
-        return tuple(
-            Edge(eid, labels[a], labels[b], length)
-            for eid, a, b, length in zip(
-                self._ids, self._u.tolist(), self._v.tolist(), self._length.tolist()
-            )
-        )
+        return tuple(itertools.starmap(Edge, self._edge_records()))
+
+    def _edge_records(self):
+        """The ``(id, u, v, length)`` record of each edge, in input order."""
+        ends = (map(self.vertices.__getitem__, a.tolist()) for a in (self._u, self._v))
+        return zip(self._ids, *ends, self._length.tolist())
 
     # -- validation -----------------------------------------------------
 
@@ -490,12 +489,14 @@ def build_graph(vertices, edges) -> EuclideanGraph:
     return EuclideanGraph(vertices, edges)
 
 
-def canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
-    """Normalize a point: boundary offsets become the endpoint vertex."""
-    if p.is_vertex:
-        g.vertex_index(p.vertex)
-        return GraphPoint(vertex=p.vertex)
-    if p.edge is None or p.offset is None:
+def _locate(g: EuclideanGraph, p: GraphPoint) -> tuple[int, float | None]:
+    """Where ``p`` lies on ``g``: ``(vertex index, None)``, or ``(edge
+    position, offset)`` strictly inside the edge.  Offsets of exactly 0 and
+    the length locate the ``u`` and ``v`` ends.  Refuses a malformed point:
+    a vertex with an edge or offset, or an edge point without both."""
+    if p.vertex is not None and p.edge is None and p.offset is None:
+        return g.vertex_index(p.vertex), None
+    if p.vertex is not None or p.edge is None or p.offset is None:
         raise OffsetOutOfRangeError(f"malformed point {p!r}")
     k = g._edge_position(p.edge)
     eid, length = g._ids[k], float(g._length[k])
@@ -507,10 +508,22 @@ def canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
             offset=off,
         )
     if off == 0.0:
-        return GraphPoint(vertex=g.vertices[g._u[k]])
+        return int(g._u[k]), None
     if off == length:
-        return GraphPoint(vertex=g.vertices[g._v[k]])
-    return GraphPoint(edge=eid, offset=off)
+        return int(g._v[k]), None
+    return k, off
+
+
+def _point_at(g: EuclideanGraph, at: int, off: float | None) -> GraphPoint:
+    """The canonical point at a place :func:`_locate` returned."""
+    if off is None:
+        return GraphPoint(vertex=g.vertices[at])
+    return GraphPoint(edge=g._ids[at], offset=off)
+
+
+def canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
+    """Normalize a point: boundary offsets become the endpoint vertex."""
+    return _point_at(g, *_locate(g, p))
 
 
 def _unique_label(base: str, taken) -> str:
@@ -531,20 +544,18 @@ def split_edge(g: EuclideanGraph, p: GraphPoint) -> tuple[EuclideanGraph, str]:
     All other edges are untouched and both metrics on the point continuum
     are unchanged by this operation.
     """
-    p = canonicalize(g, p)
-    if p.is_vertex:
+    at, off = _locate(g, p)
+    if off is None:
         raise OffsetOutOfRangeError(
-            "split point must lie strictly inside an edge", vertex=p.vertex
+            "split point must lie strictly inside an edge", vertex=g.vertices[at]
         )
-    e = g.edge(p.edge)
-    w = _unique_label(f"{e.id}@{p.offset!r}", set(g.vertices))
-    taken_edges = set(g._edge_pos) - {e.id}
-    left_id = _unique_label(f"{e.id}:a", taken_edges)
-    right_id = _unique_label(f"{e.id}:b", taken_edges | {left_id})
-
-    edges = [other for other in g.edges if other.id != e.id]
-    edges.append(Edge(left_id, e.u, w, p.offset))
-    edges.append(Edge(right_id, w, e.v, e.length - p.offset))
+    edges = list(g._edge_records())
+    eid, u, v, length = edges.pop(at)
+    w = _unique_label(f"{eid}@{off!r}", g._vindex)
+    # The new ids extend ``eid``, so neither can be ``eid`` or the other.
+    left_id = _unique_label(f"{eid}:a", g._edge_pos)
+    right_id = _unique_label(f"{eid}:b", g._edge_pos)
+    edges += [(left_id, u, w, off), (right_id, w, v, length - off)]
     return EuclideanGraph([*g.vertices, w], edges), w
 
 
@@ -670,7 +681,8 @@ def graph_to_json(g: EuclideanGraph) -> dict:
     return {
         "vertices": list(g.vertices),
         "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges
+            {"id": eid, "u": u, "v": v, "length": length}
+            for eid, u, v, length in g._edge_records()
         ],
     }
 
@@ -690,10 +702,15 @@ def point_to_json(p: GraphPoint) -> dict:
 
 
 def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:
+    return canonicalize(g, _point_fields(obj))
+
+
+def _point_fields(obj) -> GraphPoint:
+    """The point a JSON object names, not yet located on a graph."""
     if not isinstance(obj, dict):
         raise OffsetOutOfRangeError(f"point JSON must be an object, got {obj!r}")
     if "vertex" in obj:
-        return canonicalize(g, vertex_point(obj["vertex"]))
+        return vertex_point(obj["vertex"])
     if "edge" in obj and "offset" in obj:
         try:
             offset = _as_float(obj["offset"])
@@ -701,7 +718,7 @@ def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:
             raise OffsetOutOfRangeError(
                 f"offset must be a number, got {obj['offset']!r}"
             ) from exc
-        return canonicalize(g, edge_point(obj["edge"], offset))
+        return edge_point(obj["edge"], offset)
     raise OffsetOutOfRangeError(
         'point JSON must be {"vertex": ...} or {"edge": ..., "offset": ...}'
     )

@@ -51,7 +51,7 @@ from .errors import (
     NOutOfRangeError,
     ParamOutOfRangeError,
 )
-from .graph import EuclideanGraph, _as_float, build_graph, point_label, vertex_point
+from .graph import EuclideanGraph, _as_float, build_graph, vertex_point
 from .metrics import MetricKind, ResistanceContext, canonical_points, distance_matrix
 
 PSD_REL_TOL = 1e-9
@@ -122,14 +122,15 @@ def _check_range(ok: bool, fieldname: str, allowed: str) -> None:
 def radial_profile(spec: KernelSpec, t):
     """Evaluate C(t) for a spec; C(0) = 1 for every family.
 
-    Accepts scalars or arrays of nonnegative distances.  The Matern form is
-    divided by its own limit at 0 so that it is a correlation like the other
-    families; at t = 0 the product form is a removable singularity and is
-    evaluated as exactly 1.
+    Accepts scalars or arrays of nonnegative distances (NaN is refused); at
+    ``t = inf`` every family is 0.  The Matern form is divided by its own
+    limit at 0 so that it is a correlation like the other families; at
+    t = 0 the product form is a removable singularity and is evaluated as
+    exactly 1.
     """
     family = spec.family
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
+    if not (arr >= 0).all():
         raise ValueError("distances must be nonnegative")
     alpha, beta, xi = spec.alpha, spec.beta, spec.xi
     if family is KernelFamily.POWER_EXPONENTIAL:
@@ -140,7 +141,9 @@ def radial_profile(spec: KernelSpec, t):
         out = (beta * arr**alpha + 1.0) ** (-xi / alpha)
     else:
         s = beta * arr**alpha
-        out = 1.0 - (s / (1.0 + s)) ** (xi / alpha)
+        # s / (1 + s) tends to 1 as s grows; at s = inf it would be NaN.
+        ratio = np.divide(s, 1.0 + s, out=np.ones_like(s), where=s < np.inf)
+        out = 1.0 - ratio ** (xi / alpha)
     return float(out) if np.isscalar(t) else out
 
 
@@ -430,7 +433,7 @@ def covariance_matrix(
     """Covariance matrix C(d(p_i, p_j)) over a point set with a certificate.
 
     ``origin`` and ``ctx`` are passed to :func:`distance_matrix`, which
-    reads the points canonicalized here without canonicalizing them again.
+    reads the point table built here without building it again.
     ``min_separation`` optionally rejects point pairs closer than the given
     distance, which a caller may use to keep near-duplicates from producing
     numerically borderline certificates.
@@ -447,7 +450,7 @@ def covariance_matrix(
             )
     values = covariance_from_distances(dm, spec)
     return CovarianceMatrix(
-        labels=tuple(point_label(p) for p in pts),
+        labels=pts.labels,
         values=values,
         psd_certificate=_certificate(values, rel_tol),
     )

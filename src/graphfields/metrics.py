@@ -21,6 +21,12 @@ coincides with classical effective resistance on the vertices, is invariant
 to the origin choice and to splitting edges, and never exceeds the geodesic
 distance, with equality exactly on trees.
 
+A query locates each point on the edge table once, in input order
+(``graph._locate``), in :func:`canonical_points`.  Its point table holds the
+canonical points, their endpoint indices, offsets, edge lengths, edge slots
+and labels, and the first repeated point.  Both metrics, the covariance and
+the canonical sampler read that table; a table passed back in is kept.
+
 ``oracle_effective_resistance`` is an independent cross-check: it assembles
 the plain conductance Laplacian of the network with the query points added
 as nodes and evaluates the resistance through an eigenvalue pseudoinverse.
@@ -38,6 +44,7 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import DuplicatePointsError, FactorizationFailedError
 from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label
+from .graph import _first_repeat, _locate, _point_at
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
@@ -57,51 +64,47 @@ class MetricKind(str, Enum):
 # -- point bookkeeping -------------------------------------------------------
 
 
-class _CanonicalPoints(tuple):
-    """Points checked and normalized on ``graph`` (by :func:`canonical_points`
-    or ``graph.point_from_json``); handing them to :func:`canonical_points`
-    again costs nothing."""
+class _PointTable(tuple):
+    """The canonical points of a list on ``graph``, each located once.
 
-    graph: EuclideanGraph
-
-    def __new__(cls, g: EuclideanGraph, points):
-        self = super().__new__(cls, points)
-        self.graph = g
-        return self
-
-
-def canonical_points(g: EuclideanGraph, points) -> tuple[GraphPoint, ...]:
-    if isinstance(points, _CanonicalPoints) and points.graph is g:
-        return points
-    return _CanonicalPoints(g, (canonicalize(g, p) for p in points))
-
-
-def _point_frame(g: EuclideanGraph, points):
-    """Decompose canonical points into endpoint indices and edge coordinates.
-
-    Returns arrays (lo, hi, off, elen, eidx): the vertex indices of the low
-    and high endpoints, the offset from the low endpoint, the containing edge
-    length, and a label that points on the same edge share (-1 for
-    vertices).  Vertices have ``lo == hi`` and zero offset and length.
+    Beside the points, in input order, it holds per point: the vertex
+    indices ``lo``/``hi`` of the ``u``/``v`` ends of its edge (its own index
+    twice for a vertex), its offset ``off`` from ``lo`` and edge length
+    ``elen`` (0 for a vertex), an edge slot ``eidx`` shared by the points of
+    one edge and numbered by first appearance (-1 for a vertex), and its
+    ``labels``; ``repeat`` is the position of the first point equal to an
+    earlier one (``len`` if none).  The arrays are read-only.
     """
-    m = len(points)
-    # The vertex index of a vertex, the edge position of an interior point.
-    pos = np.empty(m, dtype=np.intp)
-    off = np.zeros(m)
-    eidx = np.full(m, -1, dtype=np.intp)
-    slots: dict[str, int] = {}
-    for k, p in enumerate(points):
-        if p.is_vertex:
-            pos[k] = g.vertex_index(p.vertex)
-        else:
-            pos[k] = g._edge_pos[p.edge]
-            off[k] = p.offset
-            eidx[k] = slots.setdefault(p.edge, len(slots))
-    inner = eidx >= 0
-    at = pos[inner]
-    lo, hi, elen = pos.copy(), pos.copy(), np.zeros(m)
-    lo[inner], hi[inner], elen[inner] = g._u[at], g._v[at], g._length[at]
-    return lo, hi, off, elen, eidx
+
+
+def canonical_points(g: EuclideanGraph, points) -> _PointTable:
+    """The point table of ``points``; a table of ``g`` is returned as it is."""
+    if isinstance(points, _PointTable) and points.graph is g:
+        return points
+    return _point_table(g, points)
+
+
+def _point_table(g: EuclideanGraph, points) -> _PointTable:
+    located = [_locate(g, p) for p in points]
+    table = _PointTable(_point_at(g, at, off) for at, off in located)
+    pos = np.array([at for at, _ in located], dtype=np.intp)
+    off = np.array([x for _, x in located], dtype=float)  # None (a vertex) is NaN
+    inner = ~np.isnan(off)
+    off[~inner] = 0.0
+    # _subdivided numbers cut nodes by (slot, offset), so slots keep the
+    # order of first appearance.
+    edge = pos[inner]
+    _, first, which = np.unique(edge, return_index=True, return_inverse=True)
+    eidx = np.full(len(pos), -1, dtype=np.intp)
+    eidx[inner] = np.argsort(np.argsort(first))[which]
+    lo, hi, elen = pos.copy(), pos.copy(), np.zeros(len(pos))
+    lo[inner], hi[inner], elen[inner] = g._u[edge], g._v[edge], g._length[edge]
+    for a in (lo, hi, off, elen, eidx):
+        a.flags.writeable = False
+    labels = tuple(map(point_label, table))
+    vars(table).update(graph=g, lo=lo, hi=hi, off=off, elen=elen, eidx=eidx, labels=labels)
+    table.repeat = _first_repeat(located)
+    return table
 
 
 def _shared_edge(eidx: np.ndarray) -> np.ndarray:
@@ -113,7 +116,7 @@ def _shared_edge(eidx: np.ndarray) -> np.ndarray:
 
 def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
     """Length of the shortest route between two points of the continuum."""
-    return float(geodesic_matrix(g, canonical_points(g, (p, q)))[0, 1])
+    return float(geodesic_matrix(g, (p, q))[0, 1])
 
 
 # -- resistance metric -------------------------------------------------------
@@ -141,9 +144,9 @@ def build_resistance_context(
     return ResistanceContext(g, origin)
 
 
-def _subdivided(ctx: ResistanceContext, frame):
+def _subdivided(ctx: ResistanceContext, pts: _PointTable):
     """Conductance matrix ``L'`` (CSC) of the graph subdivided at the points
-    of ``frame`` (see :func:`_point_frame`), the map ``T`` (CSR) from its
+    of the table ``pts`` (of ``ctx.graph``), the map ``T`` (CSR) from its
     unknowns ``y`` to node potentials ``x = T y``, and the node of each point.
 
     Conductance is 1/length, plus a unit on the diagonal at the origin.
@@ -161,7 +164,7 @@ def _subdivided(ctx: ResistanceContext, frame):
     """
     g = ctx.graph
     n = len(g.vertices)
-    lo, hi, off, elen, eidx = frame
+    lo, hi, off, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
     inner = np.flatnonzero(eidx >= 0)
     keys = np.column_stack([eidx[inner], off[inner]])
     _, first_seen, rank = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -241,14 +244,14 @@ def _factor(L: scipy.sparse.csc_array) -> SuperLU:
     return factor
 
 
-def _solve(ctx: ResistanceContext, frame, u=(), v=()):
+def _solve(ctx: ResistanceContext, pts: _PointTable, u=(), v=()):
     """Factor ``L'`` once and read ``L'^-1`` through the rows of ``T`` at
     the point nodes and at each vertex pair ``(u[k], v[k])``.
 
     Returns the symmetric covariance among the distinct point nodes, the
     row of each point in it, and the resistance of each vertex pair.
     """
-    L, T, node = _subdivided(ctx, frame)
+    L, T, node = _subdivided(ctx, pts)
     needed, where = np.unique(node, return_inverse=True)
     u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
     # Vertex potentials are unknowns of their own, so T[u] - T[v] = e_u - e_v.
@@ -268,7 +271,7 @@ def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) ->
     Equals classical effective resistance (conductance = 1/length) on the
     vertices, and on the graph subdivided at the two points.
     """
-    return float(resistance_matrix(ctx, canonical_points(ctx.graph, (p, q)))[0, 1])
+    return float(resistance_matrix(ctx, (p, q))[0, 1])
 
 
 # -- independent oracle ------------------------------------------------------
@@ -340,17 +343,8 @@ def oracle_effective_resistance(
 # -- pairwise matrices -------------------------------------------------------
 
 
-def _require_distinct(points: list[GraphPoint]) -> None:
-    seen = set()
-    for p in points:
-        key = (p.vertex, p.edge, p.offset)
-        if key in seen:
-            raise DuplicatePointsError(f"duplicate point {point_label(p)!r}")
-        seen.add(key)
-
-
 def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
-    """Pairwise geodesic distances for canonical points (vectorized).
+    """Pairwise geodesic distances of points (vectorized).
 
     Routes through the four endpoint pairings are compared, in two gathers,
     plus the direct within-edge segment when both points lie on the same
@@ -360,7 +354,8 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     endpoint the graph has not searched from before, and never an ``n x n``
     table.
     """
-    lo, hi, to_lo, elen, eidx = _point_frame(g, points)
+    pts = canonical_points(g, points)
+    lo, hi, to_lo, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
     dist = g._distance_block(ends)
     lo, hi = where[: len(lo)], where[len(lo) :]
@@ -379,8 +374,8 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
 
 
 def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    """Canonical-field covariance matrix for canonical points (vectorized)."""
-    block, where, _ = _solve(ctx, _point_frame(ctx.graph, points))
+    """Canonical-field covariance matrix of points (vectorized)."""
+    block, where, _ = _solve(ctx, canonical_points(ctx.graph, points))
     return block[np.ix_(where, where)]
 
 
@@ -394,20 +389,20 @@ def _variogram(cov: np.ndarray) -> np.ndarray:
 
 
 def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    """Pairwise resistance distances for canonical points.
+    """Pairwise resistance distances of points.
 
     The variogram subtracts covariances on the scale of the distance to the
     origin, which loses nearby points far from it, so pairs on one edge
     ``(u, v)`` of length ``l`` at gap ``d`` take the exact series-parallel
     form ``d (l - d) / l + (d / l)^2 R(u, v)`` instead.
     """
-    frame = _point_frame(ctx.graph, points)
-    lo, hi, off, elen, eidx = frame
+    pts = canonical_points(ctx.graph, points)
+    lo, hi, off, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
     shared = _shared_edge(eidx)
     np.fill_diagonal(shared, False)
     i, j = np.nonzero(shared)
     _, first, edge_of = np.unique(eidx[i], return_index=True, return_inverse=True)
-    block, where, r_uv = _solve(ctx, frame, lo[i[first]], hi[i[first]])
+    block, where, r_uv = _solve(ctx, pts, lo[i[first]], hi[i[first]])
     dist = _variogram(block[np.ix_(where, where)])
     gap = np.abs(off[i] - off[j])
     dist[i, j] = gap * (elen[i] - gap) / elen[i] + (gap / elen[i]) ** 2 * r_uv[edge_of]
@@ -429,7 +424,8 @@ def distance_matrix(
     """
     kind = MetricKind(kind)
     pts = canonical_points(g, points)
-    _require_distinct(pts)
+    if pts.repeat < len(pts):
+        raise DuplicatePointsError(f"duplicate point {pts.labels[pts.repeat]!r}")
     if kind is MetricKind.GEODESIC:
         return geodesic_matrix(g, pts)
     if ctx is None:

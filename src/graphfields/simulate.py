@@ -27,13 +27,11 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
-from .graph import point_label
 from .kernels import CovarianceMatrix
 from .metrics import (
     _SOLVE_COLUMNS,
     ResistanceContext,
     _factor,
-    _point_frame,
     _subdivided,
     _variogram,
     canonical_points,
@@ -152,7 +150,7 @@ def sample_canonical_field(
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
     pts = canonical_points(ctx.graph, points)
-    L, T, node = _subdivided(ctx, _point_frame(ctx.graph, pts))
+    L, T, node = _subdivided(ctx, pts)
     lu = _factor(L)
     upper, root = _whitening(lu)
     rng, step = _stream(seed), _SOLVE_COLUMNS
@@ -163,7 +161,7 @@ def sample_canonical_field(
         for s in range(0, n, step)
     ]
     return FieldSample(
-        labels=tuple(point_label(p) for p in pts),
+        labels=pts.labels,
         draws=np.vstack(blocks),
         seed=int(seed),
     )

@@ -10,7 +10,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 import graphfields as gf
 from graphfields.graph import _as_float, _edge_fields, _unique_label
-from graphfields.metrics import _point_frame, _shared_edge
 
 
 # -- fixed fixtures -----------------------------------------------------------
@@ -488,11 +487,37 @@ def blocked_route_lengths(weights, iu, iv) -> np.ndarray:
     return shortest
 
 
+def point_frame(g: gf.EuclideanGraph, points):
+    """Reference point table of canonical points, one point at a time:
+    ``(lo, hi, off, elen, eidx)``, the vertex indices of the low and high
+    endpoints, the offset from the low endpoint, the edge length, and an
+    edge slot numbered by first appearance (-1, with ``lo == hi`` and zero
+    offset and length, for a vertex)."""
+    m = len(points)
+    # The vertex index of a vertex, the edge position of an interior point.
+    pos = np.empty(m, dtype=np.intp)
+    off = np.zeros(m)
+    eidx = np.full(m, -1, dtype=np.intp)
+    slots: dict[str, int] = {}
+    for k, p in enumerate(points):
+        if p.is_vertex:
+            pos[k] = g.vertex_index(p.vertex)
+        else:
+            pos[k] = g._edge_pos[p.edge]
+            off[k] = p.offset
+            eidx[k] = slots.setdefault(p.edge, len(slots))
+    inner = eidx >= 0
+    at = pos[inner]
+    lo, hi, elen = pos.copy(), pos.copy(), np.zeros(m)
+    lo[inner], hi[inner], elen[inner] = g._u[at], g._v[at], g._length[at]
+    return lo, hi, off, elen, eidx
+
+
 def four_pairing_geodesic(g: gf.EuclideanGraph, points) -> np.ndarray:
     """Pairwise geodesic distances of canonical points read through the four
     endpoint pairings, one gather each, plus the direct segment between
     points on one edge."""
-    lo, hi, to_lo, elen, eidx = _point_frame(g, points)
+    lo, hi, to_lo, elen, eidx = point_frame(g, points)
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
     dist = g._distance_block(ends)
     lo, hi = where[: len(lo)], where[len(lo) :]
@@ -501,7 +526,7 @@ def four_pairing_geodesic(g: gf.EuclideanGraph, points) -> np.ndarray:
     np.minimum(best, to_lo[:, None] + dist[np.ix_(lo, hi)] + to_hi[None, :], out=best)
     np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, lo)] + to_lo[None, :], out=best)
     np.minimum(best, to_hi[:, None] + dist[np.ix_(hi, hi)] + to_hi[None, :], out=best)
-    shared_edge = _shared_edge(eidx)
+    shared_edge = (eidx[:, None] == eidx[None, :]) & (eidx[:, None] >= 0)
     if shared_edge.any():
         direct = np.abs(to_lo[:, None] - to_lo[None, :])
         best = np.where(shared_edge, np.minimum(best, direct), best)

@@ -724,26 +724,34 @@ def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeyp
     ],
 )
 def test_loaded_points_are_canonicalized_once(capsys, workdir, monkeypatch, command):
-    seen = []
-    real = gf.graph.canonicalize
+    # One point table per command, which locates each loaded point once.
+    located, tables = [], []
+    real_locate, real_table = gf.metrics._locate, gf.metrics._point_table
 
-    def counted(g, p):
-        seen.append(p)
-        return real(g, p)
+    def counted_locate(g, p):
+        located.append(p)
+        return real_locate(g, p)
 
-    monkeypatch.setattr(gf.graph, "canonicalize", counted)
-    monkeypatch.setattr(gf.metrics, "canonicalize", counted)
+    def counted_table(g, points):
+        table = real_table(g, points)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(gf.graph, "_locate", counted_locate)
+    monkeypatch.setattr(gf.metrics, "_locate", counted_locate)
+    monkeypatch.setattr(gf.metrics, "_point_table", counted_table)
     # The one workdir file named in a command is its kernel.
     argv = [command[0], "--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
     argv += [str(workdir[arg]) if arg in workdir else arg for arg in command[1:]]
     code, _, _ = _run(capsys, argv)
     assert code == 0
-    assert [gf.point_to_json(p) for p in seen] == [
+    assert [gf.point_to_json(p) for p in located] == [
         {"vertex": "0"},
         {"edge": "e1", "offset": 0.25},
         {"edge": "e1", "offset": 0.75},
         {"vertex": "1"},
     ]
+    assert len(tables) == 1 and tables[0].labels == ("0", "e1@0.25", "e1@0.75", "1")
 
 
 # Floats whose text is easy to get wrong: signed zeros, non-finite values,

@@ -552,6 +552,24 @@ def test_out_of_range_offsets_rejected():
         gf.canonicalize(g, gf.vertex_point("Z"))
 
 
+def test_malformed_points_rejected():
+    g = single_edge()
+    for bad in (
+        gf.GraphPoint(vertex="0", edge="e1", offset=0.5),
+        gf.GraphPoint(vertex="0", edge="e1"),
+        gf.GraphPoint(vertex="0", offset=0.0),
+        gf.GraphPoint(edge="e1"),
+        gf.GraphPoint(offset=0.5),
+        gf.GraphPoint(),
+    ):
+        with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
+            gf.canonicalize(g, bad)
+        with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
+            gf.split_edge(g, bad)
+        with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
+            gf.distance_matrix(g, [gf.vertex_point("1"), bad], gf.MetricKind.GEODESIC)
+
+
 def test_point_json_round_trip():
     g = single_edge()
     for p in (gf.vertex_point("0"), gf.edge_point("e1", 0.3)):
@@ -584,6 +602,36 @@ def test_split_square_midpoint_revalidates_as_cycle():
     assert len(g2.vertices) == 5 and len(g2.edges) == 5
     blocks = gf.block_decomposition(g2).blocks
     assert len(blocks) == 1 and blocks[0].kind is gf.BlockKind.CYCLE
+
+
+def test_split_and_json_read_the_edge_table():
+    # Neither builds the Edge tuple of either graph; the split graph keeps
+    # the edge order, ids and labels of splitting the Edge records.
+    g = theta_graph()
+    eid, off = g._ids[1], 0.3 * float(g._length[1])
+    h, w = gf.split_edge(g, gf.edge_point(eid, off))
+    payload = gf.graph_to_json(h)
+    assert "edges" not in vars(g) and "edges" not in vars(h)
+    e = g.edge(eid)
+    expected = [x for x in g.edges if x.id != eid]
+    expected += [gf.Edge(f"{eid}:a", e.u, w, off), gf.Edge(f"{eid}:b", w, e.v, e.length - off)]
+    assert w == f"{eid}@{off!r}" and h.vertices == tuple(sorted([*g.vertices, w]))
+    assert list(h.edges) == expected
+    assert payload == {
+        "vertices": list(h.vertices),
+        "edges": [{"id": x.id, "u": x.u, "v": x.v, "length": x.length} for x in expected],
+    }
+
+
+def test_split_labels_avoid_taken_ones():
+    g = gf.build_graph(
+        ["a", "b", "c", "e@0.5"],
+        [("e", "a", "b", 1.0), ("e:a", "b", "c", 1.0), ("e:b~2", "c", "e@0.5", 1.0),
+         ("e:b", "e@0.5", "a", 1.5)],
+    )
+    h, w = gf.split_edge(g, gf.edge_point("e", 0.5))
+    assert w == "e@0.5~2"
+    assert h._ids == ("e:a", "e:b~2", "e:b", "e:a~2", "e:b~3")
 
 
 def test_split_at_vertex_rejected():

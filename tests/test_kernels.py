@@ -234,6 +234,17 @@ def test_profiles_strictly_decreasing_and_positive():
         assert np.all(values <= 1.0)
 
 
+@pytest.mark.parametrize("spec", IN_RANGE_SPECS)
+def test_profiles_refuse_nan_and_vanish_at_infinity(spec):
+    # Every family, Matern at alpha = 1/2 and below; warnings are errors.
+    for t in (math.nan, np.array([0.5, math.nan]), np.array([[1.0], [math.nan]])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gf.radial_profile(spec, t)
+    assert gf.radial_profile(spec, math.inf) == 0.0
+    got = gf.radial_profile(spec, np.array([0.0, 1.5, math.inf]))
+    assert got[0] == 1.0 and 0.0 < got[1] < 1.0 and got[2] == 0.0
+
+
 def test_profiles_reject_negative_distance_and_bad_spec():
     with pytest.raises(ValueError):
         gf.radial_profile(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0), -0.5)
@@ -332,8 +343,8 @@ def test_covariance_matrix_equals_entrywise_profile_across_row_blocks(kind):
 
 def test_covariance_matrix_canonicalizes_each_point_once(monkeypatch):
     seen = []
-    real = gf.metrics.canonicalize
-    monkeypatch.setattr(gf.metrics, "canonicalize", lambda g, p: seen.append(p) or real(g, p))
+    real = gf.metrics._locate
+    monkeypatch.setattr(gf.metrics, "_locate", lambda g, p: seen.append(p) or real(g, p))
     g = path_abc()
     points = [gf.vertex_point("A"), gf.edge_point("ab", 1.0), gf.edge_point("bc", 0.5)]
     ctx = gf.build_resistance_context(g, "C")

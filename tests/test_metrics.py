@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _factor, _point_frame, _subdivided, resistance_matrix
+from graphfields.metrics import _factor, _subdivided, canonical_points, resistance_matrix
 from .helpers import (
     brute_force_point_distance,
     dense_canonical_covariance,
@@ -24,6 +24,7 @@ from .helpers import (
     four_pairing_geodesic,
     jittered_grid,
     path_abc,
+    point_frame,
     r_graph,
     random_cycle_lengths,
     random_graph,
@@ -42,6 +43,90 @@ def _vp(label):
 
 def _ep(edge, offset):
     return gf.edge_point(edge, offset)
+
+
+# -- point table -----------------------------------------------------------------
+
+
+def _raw_points(rng, g, invalid: bool) -> list:
+    """Points as a caller gives them: vertices, offsets of exactly 0 and the
+    edge length, several points on one edge, offsets as ints and numpy
+    floats, repeats (also of one point named two ways), and with
+    ``invalid`` one to two points that do not lie on ``g``."""
+    labels, edges = g.vertices, g.edges
+    points = []
+    for _ in range(int(rng.integers(0, 9))):
+        kind = int(rng.integers(0, 6 if edges else 1))
+        e = edges[int(rng.integers(len(edges)))] if edges else None
+        if kind == 0:
+            points.append(gf.vertex_point(labels[int(rng.integers(len(labels)))]))
+        elif kind == 1:
+            points.append(gf.edge_point(e.id, [0.0, e.length][int(rng.integers(2))]))
+        elif kind == 2:
+            for off in rng.uniform(0.0, e.length, size=int(rng.integers(1, 4))):
+                points.append(gf.edge_point(e.id, off))
+        elif kind == 3:
+            points.append(gf.GraphPoint(edge=e.id, offset=np.float64(rng.uniform(0.0, e.length))))
+        elif kind == 4:
+            points.append(gf.GraphPoint(edge=e.id, offset=0 if rng.random() < 0.5 else 1))
+        elif points:
+            points.append(points[int(rng.integers(len(points)))])
+    for _ in range(int(rng.integers(1, 3)) if invalid else 0):
+        e = edges[0] if edges else gf.Edge("x", labels[0], labels[0], 1.0)
+        bad = [
+            gf.vertex_point("no such vertex"),
+            gf.edge_point("no such edge", 0.5),
+            gf.edge_point(e.id, -0.25),
+            gf.edge_point(e.id, 1.5 * e.length),
+            gf.edge_point(e.id, float("nan")),
+            gf.edge_point(e.id, float("inf")),
+            gf.GraphPoint(vertex=labels[0], edge=e.id, offset=0.5),
+            gf.GraphPoint(edge=e.id),
+        ][int(rng.integers(8))]
+        points.insert(int(rng.integers(len(points) + 1)), bad)
+    return points
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(1, 8),
+    n_chords=st.integers(0, 2),
+    invalid=st.booleans(),
+)
+def test_point_table_equals_per_point_reference(seed, n_vertices, n_chords, invalid):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, min(n_chords, n_vertices - 2) if n_vertices > 2 else 0)
+    points = _raw_points(rng, g, invalid)
+    try:
+        expected = [gf.canonicalize(g, p) for p in points]
+    except gf.GraphFieldsError as exc:
+        with pytest.raises(type(exc)) as raised:
+            canonical_points(g, points)
+        assert str(raised.value) == str(exc) and raised.value.detail == exc.detail
+        return
+    table = canonical_points(g, iter(points))
+    assert list(table) == expected
+    got = (table.lo, table.hi, table.off, table.elen, table.eidx)
+    for a, b in zip(got, point_frame(g, expected), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert table.labels == tuple(map(gf.point_label, expected))
+    keys = [(p.vertex, p.edge, p.offset) for p in expected]
+    assert table.repeat == next(
+        (k for k, key in enumerate(keys) if key in keys[:k]), len(keys)
+    )
+    assert canonical_points(g, table) is table
+    other = canonical_points(gf.build_graph(g.vertices, g.edges), table)
+    assert other is not table and list(other) == expected
+
+
+def test_distinct_points_may_share_a_label():
+    # A vertex may be named like an edge point; they are still two points.
+    g = gf.build_graph(["a", "b", "e@0.5"], [("e", "a", "b", 1.0), ("f", "b", "e@0.5", 1.0)])
+    pts = [_vp("e@0.5"), _ep("e", 0.5)]
+    assert gf.distance_matrix(g, pts, MetricKind.GEODESIC)[0, 1] == 1.5
+    with pytest.raises(gf.DuplicatePointsError, match="^duplicate point 'e@0.5'$"):
+        gf.distance_matrix(g, [*pts, _ep("e", 0.25), _ep("e", 0.5)], MetricKind.GEODESIC)
 
 
 # -- geodesic ------------------------------------------------------------------
@@ -233,7 +318,7 @@ def test_single_edge_conductance_matrix():
     g = single_edge()
     ctx = gf.build_resistance_context(g)
     assert ctx.origin == "0"
-    L = _subdivided(ctx, _point_frame(g, []))[0].toarray()
+    L = _subdivided(ctx, canonical_points(g, []))[0].toarray()
     assert np.array_equal(L, np.array([[2.0, -1.0], [-1.0, 1.0]]))
     expected_inverse = np.array([[1.0, 1.0], [1.0, 2.0]])
     assert np.allclose(np.linalg.inv(L), expected_inverse, atol=1e-12)
@@ -244,7 +329,7 @@ def test_L_strictly_positive_definite_on_random_graphs():
     for _ in range(8):
         g = random_graph(rng, 12, int(rng.integers(0, 3)))
         ctx = gf.build_resistance_context(g)
-        L = _subdivided(ctx, _point_frame(g, []))[0]
+        L = _subdivided(ctx, canonical_points(g, []))[0]
         assert np.linalg.eigvalsh(L.toarray())[0] > 0
 
 
@@ -259,7 +344,7 @@ def test_factor_columns_match_dense_inverse():
     g = random_graph(rng, 10, 2)
     pts = random_points(rng, g, 8)
     ctx = gf.build_resistance_context(g)
-    L = _subdivided(ctx, _point_frame(g, []))[0]
+    L = _subdivided(ctx, canonical_points(g, []))[0]
     dense = np.linalg.inv(L.toarray())
     columns = _factor(L).solve(np.eye(len(g.vertices)))
     assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)

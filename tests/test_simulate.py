@@ -11,7 +11,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _factor, _point_frame, _subdivided, canonical_points
+from graphfields.metrics import _factor, _subdivided, canonical_points
 from graphfields.simulate import _stream
 from .helpers import figure_eight, jittered_grid, random_points, single_edge, unit_square
 
@@ -75,7 +75,7 @@ def test_canonical_vertex_sample_covariance_matches_inverse():
     n = 20000
     sample = gf.sample_canonical_field(ctx, pts, n, seed=5)
     empirical = np.cov(sample.draws, rowvar=False)
-    target = np.linalg.inv(_subdivided(ctx, _point_frame(g, []))[0].toarray())
+    target = np.linalg.inv(_subdivided(ctx, canonical_points(g, []))[0].toarray())
     sd = np.sqrt(
         (np.outer(np.diag(target), np.diag(target)) + target**2) / n
     )
@@ -127,7 +127,7 @@ def test_canonical_field_is_seed_deterministic():
 def _per_block_draws(ctx, pts, n, seed):
     """Canonical draws with ``F^T`` and ``sqrt(D)`` taken from the factor
     again for every block of 64 draws."""
-    L, T, node = _subdivided(ctx, _point_frame(ctx.graph, pts))
+    L, T, node = _subdivided(ctx, pts)
     lu = _factor(L)
     rng = _stream(seed)
     rows = T[node][:, np.argsort(lu.perm_r)]
