@@ -29,8 +29,6 @@ from .graph import (
     _point_fields,
     block_decomposition,
     graph_from_json,
-    point_from_json,
-    point_label,
 )
 from .kernels import (
     PSD_REL_TOL,
@@ -47,8 +45,8 @@ from .metrics import (
     build_resistance_context,
     canonical_points,
     distance_matrix,
-    geodesic_distance,
-    resistance_distance,
+    geodesic_matrix,
+    resistance_matrix,
 )
 from .simulate import empirical_variogram, sample_canonical_field, sample_from_covariance
 
@@ -235,20 +233,22 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    """One point table of the two points, each parsed and then located
+    before the next is parsed, as :func:`_load_points` reads a file."""
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
-    p = point_from_json(g, _parse_inline_json(args.from_point, "--from point"))
-    q = point_from_json(g, _parse_inline_json(args.to_point, "--to point"))
+    ends = ((args.from_point, "--from point"), (args.to_point, "--to point"))
+    pts = canonical_points(g, (_point_fields(_parse_inline_json(*end)) for end in ends))
     payload = {
         "metric": kind.value,
-        "from": point_label(p),
-        "to": point_label(q),
+        "from": pts.labels[0],
+        "to": pts.labels[1],
     }
     if kind is MetricKind.GEODESIC:
-        payload["value"] = geodesic_distance(g, p, q)
+        payload["value"] = float(geodesic_matrix(g, pts)[0, 1])
     else:
         ctx = build_resistance_context(g, args.origin)
-        payload["value"] = resistance_distance(ctx, p, q)
+        payload["value"] = float(resistance_matrix(ctx, pts)[0, 1])
         payload["origin"] = ctx.origin
     _emit(args, payload)
     return 0

@@ -133,14 +133,18 @@ def radial_profile(spec: KernelSpec, t):
     if not (arr >= 0).all():
         raise ValueError("distances must be nonnegative")
     alpha, beta, xi = spec.alpha, spec.beta, spec.xi
+    # Every family is a function of s = beta t^alpha (Matern: z = beta t);
+    # an s that overflows to inf is the limit t -> inf, where every family
+    # is 0.
+    with np.errstate(over="ignore"):
+        s = beta * (arr if family is KernelFamily.MATERN else arr**alpha)
     if family is KernelFamily.POWER_EXPONENTIAL:
-        out = np.exp(-beta * arr**alpha)
+        out = np.exp(-s)
     elif family is KernelFamily.MATERN:
-        out = _matern(alpha, beta * arr.ravel()).reshape(arr.shape)
+        out = _matern(alpha, s.ravel()).reshape(arr.shape)
     elif family is KernelFamily.GENERALIZED_CAUCHY:
-        out = (beta * arr**alpha + 1.0) ** (-xi / alpha)
+        out = (s + 1.0) ** (-xi / alpha)
     else:
-        s = beta * arr**alpha
         # s / (1 + s) tends to 1 as s grows; at s = inf it would be NaN.
         ratio = np.divide(s, 1.0 + s, out=np.ones_like(s), where=s < np.inf)
         out = 1.0 - ratio ** (xi / alpha)

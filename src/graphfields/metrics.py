@@ -10,16 +10,26 @@ multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
 is the conductance Laplacian, conductance = 1/length, plus a unit bump at an
 origin vertex that makes it strictly positive definite), linearly
 interpolated along edges, plus an independent Brownian bridge on each edge.
-The field is invariant to splitting edges, so at a finite point set it is
-the vertex field of the graph subdivided there: its covariance matrix
-(``r_graph_matrix``) is read from one sparse factorization of ``L'``, the
-conductance matrix of the subdivided graph (same origin bump) in unknowns
-that keep short segments exact (see ``_subdivided``), assembled from the
-edge table the graph builds once; a :class:`ResistanceContext` is just the
-graph and an origin checked against it.  The distance
-coincides with classical effective resistance on the vertices, is invariant
-to the origin choice and to splitting edges, and never exceeds the geodesic
-distance, with equality exactly on trees.
+The distance coincides with classical effective resistance on the vertices,
+is invariant to the origin choice and to splitting edges, and never exceeds
+the geodesic distance, with equality exactly on trees.
+
+Because the field is the interpolated vertex field plus bridges, point
+distances are weighted sums of vertex resistances among the endpoints of
+the points, plus bridge terms (see :func:`resistance_matrix`): the same two
+gathers as the geodesic metric, over a block of vertex resistances that the
+graph reads from columns of ``L^-1`` for one fixed ground (vertex 0), solves
+on demand and keeps.  So a distance query neither depends on the origin nor
+subtracts anything on its scale.
+
+The covariance (``r_graph_matrix``) and the canonical sampler do depend on
+the origin.  The field is invariant to splitting edges, so at a finite
+point set it is the vertex field of the graph subdivided there: both read
+one sparse factorization of ``L'``, the conductance matrix of the
+subdivided graph (same origin bump) in unknowns that keep short segments
+exact (see ``_subdivided``), assembled from the edge table the graph builds
+once.  A :class:`ResistanceContext` is just the graph and an origin checked
+against it.
 
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
@@ -40,20 +50,14 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import SuperLU, splu
 
-from .errors import DuplicatePointsError, FactorizationFailedError
+from .errors import DuplicatePointsError
 from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label
-from .graph import _first_repeat, _locate, _point_at
+from .graph import _SOLVE_COLUMNS, _factor, _first_repeat, _locate, _point_at
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
 _PINV_RTOL = 1e-12
-
-# Right-hand sides are solved, and canonical realizations drawn, this many
-# columns at a time: a block that stays in cache solves two to three times
-# faster than one wide block, and a block of draws bounds the noise held.
-_SOLVE_COLUMNS = 64
 
 
 class MetricKind(str, Enum):
@@ -107,8 +111,42 @@ def _point_table(g: EuclideanGraph, points) -> _PointTable:
     return table
 
 
-def _shared_edge(eidx: np.ndarray) -> np.ndarray:
-    return (eidx[:, None] == eidx[None, :]) & (eidx[:, None] >= 0)
+def _same_edge_pairs(eidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered pairs ``(i[k], j[k])``, ``i != j``, of points that share
+    an edge slot, listed by sorting the slots."""
+    order = np.argsort(eidx, kind="stable")
+    order = order[eidx[order] >= 0]
+    start = np.flatnonzero(np.diff(eidx[order], prepend=-1))
+    size = np.diff(start, append=order.size)
+    # Each point pairs with every point of its slot's run of ``order``.
+    run = np.repeat(size, size)
+    i = np.repeat(order, run)
+    offset = np.arange(i.size) - np.repeat(np.cumsum(run) - run, run)
+    j = order[np.repeat(np.repeat(start, size), run) + offset]
+    keep = i != j
+    return i[keep], j[keep]
+
+
+def _two_gathers(block, lo, hi, a, b, scale, combine) -> np.ndarray:
+    """``combine(scale(block[lo_p], a_p), scale(block[hi_p], b_p))`` for
+    each point ``p``, then the same on the columns of that: a point to point
+    matrix read from a vertex block through both ends of each point, with
+    the ends ``lo``/``hi`` given as rows of ``block``.  Points are taken
+    ``_SOLVE_COLUMNS`` rows at a time, so each stage holds its source, its
+    result and one block of rows.
+    """
+    m = lo.size
+    reach = np.empty((m, block.shape[1]))
+    out = np.empty((m, m))
+    for s in range(0, m, _SOLVE_COLUMNS):
+        rows = slice(s, s + _SOLVE_COLUMNS)
+        near = scale(block[lo[rows]], a[rows, None])
+        combine(near, scale(block[hi[rows]], b[rows, None]), out=reach[rows])
+    for s in range(0, m, _SOLVE_COLUMNS):
+        rows = slice(s, s + _SOLVE_COLUMNS)
+        near = reach[rows]
+        combine(scale(near[:, lo], a), scale(near[:, hi], b), out=out[rows])
+    return out
 
 
 # -- geodesic metric ---------------------------------------------------------
@@ -126,9 +164,11 @@ def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
 class ResistanceContext:
     """An origin vertex checked against its graph.
 
-    Every query assembles the conductance matrix ``L'`` of the graph
+    The origin is the ground of the covariance and of canonical draws, each
+    of which assembles the conductance matrix ``L'`` of the graph
     subdivided at its points from the graph's edge table and factors it.
-    The context is frozen and holds no cache.
+    Distances do not depend on it: they read the vertex resistances the
+    graph keeps.  The context is frozen and holds no cache.
     """
 
     graph: EuclideanGraph
@@ -218,51 +258,22 @@ def _lead(lead: list[int], k: int) -> int:
     return k
 
 
-def _factor(L: scipy.sparse.csc_array) -> SuperLU:
-    """Symmetric-mode sparse LU ``L = P^T F D F^T P`` of a conductance
-    matrix: fill-reducing ``P`` (``perm_r == perm_c``), unit lower ``F`` and
-    positive pivots ``D``.
-
-    Raises :class:`FactorizationFailedError` when that structure fails,
-    which signals a numerically singular L.
-    """
-    try:
-        factor = splu(
-            L,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise FactorizationFailedError(
-            f"conductance matrix is numerically singular: {exc}"
-        ) from exc
-    if not np.array_equal(factor.perm_r, factor.perm_c):
-        raise FactorizationFailedError("factorization of L pivoted off the diagonal")
-    if not np.all(factor.U.diagonal() > 0):
-        raise FactorizationFailedError("conductance matrix is not positive definite")
-    return factor
-
-
-def _solve(ctx: ResistanceContext, pts: _PointTable, u=(), v=()):
+def _solve(ctx: ResistanceContext, pts: _PointTable):
     """Factor ``L'`` once and read ``L'^-1`` through the rows of ``T`` at
-    the point nodes and at each vertex pair ``(u[k], v[k])``.
+    the point nodes.
 
-    Returns the symmetric covariance among the distinct point nodes, the
-    row of each point in it, and the resistance of each vertex pair.
+    Returns the symmetric covariance among the distinct point nodes and the
+    row of each point in it.
     """
     L, T, node = _subdivided(ctx, pts)
     needed, where = np.unique(node, return_inverse=True)
-    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-    # Vertex potentials are unknowns of their own, so T[u] - T[v] = e_u - e_v.
-    readout = scipy.sparse.vstack([T[needed], T[u] - T[v]], format="csr")
+    readout = T[needed]
     rhs = readout.T.tocsc()
     lu = _factor(L)
     blocks = range(0, rhs.shape[1], _SOLVE_COLUMNS)
     out = np.hstack([readout @ lu.solve(rhs[:, s : s + _SOLVE_COLUMNS].toarray()) for s in blocks])
-    block = out[: needed.size, : needed.size]
     # Repairs last-ulp asymmetry of the solved columns of L'^-1.
-    return 0.5 * (block + block.T), where, np.diag(out)[needed.size :]
+    return 0.5 * (out + out.T), where
 
 
 def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
@@ -363,49 +374,55 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
     # the nearer end of each row point first, then of each column point,
     # gives the minimum over the four pairings bit for bit.
-    reach = np.minimum(to_lo[:, None] + dist[lo], to_hi[:, None] + dist[hi])
-    best = np.minimum(reach[:, lo] + to_lo, reach[:, hi] + to_hi)
-    shared_edge = _shared_edge(eidx)
-    if shared_edge.any():
-        direct = np.abs(to_lo[:, None] - to_lo[None, :])
-        best = np.where(shared_edge, np.minimum(best, direct), best)
+    best = _two_gathers(dist, lo, hi, to_lo, to_hi, np.add, np.minimum)
+    i, j = _same_edge_pairs(eidx)
+    best[i, j] = np.minimum(best[i, j], np.abs(to_lo[i] - to_lo[j]))
     np.fill_diagonal(best, 0.0)
     return np.minimum(best, best.T)
 
 
 def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     """Canonical-field covariance matrix of points (vectorized)."""
-    block, where, _ = _solve(ctx, canonical_points(ctx.graph, points))
+    block, where = _solve(ctx, canonical_points(ctx.graph, points))
     return block[np.ix_(where, where)]
 
 
-def _variogram(cov: np.ndarray) -> np.ndarray:
-    """Variogram ``cov_ii + cov_jj - 2 cov_ij`` of a covariance matrix, with
-    an exact zero diagonal."""
-    diag = np.diag(cov)
-    out = diag[:, None] + diag[None, :] - 2.0 * cov
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    """Pairwise resistance distances of points.
+    """Pairwise resistance distances of points (vectorized).
 
-    The variogram subtracts covariances on the scale of the distance to the
-    origin, which loses nearby points far from it, so pairs on one edge
-    ``(u, v)`` of length ``l`` at gap ``d`` take the exact series-parallel
-    form ``d (l - d) / l + (d / l)^2 R(u, v)`` instead.
+    At a point ``p`` at offset ``s`` of edge ``(u, v)`` of length ``l`` the
+    canonical field is ``w_lo Z(u) + w_hi Z(v)`` plus the edge's Brownian
+    bridge, with ``w_lo = (l - s) / l`` and ``w_hi = s / l`` (``1`` and
+    ``0`` at a vertex).  So points on different edges are
+    ``X_pq + h_p + h_q`` apart, where ``X_pq`` sums ``w_i w_j R(i, j)`` over
+    an end ``i`` of ``p`` and an end ``j`` of ``q``, in two gathers, and
+    ``h = w_lo w_hi (l - R(u, v))``.  Two points on one edge, a gap ``d``
+    apart, take the series-parallel form ``d (l - d) / l + (d / l)^2
+    R(u, v)``.  Every term is nonnegative, so nothing cancels on the scale
+    of the distance to a ground.  Vertex resistances ``R`` come from the
+    graph's block over the distinct endpoint vertices of the points, so a
+    query solves one column of ``L^-1`` per endpoint the graph has not
+    solved for before, and builds no ``L'``.
     """
     pts = canonical_points(ctx.graph, points)
-    lo, hi, off, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
-    shared = _shared_edge(eidx)
-    np.fill_diagonal(shared, False)
-    i, j = np.nonzero(shared)
-    _, first, edge_of = np.unique(eidx[i], return_index=True, return_inverse=True)
-    block, where, r_uv = _solve(ctx, pts, lo[i[first]], hi[i[first]])
-    dist = _variogram(block[np.ix_(where, where)])
+    lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen
+    ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    R = ctx.graph._resistance_block(ends)
+    lo, hi = where[: len(lo)], where[len(lo) :]
+    # Both weights by division: 1 - s / l would cancel near v.
+    inner = elen > 0.0
+    w_lo = np.divide(elen - off, elen, out=np.ones_like(elen), where=inner)
+    w_hi = np.divide(off, elen, out=np.zeros_like(elen), where=inner)
+    r_uv = R[lo, hi]
+    h = w_lo * w_hi * (elen - r_uv)
+    dist = _two_gathers(R, lo, hi, w_lo, w_hi, np.multiply, np.add)
+    dist += h[:, None] + h
+    dist += dist.T
+    dist *= 0.5
+    i, j = _same_edge_pairs(pts.eidx)
     gap = np.abs(off[i] - off[j])
-    dist[i, j] = gap * (elen[i] - gap) / elen[i] + (gap / elen[i]) ** 2 * r_uv[edge_of]
+    dist[i, j] = gap * (elen[i] - gap) / elen[i] + (gap / elen[i]) ** 2 * r_uv[i]
+    np.fill_diagonal(dist, 0.0)
     return dist
 
 

@@ -27,15 +27,9 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
+from .graph import _SOLVE_COLUMNS, _factor
 from .kernels import CovarianceMatrix
-from .metrics import (
-    _SOLVE_COLUMNS,
-    ResistanceContext,
-    _factor,
-    _subdivided,
-    _variogram,
-    canonical_points,
-)
+from .metrics import ResistanceContext, _subdivided, canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
@@ -168,10 +162,15 @@ def sample_canonical_field(
 
 
 def empirical_variogram(sample: FieldSample) -> np.ndarray:
-    """Matrix of sample variances of Z(p_i) - Z(p_j) across draws."""
+    """Matrix of sample variances of Z(p_i) - Z(p_j) across draws, with an
+    exact zero diagonal."""
     draws = sample.draws
     if draws.shape[0] < 2:
         raise TooFewSamplesError(
             f"variogram needs at least 2 draws, got {draws.shape[0]}"
         )
-    return _variogram(np.atleast_2d(np.cov(draws, rowvar=False, ddof=1)))
+    cov = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
+    diag = np.diag(cov)
+    out = diag[:, None] + diag[None, :] - 2.0 * cov
+    np.fill_diagonal(out, 0.0)
+    return out

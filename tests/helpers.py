@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
@@ -359,6 +360,51 @@ def dense_canonical_covariance(g: gf.EuclideanGraph, origin: str, points):
                 b = q.offset / e.length
                 bridge[k, j] = (min(a, b) - a * b) * e.length
     return weights @ np.linalg.inv(lap) @ weights.T, bridge
+
+
+def exact_resistance_matrix(g: gf.EuclideanGraph, points, digits: int = 40) -> np.ndarray:
+    """The resistance distances of canonical points, as the variogram of the
+    canonical covariance of :func:`dense_canonical_covariance` (origin at
+    the first vertex) evaluated in ``digits``-digit arithmetic from the
+    float lengths and offsets, then rounded: the subtractions that lose
+    digits on the scale of the origin lose them far below float precision.
+    """
+    with mpmath.workdps(digits):
+        n = len(g.vertices)
+        lap = mpmath.zeros(n, n)
+        for e in g.edges:
+            i, j = g.vertex_index(e.u), g.vertex_index(e.v)
+            c = 1 / mpmath.mpf(e.length)
+            lap[i, i] += c
+            lap[j, j] += c
+            lap[i, j] -= c
+            lap[j, i] -= c
+        lap[0, 0] += 1
+        inv = lap**-1
+        # Each point as (vertex weights, edge id, relative position a).
+        parts = []
+        for p in points:
+            if p.is_vertex:
+                parts.append(({g.vertex_index(p.vertex): mpmath.mpf(1)}, None, None))
+                continue
+            e = g.edge(p.edge)
+            a = mpmath.mpf(p.offset) / mpmath.mpf(e.length)
+            parts.append(({g.vertex_index(e.u): 1 - a, g.vertex_index(e.v): a}, e, a))
+
+        def cov(x, y):
+            (wx, ex, ax), (wy, ey, ay) = x, y
+            out = mpmath.fsum(wi * wj * inv[i, j] for i, wi in wx.items() for j, wj in wy.items())
+            if ex is not None and ex == ey:
+                out += (min(ax, ay) - ax * ay) * mpmath.mpf(ex.length)
+            return out
+
+        var = [cov(x, x) for x in parts]
+        m = len(points)
+        out = np.zeros((m, m))
+        for k in range(m):
+            for j in range(k + 1, m):
+                out[k, j] = out[j, k] = float(var[k] + var[j] - 2 * cov(parts[k], parts[j]))
+    return out
 
 
 def isomorphic_by_labels(

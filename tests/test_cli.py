@@ -754,6 +754,39 @@ def test_loaded_points_are_canonicalized_once(capsys, workdir, monkeypatch, comm
     assert len(tables) == 1 and tables[0].labels == ("0", "e1@0.25", "e1@0.75", "1")
 
 
+@pytest.mark.parametrize("metric", ["geodesic", "resistance"])
+def test_dist_locates_each_point_once(capsys, workdir, monkeypatch, metric):
+    # One point table of the two points, each point located once; the same
+    # point twice is 0 apart.  A bad --from point is named before a --to
+    # that does not parse.
+    located, tables = [], []
+    real_locate, real_table = gf.metrics._locate, gf.metrics._point_table
+
+    def counted_locate(g, p):
+        located.append(p)
+        return real_locate(g, p)
+
+    def counted_table(g, points):
+        tables.append(real_table(g, points))
+        return tables[-1]
+
+    monkeypatch.setattr(gf.graph, "_locate", counted_locate)
+    monkeypatch.setattr(gf.metrics, "_locate", counted_locate)
+    monkeypatch.setattr(gf.metrics, "_point_table", counted_table)
+    argv = ["dist", "--graph", str(workdir["edge"]), "--metric", metric]
+    for ends, value in (
+        (['{"edge": "e1", "offset": 1.0}', '{"edge": "e1", "offset": 0.25}'], 0.75),
+        (['{"vertex": "0"}', '{"edge": "e1", "offset": 0.0}'], 0.0),
+    ):
+        located.clear()
+        tables.clear()
+        code, out, _ = _run(capsys, [*argv, "--from", ends[0], "--to", ends[1]])
+        assert code == 0 and json.loads(out)["value"] == value
+        assert len(located) == 2 and len(tables) == 1
+    code, _, err = _run(capsys, [*argv, "--from", '{"vertex": "Z"}', "--to", "{"])
+    assert code == 2 and json.loads(err)["error"] == "UnknownVertex"
+
+
 # Floats whose text is easy to get wrong: signed zeros, non-finite values,
 # subnormals and both sides of repr's switches to exponent notation.
 _EDGE_FLOATS = [

@@ -245,6 +245,24 @@ def test_profiles_refuse_nan_and_vanish_at_infinity(spec):
     assert got[0] == 1.0 and 0.0 < got[1] < 1.0 and got[2] == 0.0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        gf.KernelSpec(gf.KernelFamily.POWER_EXPONENTIAL, 1.0, 10.0),
+        gf.KernelSpec(gf.KernelFamily.MATERN, 0.5, 10.0),
+        gf.KernelSpec(gf.KernelFamily.MATERN, 0.25, 10.0),
+        gf.KernelSpec(gf.KernelFamily.GENERALIZED_CAUCHY, 1.0, 10.0, 0.5),
+        gf.KernelSpec(gf.KernelFamily.DAGUM, 1.0, 10.0, 0.5),
+    ],
+)
+def test_profiles_reach_their_limit_where_beta_t_overflows(spec):
+    # beta t = 1e309 overflows to inf, the limit t -> inf, with no warning
+    # (warnings are errors).
+    assert gf.radial_profile(spec, 1e308) == 0.0
+    got = gf.radial_profile(spec, np.array([1e308, math.inf, 0.0]))
+    assert got.tolist() == [0.0, 0.0, 1.0]
+
+
 def test_profiles_reject_negative_distance_and_bad_spec():
     with pytest.raises(ValueError):
         gf.radial_profile(KernelSpec(KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0), -0.5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from graphfields.metrics import _factor, _subdivided, canonical_points, resistan
 from .helpers import (
     brute_force_point_distance,
     dense_canonical_covariance,
+    exact_resistance_matrix,
     figure_eight,
     four_pairing_geodesic,
     jittered_grid,
@@ -28,6 +30,7 @@ from .helpers import (
     r_graph,
     random_cycle_lengths,
     random_graph,
+    random_onesum,
     random_points,
     random_tree,
     single_edge,
@@ -262,18 +265,27 @@ def test_geodesic_two_gathers_bit_equal_four_pairings(
     assert gf.metrics.geodesic_matrix(g, pts).tobytes() == expected.tobytes()
 
 
-def test_concurrent_geodesic_queries_read_a_consistent_row_store():
-    # More threads than cores grow one graph's row store at once, switching
-    # every microsecond, on ten fresh instances; a reader that saw a
-    # position map without its rows would index the wrong row or fail.
+def test_concurrent_queries_read_consistent_row_stores():
+    # More threads than cores grow one graph's row stores at once, both
+    # metrics interleaved, switching every microsecond, on ten fresh
+    # instances; a reader that saw a position map without its rows would
+    # index the wrong row or fail.  Resistance matrices equal those of one
+    # thread on another instance bit for bit, whichever columns were stored.
     rng = np.random.default_rng(12)
     base = random_graph(rng, 40, 6)
     sets = [random_points(rng, base, int(rng.integers(2, 12))) for _ in range(24)]
-    expected = [_all_pairs_geodesic(base, pts) for pts in sets]
+    kinds = [(MetricKind.GEODESIC, MetricKind.RESISTANCE)[k % 3 == 1] for k in range(len(sets))]
+    alone = gf.build_graph(base.vertices, base.edges)
+    expected = [
+        _all_pairs_geodesic(base, pts)
+        if kind is MetricKind.GEODESIC
+        else gf.distance_matrix(alone, pts, kind)
+        for pts, kind in zip(sets, kinds)
+    ]
 
     def work(g, first, results):
         for k in range(first, len(sets), 8):
-            results[k] = gf.distance_matrix(g, sets[k], MetricKind.GEODESIC)
+            results[k] = gf.distance_matrix(g, sets[k], kinds[k])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -293,6 +305,59 @@ def test_concurrent_geodesic_queries_read_a_consistent_row_store():
                 assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _stored_bytes(g) -> int:
+    return sum(rows.nbytes for _, rows in g._row_stores.values())
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 40),
+    n_chords=st.integers(0, 6),
+    budget_rows=st.integers(0, 12),
+)
+def test_matrices_are_bit_equal_cold_warm_and_past_the_store_budget(
+    seed, n_vertices, n_chords, budget_rows
+):
+    # Several point sets in turn on one graph with the default budget (cold,
+    # then warm, overlapping sets, a repeat of the first), and in reverse
+    # order on an instance whose stores may hold only budget_rows rows in
+    # all: each matrix is the same bits, and the stores keep their bound.
+    rng = np.random.default_rng(seed)
+    n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
+    g = random_graph(rng, n_vertices, n_chords)
+    first = random_points(rng, g, int(rng.integers(1, 12)))
+    fresh = random_points(rng, g, int(rng.integers(1, 12)))
+    sets = [first, fresh, first[::2] + fresh[1::2], [], first]
+    small = gf.build_graph(g.vertices, g.edges)
+    for kind in MetricKind:
+        expected = [gf.distance_matrix(g, pts, kind) for pts in sets]
+        assert np.array_equal(expected[0], expected[-1])
+        budget = budget_rows * 8 * len(g.vertices)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf.graph, "_ROW_STORE_BYTES", budget)
+            for k in reversed(range(len(sets))):
+                got = gf.distance_matrix(small, sets[k], kind)
+                assert got.tobytes() == expected[k].tobytes()
+                assert _stored_bytes(small) <= budget
+
+
+def test_rows_past_the_budget_equal_stored_rows_on_a_grid(monkeypatch):
+    # Hundreds of endpoints, so rows are computed in several blocks, each
+    # with other rows than on the instance that stores them all.
+    g = jittered_grid(np.random.default_rng(3), 20)
+    pts = random_points(np.random.default_rng(4), g, 150, vertex_share=0.1)
+    expected = {kind: gf.distance_matrix(g, pts, kind) for kind in MetricKind}
+    monkeypatch.setattr(gf.graph, "_ROW_STORE_BYTES", 5 * 8 * len(g.vertices))
+    small = gf.build_graph(g.vertices, g.edges)
+    for kind in MetricKind:
+        for _ in range(2):
+            assert gf.distance_matrix(small, pts[::-1], kind)[::-1, ::-1].tobytes() == (
+                expected[kind].tobytes()
+            )
+    assert _stored_bytes(small) == 5 * 8 * len(g.vertices)
 
 
 def test_geodesic_queries_on_large_grid_stay_far_below_all_pairs_table():
@@ -387,9 +452,11 @@ def test_subdivided_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-12])
 def test_near_duplicate_points_keep_other_pairs_exact(gap):
-    # A segment of length gap * l in L' must not leak current: every pair
-    # with at most one point on the crowded edge stays exact, here for a
-    # close pair inside the edge and for a point that close to a vertex.
+    # Every pair with at most one point on the crowded edge stays exact,
+    # here for a close pair inside the edge and for a point that close to a
+    # vertex, also against that vertex.  The reference subtracts
+    # covariances in 40 digits, so its own cancellation stays far below
+    # the bound.
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_graph(rng, 12, 3)
@@ -404,11 +471,11 @@ def test_near_duplicate_points_keep_other_pairs_exact(gap):
             for p in random_points(rng, g, 8)
             if p.is_vertex or p.edge != e.id
         ]
+        if _vp(e.u) not in others:
+            others.append(_vp(e.u))
         pts = crowded + others
         ctx = gf.build_resistance_context(g)
-        mu, bridge = dense_canonical_covariance(g, ctx.origin, pts)
-        diag = np.diag(mu + bridge)
-        expected = diag[:, None] + diag[None, :] - 2.0 * (mu + bridge)
+        expected = exact_resistance_matrix(g, pts)
         got = resistance_matrix(ctx, pts)
         off_edge = np.ones_like(got, dtype=bool)
         off_edge[:3, :3] = False
@@ -495,6 +562,86 @@ def test_near_duplicate_pair_far_from_origin_leaves_other_distances_exact(length
             d = d * (1000 * length - d) / (1000 * length)
         off = ~np.eye(len(pts), dtype=bool)
         assert np.max(np.abs(got - d)[off] / d[off]) <= 1e-12
+
+
+def _across_far_vertex(g, gap: float):
+    """Points ``gap * l / 2`` either side of the vertex ``w`` farthest from
+    vertex 0 among those with two edges, on its first two edges, ``l`` the
+    shorter of them; returns ``w`` and per point its edge and distance to
+    ``w``."""
+    n = len(g.vertices)
+    degree = np.bincount(np.concatenate((g._u, g._v)), minlength=n)
+    far = dijkstra(g._weights, indices=0)
+    w = int(np.argmax(np.where(degree >= 2, far, -1.0)))
+    first, second = np.flatnonzero((g._u == w) | (g._v == w))[:2]
+    half = 0.5 * gap * min(g._length[first], g._length[second])
+    sides = []
+    for k in (first, second):
+        e = g.edges[k]
+        off = half if g._u[k] == w else e.length - half
+        # The distance to w exactly as the point has it.
+        sides.append((e, gf.edge_point(e.id, off), off if g._u[k] == w else e.length - off))
+    return w, sides
+
+
+def _block_sum_reference(g, sides) -> float:
+    """d_R between the two points of :func:`_across_far_vertex` on a graph
+    of bridges and cycles: the sum of the pieces in each block, a route of
+    length ``d`` in a cycle of length ``c`` being ``d (c - d) / c``."""
+    blocks = gf.block_decomposition(g).blocks
+    (e1, _, d1), (e2, _, d2) = sides
+    b1, b2 = (next(b for b in blocks if e.id in b.edge_ids) for e in (e1, e2))
+
+    def piece(block, d):
+        if block.kind is gf.BlockKind.BRIDGE:
+            return d
+        c = math.fsum(g.edge(eid).length for eid in block.edge_ids)
+        return d * (c - d) / c
+
+    return piece(b1, d1 + d2) if b1 is b2 else piece(b1, d1) + piece(b2, d2)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["path", "cycle", "grid", "onesum"]),
+    size=st.integers(2, 300),
+    exponent=st.floats(-12.0, -6.0),
+)
+@example(seed=0, shape="path", size=300, exponent=-12.0)
+@example(seed=0, shape="cycle", size=300, exponent=-12.0)
+def test_pairs_across_a_far_vertex_are_exact(seed, shape, size, exponent):
+    # Two points either side of a vertex far from the ground, and that
+    # vertex: exact to 1e-12 relative at gaps down to 1e-12 l, against
+    # block sums on paths, cycles and one-sums and a 40-digit reference on
+    # grids.
+    rng = np.random.default_rng(seed)
+    labels = [f"v{k:03d}" for k in range(size + 1)]
+    if shape == "path":
+        lengths = rng.uniform(0.5, 2.0, size)
+        g = gf.build_graph(labels, [(f"e{k}", labels[k], labels[k + 1], x) for k, x in enumerate(lengths)])
+    elif shape == "cycle":
+        lengths = random_cycle_lengths(rng, size + 1)
+        ring = [(f"e{k}", labels[k], labels[(k + 1) % (size + 1)], x) for k, x in enumerate(lengths)]
+        g = gf.build_graph(labels, ring)
+    elif shape == "grid":
+        g = jittered_grid(rng, 2 + size % 5)
+    else:
+        g = random_onesum(rng, 2 + size % 11)
+    w, sides = _across_far_vertex(g, 10.0**exponent)
+    pts = [sides[0][1], sides[1][1], _vp(g.vertices[w])]
+    got = gf.distance_matrix(g, pts, MetricKind.RESISTANCE)
+    if shape == "grid":
+        expected = exact_resistance_matrix(g, pts)
+    else:
+        (_, _, d1), (_, _, d2) = sides
+        expected = np.zeros((3, 3))
+        expected[0, 1] = _block_sum_reference(g, sides)
+        expected[0, 2] = _block_sum_reference(g, [sides[0], (sides[1][0], None, 0.0)])
+        expected[1, 2] = _block_sum_reference(g, [(sides[0][0], None, 0.0), sides[1]])
+        expected += expected.T
+    off = ~np.eye(3, dtype=bool)
+    assert np.max(np.abs(got - expected)[off] / expected[off]) <= 1e-12
 
 
 def test_resistance_on_triangle_and_square():
