@@ -396,7 +396,12 @@ def _add_common(p, *, points=False, metric=False, kernel=False, origin=False):
     if kernel:
         p.add_argument("--kernel", required=True, help="kernel spec JSON file")
     if origin:
-        p.add_argument("--origin", default=None, help="origin vertex label (resistance)")
+        p.add_argument(
+            "--origin",
+            default=None,
+            help="origin vertex label (resistance); changes numbers only in canonical "
+            "simulate and variogram",
+        )
     p.add_argument("--out", default=None, help="write output here instead of stdout; .csv selects CSV for matrices/samples")
 
 

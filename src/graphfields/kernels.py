@@ -11,16 +11,19 @@ symmetric) distance matrix, and mirrors each block below the diagonal; the
 values equal the entrywise evaluation bit for bit.
 
 The Matern profile z^nu K_nu(z) / (2^(nu-1) Gamma(nu)), z = beta t, is
-exactly exp(-z) at nu = 1/2.  Otherwise entries with z below ``_KV_Z0`` = 2
-call ``scipy.special.kv``, and the others sum a trapezoidal rule for
-e^z K_nu(z) whose step is fixed per octave band [2^k, 2^(k+1)) of z: one
-``exp`` and about three multiply-adds per node, 17 to 23 nodes, instead of
-one library call per entry.  The sum stays within 2e-15 relative of
-mpmath's ``besselk``, and each entry's band comes from its own value, so a
-value does not depend on the other entries.  z_0 = 2 is where ``kv`` leaves
-its small-z series, which is off by up to 2e-13 relative just below 2;
-above 2 the two agree within 2e-16 absolute in the profile, so the
-covariances move by no more than that.
+exactly exp(-z) at nu = 1/2.  Otherwise it reads a table of
+z^nu e^z K_nu(z), built once per nu and cached: each octave of z from 2^-5
+to 2^10 is cut into 32 cells, each holding the degree-6 polynomial that
+interpolates a trapezoidal rule for e^z K_nu(z) at its Chebyshev points.
+An entry costs seven table reads and multiply-adds and one ``exp``; its
+cell comes from its own bits, so a value does not depend on the other
+entries.  On [2^-5, 700] the table is within 1.2e-15 relative of 40-digit
+mpmath, where ``scipy.special.kv``, which it replaces there, is off by up
+to 1.4e-13 just below 2.  Below 2^-5 entries still call ``kv`` (within
+1.9e-15 of mpmath there), and from 2^10 on the profile is 0: e^-z
+underflows past 745.  Against ``kv``, values moved by at most 1.4e-16
+absolute from z = 2 on and by up to 9e-15 absolute below 2, towards
+mpmath.
 
 Beyond kernel evaluation the module certifies covariance matrices.  A
 covariance matrix is proved positive definite by one Cholesky factorization
@@ -36,11 +39,13 @@ networks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly
 from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _bessel_kv
@@ -81,8 +86,9 @@ class KernelSpec:
     generalized Cauchy and Dagum families.
 
     A spec is valid by construction: ``family`` is coerced to
-    :class:`KernelFamily` and the parameters are checked once, so every
-    existing spec lies in its family's validity range.
+    :class:`KernelFamily`, the parameters to plain floats (a bool is not a
+    number), and they are checked once, so every existing spec lies in its
+    family's validity range.
     """
 
     family: KernelFamily
@@ -92,6 +98,14 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", KernelFamily(self.family))
+        for name in ("alpha", "beta", "xi"):
+            value = getattr(self, name)
+            if value is None and name == "xi":
+                continue
+            try:
+                object.__setattr__(self, name, _as_float(value))
+            except (TypeError, ValueError) as exc:
+                raise ParamOutOfRangeError(name, "a number") from exc
         self._validate()
 
     def _validate(self) -> None:
@@ -153,48 +167,36 @@ def radial_profile(spec: KernelSpec, t):
 
 # -- Matern profile -----------------------------------------------------------
 
-# Below _KV_Z0 the Matern profile calls scipy's K_nu (AMOS).  AMOS leaves its
-# small-z series at 2, and that series is off by up to 2e-13 relative just
-# below 2 (6.4e-14 at nu = 1/4, 1.8e-13 at nu = 0.108); from 2 on, AMOS and
-# the trapezoidal rule of _scaled_kv agree within 2e-16 absolute in the
-# profile.  So moving z_0 below 2 would move covariances by up to 1e-14.
-_KV_Z0 = 2.0
-# Step h and node count n of the trapezoidal rule on the octave bands
-# [2, 4), [4, 8), ..., [512, 1024) of z.  Each h is the largest, and then
-# each n the smallest, for which the rule, summed in 40-digit arithmetic,
-# stays within 1e-17 relative of mpmath's besselk at nu = 1e-6, 0.1, 0.25
-# and 0.4999 on nine points of its band: the rule's own error is far below
-# the rounding of the float sum.  Past the last band e^-z has underflowed
-# (at z = 745), and the profile is 0.
-_KV_BANDS = (
-    (0.1869, 23),
-    (0.1586, 19),
-    (0.1219, 17),
-    (0.0874, 17),
-    (0.0620, 17),
-    (0.0439, 17),
-    (0.0310, 17),
-    (0.0219, 17),
-    (0.0155, 17),
+# The Matern table covers the octaves [2^e, 2^(e+1)) of z for e in _OCTAVES.
+# Below _KV_Z0 the profile calls scipy's K_nu (AMOS), whose series is within
+# 1.9e-15 relative of mpmath there; past the last octave e^-z has
+# underflowed (at z = 745) and the profile is 0.  Each octave is cut into
+# _CELLS equal cells, each holding a polynomial of degree _DEGREE in a local
+# x in [-1, 1].  _CELLS is a power of two, so the cell of a float z is its
+# bits shifted right by _CELL_BITS, less the shifted bits of _KV_Z0, and x
+# comes from the bits below.
+_OCTAVES = range(-5, 10)
+_KV_Z0 = 2.0**_OCTAVES.start
+_CELLS = 32
+_DEGREE = 6
+_CELL_BITS = 52 - int(math.log2(_CELLS))
+_CELL_BASE = int(np.float64(_KV_Z0).view(np.int64)) >> _CELL_BITS
+
+# Interpolation at the Chebyshev points x_n = cos(theta_n) of a cell: the
+# DCT-II that takes values there to Chebyshev coefficients, and the matrix
+# whose row j holds the monomial coefficients of T_j.
+_THETA = np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
+_DCT = 2.0 / (_DEGREE + 1) * np.cos(np.outer(_THETA, np.arange(_DEGREE + 1)))
+_DCT[:, 0] /= 2.0
+_CHEB_TO_MONO = np.array(
+    [np.pad(p, (0, _DEGREE + 1 - len(p))) for p in map(cheb2poly, np.eye(_DEGREE + 1))]
 )
-_KV_ZMAX = _KV_Z0 * 2.0 ** len(_KV_BANDS)
 
 
-def _band_nodes(h: float, n: int):
-    """A band's rule without its nu part: h^2, and at the nodes u = j h
-    (j = 0..n) asinh(u / sqrt 2) and h g(u) / cosh(2 nu asinh(u / sqrt 2))
-    = 2 h / sqrt(u^2 + 2), halved at u = 0 (see :func:`_scaled_kv`)."""
-    u = h * np.arange(n + 1)
-    weight = 2.0 * h / np.sqrt(u * u + 2.0)
-    weight[0] /= 2.0
-    return h * h, np.arcsinh(u / math.sqrt(2.0)), weight
-
-
-_KV_NODES = tuple(_band_nodes(h, n) for h, n in _KV_BANDS)
-
-
-def _scaled_kv(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^z K_nu(z) on a 1-D array of z in [_KV_Z0, _KV_ZMAX).
+@functools.cache
+def _rule() -> tuple:
+    """The part of the trapezoidal rule for e^z K_nu(z) that does not depend
+    on nu, at the Chebyshev points z of every cell of the table.
 
     With cosh t = 1 + u^2, K_nu(z) = int_0^inf e^(-z cosh t) cosh(nu t) dt
     becomes e^-z int_0^inf e^(-z u^2) g(u) du with
@@ -202,53 +204,92 @@ def _scaled_kv(nu: float, z: np.ndarray) -> np.ndarray:
     analytic for |Im u| < sqrt 2.  The trapezoidal rule
     h (g(0) / 2 + sum_j e^(-z h^2 j^2) g(j h)) therefore converges
     geometrically in 1/h (Trefethen and Weideman, SIAM Rev. 56, 2014), and
-    the Gaussian factor bounds the number of nodes.  Each z takes the step
-    and node count of its own octave band, so its value does not depend on
-    the other entries.  The weights w_j = q^(j^2), q = e^(-z h^2), come from
-    w_(j+1) = w_j r_j and r_(j+1) = r_j q^2, with r_j = q^(2j+1).
+    the Gaussian factor bounds the number of nodes.  On the octave from z_lo
+    the step is h = min(0.18, 0.4 / sqrt(2 z_lo)) and the nodes run to
+    u = sqrt(40 / z_lo), where e^(-z u^2) <= e^-40: the rule's own error is
+    below 1e-17 relative, far below the rounding of its float sum.
+
+    One tuple per octave: the points z, the factors e^(-z u^2) (a row per
+    point), and at the nodes u the weights 2 h / sqrt(u^2 + 2), halved at
+    u = 0, and asinh(u / sqrt 2).
     """
-    band = (np.frexp(z)[1] - 2).astype(np.int8)
-    order = np.argsort(band, kind="stable")
-    zs = z[order]
-    sums = np.empty_like(zs)
-    start = 0
-    counts = np.bincount(band, minlength=len(_KV_NODES))
-    for (h2, asinh_u, weight), count in zip(_KV_NODES, counts):
-        if not count:
-            continue
-        zb = zs[start : start + count]
-        c = weight * np.cosh((2.0 * nu) * asinh_u)
-        q = np.exp(-h2 * zb)
-        q2 = q * q
-        w = q.copy()
-        r = q2 * q
-        acc = c[1] * w
-        acc += c[0]
-        for cj in c[2:]:
-            w *= r
-            r *= q2
-            acc += cj * w
-        sums[start : start + count] = acc
-        start += count
-    out = np.empty_like(z)
-    out[order] = sums
-    return out
+    x = np.cos(_THETA)
+    octaves = []
+    for e in _OCTAVES:
+        z_lo = 2.0**e
+        h = min(0.18, 0.4 / math.sqrt(2.0 * z_lo))
+        u = h * np.arange(math.ceil(math.sqrt(40.0 / z_lo) / h) + 2)
+        width = z_lo / _CELLS
+        z = ((z_lo + width * np.arange(_CELLS))[:, None] + (0.5 * width) * (x + 1.0)).ravel()
+        factors = np.multiply.outer(-z, u * u)
+        np.exp(factors, out=factors)
+        weight = 2.0 * h / np.sqrt(u * u + 2.0)
+        weight[0] /= 2.0
+        octave = (z, factors, weight, np.arcsinh(u / math.sqrt(2.0)))
+        for a in octave:
+            a.flags.writeable = False
+        octaves.append(octave)
+    return tuple(octaves)
+
+
+def _matern_norm(nu: float) -> float:
+    """The profile's limit 2^(nu-1) Gamma(nu) of z^nu K_nu(z) at z = 0."""
+    return 2.0 ** (nu - 1.0) * _gamma(nu)
+
+
+@functools.lru_cache(maxsize=16)
+def _matern_table(nu: float) -> np.ndarray:
+    """Coefficients of the table of z^nu e^z K_nu(z) / norm: row k holds
+    the coefficient of x^(_DEGREE - k) in every cell, highest degree first.
+
+    Each cell's polynomial interpolates the trapezoidal rule of :func:`_rule`
+    at its Chebyshev points.  The DCT runs on the values less their mean,
+    which rounds the Chebyshev coefficients to the mean's precision instead
+    of the cosines'.
+    """
+    values = np.concatenate(
+        [
+            z**nu * (factors * (weight * np.cosh((2.0 * nu) * asinh))).sum(axis=1)
+            for z, factors, weight, asinh in _rule()
+        ]
+    ).reshape(-1, _DEGREE + 1) / _matern_norm(nu)
+    mean = values.mean(axis=1, keepdims=True)
+    cheb = (values - mean) @ _DCT
+    cheb[:, 0] += mean[:, 0]
+    table = np.ascontiguousarray((cheb @ _CHEB_TO_MONO)[:, ::-1].T)
+    table.flags.writeable = False
+    return table
 
 
 def _matern(nu: float, z: np.ndarray) -> np.ndarray:
-    """z^nu K_nu(z) / (2^(nu-1) Gamma(nu)) on a 1-D array of z >= 0, with
-    its limit 1 at z = 0; exactly exp(-z) at nu = 1/2."""
+    """z^nu K_nu(z) / (2^(nu-1) Gamma(nu)) on a 1-D float array of z >= 0,
+    with its limit 1 at z = 0; exactly exp(-z) at nu = 1/2.
+
+    An entry z >= _KV_Z0 evaluates its cell's polynomial by Horner's rule
+    and multiplies by e^-z.  The bits of z give the cell (its octave and
+    the leading mantissa bits) and x (the rest of the mantissa) exactly.
+    Past the last octave the index is clipped to the last cell, and e^-z
+    is 0.
+    """
     if nu == 0.5:
         return np.exp(-z)
-    norm = 2.0 ** (nu - 1.0) * _gamma(nu)
-    # 1 at z = 0, and 0 from _KV_ZMAX on, where e^-z has underflowed.
-    out = np.where(z > 0, 0.0, 1.0)
-    near = (z > 0) & (z < _KV_Z0)
-    zn = z[near]
-    out[near] = zn**nu * _bessel_kv(nu, zn) / norm
-    far = (z >= _KV_Z0) & (z < _KV_ZMAX)
-    zf = z[far]
-    out[far] = zf**nu * _scaled_kv(nu, zf) / norm * np.exp(-zf)
+    table = _matern_table(nu)
+    bits = z.view(np.int64)
+    cell = bits >> _CELL_BITS
+    cell -= _CELL_BASE
+    x = (bits & ((1 << _CELL_BITS) - 1)).astype(float)
+    x *= 2.0 ** (1 - _CELL_BITS)
+    x -= 1.0
+    out = table[0].take(cell, mode="clip")
+    for row in table[1:]:
+        out *= x
+        out += row.take(cell, mode="clip")
+    out *= np.exp(-z)
+    if z.size and z.min() < _KV_Z0:
+        near = (z > 0.0) & (z < _KV_Z0)
+        zn = z[near]
+        out[near] = zn**nu * _bessel_kv(nu, zn) / _matern_norm(nu)
+        out[z == 0.0] = 1.0
     return out
 
 
@@ -613,15 +654,6 @@ def kernel_spec_to_json(spec: KernelSpec) -> dict:
     return out
 
 
-def _number(obj: dict, key: str) -> float:
-    try:
-        return _as_float(obj[key])
-    except KeyError as exc:
-        raise ParamOutOfRangeError(key, "required") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParamOutOfRangeError(key, "a number") from exc
-
-
 def kernel_spec_from_json(obj: dict) -> KernelSpec:
     family = None
     if isinstance(obj, dict) and "family" in obj:
@@ -630,6 +662,7 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
         raise ParamOutOfRangeError(
             "family", "one of " + ", ".join(sorted(f.value for f in KernelFamily))
         )
-    alpha, beta = _number(obj, "alpha"), _number(obj, "beta")
-    xi = _number(obj, "xi") if obj.get("xi") is not None else None
-    return KernelSpec(family=family, alpha=alpha, beta=beta, xi=xi)
+    for key in ("alpha", "beta"):
+        if key not in obj:
+            raise ParamOutOfRangeError(key, "required")
+    return KernelSpec(family, obj["alpha"], obj["beta"], obj.get("xi"))

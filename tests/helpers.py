@@ -407,6 +407,14 @@ def exact_resistance_matrix(g: gf.EuclideanGraph, points, digits: int = 40) -> n
     return out
 
 
+def exact_matern(nu: float, z: float, digits: int = 40) -> float:
+    """The Matern profile z^nu K_nu(z) / (2^(nu-1) Gamma(nu)) at the exact
+    float ``nu`` and ``z``, in ``digits``-digit arithmetic, then rounded."""
+    with mpmath.workdps(digits):
+        nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+        return float(z**nu * mpmath.besselk(nu, z) / (2 ** (nu - 1) * mpmath.gamma(nu)))
+
+
 def isomorphic_by_labels(
     g1: gf.EuclideanGraph, g2: gf.EuclideanGraph, tol: float = 1e-12
 ) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind, kernels
 from .helpers import (
     embedding_gram,
+    exact_matern,
     path_abc,
     random_graph,
     random_onesum,
@@ -96,6 +98,22 @@ def test_spec_constructs_exactly_in_range(family, as_text, alpha, beta, xi):
     else:
         with pytest.raises(gf.ParamOutOfRangeError):
             KernelSpec(name, alpha, beta, xi)
+
+
+def test_spec_refuses_bools_and_stores_plain_floats():
+    for args in ((True, 1.0), (1.0, False), (0.5, 1.0, True)):
+        family = KernelFamily.DAGUM if len(args) == 3 else KernelFamily.POWER_EXPONENTIAL
+        with pytest.raises(gf.ParamOutOfRangeError, match="a number"):
+            KernelSpec(family, *args)
+    with pytest.raises(gf.ParamOutOfRangeError, match="a number"):
+        KernelSpec(KernelFamily.MATERN, "half", 1.0)
+    spec = KernelSpec(KernelFamily.DAGUM, np.float32(0.75), np.int64(2), np.float64(0.5))
+    assert spec == KernelSpec(KernelFamily.DAGUM, 0.75, 2.0, 0.5)
+    assert all(type(x) is float for x in (spec.alpha, spec.beta, spec.xi))
+    assert gf.kernel_spec_from_json(json.loads(json.dumps(gf.kernel_spec_to_json(spec)))) == spec
+    # A float32 nu is its own float value, one key of the Matern table cache.
+    matern = KernelSpec(KernelFamily.MATERN, np.float32(0.3), 1.0)
+    assert type(matern.alpha) is float and matern.alpha == float(np.float32(0.3))
 
 
 # -- radial profiles ------------------------------------------------------------
@@ -203,21 +221,68 @@ def test_matern_profile_matches_mpmath_at_band_edges(nu):
     assert gf.radial_profile(spec, 800.0) == 0.0
 
 
+def _within_mpmath(got, nu, z, rel):
+    """Whether each value is within ``rel`` relative of 40-digit mpmath; a
+    value that underflows may be off by the subnormal spacing as well."""
+    ref = np.array([exact_matern(nu, zi) for zi in np.atleast_1d(z)])
+    return np.abs(got - ref) <= rel * ref + np.finfo(float).smallest_subnormal
+
+
 @pytest.mark.parametrize("nu", [1e-6, 0.05, 0.25, 0.4999, 0.5])
 def test_matern_profile_follows_kv_densely(nu):
     z = np.concatenate([[0.0], np.geomspace(1e-3, 1100.0, 40001)])
     got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), z)
-    assert np.max(np.abs(got - _kv_matern(nu, z))) <= 1e-15
+    kv = _kv_matern(nu, z)
+    far, low = z >= 2.0, z < 2.0**-5
+    assert np.max(np.abs(got[far] - kv[far])) <= 1e-15
+    # Below 2^-5 the profile is kv's bit for bit, and exp(-z)'s at nu = 1/2.
+    assert np.array_equal(got[low], np.exp(-z[low]) if nu == 0.5 else kv[low])
+    # In between kv's series is off by up to 6e-14 at these nu, so every
+    # 40th point is held to mpmath instead.
+    mid = np.flatnonzero(~far & ~low)[::40]
+    assert np.all(_within_mpmath(got[mid], nu, z[mid], 4e-15))
+
+
+# Below nu = 1e-12 the reference slows to seconds a value: mpmath's besselk
+# repairs the cancellation of I_-nu - I_nu by raising its precision.
+@settings(max_examples=300)
+@given(
+    nu=st.floats(1e-12, 0.5, exclude_max=True),
+    z=st.floats(2.0**-5, 700.0),
+)
+def test_matern_profile_within_4e_15_of_mpmath(nu, z):
+    got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), z)
+    assert _within_mpmath(got, nu, z, 4e-15).all()
 
 
 @pytest.mark.parametrize("nu", [1e-6, 0.05, 0.25, 0.4999])
 def test_matern_profile_decreases_across_band_edges(nu):
-    # Steps of 1e-11 relative move the profile by about 1e-11 z relative,
+    # Every edge of the table's octaves and cells from 2^-5 (where kv hands
+    # over) to 700.  From 2^-5 on |d ln C / d ln z| >= 0.03 at these nu, so
+    # steps of 1e-11 relative move the profile by at least 3e-13 relative,
     # far more than the evaluator's error on either side of an edge.
+    cells = 2.0 ** np.arange(-5, 10)[:, None] * (1.0 + np.arange(32) / 32.0)
+    edges = cells[cells <= 700.0]
     steps = 1.0 + 1e-11 * np.arange(-3, 4)
-    for k in range(1, 10):
-        values = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), 2.0**k * steps)
-        assert np.all(np.diff(values) < 0.0), k
+    values = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), np.outer(edges, steps))
+    moves = -np.diff(values, axis=1)
+    assert np.all(moves >= 1e-13 * values[:, 1:]), edges[np.any(moves < 1e-13 * values[:, 1:], axis=1)]
+
+
+def test_matern_table_is_built_once_per_nu():
+    kernels._matern_table.cache_clear()
+    spec = KernelSpec(KernelFamily.MATERN, 0.3, 4.0)
+    rng = np.random.default_rng(29)
+    g = random_graph(rng, 12, 3)
+    pts = random_points(rng, g, 3 * kernels._ROW_BLOCK)
+    for kind in MetricKind:
+        gf.covariance_matrix(g, pts, spec, kind)
+    assert kernels._matern_table.cache_info().misses == 1
+    # Scalar calls, as star_inequality_check makes them, read the same table.
+    results = gf.star_inequality_check(lambda t: gf.radial_profile(spec, t), 4, [0.1, 1.0, 10.0])
+    assert all(r.passed for r in results)
+    info = kernels._matern_table.cache_info()
+    assert info.misses == 1 and info.hits >= 9
 
 
 def test_dagum_value():
@@ -734,8 +799,9 @@ def test_kernels_valid_under_geodesic_on_onesums():
 
 
 def test_kernel_json_round_trip_and_aliases():
-    spec = KernelSpec(KernelFamily.GENERALIZED_CAUCHY, 0.5, 2.0, 0.3)
-    assert gf.kernel_spec_from_json(gf.kernel_spec_to_json(spec)) == spec
+    for spec in IN_RANGE_SPECS:
+        wire = json.loads(json.dumps(gf.kernel_spec_to_json(spec)))
+        assert gf.kernel_spec_from_json(wire) == spec
     parsed = gf.kernel_spec_from_json({"family": "cauchy", "alpha": 0.5, "beta": 1.0, "xi": 1.0})
     assert parsed.family is KernelFamily.GENERALIZED_CAUCHY
     parsed = gf.kernel_spec_from_json({"family": " Cauchy ", "alpha": 0.5, "beta": 1.0, "xi": 1.0})
@@ -754,3 +820,5 @@ def test_kernel_json_rejects_unknown_family_and_bad_params():
         gf.kernel_spec_from_json({"family": "matern", "alpha": 0.7, "beta": 1.0})
     with pytest.raises(gf.ParamOutOfRangeError):
         gf.kernel_spec_from_json({"family": "matern", "alpha": 0.5})
+    with pytest.raises(gf.ParamOutOfRangeError, match="a number"):
+        gf.kernel_spec_from_json({"family": "power_exponential", "alpha": True, "beta": 1.0})
