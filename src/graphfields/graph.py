@@ -122,8 +122,9 @@ def point_label(p: GraphPoint) -> str:
 
 
 def _as_float(x) -> float:
-    """``float(x)``, except that a bool (JSON ``true``) is not a number."""
-    if isinstance(x, bool):
+    """``float(x)``, except that a bool (JSON ``true``), a string and bytes
+    (JSON ``"2.5"``) are not numbers."""
+    if isinstance(x, (bool, str, bytes, bytearray)):
         raise TypeError(f"{x!r} is not a number")
     return float(x)
 
@@ -242,12 +243,13 @@ class EuclideanGraph:
     :class:`Edge` tuple :attr:`edges` is built from that table on first
     access.
 
-    Vertices, edges and lengths never change after construction.  The one
-    state that does is the row stores of the two metrics: geodesic queries
-    read vertex distances through :meth:`_distance_block` (rows of
-    single-source Dijkstra searches) and resistance queries read vertex
-    resistances through :meth:`_resistance_block` (columns of ``L^-1``, from
-    one factor of ``L`` made on the first such query and kept).  Each
+    Vertices, edges and lengths never change after construction.  The
+    state that does is the row stores of the two metrics and the one factor
+    of ``L`` (:meth:`_conductance_lu`), made on first use and kept, which
+    resistance queries and canonical draws read.  Geodesic queries read
+    vertex distances through :meth:`_distance_block` (rows of single-source
+    Dijkstra searches) and resistance queries read vertex resistances
+    through :meth:`_resistance_block` (columns of ``L^-1``).  Each
     computes only the rows its store lacks and keeps them while all stores
     hold at most ``_ROW_STORE_BYTES``.  Each growth publishes fresh
     (position map, rows) pairs in one attribute assignment and writes to no
@@ -389,7 +391,15 @@ class EuclideanGraph:
 
     def _conductance_columns(self, idx: np.ndarray) -> np.ndarray:
         """Columns ``idx`` of ``L^-1`` (see :meth:`_resistance_block`), as
-        rows; ``L`` is factored on the first call and the factor kept."""
+        rows."""
+        rhs = np.zeros((len(self.vertices), idx.size))
+        rhs[idx, np.arange(idx.size)] = 1.0
+        return self._conductance_lu().solve(rhs).T
+
+    def _conductance_lu(self) -> SuperLU:
+        """The factor (see :func:`_factor`) of ``L``, the conductance matrix
+        (conductance = 1/length) plus a unit at vertex 0, read off the edge
+        table on the first call and kept; a race at worst factors twice."""
         lu = self._conductance_factor
         if lu is None:
             n = len(self.vertices)
@@ -398,9 +408,7 @@ class EuclideanGraph:
             c = 1.0 / self._length
             L = csc_array((np.concatenate((c, c, -c, -c, [1.0])), (ends, other)), shape=(n, n))
             lu = self._conductance_factor = _factor(L)
-        rhs = np.zeros((len(self.vertices), idx.size))
-        rhs[idx, np.arange(idx.size)] = 1.0
-        return lu.solve(rhs).T
+        return lu
 
     def _stored_block(self, kind: str, idx: np.ndarray, compute, step: int) -> np.ndarray:
         """The block ``X[idx][:, idx]`` of the table ``X`` of the store

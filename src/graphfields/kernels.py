@@ -20,10 +20,10 @@ cell comes from its own bits, so a value does not depend on the other
 entries.  On [2^-5, 700] the table is within 1.2e-15 relative of 40-digit
 mpmath, where ``scipy.special.kv``, which it replaces there, is off by up
 to 1.4e-13 just below 2.  Below 2^-5 entries still call ``kv`` (within
-1.9e-15 of mpmath there), and from 2^10 on the profile is 0: e^-z
-underflows past 745.  Against ``kv``, values moved by at most 1.4e-16
-absolute from z = 2 on and by up to 9e-15 absolute below 2, towards
-mpmath.
+1.9e-15 of mpmath there) but below 2^-27, which read the first two terms
+of the series at 0.  From 2^10 on the profile is 0: e^-z underflows past
+745.  Against ``kv``, values moved by at most 1.4e-16 absolute from z = 2
+on and by up to 9e-15 absolute below 2, towards mpmath.
 
 Beyond kernel evaluation the module certifies covariance matrices.  A
 covariance matrix is proved positive definite by one Cholesky factorization
@@ -49,6 +49,7 @@ from numpy.polynomial.chebyshev import cheb2poly
 from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _bessel_kv
+from scipy.special import zeta as _zeta
 
 from .errors import (
     DuplicatePointsError,
@@ -182,6 +183,15 @@ _DEGREE = 6
 _CELL_BITS = 52 - int(math.log2(_CELLS))
 _CELL_BASE = int(np.float64(_KV_Z0).view(np.int64)) >> _CELL_BITS
 
+# Below _SERIES_Z0, where kv overflows near 1e-305, the profile is
+# 1 - Gamma(1-nu)/Gamma(1+nu) (z/2)^(2 nu), short of terms below 2^-55 for
+# nu <= 1/2.  It is -expm1 of a log that does not cancel at small nu:
+# ln Gamma(1-nu) - ln Gamma(1+nu) = 2 (gamma nu + sum over odd k >= 3 of
+# zeta(k) nu^k / k), whose terms past k = 53 are below 2^-53 of the sum.
+_SERIES_Z0 = 2.0**-27
+_ODD_K = np.arange(53, 2, -2)
+_ZETA_ODD = _zeta(_ODD_K) / _ODD_K
+
 # Interpolation at the Chebyshev points x_n = cos(theta_n) of a cell: the
 # DCT-II that takes values there to Chebyshev coefficients, and the matrix
 # whose row j holds the monomial coefficients of T_j.
@@ -269,7 +279,7 @@ def _matern(nu: float, z: np.ndarray) -> np.ndarray:
     and multiplies by e^-z.  The bits of z give the cell (its octave and
     the leading mantissa bits) and x (the rest of the mantissa) exactly.
     Past the last octave the index is clipped to the last cell, and e^-z
-    is 0.
+    is 0.  Entries below _KV_Z0 call kv, or below _SERIES_Z0 the series.
     """
     if nu == 0.5:
         return np.exp(-z)
@@ -286,9 +296,12 @@ def _matern(nu: float, z: np.ndarray) -> np.ndarray:
         out += row.take(cell, mode="clip")
     out *= np.exp(-z)
     if z.size and z.min() < _KV_Z0:
-        near = (z > 0.0) & (z < _KV_Z0)
+        near = (z >= _SERIES_Z0) & (z < _KV_Z0)
         zn = z[near]
         out[near] = zn**nu * _bessel_kv(nu, zn) / _matern_norm(nu)
+        tiny = (z > 0.0) & (z < _SERIES_Z0)
+        log_ratio = 2.0 * (np.euler_gamma * nu + np.sum(_ZETA_ODD * nu**_ODD_K))
+        out[tiny] = -np.expm1(log_ratio + 2.0 * nu * (np.log(z[tiny]) - math.log(2.0)))
         out[z == 0.0] = 1.0
     return out
 

@@ -23,17 +23,16 @@ on demand and keeps.  So a distance query neither depends on the origin nor
 subtracts anything on its scale.
 
 The covariance (``r_graph_matrix``) and the canonical sampler do depend on
-the origin.  The field is invariant to splitting edges, so at a finite
-point set it is the vertex field of the graph subdivided there: both read
-one sparse factorization of ``L'``, the conductance matrix of the
-subdivided graph (same origin bump) in unknowns that keep short segments
-exact (see ``_subdivided``), assembled from the edge table the graph builds
-once.  A :class:`ResistanceContext` is just the graph and an origin checked
-against it.
+the origin ``o``, where the field has unit variance.  So the covariance is
+``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``, read from one distance
+query over the points and ``o``, and the sampler draws the vertex field
+from the graph's one factor of ``L`` and shifts it to ``o`` (see
+:mod:`graphfields.simulate`).  A :class:`ResistanceContext` is just the
+graph and an origin checked against it.
 
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
-canonical points, their endpoint indices, offsets, edge lengths, edge slots
+canonical points, their endpoint indices, offsets, edge lengths, edge positions
 and labels, and the first repeated point.  Both metrics, the covariance and
 the canonical sampler read that table; a table passed back in is kept.
 
@@ -44,16 +43,14 @@ as nodes and evaluates the resistance through an eigenvalue pseudoinverse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DuplicatePointsError
-from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label
-from .graph import _SOLVE_COLUMNS, _factor, _first_repeat, _locate, _point_at
+from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label, vertex_point
+from .graph import _SOLVE_COLUMNS, _first_repeat, _locate, _point_at
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
@@ -74,10 +71,10 @@ class _PointTable(tuple):
     Beside the points, in input order, it holds per point: the vertex
     indices ``lo``/``hi`` of the ``u``/``v`` ends of its edge (its own index
     twice for a vertex), its offset ``off`` from ``lo`` and edge length
-    ``elen`` (0 for a vertex), an edge slot ``eidx`` shared by the points of
-    one edge and numbered by first appearance (-1 for a vertex), and its
-    ``labels``; ``repeat`` is the position of the first point equal to an
-    earlier one (``len`` if none).  The arrays are read-only.
+    ``elen`` (0 for a vertex), the position ``eidx`` of its edge in the edge
+    table (-1 for a vertex), and its ``labels``; ``repeat`` is the position
+    of the first point equal to an earlier one (``len`` if none).  The
+    arrays are read-only.
     """
 
 
@@ -95,12 +92,9 @@ def _point_table(g: EuclideanGraph, points) -> _PointTable:
     off = np.array([x for _, x in located], dtype=float)  # None (a vertex) is NaN
     inner = ~np.isnan(off)
     off[~inner] = 0.0
-    # _subdivided numbers cut nodes by (slot, offset), so slots keep the
-    # order of first appearance.
     edge = pos[inner]
-    _, first, which = np.unique(edge, return_index=True, return_inverse=True)
     eidx = np.full(len(pos), -1, dtype=np.intp)
-    eidx[inner] = np.argsort(np.argsort(first))[which]
+    eidx[inner] = edge
     lo, hi, elen = pos.copy(), pos.copy(), np.zeros(len(pos))
     lo[inner], hi[inner], elen[inner] = g._u[edge], g._v[edge], g._length[edge]
     for a in (lo, hi, off, elen, eidx):
@@ -113,12 +107,12 @@ def _point_table(g: EuclideanGraph, points) -> _PointTable:
 
 def _same_edge_pairs(eidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ordered pairs ``(i[k], j[k])``, ``i != j``, of points that share
-    an edge slot, listed by sorting the slots."""
+    an edge, listed by sorting the edge positions ``eidx``."""
     order = np.argsort(eidx, kind="stable")
     order = order[eidx[order] >= 0]
     start = np.flatnonzero(np.diff(eidx[order], prepend=-1))
     size = np.diff(start, append=order.size)
-    # Each point pairs with every point of its slot's run of ``order``.
+    # Each point pairs with every point of its edge's run of ``order``.
     run = np.repeat(size, size)
     i = np.repeat(order, run)
     offset = np.arange(i.size) - np.repeat(np.cumsum(run) - run, run)
@@ -164,11 +158,10 @@ def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
 class ResistanceContext:
     """An origin vertex checked against its graph.
 
-    The origin is the ground of the covariance and of canonical draws, each
-    of which assembles the conductance matrix ``L'`` of the graph
-    subdivided at its points from the graph's edge table and factors it.
-    Distances do not depend on it: they read the vertex resistances the
-    graph keeps.  The context is frozen and holds no cache.
+    The origin is the vertex of unit variance of the covariance and of
+    canonical draws, which read the graph's one factor of ``L`` (grounded
+    at vertex 0) and its vertex resistances.  Distances do not depend on
+    it.  The context is frozen and holds no cache.
     """
 
     graph: EuclideanGraph
@@ -182,98 +175,6 @@ def build_resistance_context(
     origin = g.vertices[0] if origin is None else origin
     g.vertex_index(origin)
     return ResistanceContext(g, origin)
-
-
-def _subdivided(ctx: ResistanceContext, pts: _PointTable):
-    """Conductance matrix ``L'`` (CSC) of the graph subdivided at the points
-    of the table ``pts`` (of ``ctx.graph``), the map ``T`` (CSR) from its
-    unknowns ``y`` to node potentials ``x = T y``, and the node of each point.
-
-    Conductance is 1/length, plus a unit on the diagonal at the origin.
-    Each distinct interior point becomes a node, numbered after the vertices
-    in (edge, offset) order, that cuts its edge into consecutive segments;
-    vertex points and repeated points share a node.  In plain potentials a
-    segment much shorter than its neighbours rounds their conductance away
-    in the diagonal they share: a leak of ``eps/length`` to ground.  So all
-    segments of a cut edge but the longest join its nodes, shortest first;
-    of two joined runs, the one without a vertex (else the smaller) hangs
-    from the other's lead, and its own lead's unknown becomes the difference
-    of the two leads' potentials.  A conductance then reaches only unknowns
-    of its own and shorter joins, and a row of ``T`` is the node, its
-    O(log k) leads and a vertex, all with weight 1.  Vertices keep theirs.
-    """
-    g = ctx.graph
-    n = len(g.vertices)
-    lo, hi, off, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
-    inner = np.flatnonzero(eidx >= 0)
-    keys = np.column_stack([eidx[inner], off[inner]])
-    _, first_seen, rank = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    node = lo.copy()
-    node[inner] = n + rank
-    cut = inner[first_seen]
-    # The first cut on an edge hangs from u, each later one from the cut
-    # before it, and the last one also runs on to v.
-    first = np.diff(eidx[cut], prepend=-1) != 0
-    last = cut[np.diff(eidx[cut], append=-1) != 0]
-    prev_node = np.where(first, lo[cut], np.roll(node[cut], 1))
-    prev_off = np.where(first, 0.0, np.roll(off[cut], 1))
-    # A simple graph has one edge per endpoint pair, so the pairs name the
-    # edges that are cut.
-    kept = ~np.isin(g._u * n + g._v, lo[cut] * n + hi[cut])
-    a = np.concatenate([g._u[kept], prev_node, node[last]])
-    b = np.concatenate([g._v[kept], node[cut], hi[last]])
-    length = np.concatenate([g._length[kept], off[cut] - prev_off, elen[last] - off[last]])
-    # The cut segments of each edge, shortest first and without the longest.
-    edge = np.concatenate([np.full(np.count_nonzero(kept), -1), eidx[cut], eidx[last]])
-    order = np.lexsort((length, edge))
-    joins = order[(edge[order] >= 0) & (np.diff(edge[order], append=-2) == 0)]
-    lead = list(range(n + cut.size))
-    weight = [math.inf] * n + [1] * cut.size
-    for p, q in zip(a[joins].tolist(), b[joins].tolist()):
-        keep, moved = _lead(lead, p), _lead(lead, q)
-        if weight[keep] < weight[moved]:
-            keep, moved = moved, keep
-        lead[moved] = keep
-        weight[keep] += weight[moved]
-    # Row k of T: node k and each lead above it, up to a vertex.
-    lead = np.asarray(lead)
-    row = col = np.arange(lead.size)
-    rows, cols = [row], [col]
-    while (up := lead[col] != col).any():
-        row, col = row[up], lead[col[up]]
-        rows.append(row)
-        cols.append(col)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    T = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(lead.size,) * 2)
-    io = g.vertex_index(ctx.origin)
-    W = scipy.sparse.vstack([T[a] - T[b], T[[io]]], format="csr")
-    c = scipy.sparse.diags_array(np.append(1.0 / length, 1.0))
-    return (W.T @ (c @ W)).tocsc(), T, node
-
-
-def _lead(lead: list[int], k: int) -> int:
-    """The lead of the run that holds node ``k``."""
-    while lead[k] != k:
-        k = lead[k]
-    return k
-
-
-def _solve(ctx: ResistanceContext, pts: _PointTable):
-    """Factor ``L'`` once and read ``L'^-1`` through the rows of ``T`` at
-    the point nodes.
-
-    Returns the symmetric covariance among the distinct point nodes and the
-    row of each point in it.
-    """
-    L, T, node = _subdivided(ctx, pts)
-    needed, where = np.unique(node, return_inverse=True)
-    readout = T[needed]
-    rhs = readout.T.tocsc()
-    lu = _factor(L)
-    blocks = range(0, rhs.shape[1], _SOLVE_COLUMNS)
-    out = np.hstack([readout @ lu.solve(rhs[:, s : s + _SOLVE_COLUMNS].toarray()) for s in blocks])
-    # Repairs last-ulp asymmetry of the solved columns of L'^-1.
-    return 0.5 * (out + out.T), where
 
 
 def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) -> float:
@@ -382,9 +283,20 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
 
 
 def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    """Canonical-field covariance matrix of points (vectorized)."""
-    block, where = _solve(ctx, canonical_points(ctx.graph, points))
-    return block[np.ix_(where, where)]
+    """Canonical-field covariance matrix of points (vectorized).
+
+    The field has unit variance at the origin ``o`` and variogram ``d_R``,
+    so the covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``,
+    read from one :func:`resistance_matrix` over the points and ``o``.
+    """
+    pts = canonical_points(ctx.graph, points)
+    dist = resistance_matrix(ctx, [*pts, vertex_point(ctx.origin)])
+    to_origin = dist[-1, :-1]
+    cov = to_origin[:, None] + to_origin
+    cov -= dist[:-1, :-1]
+    cov *= 0.5
+    cov += 1.0
+    return cov
 
 
 def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
@@ -402,7 +314,7 @@ def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     of the distance to a ground.  Vertex resistances ``R`` come from the
     graph's block over the distinct endpoint vertices of the points, so a
     query solves one column of ``L^-1`` per endpoint the graph has not
-    solved for before, and builds no ``L'``.
+    solved for before.
     """
     pts = canonical_points(ctx.graph, points)
     lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen

@@ -4,17 +4,22 @@ Two samplers are provided.  ``sample_from_covariance`` draws from a certified
 ``CovarianceMatrix``: it reads the PSD certificate that ``covariance_matrix``
 computed (a proof, or an eigenvalue band where the proof does not hold) and
 factors the values by Cholesky.  The constructive
-``sample_canonical_field`` never forms the point covariance: it draws the
-vertex field of the graph subdivided at the sampled points, which has the
-canonical law there, by a triangular solve against the sparse factor of its
-conductance matrix ``L'`` and the map ``T`` from the unknowns of ``L'`` to
-node potentials.  The empirical variogram of such samples
-converges to the resistance distance, which verifies the metric end to end.
+``sample_canonical_field`` never forms the point covariance: it builds the
+canonical field as the paper defines it, a vertex field with covariance
+``L^-1``, shifted to the origin, linearly interpolated along each edge, plus
+an independent Brownian bridge on each edge.  The vertex field comes from a
+triangular solve against the graph's one sparse factor of ``L``.  The
+empirical variogram of such samples converges to the resistance distance,
+which verifies the metric end to end.
 
 Reproducibility: every draw takes all its normals from one stream, the
 Philox generator over ``SeedSequence(seed, spawn_key=(0,))`` (the first
 child of ``SeedSequence(seed).spawn``), so draws are bit-identical for a
-given seed.
+given seed.  The canonical sampler takes them a block of at most
+``_SOLVE_COLUMNS`` draws at a time, in this order: the vertex normals (one
+row per draw, one normal per vertex, in the factor's order), one normal
+``xi`` per draw for the origin, then the bridge normals (one row per draw,
+one normal per distinct interior point, by edge position, then offset).
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
-from .graph import _SOLVE_COLUMNS, _factor
+from .graph import _SOLVE_COLUMNS
 from .kernels import CovarianceMatrix
-from .metrics import ResistanceContext, _subdivided, canonical_points
+from .metrics import ResistanceContext, _PointTable, canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
@@ -107,7 +112,7 @@ def _vertex_field(
     upper: csr_array, root: np.ndarray, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """``n`` draws with covariance ``L^-1`` for ``L = P^T F D F^T P`` (see
-    :func:`metrics._factor`), one per column: ``x`` solving
+    :func:`graph._factor`), one per column: ``x`` solving
     ``F^T x = D^(-1/2) w`` for white noise ``w`` (one normal per unknown)
     has covariance ``P L^-1 P^T``, so unknown ``i`` is row ``perm_r[i]``.
 
@@ -130,35 +135,78 @@ def _whitening(lu: SuperLU) -> tuple[csr_array, np.ndarray]:
     return upper, np.sqrt(lu.U.diagonal())
 
 
+def _bridges(pts: _PointTable):
+    """The Brownian bridge of each edge at the points of ``pts``, drawn in
+    offset order by the Markov step: from ``b_prev`` at ``s_prev`` (0 at
+    ``u``), the bridge at the next distinct offset ``s`` has mean
+    ``b_prev (l - s) / (l - s_prev)`` and variance
+    ``(s - s_prev)(l - s) / (l - s_prev)``, which does not cancel near ``v``
+    as ``W(s) - (s / l) W(l)`` would.
+
+    Returns ``carry`` (the factor of ``b_prev``) and ``sd`` per distinct
+    interior point, by edge position and then offset; the column ``col`` of
+    each point among them (one past the last for a vertex); and the columns
+    of each step after the first on every edge.
+    """
+    inner = np.flatnonzero(pts.eidx >= 0)
+    keys = np.column_stack((pts.eidx[inner], pts.off[inner]))
+    keys, at, where = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    col = np.full(len(pts), len(keys))
+    col[inner] = where.ravel()
+    s, length, k = keys[:, 1], pts.elen[inner[at]], np.arange(len(keys))
+    first = np.diff(keys[:, 0], prepend=-1.0) != 0.0
+    s_prev = np.where(first, 0.0, np.roll(s, 1))
+    rest, span = length - s, length - s_prev
+    rank = k - np.maximum.accumulate(np.where(first, k, 0))
+    by = np.argsort(rank, kind="stable")
+    steps = np.split(by, np.flatnonzero(np.diff(rank[by])) + 1)[1:]
+    return rest / span, np.sqrt((s - s_prev) * rest / span), col, steps
+
+
 def sample_canonical_field(
     ctx: ResistanceContext, points, n: int, seed: int
 ) -> FieldSample:
     """Constructively sample the canonical field at a finite point set.
 
-    The graph is subdivided at the points, and the vertex field of the
-    subdivided graph is drawn by one triangular solve against the sparse
-    factor of its conductance matrix ``L'`` (no explicit inverse), mapped to
-    the points by the rows of ``T``.  The points have exactly the canonical
-    covariance.
+    Per block of at most ``_SOLVE_COLUMNS`` draws, the vertex field ``Z_0``
+    (covariance ``L^-1``, grounded at vertex 0) comes from one triangular
+    solve against the graph's factor of ``L`` (:func:`_vertex_field`).  It
+    is shifted to the origin ``o``, ``Z = Z_0 - Z_0(o) + xi`` with
+    ``xi ~ N(0, 1)``, and read at a point at offset ``s`` of an edge
+    ``(u, v)`` of length ``l`` as ``w_lo Z(u) + w_hi Z(v)``, with both
+    weights formed by division as in :func:`metrics.resistance_matrix`,
+    plus the edge's bridge (:func:`_bridges`).  The normals are taken in
+    the order of the module docstring, and the points have exactly the
+    canonical covariance.
     """
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
-    pts = canonical_points(ctx.graph, points)
-    L, T, node = _subdivided(ctx, pts)
-    lu = _factor(L)
+    g = ctx.graph
+    pts = canonical_points(g, points)
+    lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen
+    inner = elen > 0.0
+    w_lo = np.divide(elen - off, elen, out=np.ones_like(elen), where=inner)[:, None]
+    w_hi = np.divide(off, elen, out=np.zeros_like(elen), where=inner)[:, None]
+    carry, sd, col, steps = _bridges(pts)
+    lu = g._conductance_lu()
     upper, root = _whitening(lu)
-    rng, step = _stream(seed), _SOLVE_COLUMNS
-    # Unknown i of L' is row perm_r[i] of a block of draws.
-    rows = T[node][:, np.argsort(lu.perm_r)]
-    blocks = [
-        (rows @ _vertex_field(upper, root, rng, min(step, n - s))).T
-        for s in range(0, n, step)
-    ]
-    return FieldSample(
-        labels=pts.labels,
-        draws=np.vstack(blocks),
-        seed=int(seed),
-    )
+    # Vertex i is row perm_r[i] of a block of vertex draws.
+    ends = lu.perm_r[np.concatenate((lo, hi))]
+    origin = lu.perm_r[g.vertex_index(ctx.origin)]
+    rng, m = _stream(seed), len(pts)
+    draws = np.empty((n, m))
+    for s in range(0, n, _SOLVE_COLUMNS):
+        k = min(_SOLVE_COLUMNS, n - s)
+        x = _vertex_field(upper, root, rng, k)
+        z = x[ends]
+        z -= x[origin]
+        z += rng.standard_normal(k)
+        bridge = np.zeros((k, sd.size + 1))
+        bridge[:, :-1] = rng.standard_normal((k, sd.size)) * sd
+        for at in steps:
+            bridge[:, at] += carry[at] * bridge[:, at - 1]
+        draws[s : s + k] = (w_lo * z[:m] + w_hi * z[m:]).T + bridge[:, col]
+    return FieldSample(labels=pts.labels, draws=draws, seed=int(seed))
 
 
 def empirical_variogram(sample: FieldSample) -> np.ndarray:

@@ -362,6 +362,17 @@ def dense_canonical_covariance(g: gf.EuclideanGraph, origin: str, points):
     return weights @ np.linalg.inv(lap) @ weights.T, bridge
 
 
+def factored_conductance(g: gf.EuclideanGraph) -> np.ndarray:
+    """The dense matrix the graph's kept factor of ``L`` factors, multiplied
+    back out: ``Pr^T F U Pc^T`` for ``Pr L Pc = F U``."""
+    lu = g._conductance_lu()
+    n = lu.shape[0]
+    rows, cols = np.zeros((n, n)), np.zeros((n, n))
+    rows[lu.perm_r, np.arange(n)] = 1.0
+    cols[np.arange(n), lu.perm_c] = 1.0
+    return rows.T @ (lu.L @ lu.U).toarray() @ cols.T
+
+
 def exact_resistance_matrix(g: gf.EuclideanGraph, points, digits: int = 40) -> np.ndarray:
     """The resistance distances of canonical points, as the variogram of the
     canonical covariance of :func:`dense_canonical_covariance` (origin at
@@ -544,22 +555,21 @@ def blocked_route_lengths(weights, iu, iv) -> np.ndarray:
 def point_frame(g: gf.EuclideanGraph, points):
     """Reference point table of canonical points, one point at a time:
     ``(lo, hi, off, elen, eidx)``, the vertex indices of the low and high
-    endpoints, the offset from the low endpoint, the edge length, and an
-    edge slot numbered by first appearance (-1, with ``lo == hi`` and zero
-    offset and length, for a vertex)."""
+    endpoints, the offset from the low endpoint, the edge length, and the
+    edge's position in the edge table (-1, with ``lo == hi`` and zero offset
+    and length, for a vertex)."""
     m = len(points)
     # The vertex index of a vertex, the edge position of an interior point.
     pos = np.empty(m, dtype=np.intp)
     off = np.zeros(m)
     eidx = np.full(m, -1, dtype=np.intp)
-    slots: dict[str, int] = {}
     for k, p in enumerate(points):
         if p.is_vertex:
             pos[k] = g.vertex_index(p.vertex)
         else:
             pos[k] = g._edge_pos[p.edge]
             off[k] = p.offset
-            eidx[k] = slots.setdefault(p.edge, len(slots))
+            eidx[k] = pos[k]
     inner = eidx >= 0
     at = pos[inner]
     lo, hi, elen = pos.copy(), pos.copy(), np.zeros(m)

@@ -126,6 +126,13 @@ def test_non_utf8_input_exits_1(capsys, workdir, monkeypatch, source):
     assert json.loads(err)["error"] == "InputError"
 
 
+def test_dist_refuses_a_string_offset(capsys, workdir):
+    ends = ["--from", '{"edge":"e1","offset":"0.5"}', "--to", '{"vertex":"0"}']
+    code, out, err = _run(capsys, ["dist", "--graph", str(workdir["edge"]), *ends])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "OffsetOutOfRange"
+
+
 def test_dist_resistance_tree_equality_example(capsys, workdir):
     code, out, _ = _run(
         capsys,
@@ -414,6 +421,12 @@ def test_param_out_of_range_exits_2(capsys, workdir):
         ("star-check", {"family": "matern", "alpha": 0.5, "beta": True}, "ParamOutOfRange"),
         ("distmatrix", [{"edge": "e1", "offset": True}], "OffsetOutOfRange"),
         ("validate", {"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": True}]}, "InvalidGraph"),
+        # Nor is a JSON string that reads as a number.
+        ("validate", {"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": "2.5"}]}, "InvalidGraph"),
+        ("distmatrix", [{"edge": "e1", "offset": "0.5"}], "OffsetOutOfRange"),
+        ("star-check", {"family": "matern", "alpha": "0.25", "beta": 1}, "ParamOutOfRange"),
+        ("star-check", {"family": "matern", "alpha": 0.25, "beta": "1e0"}, "ParamOutOfRange"),
+        ("star-check", {"family": "dagum", "alpha": 0.5, "beta": 1, "xi": "0.5"}, "ParamOutOfRange"),
     ],
 )
 def test_non_numeric_json_fields_exit_2(capsys, workdir, command, payload, error):

@@ -275,10 +275,11 @@ def test_long_pendant_edge_never_changes_a_verdict(seed, n_vertices, shortfall, 
     )
 
 
-# Lengths that are refused, then lengths that float() reads.
+# Lengths that are refused (a string or bytes even where float() reads it),
+# then numbers.
 _ODD_LENGTHS = (
     0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False, "abc", None, [1.0],
-    "1.5", " 2 ", 3, np.float64(1.25),
+    "1.5", " 2 ", b"2", 3, np.float64(1.25),
 )
 _MALFORMED = (
     ("x", "a", "b"), {"id": "x", "v": "a", "length": 1.0}, {"id": "x", "u": "a", "length": 1.0},
@@ -392,6 +393,20 @@ def test_construction_errors_match_record_by_record_reference(
     error = reference_build_error(vertices, records)
     expected = None if error is None else (type(error), str(error), error.detail)
     assert _outcome(vertices, records) == expected
+
+
+@pytest.mark.parametrize("length", ["2.5", b"2", bytearray(b"2")], ids=repr)
+def test_string_lengths_are_not_numbers(length):
+    # JSON "2.5" is text, not the number 2.5.
+    with pytest.raises(gf.InvalidGraphError, match="must have a numeric length"):
+        gf.build_graph(["a", "b"], [{"id": "ab", "u": "a", "v": "b", "length": length}])
+
+
+@pytest.mark.parametrize("offset", ["0.5", b"0.5"], ids=repr)
+def test_string_offsets_are_not_numbers(offset):
+    g = gf.build_graph(["a", "b"], [("ab", "a", "b", 1.0)])
+    with pytest.raises(gf.OffsetOutOfRangeError, match="offset must be a number"):
+        gf.point_from_json(g, {"edge": "ab", "offset": offset})
 
 
 @pytest.mark.parametrize("length", _ODD_LENGTHS, ids=repr)

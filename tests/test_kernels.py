@@ -116,6 +116,18 @@ def test_spec_refuses_bools_and_stores_plain_floats():
     assert type(matern.alpha) is float and matern.alpha == float(np.float32(0.3))
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "xi"])
+def test_spec_refuses_strings_and_bytes(name):
+    # A JSON "0.25" is text, not the number 0.25.
+    params = {"alpha": 0.5, "beta": 1.0, "xi": 0.5}
+    text = str(params[name])
+    for value in (text, text.encode()):
+        with pytest.raises(gf.ParamOutOfRangeError, match=f"'{name}' outside allowed range a number"):
+            KernelSpec(KernelFamily.DAGUM, **{**params, name: value})
+    with pytest.raises(gf.ParamOutOfRangeError, match="a number"):
+        gf.kernel_spec_from_json({"family": "dagum", **params, name: text})
+
+
 # -- radial profiles ------------------------------------------------------------
 
 
@@ -253,6 +265,26 @@ def test_matern_profile_follows_kv_densely(nu):
 def test_matern_profile_within_4e_15_of_mpmath(nu, z):
     got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), z)
     assert _within_mpmath(got, nu, z, 4e-15).all()
+
+
+# Below 2^-27 the profile reads the first two terms of its series at 0.
+@settings(max_examples=200)
+@given(
+    nu=st.floats(1e-12, 0.5, exclude_max=True),
+    z=st.floats(5e-324, 2.0**-27, exclude_max=True),
+)
+def test_matern_profile_near_zero_within_1e_15_of_mpmath(nu, z):
+    got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), z)
+    assert _within_mpmath(got, nu, z, 1e-15).all()
+
+
+@pytest.mark.parametrize("nu", [1e-12, 1e-6, 0.05, 0.3, 0.4999])
+def test_matern_profile_is_finite_and_at_most_1_near_zero(nu):
+    # kv overflows below about 1e-305; 1e-300 once read 1.000000000000001.
+    t = np.array([5e-324, 1e-320, 1e-307, 1e-300, 1e-100, 2.0**-29, 2.0**-28, 2.0**-27])
+    got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 2.0), t)
+    assert np.all(np.isfinite(got)) and np.all(got <= 1.0)
+    assert np.all(np.diff(got) <= 0.0)
 
 
 @pytest.mark.parametrize("nu", [1e-6, 0.05, 0.25, 0.4999])

@@ -17,11 +17,12 @@ from scipy.sparse.csgraph import dijkstra
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _factor, _subdivided, canonical_points, resistance_matrix
+from graphfields.metrics import canonical_points, resistance_matrix
 from .helpers import (
     brute_force_point_distance,
     dense_canonical_covariance,
     exact_resistance_matrix,
+    factored_conductance,
     figure_eight,
     four_pairing_geodesic,
     jittered_grid,
@@ -383,7 +384,7 @@ def test_single_edge_conductance_matrix():
     g = single_edge()
     ctx = gf.build_resistance_context(g)
     assert ctx.origin == "0"
-    L = _subdivided(ctx, canonical_points(g, []))[0].toarray()
+    L = factored_conductance(g)
     assert np.array_equal(L, np.array([[2.0, -1.0], [-1.0, 1.0]]))
     expected_inverse = np.array([[1.0, 1.0], [1.0, 2.0]])
     assert np.allclose(np.linalg.inv(L), expected_inverse, atol=1e-12)
@@ -393,9 +394,7 @@ def test_L_strictly_positive_definite_on_random_graphs():
     rng = np.random.default_rng(5)
     for _ in range(8):
         g = random_graph(rng, 12, int(rng.integers(0, 3)))
-        ctx = gf.build_resistance_context(g)
-        L = _subdivided(ctx, canonical_points(g, []))[0]
-        assert np.linalg.eigvalsh(L.toarray())[0] > 0
+        assert np.linalg.eigvalsh(factored_conductance(g))[0] > 0
 
 
 def test_context_is_frozen():
@@ -408,10 +407,10 @@ def test_factor_columns_match_dense_inverse():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 10, 2)
     pts = random_points(rng, g, 8)
-    ctx = gf.build_resistance_context(g)
-    L = _subdivided(ctx, canonical_points(g, []))[0]
-    dense = np.linalg.inv(L.toarray())
-    columns = _factor(L).solve(np.eye(len(g.vertices)))
+    ctx = gf.build_resistance_context(g, g.vertices[3])
+    # L^-1 from the definition, with its unit at vertex 0.
+    dense, _ = dense_canonical_covariance(g, g.vertices[0], list(map(gf.vertex_point, g.vertices)))
+    columns = g._conductance_lu().solve(np.eye(len(g.vertices)))
     assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)
     # The same covariance assembled by hand from the definition.
     mu, bridge = dense_canonical_covariance(g, ctx.origin, pts)
@@ -436,7 +435,7 @@ def _points_sharing_edges(rng, g):
 )
 # Two points 3.7e-4 l apart on one edge.
 @example(seed=88997, n_vertices=4, n_chords=0)
-def test_subdivided_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
+def test_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_vertices, n_chords)
     pts = _points_sharing_edges(rng, g)
@@ -446,7 +445,8 @@ def test_subdivided_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
     expected = mu + bridge
     diag = np.diag(expected)
     variogram = diag[:, None] + diag[None, :] - 2.0 * expected
-    assert np.max(np.abs(gf.r_graph_matrix(ctx, pts) - expected)) <= 1e-12
+    scale = np.max(diag)
+    assert np.max(np.abs(gf.r_graph_matrix(ctx, pts) - expected)) <= 1e-13 * scale
     assert np.max(np.abs(resistance_matrix(ctx, pts) - variogram)) <= 1e-12
 
 

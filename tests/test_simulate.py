@@ -7,13 +7,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
 import graphfields as gf
 from graphfields import MetricKind
-from graphfields.metrics import _factor, _subdivided, canonical_points
+from graphfields.metrics import canonical_points
 from graphfields.simulate import _stream
-from .helpers import figure_eight, jittered_grid, random_points, single_edge, unit_square
+from .helpers import (
+    dense_canonical_covariance,
+    figure_eight,
+    jittered_grid,
+    random_graph,
+    random_points,
+    single_edge,
+    unit_square,
+)
 
 
 def certified(values, labels=None) -> gf.CovarianceMatrix:
@@ -75,7 +85,7 @@ def test_canonical_vertex_sample_covariance_matches_inverse():
     n = 20000
     sample = gf.sample_canonical_field(ctx, pts, n, seed=5)
     empirical = np.cov(sample.draws, rowvar=False)
-    target = np.linalg.inv(_subdivided(ctx, canonical_points(g, []))[0].toarray())
+    target, _ = dense_canonical_covariance(g, ctx.origin, pts)
     sd = np.sqrt(
         (np.outer(np.diag(target), np.diag(target)) + target**2) / n
     )
@@ -125,32 +135,96 @@ def test_canonical_field_is_seed_deterministic():
 
 
 def _per_block_draws(ctx, pts, n, seed):
-    """Canonical draws with ``F^T`` and ``sqrt(D)`` taken from the factor
-    again for every block of 64 draws."""
-    L, T, node = _subdivided(ctx, pts)
-    lu = _factor(L)
+    """Canonical draws with ``F^T`` and ``sqrt(D)`` taken from the graph's
+    factor again for every block of 64 draws, and the bridges drawn one
+    edge and one point at a time."""
+    g = ctx.graph
+    lu = g._conductance_lu()
     rng = _stream(seed)
-    rows = T[node][:, np.argsort(lu.perm_r)]
+    io = g.vertex_index(ctx.origin)
+    # The distinct interior points by edge position, then offset.
+    cuts = sorted({(g._edge_pos[p.edge], p.offset) for p in pts if not p.is_vertex})
     blocks = []
     for start in range(0, n, 64):
-        white = rng.standard_normal((min(64, n - start), lu.shape[0])).T
+        k = min(64, n - start)
+        white = rng.standard_normal((k, lu.shape[0])).T
         white /= np.sqrt(lu.U.diagonal())[:, None]
         x = spsolve_triangular(lu.L.T, white, lower=False, unit_diagonal=True, overwrite_b=True)
-        blocks.append((rows @ x).T)
+        z = x[lu.perm_r]
+        z = z - z[io] + rng.standard_normal(k)
+        normals = rng.standard_normal((k, len(cuts)))
+        bridge, prev = {}, (None, 0.0)
+        for j, (pos, s) in enumerate(cuts):
+            length = float(g._length[pos])
+            s_prev = prev[1] if prev[0] == pos else 0.0
+            sd = np.sqrt((s - s_prev) * (length - s) / (length - s_prev))
+            b = sd * normals[:, j]
+            if prev[0] == pos:
+                b += (length - s) / (length - s_prev) * bridge[prev]
+            bridge[pos, s], prev = b, (pos, s)
+        block = np.empty((k, len(pts)))
+        for c, p in enumerate(pts):
+            if p.is_vertex:
+                i = g.vertex_index(p.vertex)
+                block[:, c] = 1.0 * z[i] + 0.0 * z[i] + 0.0
+                continue
+            e = g.edge(p.edge)
+            u, v = g.vertex_index(e.u), g.vertex_index(e.v)
+            w_lo, w_hi = (e.length - p.offset) / e.length, p.offset / e.length
+            block[:, c] = w_lo * z[u] + w_hi * z[v] + bridge[g._edge_pos[p.edge], p.offset]
+        blocks.append(block)
     return np.vstack(blocks)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 2000])
 def test_canonical_draws_equal_per_block_whitening(n):
-    # Around the block size of 64 and over many blocks.
+    # Around the block size of 64 and over many blocks, with several points
+    # on one edge and a repeated point.
     rng = np.random.default_rng(8)
     g = jittered_grid(rng, 7)
-    pts = canonical_points(g, random_points(rng, g, 30))
+    crowded = g.edges[17]
+    pts = random_points(rng, g, 26)
+    pts += [gf.edge_point(crowded.id, f * crowded.length) for f in (0.9, 0.2, 0.55)]
+    pts = canonical_points(g, pts + [pts[3]])
     ctx = gf.build_resistance_context(g, g.vertices[5])
     got = gf.sample_canonical_field(ctx, pts, n, seed=21).draws
     expected = _per_block_draws(ctx, pts, n, seed=21)
     assert got.shape == (n, 30)
     assert hashlib.sha256(got.tobytes()).digest() == hashlib.sha256(expected.tobytes()).digest()
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(4, 9),
+    n_chords=st.integers(0, 2),
+)
+def test_canonical_draws_match_the_covariance(seed, n_vertices, n_chords):
+    # Many points on one edge, among them a pair 1e-9 l apart, a repeated
+    # point and an origin other than vertex 0.  The draws are zero-mean, so
+    # the mean square of a projection a estimates a^T C a with a standard
+    # error of sqrt(2 / n) a^T C a.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, n_chords)
+    e = g.edges[int(rng.integers(0, len(g.edges)))]
+    offsets = [*rng.uniform(0.02, 0.98, size=6), 0.4, 0.4 + 1e-9]
+    crowded = [gf.edge_point(e.id, float(f) * e.length) for f in offsets]
+    pts = random_points(rng, g, 4) + crowded
+    pts = canonical_points(g, pts + [pts[int(rng.integers(0, len(pts)))]])
+    ctx = gf.build_resistance_context(g, g.vertices[int(rng.integers(1, n_vertices))])
+    n = 4000
+    draws = gf.sample_canonical_field(ctx, pts, n, seed=seed).draws
+    assert draws[:, -1].tobytes() == draws[:, pts.index(pts[-1])].tobytes()
+    cov = gf.r_graph_matrix(ctx, pts)
+    on_edge = np.zeros(len(pts))
+    on_edge[4:12] = rng.standard_normal(8)
+    on_edge[4:12] -= on_edge[4:12].mean()
+    pair = np.zeros(len(pts))
+    pair[[10, 11]] = 1.0, -1.0
+    for a in (rng.standard_normal(len(pts)), on_edge, pair):
+        expected = a @ cov @ a
+        got = np.mean((draws @ a) ** 2)
+        assert abs(got - expected) <= 3.0 * np.sqrt(2.0 / n) * expected
 
 
 def test_stream_matches_spawned_child():
