@@ -105,11 +105,6 @@ def _load_kernel(path: str):
     return kernel_spec_from_json(_read_json(path, "kernel spec"))
 
 
-def _resistance_context(g, kind: MetricKind, origin):
-    """The one context a resistance command reads; geodesic ones take none."""
-    return build_resistance_context(g, origin) if kind is MetricKind.RESISTANCE else None
-
-
 # json's spelling of the non-finite floats -> repr's, which CSV cells keep.
 _REPR_SPECIALS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
@@ -239,17 +234,13 @@ def _cmd_dist(args) -> int:
     kind = MetricKind(args.metric)
     ends = ((args.from_point, "--from point"), (args.to_point, "--to point"))
     pts = canonical_points(g, (_point_fields(_parse_inline_json(*end)) for end in ends))
+    pairwise = geodesic_matrix if kind is MetricKind.GEODESIC else resistance_matrix
     payload = {
         "metric": kind.value,
         "from": pts.labels[0],
         "to": pts.labels[1],
+        "value": float(pairwise(g, pts)[0, 1]),
     }
-    if kind is MetricKind.GEODESIC:
-        payload["value"] = float(geodesic_matrix(g, pts)[0, 1])
-    else:
-        ctx = build_resistance_context(g, args.origin)
-        payload["value"] = float(resistance_matrix(ctx, pts)[0, 1])
-        payload["origin"] = ctx.origin
     _emit(args, payload)
     return 0
 
@@ -258,12 +249,10 @@ def _cmd_distmatrix(args) -> int:
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
-    ctx = _resistance_context(g, kind, args.origin)
-    extra = {} if ctx is None else {"origin": ctx.origin}
-    matrix = distance_matrix(g, points, kind, ctx=ctx)
+    matrix = distance_matrix(g, points, kind)
     _emit(
         args,
-        _matrix_payload(kind.value, points.labels, matrix, **extra),
+        _matrix_payload(kind.value, points.labels, matrix),
         table=(points.labels, matrix),
     )
     return 0
@@ -279,15 +268,8 @@ def _cmd_cov(args) -> int:
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
     spec = _load_kernel(args.kernel)
-    ctx = _resistance_context(g, kind, args.origin)
     cov = covariance_matrix(
-        g,
-        points,
-        spec,
-        kind,
-        ctx=ctx,
-        rel_tol=args.tol,
-        min_separation=MIN_POINT_SEPARATION,
+        g, points, spec, kind, rel_tol=args.tol, min_separation=MIN_POINT_SEPARATION
     )
     report = cov.psd_certificate
     if report.min_eig is None:
@@ -297,8 +279,6 @@ def _cmd_cov(args) -> int:
         _emit(args, certificate)
     else:
         extra = {"kernel": kernel_spec_to_json(spec), "psd_certificate": certificate}
-        if ctx is not None:
-            extra["origin"] = ctx.origin
         _emit(
             args,
             _matrix_payload(kind.value, cov.labels, cov.values, **extra),
@@ -340,20 +320,17 @@ def _cmd_star_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     """``simulate`` emits the draws, ``variogram`` only their empirical
-    variogram."""
+    variogram.  Only the canonical field reads ``--origin``, so a kernel
+    covariance, which no origin changes, refuses one."""
+    if args.kernel and args.origin is not None:
+        message = "--origin applies only to the canonical field, not to --kernel"
+        raise _CliFailure(2, {"error": "UsageError", "message": message})
     g = _load_graph(args.graph)
     points = _load_points(g, args.points)
     if args.kernel:
         kind = MetricKind(args.metric)
         spec = _load_kernel(args.kernel)
-        cov = covariance_matrix(
-            g,
-            points,
-            spec,
-            kind,
-            ctx=_resistance_context(g, kind, args.origin),
-            min_separation=MIN_POINT_SEPARATION,
-        )
+        cov = covariance_matrix(g, points, spec, kind, min_separation=MIN_POINT_SEPARATION)
         sample = sample_from_covariance(cov, args.n, args.seed)
         model = {"model": "kernel", "kernel": kernel_spec_to_json(spec), "metric": kind.value}
     else:
@@ -399,8 +376,8 @@ def _add_common(p, *, points=False, metric=False, kernel=False, origin=False):
         p.add_argument(
             "--origin",
             default=None,
-            help="origin vertex label (resistance); changes numbers only in canonical "
-            "simulate and variogram",
+            help="origin vertex label of the canonical field, where its variance is 1 "
+            "(default: the smallest label); simulate --kernel refuses it",
         )
     p.add_argument("--out", default=None, help="write output here instead of stdout; .csv selects CSV for matrices/samples")
 
@@ -424,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_blocks, validity_only=False)
 
     p = sub.add_parser("dist", help="distance between two points")
-    _add_common(p, metric=True, origin=True)
+    _add_common(p, metric=True)
     p.add_argument("--from", dest="from_point", required=True, help="point JSON")
     p.add_argument("--to", dest="to_point", required=True, help="point JSON")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("distmatrix", help="pairwise distance matrix over a point set")
-    _add_common(p, points=True, metric=True, origin=True)
+    _add_common(p, points=True, metric=True)
     p.set_defaults(func=_cmd_distmatrix)
 
     for name, helptext, certificate_only in (
@@ -438,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("psd-check", "PSD certificate for a kernel on a point set", True),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_common(p, points=True, metric=True, kernel=True, origin=True)
+        _add_common(p, points=True, metric=True, kernel=True)
         p.add_argument("--tol", type=float, default=PSD_REL_TOL, help="relative PSD tolerance")
         p.add_argument("--strict", action="store_true", help="exit 2 when not PSD")
         p.set_defaults(func=_cmd_cov, certificate_only=certificate_only)

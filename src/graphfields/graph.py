@@ -111,7 +111,13 @@ def vertex_point(label: str) -> GraphPoint:
 
 
 def edge_point(edge_id: str, offset: float) -> GraphPoint:
-    return GraphPoint(edge=str(edge_id), offset=float(offset))
+    """The point at ``offset`` along edge ``edge_id``; the offset must be a
+    number (see :func:`_as_float`)."""
+    try:
+        offset = _as_float(offset)
+    except (TypeError, ValueError) as exc:
+        raise OffsetOutOfRangeError(f"offset must be a number, got {offset!r}") from exc
+    return GraphPoint(edge=str(edge_id), offset=offset)
 
 
 def point_label(p: GraphPoint) -> str:
@@ -837,13 +843,7 @@ def _point_fields(obj) -> GraphPoint:
     if "vertex" in obj:
         return vertex_point(obj["vertex"])
     if "edge" in obj and "offset" in obj:
-        try:
-            offset = _as_float(obj["offset"])
-        except (TypeError, ValueError) as exc:
-            raise OffsetOutOfRangeError(
-                f"offset must be a number, got {obj['offset']!r}"
-            ) from exc
-        return edge_point(obj["edge"], offset)
+        return edge_point(obj["edge"], obj["offset"])
     raise OffsetOutOfRangeError(
         'point JSON must be {"vertex": ...} or {"edge": ..., "offset": ...}'
     )

@@ -58,7 +58,7 @@ from .errors import (
     ParamOutOfRangeError,
 )
 from .graph import EuclideanGraph, _as_float, build_graph, vertex_point
-from .metrics import MetricKind, ResistanceContext, canonical_points, distance_matrix
+from .metrics import MetricKind, canonical_points, distance_matrix
 
 PSD_REL_TOL = 1e-9
 
@@ -483,21 +483,19 @@ def covariance_matrix(
     spec: KernelSpec,
     kind: MetricKind,
     *,
-    origin: str | None = None,
-    ctx: ResistanceContext | None = None,
     rel_tol: float = PSD_REL_TOL,
     min_separation: float | None = None,
 ) -> CovarianceMatrix:
     """Covariance matrix C(d(p_i, p_j)) over a point set with a certificate.
 
-    ``origin`` and ``ctx`` are passed to :func:`distance_matrix`, which
-    reads the point table built here without building it again.
-    ``min_separation`` optionally rejects point pairs closer than the given
-    distance, which a caller may use to keep near-duplicates from producing
-    numerically borderline certificates.
+    Neither metric depends on an origin, so neither does the matrix.
+    :func:`distance_matrix` reads the point table built here without
+    building it again.  ``min_separation`` optionally rejects point pairs
+    closer than the given distance, which a caller may use to keep
+    near-duplicates from producing numerically borderline certificates.
     """
     pts = canonical_points(g, points)
-    dm = distance_matrix(g, pts, kind, origin=origin, ctx=ctx)
+    dm = distance_matrix(g, pts, kind)
     if min_separation is not None and len(pts) > 1:
         off_diag = dm[~np.eye(len(pts), dtype=bool)]
         closest = float(off_diag.min())

@@ -19,16 +19,16 @@ distances are weighted sums of vertex resistances among the endpoints of
 the points, plus bridge terms (see :func:`resistance_matrix`): the same two
 gathers as the geodesic metric, over a block of vertex resistances that the
 graph reads from columns of ``L^-1`` for one fixed ground (vertex 0), solves
-on demand and keeps.  So a distance query neither depends on the origin nor
-subtracts anything on its scale.
+on demand and keeps.  So a distance query takes the graph and no origin,
+and subtracts nothing on an origin's scale.
 
-The covariance (``r_graph_matrix``) and the canonical sampler do depend on
-the origin ``o``, where the field has unit variance.  So the covariance is
-``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``, read from one distance
-query over the points and ``o``, and the sampler draws the vertex field
-from the graph's one factor of ``L`` and shifts it to ``o`` (see
-:mod:`graphfields.simulate`).  A :class:`ResistanceContext` is just the
-graph and an origin checked against it.
+Only the covariance (``r_graph_matrix``) and the canonical sampler depend
+on the origin ``o``, where the field has unit variance, so only they take
+a :class:`ResistanceContext`, the graph and an origin checked against it.
+The covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``, read
+from one distance query over the points and ``o``, and the sampler draws
+the vertex field from the graph's one factor of ``L`` and shifts it to
+``o`` (see :mod:`graphfields.simulate`).
 
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
@@ -171,7 +171,13 @@ class ResistanceContext:
 def build_resistance_context(
     g: EuclideanGraph, origin: str | None = None
 ) -> ResistanceContext:
-    """Check the origin against the graph; it defaults to the smallest label."""
+    """Check the origin against the graph; it defaults to the smallest label.
+
+    The context is the argument of :func:`r_graph_matrix` and
+    :func:`~graphfields.simulate.sample_canonical_field`.  It stays a
+    separate step, not an ``origin=`` keyword, because ``benchmark/``
+    calls this function by name.
+    """
     origin = g.vertices[0] if origin is None else origin
     g.vertex_index(origin)
     return ResistanceContext(g, origin)
@@ -181,9 +187,11 @@ def resistance_distance(ctx: ResistanceContext, p: GraphPoint, q: GraphPoint) ->
     """Variogram of the canonical field between two points.
 
     Equals classical effective resistance (conductance = 1/length) on the
-    vertices, and on the graph subdivided at the two points.
+    vertices, and on the graph subdivided at the two points.  Only the
+    context's graph is read; the context stays the first argument because
+    ``benchmark/tracer.py`` reads its graph.
     """
-    return float(resistance_matrix(ctx, (p, q))[0, 1])
+    return float(resistance_matrix(ctx.graph, (p, q))[0, 1])
 
 
 # -- independent oracle ------------------------------------------------------
@@ -290,7 +298,7 @@ def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     read from one :func:`resistance_matrix` over the points and ``o``.
     """
     pts = canonical_points(ctx.graph, points)
-    dist = resistance_matrix(ctx, [*pts, vertex_point(ctx.origin)])
+    dist = resistance_matrix(ctx.graph, [*pts, vertex_point(ctx.origin)])
     to_origin = dist[-1, :-1]
     cov = to_origin[:, None] + to_origin
     cov -= dist[:-1, :-1]
@@ -299,16 +307,26 @@ def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     return cov
 
 
-def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
+def _interpolation_weights(pts: _PointTable) -> tuple[np.ndarray, np.ndarray]:
+    """``w_lo = (l - s) / l`` and ``w_hi = s / l`` of each point at offset
+    ``s`` of an edge of length ``l`` (``1`` and ``0`` at a vertex): the
+    weights of the field at the ``lo`` and ``hi`` ends.  Both come by
+    division, since ``1 - s / l`` would cancel near ``v``."""
+    elen, inner = pts.elen, pts.elen > 0.0
+    w_lo = np.divide(elen - pts.off, elen, out=np.ones_like(elen), where=inner)
+    w_hi = np.divide(pts.off, elen, out=np.zeros_like(elen), where=inner)
+    return w_lo, w_hi
+
+
+def resistance_matrix(g: EuclideanGraph, points) -> np.ndarray:
     """Pairwise resistance distances of points (vectorized).
 
     At a point ``p`` at offset ``s`` of edge ``(u, v)`` of length ``l`` the
     canonical field is ``w_lo Z(u) + w_hi Z(v)`` plus the edge's Brownian
-    bridge, with ``w_lo = (l - s) / l`` and ``w_hi = s / l`` (``1`` and
-    ``0`` at a vertex).  So points on different edges are
-    ``X_pq + h_p + h_q`` apart, where ``X_pq`` sums ``w_i w_j R(i, j)`` over
-    an end ``i`` of ``p`` and an end ``j`` of ``q``, in two gathers, and
-    ``h = w_lo w_hi (l - R(u, v))``.  Two points on one edge, a gap ``d``
+    bridge (:func:`_interpolation_weights`).  So points on different edges
+    are ``X_pq + h_p + h_q`` apart, where ``X_pq`` sums ``w_i w_j R(i, j)``
+    over an end ``i`` of ``p`` and an end ``j`` of ``q``, in two gathers,
+    and ``h = w_lo w_hi (l - R(u, v))``.  Two points on one edge, a gap ``d``
     apart, take the series-parallel form ``d (l - d) / l + (d / l)^2
     R(u, v)``.  Every term is nonnegative, so nothing cancels on the scale
     of the distance to a ground.  Vertex resistances ``R`` come from the
@@ -316,15 +334,12 @@ def resistance_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     query solves one column of ``L^-1`` per endpoint the graph has not
     solved for before.
     """
-    pts = canonical_points(ctx.graph, points)
+    pts = canonical_points(g, points)
     lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    R = ctx.graph._resistance_block(ends)
+    R = g._resistance_block(ends)
     lo, hi = where[: len(lo)], where[len(lo) :]
-    # Both weights by division: 1 - s / l would cancel near v.
-    inner = elen > 0.0
-    w_lo = np.divide(elen - off, elen, out=np.ones_like(elen), where=inner)
-    w_hi = np.divide(off, elen, out=np.zeros_like(elen), where=inner)
+    w_lo, w_hi = _interpolation_weights(pts)
     r_uv = R[lo, hi]
     h = w_lo * w_hi * (elen - r_uv)
     dist = _two_gathers(R, lo, hi, w_lo, w_hi, np.multiply, np.add)
@@ -343,13 +358,14 @@ def distance_matrix(
     points,
     kind: MetricKind,
     *,
-    origin: str | None = None,
     ctx: ResistanceContext | None = None,
 ) -> np.ndarray:
     """Symmetric matrix of pairwise distances under the chosen metric.
 
-    Points must be pairwise distinct after canonicalization.  For the
-    resistance metric an existing context can be passed to reuse its origin.
+    Points must be pairwise distinct after canonicalization.  Neither
+    metric depends on an origin.  A context, if given, is only checked to
+    be of ``g``; the keyword stays because ``benchmark/workloads.py``
+    passes one.
     """
     kind = MetricKind(kind)
     pts = canonical_points(g, points)
@@ -357,8 +373,6 @@ def distance_matrix(
         raise DuplicatePointsError(f"duplicate point {pts.labels[pts.repeat]!r}")
     if kind is MetricKind.GEODESIC:
         return geodesic_matrix(g, pts)
-    if ctx is None:
-        ctx = build_resistance_context(g, origin)
-    elif ctx.graph is not g:
+    if ctx is not None and ctx.graph is not g:
         raise ValueError("context was built for a different graph")
-    return resistance_matrix(ctx, pts)
+    return resistance_matrix(g, pts)

@@ -34,7 +34,7 @@ from scipy.sparse.linalg import SuperLU, spsolve_triangular
 from .errors import NotPSDError, TooFewSamplesError
 from .graph import _SOLVE_COLUMNS
 from .kernels import CovarianceMatrix
-from .metrics import ResistanceContext, _PointTable, canonical_points
+from .metrics import ResistanceContext, _PointTable, _interpolation_weights, canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
@@ -173,25 +173,22 @@ def sample_canonical_field(
     solve against the graph's factor of ``L`` (:func:`_vertex_field`).  It
     is shifted to the origin ``o``, ``Z = Z_0 - Z_0(o) + xi`` with
     ``xi ~ N(0, 1)``, and read at a point at offset ``s`` of an edge
-    ``(u, v)`` of length ``l`` as ``w_lo Z(u) + w_hi Z(v)``, with both
-    weights formed by division as in :func:`metrics.resistance_matrix`,
-    plus the edge's bridge (:func:`_bridges`).  The normals are taken in
-    the order of the module docstring, and the points have exactly the
-    canonical covariance.
+    ``(u, v)`` of length ``l`` as ``w_lo Z(u) + w_hi Z(v)``, with the
+    weights that :func:`metrics.resistance_matrix` reads
+    (``metrics._interpolation_weights``), plus the edge's bridge
+    (:func:`_bridges`).  The normals are taken in the order of the module
+    docstring, and the points have exactly the canonical covariance.
     """
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
     g = ctx.graph
     pts = canonical_points(g, points)
-    lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen
-    inner = elen > 0.0
-    w_lo = np.divide(elen - off, elen, out=np.ones_like(elen), where=inner)[:, None]
-    w_hi = np.divide(off, elen, out=np.zeros_like(elen), where=inner)[:, None]
+    w_lo, w_hi = (w[:, None] for w in _interpolation_weights(pts))
     carry, sd, col, steps = _bridges(pts)
     lu = g._conductance_lu()
     upper, root = _whitening(lu)
     # Vertex i is row perm_r[i] of a block of vertex draws.
-    ends = lu.perm_r[np.concatenate((lo, hi))]
+    ends = lu.perm_r[np.concatenate((pts.lo, pts.hi))]
     origin = lu.perm_r[g.vertex_index(ctx.origin)]
     rng, m = _stream(seed), len(pts)
     draws = np.empty((n, m))

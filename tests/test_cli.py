@@ -151,7 +151,7 @@ def test_dist_resistance_tree_equality_example(capsys, workdir):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 0.5
-    assert payload["origin"] == "0"
+    assert list(payload) == ["metric", "from", "to", "value"]
     assert payload["metric"] == "resistance"
 
 
@@ -234,24 +234,34 @@ def test_distmatrix_json_and_csv_agree(capsys, workdir):
 
 
 def test_origin_only_on_commands_that_read_it(capsys, workdir):
-    for command in ("validate", "blocks", "forbidden-check"):
-        with pytest.raises(SystemExit) as info:
-            main([command, "--graph", str(workdir["edge"]), "--origin", "0"])
-        assert info.value.code == 2
-    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"]), "--origin", "1"]
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    kernel = ["--kernel", str(workdir["matern"])]
+    ends = ["--from", '{"vertex":"0"}', "--to", '{"vertex":"1"}']
     for argv in (
+        ["validate", "--graph", str(workdir["edge"])],
+        ["blocks", "--graph", str(workdir["edge"])],
+        ["forbidden-check", "--graph", str(workdir["edge"])],
+        ["dist", "--graph", str(workdir["edge"]), *ends],
         ["distmatrix", *inputs],
-        ["cov", *inputs, "--kernel", str(workdir["matern"])],
-        ["variogram", *inputs, "--n", "10"],
+        ["cov", *inputs, *kernel],
+        ["psd-check", *inputs, *kernel],
     ):
-        code, out, _ = _run(capsys, argv)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--origin", "0"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --origin" in capsys.readouterr().err
+    code, out, err = _run(capsys, ["simulate", *inputs, *kernel, "--origin", "0"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    for argv in (["simulate", *inputs], ["variogram", *inputs, "--n", "10"]):
+        code, out, _ = _run(capsys, [*argv, "--origin", "1"])
         assert code == 0 and json.loads(out)["origin"] == "1"
 
 
 @pytest.mark.parametrize(
     "command", [["cov"], ["psd-check"], ["simulate", "--n", "2", "--seed", "1"]]
 )
-def test_kernel_commands_build_one_resistance_context(capsys, workdir, monkeypatch, command):
+def test_kernel_commands_build_no_resistance_context(capsys, workdir, monkeypatch, command):
     origins = []
     real = gf.metrics.build_resistance_context
 
@@ -262,12 +272,13 @@ def test_kernel_commands_build_one_resistance_context(capsys, workdir, monkeypat
     monkeypatch.setattr(gf.metrics, "build_resistance_context", counting)
     monkeypatch.setattr(gf.cli, "build_resistance_context", counting)
     inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
-    argv = [command[0], *inputs, "--kernel", str(workdir["matern"]), "--origin", "1"]
-    code, _, _ = _run(capsys, [*argv, *command[1:]])
-    assert code == 0 and origins == ["1"]
-    origins.clear()
-    code, _, _ = _run(capsys, [*argv, *command[1:], "--metric", "geodesic"])
-    assert code == 0 and origins == []
+    argv = [command[0], *inputs, "--kernel", str(workdir["matern"]), *command[1:]]
+    for metric in ("resistance", "geodesic"):
+        code, _, _ = _run(capsys, [*argv, "--metric", metric])
+        assert code == 0 and origins == []
+    # The canonical field is the one reader of an origin.
+    code, _, _ = _run(capsys, ["simulate", *inputs, "--n", "2"])
+    assert code == 0 and origins == [None]
 
 
 def test_cov_reports_psd_certificate(capsys, workdir):
@@ -289,7 +300,7 @@ def test_cov_reports_psd_certificate(capsys, workdir):
     payload = json.loads(out)
     assert payload["psd_certificate"]["verdict"] == "psd"
     assert payload["kernel"] == {"family": "matern", "alpha": 0.5, "beta": 1.0}
-    assert payload["origin"] == "0"
+    assert list(payload) == ["metric", "labels", "matrix", "kernel", "psd_certificate"]
     matrix = np.array(payload["matrix"])
     assert np.all(np.diag(matrix) == 1.0)
 

@@ -402,11 +402,14 @@ def test_string_lengths_are_not_numbers(length):
         gf.build_graph(["a", "b"], [{"id": "ab", "u": "a", "v": "b", "length": length}])
 
 
-@pytest.mark.parametrize("offset", ["0.5", b"0.5"], ids=repr)
+@pytest.mark.parametrize("offset", ["0.5", b"0.5", True, False, None], ids=repr)
 def test_string_offsets_are_not_numbers(offset):
+    # Python points take the same coercion as JSON points.
     g = gf.build_graph(["a", "b"], [("ab", "a", "b", 1.0)])
     with pytest.raises(gf.OffsetOutOfRangeError, match="offset must be a number"):
         gf.point_from_json(g, {"edge": "ab", "offset": offset})
+    with pytest.raises(gf.OffsetOutOfRangeError, match="offset must be a number"):
+        gf.edge_point("ab", offset)
 
 
 @pytest.mark.parametrize("length", _ODD_LENGTHS, ids=repr)

@@ -462,12 +462,8 @@ def test_covariance_matrix_canonicalizes_each_point_once(monkeypatch):
     monkeypatch.setattr(gf.metrics, "_locate", lambda g, p: seen.append(p) or real(g, p))
     g = path_abc()
     points = [gf.vertex_point("A"), gf.edge_point("ab", 1.0), gf.edge_point("bc", 0.5)]
-    ctx = gf.build_resistance_context(g, "C")
-    cov = gf.covariance_matrix(g, points, IN_RANGE_SPECS[3], MetricKind.RESISTANCE, ctx=ctx)
+    cov = gf.covariance_matrix(g, points, IN_RANGE_SPECS[3], MetricKind.RESISTANCE)
     assert seen == points and cov.labels == ("A", "B", "bc@0.5")
-    with pytest.raises(ValueError):
-        gf.covariance_matrix(single_edge(), [gf.vertex_point("0")], IN_RANGE_SPECS[3],
-                             MetricKind.RESISTANCE, ctx=ctx)
 
 
 def test_matern_covariance_peaks_below_two_matrices():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import inspect
 
 import graphfields as gf
+from graphfields.cli import build_parser
 from .helpers import unit_square
 
 # Adding or removing a public name must edit this list on purpose.
@@ -106,3 +109,60 @@ def test_dataclass_fields_are_locked():
 def test_built_graph_attributes_are_locked():
     g = unit_square()
     assert sorted(a for a in dir(g) if not a.startswith("_")) == GRAPH_ATTRIBUTES
+
+
+# The public functions that take an origin, or a context that holds one.
+# The origin changes the output of r_graph_matrix and sample_canonical_field
+# only; distance_matrix and resistance_distance read a context for its
+# graph alone, and keep it because benchmark/ passes one.
+ORIGIN_PARAMETERS = {
+    "build_resistance_context": "origin",
+    "distance_matrix": "ctx",
+    "r_graph_matrix": "ctx",
+    "resistance_distance": "ctx",
+    "sample_canonical_field": "ctx",
+}
+
+
+def test_origin_parameters_are_locked():
+    found = {}
+    for name in PUBLIC_NAMES:
+        obj = getattr(gf, name)
+        if inspect.isfunction(obj):
+            for param in inspect.signature(obj).parameters:
+                if param in ("origin", "ctx"):
+                    found[name] = param
+    assert found == ORIGIN_PARAMETERS
+
+
+# The option strings of each subcommand, as PUBLIC_NAMES is for names:
+# adding or removing a flag must edit this table on purpose.  Only the
+# canonical field reads an origin.
+CLI_OPTIONS = {
+    "validate": ["--graph", "--out"],
+    "blocks": ["--graph", "--out"],
+    "dist": ["--from", "--graph", "--metric", "--out", "--to"],
+    "distmatrix": ["--graph", "--metric", "--out", "--points"],
+    "cov": ["--graph", "--kernel", "--metric", "--out", "--points", "--strict", "--tol"],
+    "psd-check": ["--graph", "--kernel", "--metric", "--out", "--points", "--strict", "--tol"],
+    "forbidden-check": ["--graph", "--out"],
+    "star-check": ["--kernel", "--n", "--out", "--strict"],
+    "simulate": [
+        "--graph", "--kernel", "--metric", "--n", "--origin", "--out", "--points", "--seed",
+    ],
+    "variogram": ["--graph", "--n", "--origin", "--out", "--points", "--seed"],
+}
+
+
+def test_cli_options_are_locked():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(
+            flag
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        )
+        for name, parser in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
