@@ -212,7 +212,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_blocks(args) -> int:
     """``blocks`` emits the decomposition, ``forbidden-check`` only its class
-    and, for a forbidden graph, a witness."""
+    and, for a forbidden graph, the witness on the reference theta graph of
+    :func:`forbidden_certificate` (t = 1/2, r = 1), not on the input."""
     decomposition = block_decomposition(_load_graph(args.graph))
     payload = {"class": decomposition.validity.value}
     if not args.validity_only:
@@ -422,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "forbidden-check",
-        help="geodesic validity class, with a six-point witness when forbidden",
+        help="geodesic validity class; when forbidden, also the six-point "
+        "witness on a reference theta graph, not on the input graph",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_blocks, validity_only=True)

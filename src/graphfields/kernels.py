@@ -18,18 +18,19 @@ interpolates a trapezoidal rule for e^z K_nu(z) at its Chebyshev points.
 An entry costs seven table reads and multiply-adds and one ``exp``; its
 cell comes from its own bits, so a value does not depend on the other
 entries.  On [2^-5, 700] the table is within 1.2e-15 relative of 40-digit
-mpmath, where ``scipy.special.kv``, which it replaces there, is off by up
-to 1.4e-13 just below 2.  Below 2^-5 entries still call ``kv`` (within
-1.9e-15 of mpmath there) but below 2^-27, which read the first two terms
-of the series at 0.  From 2^10 on the profile is 0: e^-z underflows past
-745.  Against ``kv``, values moved by at most 1.4e-16 absolute from z = 2
-on and by up to 9e-15 absolute below 2, towards mpmath.
+mpmath.  Below 2^-5 every entry sums the first five terms of the series of
+K_nu at 0, each bracket taken by ``expm1`` so that nothing cancels at
+small nu; it is within 4.5e-16 relative of mpmath down to the smallest
+subnormal, and exactly 1 at z = 0.  From 2^10 on the profile is 0: e^-z
+underflows past 745.
 
 Beyond kernel evaluation the module certifies covariance matrices.  A
 covariance matrix is proved positive definite by one Cholesky factorization
 of a slightly shifted copy (Rump's test, :func:`_proves_positive_definite`);
 only a matrix that the proof does not cover gets :func:`psd_check`, a
-relative band around its ``eigvalsh`` eigenvalues.  The module also
+relative band around its ``eigvalsh`` eigenvalues.  :func:`_cholesky` is
+the one Cholesky routine of the package: the proof and the draws of
+``simulate.sample_from_covariance`` both run it.  The module also
 constructs an explicit six-point witness showing that graphs containing
 three disjoint routes between two points break the exponential family under
 the geodesic metric, and implements the degree-based bound and covariance
@@ -48,7 +49,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
 from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.special import gamma as _gamma
-from scipy.special import kv as _bessel_kv
 from scipy.special import zeta as _zeta
 
 from .errors import (
@@ -168,27 +168,26 @@ def radial_profile(spec: KernelSpec, t):
 
 # -- Matern profile -----------------------------------------------------------
 
-# The Matern table covers the octaves [2^e, 2^(e+1)) of z for e in _OCTAVES.
-# Below _KV_Z0 the profile calls scipy's K_nu (AMOS), whose series is within
-# 1.9e-15 relative of mpmath there; past the last octave e^-z has
-# underflowed (at z = 745) and the profile is 0.  Each octave is cut into
-# _CELLS equal cells, each holding a polynomial of degree _DEGREE in a local
-# x in [-1, 1].  _CELLS is a power of two, so the cell of a float z is its
-# bits shifted right by _CELL_BITS, less the shifted bits of _KV_Z0, and x
-# comes from the bits below.
+# The Matern table covers the octaves [2^e, 2^(e+1)) of z for e in _OCTAVES,
+# from _TABLE_Z0 on; below it the profile is the series of :func:`_matern`,
+# and past the last octave e^-z has underflowed (at z = 745) and the profile
+# is 0.  Each octave is cut into _CELLS equal cells, each holding a
+# polynomial of degree _DEGREE in a local x in [-1, 1].  _CELLS is a power
+# of two, so the cell of a float z is its bits shifted right by _CELL_BITS,
+# less the shifted bits of _TABLE_Z0, and x comes from the bits below.
 _OCTAVES = range(-5, 10)
-_KV_Z0 = 2.0**_OCTAVES.start
+_TABLE_Z0 = 2.0**_OCTAVES.start
 _CELLS = 32
 _DEGREE = 6
 _CELL_BITS = 52 - int(math.log2(_CELLS))
-_CELL_BASE = int(np.float64(_KV_Z0).view(np.int64)) >> _CELL_BITS
+_CELL_BASE = int(np.float64(_TABLE_Z0).view(np.int64)) >> _CELL_BITS
 
-# Below _SERIES_Z0, where kv overflows near 1e-305, the profile is
-# 1 - Gamma(1-nu)/Gamma(1+nu) (z/2)^(2 nu), short of terms below 2^-55 for
-# nu <= 1/2.  It is -expm1 of a log that does not cancel at small nu:
+# The series below _TABLE_Z0 keeps the terms q^k, k < _SERIES_TERMS, of
+# q = z^2 / 4 < 2^-12; the first one dropped is below 2^-70 of the sum.
 # ln Gamma(1-nu) - ln Gamma(1+nu) = 2 (gamma nu + sum over odd k >= 3 of
-# zeta(k) nu^k / k), whose terms past k = 53 are below 2^-53 of the sum.
-_SERIES_Z0 = 2.0**-27
+# zeta(k) nu^k / k) does not cancel at small nu; past k = 53 the terms are
+# below 2^-53 of the sum.
+_SERIES_TERMS = 5
 _ODD_K = np.arange(53, 2, -2)
 _ZETA_ODD = _zeta(_ODD_K) / _ODD_K
 
@@ -275,11 +274,11 @@ def _matern(nu: float, z: np.ndarray) -> np.ndarray:
     """z^nu K_nu(z) / (2^(nu-1) Gamma(nu)) on a 1-D float array of z >= 0,
     with its limit 1 at z = 0; exactly exp(-z) at nu = 1/2.
 
-    An entry z >= _KV_Z0 evaluates its cell's polynomial by Horner's rule
-    and multiplies by e^-z.  The bits of z give the cell (its octave and
-    the leading mantissa bits) and x (the rest of the mantissa) exactly.
+    An entry z >= _TABLE_Z0 evaluates its cell's polynomial by Horner's
+    rule and multiplies by e^-z.  The bits of z give the cell (its octave
+    and the leading mantissa bits) and x (the rest of the mantissa) exactly.
     Past the last octave the index is clipped to the last cell, and e^-z
-    is 0.  Entries below _KV_Z0 call kv, or below _SERIES_Z0 the series.
+    is 0.  Entries below _TABLE_Z0 read :func:`_matern_series`.
     """
     if nu == 0.5:
         return np.exp(-z)
@@ -295,14 +294,35 @@ def _matern(nu: float, z: np.ndarray) -> np.ndarray:
         out *= x
         out += row.take(cell, mode="clip")
     out *= np.exp(-z)
-    if z.size and z.min() < _KV_Z0:
-        near = (z >= _SERIES_Z0) & (z < _KV_Z0)
-        zn = z[near]
-        out[near] = zn**nu * _bessel_kv(nu, zn) / _matern_norm(nu)
-        tiny = (z > 0.0) & (z < _SERIES_Z0)
-        log_ratio = 2.0 * (np.euler_gamma * nu + np.sum(_ZETA_ODD * nu**_ODD_K))
-        out[tiny] = -np.expm1(log_ratio + 2.0 * nu * (np.log(z[tiny]) - math.log(2.0)))
-        out[z == 0.0] = 1.0
+    if z.size and z.min() < _TABLE_Z0:
+        near = z < _TABLE_Z0
+        out[near] = _matern_series(nu, z[near])
+    return out
+
+
+def _matern_series(nu: float, z: np.ndarray) -> np.ndarray:
+    """The profile at 0 <= z < _TABLE_Z0, 0 < nu < 1/2, by the series of
+    K_nu = pi (I_-nu - I_nu) / (2 sin nu pi) at 0 (DLMF 10.27.4, 10.25.2):
+    with q = z^2 / 4 it is the sum over k of q^k a_k (1 - exp(L + c_k)),
+    a_k = 1 / (k! (1 - nu)_k), L = ln(Gamma(1 - nu) / Gamma(1 + nu))
+    + 2 nu ln(z / 2), and c_k = sum over 1 <= j <= k of
+    log1p(-2 nu / (j + nu)), the log of (1 - nu)_k / (1 + nu)_k.  Every
+    term is positive and each bracket is taken by ``expm1``, so nothing
+    cancels at small nu; at z = 0, L = -inf and q = 0 give exactly 1.
+    Within 4.5e-16 relative of 40-digit mpmath for nu in [1e-12, 0.4999]
+    and z from 5e-324 up to _TABLE_Z0.
+    """
+    k = np.arange(1, _SERIES_TERMS)
+    a = np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k - nu)))))
+    c = np.cumsum(np.concatenate(([0.0], np.log1p(-2.0 * nu / (k + nu)))))
+    log_ratio = 2.0 * (np.euler_gamma * nu + np.sum(_ZETA_ODD * nu**_ODD_K))
+    with np.errstate(divide="ignore"):
+        lead = log_ratio + 2.0 * nu * (np.log(z) - math.log(2.0))
+    q = 0.25 * z * z
+    out = np.zeros_like(z)
+    for a_k, c_k in zip(a[::-1], c[::-1]):
+        out *= q
+        out -= a_k * np.expm1(lead + c_k)
     return out
 
 
@@ -414,14 +434,23 @@ def _proves_positive_definite(a: np.ndarray) -> bool:
         + _U * dmax
         + 2.0 * m * (2.0 * m + 2.0 + dmax) * _ETA
     )
-    if not math.isfinite(shift):
-        return False
-    h = a.copy()
-    h.flat[:: m + 1] -= shift
-    # h is symmetric, so h.T is the same matrix in the Fortran order that
-    # dpotrf factors in place.
-    _, info = _dpotrf(h.T, lower=1, clean=0, overwrite_a=1)
-    return info == 0 and bool(np.isfinite(h.diagonal()).all())
+    return math.isfinite(shift) and _cholesky(a, shift) is not None
+
+
+def _cholesky(a: np.ndarray, shift: float) -> np.ndarray | None:
+    """A copy of the exactly symmetric float matrix ``a`` whose upper
+    triangle is overwritten by the Cholesky factor R, R^T R = fl(a - shift
+    I), by LAPACK's ``dpotrf``; None where a pivot is <= 0 or not finite.
+    Only the upper triangle is read, and the lower one is left as it was."""
+    m = a.shape[0]
+    r = np.array(a, dtype=float, order="C")
+    r.flat[:: m + 1] -= shift
+    # r is symmetric, so r.T is the same matrix in the Fortran order that
+    # dpotrf factors in place; its lower factor there is R in r.
+    _, info = _dpotrf(r.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0 or not np.isfinite(r.diagonal()).all():
+        return None
+    return r
 
 
 def _certificate(values: np.ndarray, rel_tol: float) -> PsdReport:
@@ -442,7 +471,8 @@ class CovarianceMatrix:
     test holds, else :func:`psd_check` of ``values``.  A proof implies the
     band verdict at any ``rel_tol`` above ``eigvalsh``'s own error, about
     m u times the largest eigenvalue.  :func:`sample_from_covariance` reads
-    the certificate instead of decomposing the matrix again.
+    the certificate instead of running ``eigvalsh``, and factors ``values``
+    for its draws by the same routine as the proof, :func:`_cholesky`.
     """
 
     labels: tuple[str, ...]

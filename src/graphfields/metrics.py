@@ -297,8 +297,7 @@ def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     so the covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``,
     read from one :func:`resistance_matrix` over the points and ``o``.
     """
-    pts = canonical_points(ctx.graph, points)
-    dist = resistance_matrix(ctx.graph, [*pts, vertex_point(ctx.origin)])
+    dist = resistance_matrix(ctx.graph, [*points, vertex_point(ctx.origin)])
     to_origin = dist[-1, :-1]
     cov = to_origin[:, None] + to_origin
     cov -= dist[:-1, :-1]
@@ -368,11 +367,11 @@ def distance_matrix(
     passes one.
     """
     kind = MetricKind(kind)
+    if ctx is not None and ctx.graph is not g:
+        raise ValueError("context was built for a different graph")
     pts = canonical_points(g, points)
     if pts.repeat < len(pts):
         raise DuplicatePointsError(f"duplicate point {pts.labels[pts.repeat]!r}")
     if kind is MetricKind.GEODESIC:
         return geodesic_matrix(g, pts)
-    if ctx is not None and ctx.graph is not g:
-        raise ValueError("context was built for a different graph")
     return resistance_matrix(g, pts)

@@ -3,7 +3,7 @@
 Two samplers are provided.  ``sample_from_covariance`` draws from a certified
 ``CovarianceMatrix``: it reads the PSD certificate that ``covariance_matrix``
 computed (a proof, or an eigenvalue band where the proof does not hold) and
-factors the values by Cholesky.  The constructive
+factors the values by the proof's Cholesky routine.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it builds the
 canonical field as the paper defines it, a vertex field with covariance
 ``L^-1``, shifted to the origin, linearly interpolated along each edge, plus
@@ -33,7 +33,7 @@ from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, TooFewSamplesError
 from .graph import _SOLVE_COLUMNS
-from .kernels import CovarianceMatrix
+from .kernels import CovarianceMatrix, _cholesky
 from .metrics import ResistanceContext, _PointTable, _interpolation_weights, canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
@@ -60,21 +60,16 @@ class FieldSample:
 def _chol_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     if not cov.any():
         return np.zeros_like(cov), 0.0
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
     jitter = JITTER_SCALE * max(float(np.max(np.diag(cov))), 0.0)
-    if jitter > 0.0:
-        try:
-            factor = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-            warnings.warn(
-                f"added diagonal jitter {jitter:g} to factorize covariance matrix",
-                stacklevel=3,
-            )
-            return factor, jitter
-        except np.linalg.LinAlgError:
-            pass
+    for added in (0.0, jitter):
+        factor = _cholesky(cov, -added)
+        if factor is not None:
+            if added:
+                warnings.warn(
+                    f"added diagonal jitter {added:g} to factorize covariance matrix",
+                    stacklevel=3,
+                )
+            return np.triu(factor), added
     raise NotPSDError("covariance matrix is not positive semi-definite enough to factorize")
 
 
@@ -104,7 +99,7 @@ def sample_from_covariance(cov: CovarianceMatrix, n: int, seed: int) -> FieldSam
     factor, jitter = _chol_with_jitter(cov.values)
     normals = _stream(seed).standard_normal((n, cov.values.shape[0]))
     return FieldSample(
-        labels=cov.labels, draws=normals @ factor.T, seed=int(seed), jitter=jitter
+        labels=cov.labels, draws=normals @ factor, seed=int(seed), jitter=jitter
     )
 
 

@@ -706,9 +706,11 @@ def test_unwritable_out_exits_1(capsys, workdir, suffix):
 
 
 def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeypatch):
-    # Each kernel command proves its matrix by one shifted Cholesky; only
-    # the commands that print eigenvalues run eigvalsh, once.
-    calls = {"eigvalsh": [], "dpotrf": []}
+    # Each kernel command proves its matrix by one shifted Cholesky, and
+    # simulate draws from one more by the same routine; only the commands
+    # that print eigenvalues run eigvalsh, once.  No command runs numpy's
+    # Cholesky.
+    calls = {"eigvalsh": [], "dpotrf": [], "cholesky": []}
 
     def counting(name, module, attr):
         real = getattr(module, attr)
@@ -721,18 +723,19 @@ def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeyp
 
     counting("eigvalsh", np.linalg, "eigvalsh")
     counting("dpotrf", gf.kernels, "_dpotrf")
+    counting("cholesky", np.linalg, "cholesky")
     files = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"]),
              "--kernel", str(workdir["matern"])]
-    for argv, eigvalsh in (
-        (["simulate", *files, "--n", "3"], []),
-        (["cov", *files], [(4, 4)]),
-        (["psd-check", *files], [(4, 4)]),
+    for argv, eigvalsh, dpotrf in (
+        (["simulate", *files, "--n", "3"], [], [(4, 4), (4, 4)]),
+        (["cov", *files], [(4, 4)], [(4, 4)]),
+        (["psd-check", *files], [(4, 4)], [(4, 4)]),
     ):
-        calls["eigvalsh"].clear()
-        calls["dpotrf"].clear()
+        for seen in calls.values():
+            seen.clear()
         code, _, _ = _run(capsys, argv)
         assert code == 0
-        assert calls == {"eigvalsh": eigvalsh, "dpotrf": [(4, 4)]}, argv[0]
+        assert calls == {"eigvalsh": eigvalsh, "dpotrf": dpotrf, "cholesky": []}, argv[0]
 
 
 @pytest.mark.parametrize(

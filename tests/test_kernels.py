@@ -224,12 +224,7 @@ def test_matern_profile_matches_mpmath_at_band_edges(nu):
     ref = np.array(MATERN_MPMATH[nu])
     # z = 700 at nu = 1e-6 is subnormal: no float is nearer than its spacing.
     err = np.abs(got - ref) - np.finfo(float).smallest_subnormal
-    quadrature = MATERN_Z >= kernels._KV_Z0
-    assert np.all(err[quadrature] <= 5e-14 * ref[quadrature])
-    # Below z_0 the profile is scipy's kv as before, bit for bit; its series
-    # is off by up to 6.5e-14 just below 2 at these nu.
-    assert np.array_equal(got[~quadrature], _kv_matern(nu, MATERN_Z[~quadrature]))
-    assert np.all(err[~quadrature] <= 1e-13 * ref[~quadrature])
+    assert np.all(err <= 5e-14 * ref)
     assert gf.radial_profile(spec, 800.0) == 0.0
 
 
@@ -247,8 +242,15 @@ def test_matern_profile_follows_kv_densely(nu):
     kv = _kv_matern(nu, z)
     far, low = z >= 2.0, z < 2.0**-5
     assert np.max(np.abs(got[far] - kv[far])) <= 1e-15
-    # Below 2^-5 the profile is kv's bit for bit, and exp(-z)'s at nu = 1/2.
-    assert np.array_equal(got[low], np.exp(-z[low]) if nu == 0.5 else kv[low])
+    # Below 2^-5 the profile is exp(-z)'s bit for bit at nu = 1/2, and
+    # otherwise the series at 0, held to mpmath at every 40th point (kv is
+    # off by more than 1e-15 there).
+    assert got[0] == 1.0
+    if nu == 0.5:
+        assert np.array_equal(got[low], np.exp(-z[low]))
+    else:
+        near = np.flatnonzero(low)[1::40]
+        assert np.all(_within_mpmath(got[near], nu, z[near], 1e-15))
     # In between kv's series is off by up to 6e-14 at these nu, so every
     # 40th point is held to mpmath instead.
     mid = np.flatnonzero(~far & ~low)[::40]
@@ -267,11 +269,11 @@ def test_matern_profile_within_4e_15_of_mpmath(nu, z):
     assert _within_mpmath(got, nu, z, 4e-15).all()
 
 
-# Below 2^-27 the profile reads the first two terms of its series at 0.
-@settings(max_examples=200)
+# Below 2^-5 the profile reads its series at 0.
+@settings(max_examples=400)
 @given(
     nu=st.floats(1e-12, 0.5, exclude_max=True),
-    z=st.floats(5e-324, 2.0**-27, exclude_max=True),
+    z=st.floats(5e-324, 2.0**-5, exclude_max=True),
 )
 def test_matern_profile_near_zero_within_1e_15_of_mpmath(nu, z):
     got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 1.0), z)
@@ -281,7 +283,9 @@ def test_matern_profile_near_zero_within_1e_15_of_mpmath(nu, z):
 @pytest.mark.parametrize("nu", [1e-12, 1e-6, 0.05, 0.3, 0.4999])
 def test_matern_profile_is_finite_and_at_most_1_near_zero(nu):
     # kv overflows below about 1e-305; 1e-300 once read 1.000000000000001.
-    t = np.array([5e-324, 1e-320, 1e-307, 1e-300, 1e-100, 2.0**-29, 2.0**-28, 2.0**-27])
+    # At beta = 2 the last t is z = 2^-5, where the table takes over.
+    t = np.array([5e-324, 1e-320, 1e-307, 1e-300, 1e-100, 2.0**-29, 2.0**-28, 2.0**-27,
+                  2.0**-20, 2.0**-12, 2.0**-8, 2.0**-7, 0.99 * 2.0**-6, 2.0**-6])
     got = gf.radial_profile(KernelSpec(KernelFamily.MATERN, nu, 2.0), t)
     assert np.all(np.isfinite(got)) and np.all(got <= 1.0)
     assert np.all(np.diff(got) <= 0.0)
@@ -289,10 +293,11 @@ def test_matern_profile_is_finite_and_at_most_1_near_zero(nu):
 
 @pytest.mark.parametrize("nu", [1e-6, 0.05, 0.25, 0.4999])
 def test_matern_profile_decreases_across_band_edges(nu):
-    # Every edge of the table's octaves and cells from 2^-5 (where kv hands
-    # over) to 700.  From 2^-5 on |d ln C / d ln z| >= 0.03 at these nu, so
-    # steps of 1e-11 relative move the profile by at least 3e-13 relative,
-    # far more than the evaluator's error on either side of an edge.
+    # Every edge of the table's octaves and cells from 2^-5 (where the
+    # series hands over) to 700.  From 2^-5 on |d ln C / d ln z| >= 0.03 at
+    # these nu, so steps of 1e-11 relative move the profile by at least
+    # 3e-13 relative, far more than the evaluator's error on either side of
+    # an edge.
     cells = 2.0 ** np.arange(-5, 10)[:, None] * (1.0 + np.arange(32) / 32.0)
     edges = cells[cells <= 700.0]
     steps = 1.0 + 1e-11 * np.arange(-3, 4)
@@ -447,8 +452,8 @@ def test_covariance_matrix_equals_entrywise_profile_across_row_blocks(kind):
     pts = random_points(rng, g, max(sizes), vertex_share=0.2)
     for m in sizes:
         dm = gf.distance_matrix(g, pts[:m], kind)
-        # The last spec puts z = beta t between 0.08 and about 105, across the
-        # kv range and six bands of the Matern evaluator.
+        # The last spec puts z = beta t between 0.08 and about 105, across
+        # eleven octaves of the Matern table.
         for spec in [*IN_RANGE_SPECS[1::2], KernelSpec(KernelFamily.MATERN, 0.3, 9.0)]:
             expected = gf.radial_profile(spec, dm)
             np.fill_diagonal(expected, 1.0)

@@ -403,6 +403,17 @@ def test_context_is_frozen():
         ctx.origin = "1"
 
 
+def test_r_graph_matrix_locates_each_point_once(monkeypatch):
+    g = path_abc()
+    ctx = gf.build_resistance_context(g, "C")
+    points = [gf.vertex_point("A"), gf.edge_point("ab", 1.0), gf.edge_point("bc", 0.5)]
+    seen = []
+    real = gf.metrics._locate
+    monkeypatch.setattr(gf.metrics, "_locate", lambda g, p: seen.append(p) or real(g, p))
+    gf.r_graph_matrix(ctx, points)
+    assert seen == [*points, gf.vertex_point("C")]
+
+
 def test_factor_columns_match_dense_inverse():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 10, 2)
@@ -897,9 +908,10 @@ def test_resistance_is_negative_type(seed):
         assert float(weights @ dm @ weights) <= 1e-9
 
 
-def test_context_for_wrong_graph_rejected():
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_context_for_wrong_graph_rejected(kind):
     g1 = single_edge()
     g2 = unit_triangle()
     ctx = gf.build_resistance_context(g1)
     with pytest.raises(ValueError):
-        gf.distance_matrix(g2, [_vp("A"), _vp("B")], MetricKind.RESISTANCE, ctx=ctx)
+        gf.distance_matrix(g2, [_vp("A"), _vp("B")], kind, ctx=ctx)
