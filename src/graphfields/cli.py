@@ -3,7 +3,8 @@
 Commands read graphs, point lists, and kernel specs from JSON files (or
 stdin via ``-``) and write JSON to stdout, or to ``--out``; matrix- and
 sample-shaped payloads are written as CSV instead when the ``--out`` path
-ends in ``.csv``.  JSON output is byte for byte ``json.dumps(payload,
+ends in ``.csv``, and as a NumPy ``.npy`` array of the matrix or draws when
+it ends in ``.npy``.  JSON output is byte for byte ``json.dumps(payload,
 indent=2)`` and CSV cells are ``repr`` of each float, so both are
 byte-stable; each distinct float of a matrix or sample is formatted once.
 Exit codes: 0 success, 1 I/O or parse errors (an empty points array, an
@@ -155,13 +156,18 @@ def _dumps(payload: dict) -> str:
 
 def _emit(args, payload: dict, *, table=None) -> None:
     """Write ``payload`` as JSON, or ``table = (labels, matrix)`` as CSV when
-    ``--out`` ends in ``.csv``."""
+    ``--out`` ends in ``.csv``, or its matrix alone as a ``.npy`` array
+    when ``--out`` ends in ``.npy``."""
     out = args.out
     if not out:
         sys.stdout.write(_dumps(payload) + "\n")
         return
     as_csv = table is not None and out.endswith(".csv")
     try:
+        if table is not None and out.endswith(".npy"):
+            with open(out, "wb") as fh:
+                np.save(fh, np.asarray(table[1], dtype=float), allow_pickle=False)
+            return
         with open(out, "w", encoding="utf-8", newline="" if as_csv else None) as fh:
             if as_csv:
                 writer = csv.writer(fh)
@@ -380,7 +386,7 @@ def _add_common(p, *, points=False, metric=False, kernel=False, origin=False):
             help="origin vertex label of the canonical field, where its variance is 1 "
             "(default: the smallest label); simulate --kernel refuses it",
         )
-    p.add_argument("--out", default=None, help="write output here instead of stdout; .csv selects CSV for matrices/samples")
+    p.add_argument("--out", default=None, help="write output here instead of stdout; .csv selects CSV and .npy a NumPy array for matrices/samples")
 
 
 @functools.cache

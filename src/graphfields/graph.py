@@ -250,9 +250,10 @@ class EuclideanGraph:
     access.
 
     Vertices, edges and lengths never change after construction.  The
-    state that does is the row stores of the two metrics and the one factor
-    of ``L`` (:meth:`_conductance_lu`), made on first use and kept, which
-    resistance queries and canonical draws read.  Geodesic queries read
+    state that does is the row stores of the two metrics, a flag set by the
+    first geodesic query, and the one factor of ``L``
+    (:meth:`_conductance_lu`), made on first use and kept, which resistance
+    queries and canonical draws read.  Geodesic queries read
     vertex distances through :meth:`_distance_block` (rows of single-source
     Dijkstra searches) and resistance queries read vertex resistances
     through :meth:`_resistance_block` (columns of ``L^-1``).  Each
@@ -261,7 +262,9 @@ class EuclideanGraph:
     (position map, rows) pairs in one attribute assignment and writes to no
     array a reader may hold, so concurrent queries always read consistent
     stores, and a race at worst computes a row twice.  No result depends on
-    which rows were stored before.
+    which rows were stored before, except the graph's first geodesic
+    query, which may search from its points instead (within ``n 2^-53``
+    relative; see :meth:`_searches_from_points`).
     """
 
     def __init__(self, vertices, edges):
@@ -309,6 +312,8 @@ class EuclideanGraph:
         n = len(self.vertices)
         empty = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
         self._row_stores = {"geodesic": empty, "resistance": empty}
+        # Set by the first geodesic query, which may search from its points.
+        self._geodesic_answered = False
         self._conductance_factor: SuperLU | None = None
 
     def _vertex_indices(self, labels) -> np.ndarray:
@@ -375,6 +380,50 @@ class EuclideanGraph:
 
     def _dijkstra_rows(self, idx: np.ndarray) -> np.ndarray:
         return dijkstra(self._weights, directed=True, indices=idx)
+
+    def _searches_from_points(self, ends: np.ndarray, m: int) -> bool:
+        """Whether a geodesic query of ``m`` points, whose distinct endpoint
+        vertices are ``ends``, searches once per point (see
+        :meth:`_point_rows`) instead of reading stored rows: only the
+        graph's first geodesic query does, and only when the rows its store
+        lacks outnumber its points.  Later queries read stored rows, so a
+        long-lived graph warms up; a race at worst lets two first queries
+        search from points."""
+        first, self._geodesic_answered = not self._geodesic_answered, True
+        pos, _ = self._row_stores["geodesic"]
+        return first and np.count_nonzero(pos[ends] < 0) > m
+
+    def _point_rows(self, lo, hi, off, elen, cols: np.ndarray) -> np.ndarray:
+        """Shortest-route distances from each point to the vertices
+        ``cols``, one Dijkstra search per point, ``_SOLVE_COLUMNS`` points
+        at a time; nothing is stored.
+
+        A point is given as in the point table: the ends ``lo``/``hi`` of
+        its edge, its offset ``off`` from ``lo`` and the edge length
+        ``elen`` (0 for a vertex, which searches from itself).  An interior
+        point searches from a node of its own joined to ``lo`` and ``hi`` by
+        ``off`` and ``elen - off``; no edge enters such a node, so no route
+        passes through one.
+        """
+        n = len(self.vertices)
+        inner = np.flatnonzero(elen > 0.0)
+        source = lo.copy()
+        source[inner] = n + np.arange(inner.size)
+        w = self._weights
+        size = n + inner.size
+        joins = np.column_stack((lo[inner], hi[inner])).ravel()
+        lengths = np.column_stack((off[inner], elen[inner] - off[inner])).ravel()
+        joined = csr_matrix(
+            (np.concatenate((w.data, lengths)),
+             np.concatenate((w.indices, joins)),
+             np.concatenate((w.indptr, w.indptr[-1] + 2 * np.arange(1, inner.size + 1)))),
+            shape=(size, size),
+        )
+        out = np.empty((lo.size, cols.size))
+        for s in range(0, lo.size, _SOLVE_COLUMNS):
+            rows = dijkstra(joined, directed=True, indices=source[s : s + _SOLVE_COLUMNS])
+            out[s : s + _SOLVE_COLUMNS] = rows[:, cols]
+        return out
 
     def _resistance_block(self, idx: np.ndarray) -> np.ndarray:
         """Effective resistances between the vertices with the distinct

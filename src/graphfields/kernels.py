@@ -500,6 +500,8 @@ def covariance_from_distances(dm: np.ndarray, spec: KernelSpec) -> np.ndarray:
         rows = dm[s:e, s:].copy()
         square = rows[:, : e - s]
         np.copyto(square, square.T, where=_BELOW_DIAGONAL[: e - s, : e - s])
+        # Every family is exactly 0 at inf, and the diagonal is set to 1.
+        np.fill_diagonal(square, np.inf)
         block = radial_profile(spec, rows)
         out[s:e, s:] = block
         out[e:, s:e] = block[:, e - s :].T

@@ -3,7 +3,10 @@
 The geodesic distance between two points is the length of the shortest route
 between them; for vertices this is the usual weighted shortest-path metric,
 and point queries reduce to lookups among the endpoint vertices of the
-points, whose Dijkstra rows the graph computes on demand and keeps.
+points, whose Dijkstra rows the graph computes on demand and keeps.  A
+graph's first query searches once from each point instead, and keeps
+nothing, when its points have more endpoints than there are points (see
+:func:`geodesic_matrix`).
 
 The resistance metric is the variogram of a canonical Gaussian field: a
 multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
@@ -123,19 +126,27 @@ def _same_edge_pairs(eidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _two_gathers(block, lo, hi, a, b, scale, combine) -> np.ndarray:
     """``combine(scale(block[lo_p], a_p), scale(block[hi_p], b_p))`` for
-    each point ``p``, then the same on the columns of that: a point to point
-    matrix read from a vertex block through both ends of each point, with
-    the ends ``lo``/``hi`` given as rows of ``block``.  Points are taken
-    ``_SOLVE_COLUMNS`` rows at a time, so each stage holds its source, its
-    result and one block of rows.
+    each point ``p``, then the same on the columns of that
+    (:func:`_column_gather`): a point to point matrix read from a vertex
+    block through both ends of each point, with the ends ``lo``/``hi``
+    given as rows of ``block``.  Points are taken ``_SOLVE_COLUMNS`` rows at
+    a time, so each stage holds its source, its result and one block of
+    rows.
     """
-    m = lo.size
-    reach = np.empty((m, block.shape[1]))
-    out = np.empty((m, m))
-    for s in range(0, m, _SOLVE_COLUMNS):
+    reach = np.empty((lo.size, block.shape[1]))
+    for s in range(0, lo.size, _SOLVE_COLUMNS):
         rows = slice(s, s + _SOLVE_COLUMNS)
         near = scale(block[lo[rows]], a[rows, None])
         combine(near, scale(block[hi[rows]], b[rows, None]), out=reach[rows])
+    return _column_gather(reach, lo, hi, a, b, scale, combine)
+
+
+def _column_gather(reach, lo, hi, a, b, scale, combine) -> np.ndarray:
+    """The second stage of :func:`_two_gathers`: ``combine(scale(reach[p,
+    lo_q], a_q), scale(reach[p, hi_q], b_q))`` for each row ``p`` of
+    ``reach`` and point ``q``."""
+    m = lo.size
+    out = np.empty((len(reach), m))
     for s in range(0, m, _SOLVE_COLUMNS):
         rows = slice(s, s + _SOLVE_COLUMNS)
         near = reach[rows]
@@ -272,18 +283,27 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     longer).  Vertex distances come from the graph's block over the distinct
     endpoint vertices of the points, so a query costs one Dijkstra row per
     endpoint the graph has not searched from before, and never an ``n x n``
-    table.
+    table.  The graph's first query instead searches once from each point
+    when the rows its store lacks outnumber the points
+    (:meth:`~graphfields.graph.EuclideanGraph._searches_from_points`): each
+    search gives that point's row of the first gather, and nothing is
+    stored.  The two routes round differently, so that query may differ
+    from the stored rows' matrix by about ``n 2^-53`` relative.
     """
     pts = canonical_points(g, points)
     lo, hi, to_lo, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    dist = g._distance_block(ends)
-    lo, hi = where[: len(lo)], where[len(lo) :]
+    at_lo, at_hi = where[: len(lo)], where[len(lo) :]
     to_hi = elen - to_lo
-    # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
-    # the nearer end of each row point first, then of each column point,
-    # gives the minimum over the four pairings bit for bit.
-    best = _two_gathers(dist, lo, hi, to_lo, to_hi, np.add, np.minimum)
+    if g._searches_from_points(ends, len(pts)):
+        reach = g._point_rows(lo, hi, to_lo, elen, ends)
+        best = _column_gather(reach, at_lo, at_hi, to_lo, to_hi, np.add, np.minimum)
+    else:
+        # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c),
+        # fl(b + c)): the nearer end of each row point first, then of each
+        # column point, gives the minimum over the four pairings bit for bit.
+        dist = g._distance_block(ends)
+        best = _two_gathers(dist, at_lo, at_hi, to_lo, to_hi, np.add, np.minimum)
     i, j = _same_edge_pairs(eidx)
     best[i, j] = np.minimum(best[i, j], np.abs(to_lo[i] - to_lo[j]))
     np.fill_diagonal(best, 0.0)

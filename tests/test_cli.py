@@ -233,6 +233,32 @@ def test_distmatrix_json_and_csv_agree(capsys, workdir):
         assert np.array_equal(parsed, matrix)
 
 
+def test_npy_out_round_trips_bit_for_bit(capsys, workdir):
+    # The .npy file holds the matrix or the draws of the JSON payload, rows
+    # and columns in the order of the points file; commands without a
+    # matrix still write JSON.
+    inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    cases = [
+        (["distmatrix", *inputs, "--metric", "geodesic"], "matrix"),
+        (["cov", *inputs, "--kernel", str(workdir["matern"])], "matrix"),
+        (["simulate", *inputs, "--n", "5", "--seed", "3"], "draws"),
+        (["variogram", *inputs, "--n", "50", "--seed", "3"], "matrix"),
+    ]
+    out_npy = workdir["dir"] / "out.npy"
+    for argv, key in cases:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        expected = np.array(json.loads(out)[key], dtype=float)
+        code, out, err = _run(capsys, [*argv, "--out", str(out_npy)])
+        assert code == 0 and out == "" and err == ""
+        got = np.load(out_npy, allow_pickle=False)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+        assert got.shape == expected.shape
+    code, out, _ = _run(capsys, ["validate", "--graph", str(workdir["edge"])])
+    code, _, _ = _run(capsys, ["validate", "--graph", str(workdir["edge"]), "--out", str(out_npy)])
+    assert code == 0 and out_npy.read_text() == out
+
+
 def test_origin_only_on_commands_that_read_it(capsys, workdir):
     inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
     kernel = ["--kernel", str(workdir["matern"])]
@@ -689,7 +715,7 @@ def test_empty_points_file_exits_1(capsys, workdir, command, kernel):
     }
 
 
-@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("suffix", [".json", ".csv", ".npy"])
 def test_unwritable_out_exits_1(capsys, workdir, suffix):
     target = workdir["dir"] / "missing" / f"x{suffix}"
     inputs = ["--graph", str(workdir["edge"]), "--out", str(target)]
