@@ -386,7 +386,8 @@ class EuclideanGraph:
         vertices are ``ends``, searches once per point (see
         :meth:`_point_rows`) instead of reading stored rows: only the
         graph's first geodesic query does, and only when the rows its store
-        lacks outnumber its points.  Later queries read stored rows, so a
+        lacks outnumber its points.  Each call marks the graph as having
+        answered a geodesic query, so later queries read stored rows and a
         long-lived graph warms up; a race at worst lets two first queries
         search from points."""
         first, self._geodesic_answered = not self._geodesic_answered, True
