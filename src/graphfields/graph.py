@@ -251,7 +251,7 @@ class EuclideanGraph:
 
     Vertices, edges and lengths never change after construction.  The
     state that does is the row stores of the two metrics, a flag set by the
-    first geodesic query, and the one factor of ``L``
+    first geodesic query with points, and the one factor of ``L``
     (:meth:`_conductance_lu`), made on first use and kept, which resistance
     queries and canonical draws read.  Geodesic queries read
     vertex distances through :meth:`_distance_block` (rows of single-source
@@ -312,7 +312,8 @@ class EuclideanGraph:
         n = len(self.vertices)
         empty = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
         self._row_stores = {"geodesic": empty, "resistance": empty}
-        # Set by the first geodesic query, which may search from its points.
+        # Set by the first geodesic query with points; only a query before
+        # it may search from its points, so later queries warm the store.
         self._geodesic_answered = False
         self._conductance_factor: SuperLU | None = None
 
@@ -384,15 +385,16 @@ class EuclideanGraph:
     def _searches_from_points(self, ends: np.ndarray, m: int) -> bool:
         """Whether a geodesic query of ``m`` points, whose distinct endpoint
         vertices are ``ends``, searches once per point (see
-        :meth:`_point_rows`) instead of reading stored rows: only the
-        graph's first geodesic query does, and only when the rows its store
-        lacks outnumber its points.  Each call marks the graph as having
-        answered a geodesic query, so later queries read stored rows and a
-        long-lived graph warms up; a race at worst lets two first queries
-        search from points."""
-        first, self._geodesic_answered = not self._geodesic_answered, True
+        :meth:`_point_rows`) instead of reading stored rows: only while the
+        graph has answered no geodesic query with points (the flag
+        ``_geodesic_answered``, which
+        :func:`~graphfields.metrics.geodesic_matrix` sets), and only when
+        the rows its store lacks outnumber its points.  It changes
+        nothing."""
+        if self._geodesic_answered:
+            return False
         pos, _ = self._row_stores["geodesic"]
-        return first and np.count_nonzero(pos[ends] < 0) > m
+        return np.count_nonzero(pos[ends] < 0) > m
 
     def _point_rows(self, lo, hi, off, elen, cols: np.ndarray) -> np.ndarray:
         """Shortest-route distances from each point to the vertices

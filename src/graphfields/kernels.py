@@ -483,12 +483,12 @@ class CovarianceMatrix:
 def covariance_from_distances(dm: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Apply a radial profile to a square distance matrix; unit diagonal.
 
-    Like ``numpy.linalg.eigvalsh``, this reads only the upper triangle of
-    ``dm`` (diagonal included): the profile is evaluated once per unordered
-    pair, in blocks of ``_ROW_BLOCK`` rows of the upper triangle, and each
-    block is mirrored below the diagonal.  The result is exactly symmetric,
-    and for a symmetric ``dm`` (as ``distance_matrix`` returns) it equals
-    the entrywise profile with a unit diagonal bit for bit.
+    This reads only the strict upper triangle of ``dm``: the profile is
+    evaluated once per unordered pair, in blocks of ``_ROW_BLOCK`` rows of
+    the upper triangle, and each block is mirrored below the diagonal.  The
+    diagonal is 1 whatever ``dm`` holds there.  The result is exactly
+    symmetric, and for a symmetric ``dm`` (as ``distance_matrix`` returns)
+    it equals the entrywise profile with a unit diagonal bit for bit.
     """
     dm = np.asarray(dm, dtype=float)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:

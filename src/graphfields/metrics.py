@@ -4,9 +4,9 @@ The geodesic distance between two points is the length of the shortest route
 between them; for vertices this is the usual weighted shortest-path metric,
 and point queries reduce to lookups among the endpoint vertices of the
 points, whose Dijkstra rows the graph computes on demand and keeps.  A
-graph's first query searches once from each point instead, and keeps
-nothing, when its points have more endpoints than there are points (see
-:func:`geodesic_matrix`).
+graph's first query with points searches once from each point instead, and
+keeps nothing, when its points have more endpoints than there are points
+(see :func:`geodesic_matrix`).
 
 The resistance metric is the variogram of a canonical Gaussian field: a
 multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
@@ -283,19 +283,27 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     longer).  Vertex distances come from the graph's block over the distinct
     endpoint vertices of the points, so a query costs one Dijkstra row per
     endpoint the graph has not searched from before, and never an ``n x n``
-    table.  The graph's first query instead searches once from each point
-    when the rows its store lacks outnumber the points
+    table.  The graph's first query with points instead searches once from
+    each point when the rows its store lacks outnumber the points
     (:meth:`~graphfields.graph.EuclideanGraph._searches_from_points`): each
     search gives that point's row of the first gather, and nothing is
     stored.  The two routes round differently, so that query may differ
-    from the stored rows' matrix by about ``n 2^-53`` relative.
+    from the stored rows' matrix by about ``n 2^-53`` relative.  A
+    two-point :func:`geodesic_distance` counts as a query with points.
+    After a first query that searched from its points, the next cold query
+    searches from every endpoint it lacks, as the first would have.
     """
     pts = canonical_points(g, points)
     lo, hi, to_lo, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
     at_lo, at_hi = where[: len(lo)], where[len(lo) :]
     to_hi = elen - to_lo
-    if g._searches_from_points(ends, len(pts)):
+    from_points = g._searches_from_points(ends, len(pts))
+    if len(pts):
+        # Later queries read stored rows, so a long-lived graph warms up; a
+        # race at worst lets two first queries search from their points.
+        g._geodesic_answered = True
+    if from_points:
         reach = g._point_rows(lo, hi, to_lo, elen, ends)
         best = _column_gather(reach, at_lo, at_hi, to_lo, to_hi, np.add, np.minimum)
     else:
