@@ -4,12 +4,13 @@ Commands read graphs, point lists, and kernel specs from JSON files (or
 stdin via ``-``) and write JSON to stdout, or to ``--out``; matrix- and
 sample-shaped payloads are written as CSV instead when the ``--out`` path
 ends in ``.csv``, and as a NumPy ``.npy`` array of the matrix or draws when
-it ends in ``.npy``.  JSON output is byte for byte ``json.dumps(payload,
-indent=2)`` and CSV cells are ``repr`` of each float, so both are
-byte-stable; each distinct float of a matrix or sample is formatted once.
+it ends in ``.npy``; other payloads refuse those two.  JSON output is byte
+for byte ``json.dumps(payload, indent=2)`` and CSV cells are ``repr`` of
+each float, so both are byte-stable; each distinct float of a matrix or
+sample is formatted once.
 Exit codes: 0 success, 1 I/O or parse errors (an empty points array, an
-unwritable ``--out``), 2 validation failures (including a not-PSD verdict
-under ``--strict``).
+unwritable or refused ``--out``), 2 validation failures (including a
+not-PSD verdict under ``--strict``).
 Errors are emitted as machine-readable JSON objects on stderr.
 """
 
@@ -71,7 +72,7 @@ def _read_json(path: str, what: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, an over-long integer
         raise _CliFailure(
             1, {"error": "InputError", "message": f"cannot read {what}: {exc}"}
         ) from exc
@@ -80,7 +81,7 @@ def _read_json(path: str, what: str):
 def _parse_inline_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise _CliFailure(
             1, {"error": "InputError", "message": f"cannot parse {what}: {exc}"}
         ) from exc
@@ -157,14 +158,17 @@ def _dumps(payload: dict) -> str:
 def _emit(args, payload: dict, *, table=None) -> None:
     """Write ``payload`` as JSON, or ``table = (labels, matrix)`` as CSV when
     ``--out`` ends in ``.csv``, or its matrix alone as a ``.npy`` array
-    when ``--out`` ends in ``.npy``."""
+    when ``--out`` ends in ``.npy``; without a table, refuse those two."""
     out = args.out
     if not out:
         sys.stdout.write(_dumps(payload) + "\n")
         return
-    as_csv = table is not None and out.endswith(".csv")
+    as_csv, as_npy = out.endswith(".csv"), out.endswith(".npy")
+    if table is None and (as_csv or as_npy):
+        message = f"cannot write output: {args.command} has no matrix or sample for {out[-4:]}"
+        raise _CliFailure(1, {"error": "OutputError", "message": message})
     try:
-        if table is not None and out.endswith(".npy"):
+        if as_npy:
             with open(out, "wb") as fh:
                 np.save(fh, np.asarray(table[1], dtype=float), allow_pickle=False)
             return

@@ -129,10 +129,14 @@ def point_label(p: GraphPoint) -> str:
 
 def _as_float(x) -> float:
     """``float(x)``, except that a bool (JSON ``true``), a string and bytes
-    (JSON ``"2.5"``) are not numbers."""
+    (JSON ``"2.5"``) are not numbers, and a number too large for a float
+    (JSON ``1`` and 400 zeros) is infinite, as the literal ``1e400`` is."""
     if isinstance(x, (bool, str, bytes, bytearray)):
         raise TypeError(f"{x!r} is not a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _edge_fields(raw) -> tuple:
@@ -185,7 +189,7 @@ def _lengths(raw) -> tuple[np.ndarray, int]:
     try:
         for x in raw:
             values.append(_as_float(x))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         pass
     out = np.full(len(raw), np.nan)
     out[: len(values)] = values
@@ -554,8 +558,7 @@ def _route_lengths(
     chunk, to its longest limit, finds the chunk's halo.  Every route a
     search from the chunk follows lies in the halo, so the searches run on
     the halo's induced subgraph and give what searches over the whole graph
-    give, bit for bit.  A graph of at most ``_CHECK_CHUNK`` vertices is one
-    chunk and its own halo.
+    give, bit for bit.
     """
     n = weights.shape[0]
     # Rounding never takes a sum of positive lengths below one of its terms,
@@ -573,14 +576,11 @@ def _route_lengths(
     reach = np.zeros(n)
     np.maximum.at(reach, iu, lengths[todo])
     np.maximum.at(reach, iv, lengths[todo])
-    if n <= _CHECK_CHUNK:
-        order = np.flatnonzero(reach)
-    else:
-        order = reverse_cuthill_mckee(weights, symmetric_mode=True).astype(np.intp)
-        order = order[reach[order] > 0]
-        # Sources whose limits share a power of two go together, so that a
-        # short limit does not search the halo of a long one.
-        order = order[np.argsort(np.frexp(reach[order])[1], kind="stable")]
+    order = reverse_cuthill_mckee(weights, symmetric_mode=True).astype(np.intp)
+    order = order[reach[order] > 0]
+    # Sources whose limits share a power of two go together, so that a short
+    # limit does not search the halo of a long one.
+    order = order[np.argsort(np.frexp(reach[order])[1], kind="stable")]
     # Within a chunk, sources by their longest edge: each search stops at
     # the longest edge of its own rows.
     order = order[np.lexsort((reach[order], np.arange(order.size) // _CHECK_CHUNK))]
@@ -595,18 +595,15 @@ def _route_lengths(
     routes = np.full(todo.size, np.inf)
     for start in range(0, order.size, _CHECK_CHUNK):
         stop = min(start + _CHECK_CHUNK, order.size)
-        if stop - start == n:
-            halo, sub = np.arange(n), weights
-        else:
-            near = dijkstra(
-                weights,
-                directed=True,
-                indices=order[start:stop],
-                limit=reach[order[stop - 1]],
-                min_only=True,
-            )
-            halo = np.flatnonzero(np.isfinite(near))
-            sub = weights[halo][:, halo]
+        near = dijkstra(
+            weights,
+            directed=True,
+            indices=order[start:stop],
+            limit=reach[order[stop - 1]],
+            min_only=True,
+        )
+        halo = np.flatnonzero(np.isfinite(near))
+        sub = weights[halo][:, halo]
         # Row blocks fit the entry budget and share a power of two of limit.
         rows = max(1, _CHECK_BLOCK_ENTRIES // halo.size)
         same = np.flatnonzero(np.diff(np.frexp(reach[order[start:stop]])[1])) + start + 1
@@ -876,12 +873,6 @@ def graph_from_json(obj: dict) -> EuclideanGraph:
     ):
         raise InvalidGraphError('graph JSON must have "vertices" and "edges" arrays')
     return build_graph(obj["vertices"], obj["edges"])
-
-
-def point_to_json(p: GraphPoint) -> dict:
-    if p.is_vertex:
-        return {"vertex": p.vertex}
-    return {"edge": p.edge, "offset": p.offset}
 
 
 def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:

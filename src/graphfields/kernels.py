@@ -633,14 +633,6 @@ def forbidden_certificate(t: float, r: float) -> ForbiddenWitness:
 # -- star-shaped restriction checks ------------------------------------------
 
 
-def smoothness_bound(n: int) -> float:
-    """Largest small-distance variogram exponent a field can have around a
-    degree-n junction: log2(2n / (n - 1))."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise NOutOfRangeError(f"n must be an integer >= 2, got {n!r}")
-    return math.log2(2.0 * n / (n - 1.0))
-
-
 @dataclass(frozen=True)
 class StarInequalityResult:
     t: float

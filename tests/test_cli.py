@@ -6,7 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +67,7 @@ def workdir(tmp_path):
     files["witness_graph"].write_text(json.dumps(gf.graph_to_json(wgraph)))
     files["witness_points"] = tmp_path / "wpoints.json"
     files["witness_points"].write_text(
-        json.dumps([gf.point_to_json(p) for p in wpoints])
+        json.dumps([{"vertex": p.vertex} for p in wpoints])
     )
     files["dir"] = tmp_path
     return files
@@ -235,8 +238,8 @@ def test_distmatrix_json_and_csv_agree(capsys, workdir):
 
 def test_npy_out_round_trips_bit_for_bit(capsys, workdir):
     # The .npy file holds the matrix or the draws of the JSON payload, rows
-    # and columns in the order of the points file; commands without a
-    # matrix still write JSON.
+    # and columns in the order of the points file; a command without a
+    # matrix or sample refuses the path and leaves the file as it was.
     inputs = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
     cases = [
         (["distmatrix", *inputs, "--metric", "geodesic"], "matrix"),
@@ -254,9 +257,9 @@ def test_npy_out_round_trips_bit_for_bit(capsys, workdir):
         got = np.load(out_npy, allow_pickle=False)
         assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
         assert got.shape == expected.shape
-    code, out, _ = _run(capsys, ["validate", "--graph", str(workdir["edge"])])
+    before = out_npy.read_bytes()
     code, _, _ = _run(capsys, ["validate", "--graph", str(workdir["edge"]), "--out", str(out_npy)])
-    assert code == 0 and out_npy.read_text() == out
+    assert code == 1 and out_npy.read_bytes() == before
 
 
 def test_origin_only_on_commands_that_read_it(capsys, workdir):
@@ -477,6 +480,58 @@ def test_non_numeric_json_fields_exit_2(capsys, workdir, command, payload, error
     code, _, err = _run(capsys, argv)
     assert code == 2
     assert json.loads(err)["error"] == error
+
+
+# A number too large for a float, written out in full, and the literal 1e400,
+# which JSON reads as inf, get the same error.
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        ("validate", '{"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": X}]}', "InvalidGraph"),
+        ("validate", '{"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1", "length": -X}]}', "InvalidGraph"),
+        ("dist", '{"edge": "e1", "offset": X}', "OffsetOutOfRange"),
+        ("distmatrix", '[{"vertex": "0"}, {"edge": "e1", "offset": X}]', "OffsetOutOfRange"),
+        ("star-check", '{"family": "matern", "alpha": X, "beta": 1}', "ParamOutOfRange"),
+        ("star-check", '{"family": "matern", "alpha": 0.5, "beta": X}', "ParamOutOfRange"),
+        ("star-check", '{"family": "dagum", "alpha": 0.5, "beta": 1, "xi": X}', "ParamOutOfRange"),
+        ("cov", '{"family": "power_exponential", "alpha": 1, "beta": X}', "ParamOutOfRange"),
+    ],
+)
+def test_overflowing_json_numbers_exit_2_as_1e400_does(capsys, workdir, command, text, error):
+    errors = []
+    for number in (_HUGE, "1e400"):
+        body = text.replace("X", number)
+        path = workdir["dir"] / "input.json"
+        path.write_text(body)
+        argv = {
+            "validate": ["validate", "--graph", str(path)],
+            "dist": ["dist", "--graph", str(workdir["edge"]), "--from", body, "--to", '{"vertex": "0"}'],
+            "distmatrix": ["distmatrix", "--graph", str(workdir["edge"]), "--points", str(path)],
+            "star-check": ["star-check", "--kernel", str(path), "--n", "3"],
+            "cov": ["cov", "--graph", str(workdir["edge"]), "--points", str(workdir["points"]), "--kernel", str(path)],
+        }[command]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("source", ["file", "inline"])
+def test_json_integer_over_4300_digits_exits_1(capsys, workdir, source):
+    text = '{"edge": "e1", "offset": ' + "1" * 5000 + "}"
+    if source == "file":
+        path = workdir["dir"] / "points.json"
+        path.write_text(f"[{text}]")
+        argv = ["distmatrix", "--graph", str(workdir["edge"]), "--points", str(path)]
+    else:
+        argv = ["dist", "--graph", str(workdir["edge"]), "--from", text, "--to", '{"vertex": "0"}']
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InputError"
 
 
 def test_simulate_canonical_deterministic(capsys, workdir):
@@ -731,6 +786,31 @@ def test_unwritable_out_exits_1(capsys, workdir, suffix):
         assert not target.exists()
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".npy"])
+def test_out_csv_and_npy_refused_without_a_matrix_or_sample(capsys, workdir, suffix):
+    # Only matrices and samples have a CSV or .npy form; the other payloads
+    # are refused by name, and no file is written.
+    target = workdir["dir"] / f"x{suffix}"
+    graph, kernel = ["--graph", str(workdir["theta"])], ["--kernel", str(workdir["matern"])]
+    points = ["--points", str(workdir["points"])]
+    for argv in (
+        ["validate", *graph],
+        ["blocks", *graph],
+        ["forbidden-check", *graph],
+        ["dist", *graph, "--from", '{"vertex": "x"}', "--to", '{"vertex": "y"}'],
+        ["psd-check", "--graph", str(workdir["edge"]), *points, *kernel],
+        ["star-check", *kernel, "--n", "3"],
+    ):
+        code, out, err = _run(capsys, [*argv, "--out", str(target)])
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "OutputError"
+        assert payload["message"] == (
+            f"cannot write output: {argv[0]} has no matrix or sample for {suffix}"
+        )
+        assert not target.exists()
+
+
 def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeypatch):
     # Each kernel command proves its matrix by one shifted Cholesky, and
     # simulate draws from one more by the same routine; only the commands
@@ -798,11 +878,11 @@ def test_loaded_points_are_canonicalized_once(capsys, workdir, monkeypatch, comm
     argv += [str(workdir[arg]) if arg in workdir else arg for arg in command[1:]]
     code, _, _ = _run(capsys, argv)
     assert code == 0
-    assert [gf.point_to_json(p) for p in located] == [
-        {"vertex": "0"},
-        {"edge": "e1", "offset": 0.25},
-        {"edge": "e1", "offset": 0.75},
-        {"vertex": "1"},
+    assert located == [
+        gf.vertex_point("0"),
+        gf.edge_point("e1", 0.25),
+        gf.edge_point("e1", 0.75),
+        gf.vertex_point("1"),
     ]
     assert len(tables) == 1 and tables[0].labels == ("0", "e1@0.25", "e1@0.75", "1")
 
@@ -937,3 +1017,33 @@ def test_csv_quotes_labels_and_keeps_repr_text(capsys, workdir):
     code, _, _ = _run(capsys, [*argv, "--out", str(out_csv)])
     assert code == 0
     assert out_csv.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+_TWO_VERTICES = '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": LENGTH}]}'
+
+
+@pytest.mark.parametrize(
+    "length, code, error",
+    [("1", 0, None), ("1" * 5000, 1, "InputError"), (_HUGE, 2, "InvalidGraph")],
+)
+def test_console_entry_point_exit_codes(length, code, error):
+    # The console script's entry point, in a fresh interpreter: a graph on
+    # stdin that is valid, that json cannot read, and whose length is too
+    # large for a float.  An error is one JSON line on stderr, never a
+    # traceback.
+    env = {**os.environ, "PYTHONPATH": str(Path(gf.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "graphfields.cli", "validate", "--graph", "-"],
+        input=_TWO_VERTICES.replace("LENGTH", length),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if error is None:
+        assert done.stderr == "" and json.loads(done.stdout)["valid"] is True
+    else:
+        assert done.stdout == "" and done.stderr.count("\n") == 1
+        assert json.loads(done.stderr)["error"] == error

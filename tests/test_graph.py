@@ -504,16 +504,20 @@ def test_edges_are_built_on_first_access():
 
 
 def test_overflowing_length_raises_where_the_reference_does():
-    # float() overflows on a huge integer: an earlier failing edge is still
-    # named first, and otherwise the OverflowError escapes, as it did.
+    # A length too large for a float reads as inf, as the JSON literal 1e400
+    # does: an earlier failing edge is still named first, and otherwise the
+    # edge is refused for its length.
     loop_first = [("ab", "a", "b", 1.0), ("aa", "a", "a", 1.0), ("bc", "b", "c", 10**400)]
     error = reference_build_error("abc", loop_first)
     assert _outcome("abc", loop_first) == (type(error), str(error), error.detail)
-    for edges in ([("ab", "a", "b", 10**400)], [{"u": "a", "v": "b", "length": 10**400}]):
-        with pytest.raises(OverflowError):
-            reference_build_error("ab", edges)
-        with pytest.raises(OverflowError):
-            gf.build_graph("ab", edges)
+    for edges, shown in (
+        ([("ab", "a", "b", 10**400)], "inf"),
+        ([{"u": "a", "v": "b", "length": -(10**400)}], "-inf"),
+    ):
+        error = reference_build_error("ab", edges)
+        assert _outcome("ab", edges) == (type(error), str(error), error.detail)
+        assert isinstance(error, gf.InvalidGraphError)
+        assert str(error).endswith(f"must have positive finite length, got {shown}")
 
 
 def test_large_grid_builds_without_all_pairs_table():
@@ -590,9 +594,11 @@ def test_malformed_points_rejected():
 
 def test_point_json_round_trip():
     g = single_edge()
-    for p in (gf.vertex_point("0"), gf.edge_point("e1", 0.3)):
-        p = gf.canonicalize(g, p)
-        assert gf.point_from_json(g, gf.point_to_json(p)) == p
+    for p, obj in (
+        (gf.vertex_point("0"), {"vertex": "0"}),
+        (gf.edge_point("e1", 0.3), {"edge": "e1", "offset": 0.3}),
+    ):
+        assert gf.point_from_json(g, obj) == gf.canonicalize(g, p) == p
 
 
 def test_graph_json_round_trip():

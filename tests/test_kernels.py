@@ -748,19 +748,7 @@ def test_forbidden_certificate_rejects_bad_parameters():
             gf.forbidden_certificate(t, r)
 
 
-# -- smoothness bound and star inequalities --------------------------------------------
-
-
-def test_smoothness_bound_values():
-    assert gf.smoothness_bound(2) == 2.0
-    assert gf.smoothness_bound(3) == pytest.approx(math.log(3.0) / math.log(2.0))
-    assert gf.smoothness_bound(10**6) == pytest.approx(1.0, abs=1e-5)
-
-
-def test_smoothness_bound_rejects_bad_n():
-    for bad in (1, 0, -3, 2.5, True):
-        with pytest.raises(gf.NOutOfRangeError):
-            gf.smoothness_bound(bad)
+# -- star inequalities -------------------------------------------------------
 
 
 def test_star_inequalities_exponential_example():

@@ -61,14 +61,12 @@ PUBLIC_NAMES = [
     "oracle_effective_resistance",
     "point_from_json",
     "point_label",
-    "point_to_json",
     "psd_check",
     "r_graph_matrix",
     "radial_profile",
     "resistance_distance",
     "sample_canonical_field",
     "sample_from_covariance",
-    "smoothness_bound",
     "split_edge",
     "star_inequality_check",
     "theta_witness_graph",
@@ -77,7 +75,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_exactly_the_locked_list_and_resolve():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 59
     assert sorted(gf.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gf, name) is not None, name

@@ -1,4 +1,5 @@
-"""The README's library quick tour runs, and its comments state its results."""
+"""The README's library quick tour runs, its comments state its results, and
+its library API list is the package's public names."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import graphfields
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,3 +56,14 @@ def test_readme_quick_tour_values():
     # d_R * sqrt(2 / (n - 1)).
     stderr = d_r * math.sqrt(2.0 / (namespace["sample"].draws.shape[0] - 1))
     assert abs(values["gf.empirical_variogram(sample)[0, 1]"] - d_r) < 4.0 * stderr
+
+
+def test_readme_library_api_lists_exactly_the_public_names():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Library API\n(.*?)^## ", text, re.S | re.M).group(1)
+    items = "".join(re.findall(r"^- .*(?:\n  .*)*", section, re.M))
+    # Each bullet is "Group (`module`): names"; the module is not a name.
+    names = re.findall(r"`(\w+)`", re.sub(r"\(`\w+`\):", "", items))
+    assert len(names) == len(set(names)) == len(graphfields.__all__)
+    assert sorted(names) == sorted(graphfields.__all__)
+    assert f"these {len(names)} names" in section
