@@ -9,8 +9,8 @@ for byte ``json.dumps(payload, indent=2)`` and CSV cells are ``repr`` of
 each float, so both are byte-stable; each distinct float of a matrix or
 sample is formatted once.
 Exit codes: 0 success, 1 I/O or parse errors (an empty points array, an
-unwritable or refused ``--out``), 2 validation failures (including a
-not-PSD verdict under ``--strict``).
+unwritable or refused ``--out``) and running out of memory, 2 validation
+failures (including a not-PSD verdict under ``--strict``).
 Errors are emitted as machine-readable JSON objects on stderr.
 """
 
@@ -468,13 +468,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CliFailure as failure:
-        sys.stderr.write(json.dumps(failure.payload) + "\n")
-        return failure.exit_code
+        code, payload = failure.exit_code, failure.payload
     except GraphFieldsError as exc:
-        payload = {"error": exc.code, "message": str(exc)}
-        payload.update(exc.detail)
-        sys.stderr.write(json.dumps(payload) + "\n")
-        return 2
+        code, payload = 2, {"error": exc.code, "message": str(exc), **exc.detail}
+    except MemoryError as exc:  # say, draws whose array exceeds the address space
+        code, payload = 1, {"error": "OutOfMemory", "message": str(exc) or "out of memory"}
+    sys.stderr.write(json.dumps(payload) + "\n")
+    return code
 
 
 def entrypoint() -> None:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NoReturn
 
 import numpy as np
 from scipy.sparse import csc_array, csr_matrix
@@ -206,36 +205,10 @@ def _first_repeat(items) -> int:
     return len(items)
 
 
-def _raise_edge_error(k, ids, us, vs, raw_lengths, length, vindex) -> NoReturn:
-    """Raise the error of edge ``k``, the first edge of the input that fails
-    a structural check, for the first check it fails: a numeric length, a
-    new id, known endpoints (``u`` first), no loop, a new endpoint pair, a
-    finite positive length.  Every earlier edge passed them all."""
-    eid, u, v = ids[k], us[k], vs[k]
-    try:
-        _as_float(raw_lengths[k])
-    except (TypeError, ValueError) as exc:
-        raise InvalidGraphError(
-            f"edge {eid!r} must have a numeric length, got {raw_lengths[k]!r}"
-        ) from exc
-    if eid in ids[:k]:
-        raise InvalidGraphError(f"duplicate edge id {eid!r}")
-    for endpoint in (u, v):
-        if endpoint not in vindex:
-            raise UnknownVertexError(
-                f"edge {eid!r} references unknown vertex {endpoint!r}",
-                vertex=endpoint,
-                edge_id=eid,
-            )
-    if u == v:
-        raise MultiEdgeOrLoopError(f"edge {eid!r} is a loop at {u!r}", edge_id=eid)
-    if {u, v} in [{a, b} for a, b in zip(us[:k], vs[:k])]:
-        raise MultiEdgeOrLoopError(
-            f"edge {eid!r} duplicates another edge between {u!r} and {v!r}",
-            edge_id=eid,
-        )
-    raise InvalidGraphError(
-        f"edge {eid!r} must have positive finite length, got {float(length[k])}"
+def _unknown_vertex(eid: str, endpoint) -> UnknownVertexError:
+    endpoint = str(endpoint)
+    return UnknownVertexError(
+        f"edge {eid!r} references unknown vertex {endpoint!r}", vertex=endpoint, edge_id=eid
     )
 
 
@@ -288,24 +261,34 @@ class EuclideanGraph:
                 _unique_label(f"e{k + 1}", explicit) if eid is None else eid
                 for k, eid in enumerate(ids)
             ]
-        # Every structural check runs over all edges at once; the first edge
-        # that fails one raises, as the checks of one edge at a time would.
-        length, first_bad = _lengths(raw_lengths)
+        # Each rule an edge must pass, in the order one edge is checked, runs
+        # over all edges at once and marks the edges that fail it.  The first
+        # edge that fails any rule raises the error of its first failing rule.
+        length, numeric = _lengths(raw_lengths)
         iu, iv = (self._vertex_indices(ends) for ends in (ends_u, ends_v))
         self._edge_pos: dict[str, int] = dict(zip(ids, range(m)))
-        if len(self._edge_pos) < m:
-            first_bad = min(first_bad, _first_repeat(ids))
+        repeat = _first_repeat(ids) if len(self._edge_pos) < m else m
         pair = np.minimum(iu, iv) * len(self.vertices) + np.maximum(iu, iv)
         _, first_seen, which = np.unique(pair, return_index=True, return_inverse=True)
-        bad = (iu < 0) | (iv < 0) | (iu == iv) | (first_seen[which] != np.arange(m))
-        bad |= ~(np.isfinite(length) & (length > 0.0))
+        at = np.arange(m)
+        rules = (
+            (at >= numeric, lambda k: InvalidGraphError(
+                f"edge {ids[k]!r} must have a numeric length, got {raw_lengths[k]!r}")),
+            (at == repeat, lambda k: InvalidGraphError(f"duplicate edge id {ids[k]!r}")),
+            (iu < 0, lambda k: _unknown_vertex(ids[k], ends_u[k])),
+            (iv < 0, lambda k: _unknown_vertex(ids[k], ends_v[k])),
+            (iu == iv, lambda k: MultiEdgeOrLoopError(
+                f"edge {ids[k]!r} is a loop at {str(ends_u[k])!r}", edge_id=ids[k])),
+            (first_seen[which] != at, lambda k: MultiEdgeOrLoopError(
+                f"edge {ids[k]!r} duplicates another edge between "
+                f"{str(ends_u[k])!r} and {str(ends_v[k])!r}", edge_id=ids[k])),
+            (~(np.isfinite(length) & (length > 0.0)), lambda k: InvalidGraphError(
+                f"edge {ids[k]!r} must have positive finite length, got {float(length[k])}")),
+        )
+        bad = np.logical_or.reduce([fails for fails, _ in rules])
         if bad.any():
-            first_bad = min(first_bad, int(np.argmax(bad)))
-        if first_bad < m:
-            labels_u, labels_v = list(map(str, ends_u)), list(map(str, ends_v))
-            _raise_edge_error(
-                first_bad, ids, labels_u, labels_v, raw_lengths, length, self._vindex
-            )
+            k = int(np.argmax(bad))
+            raise next(error(k) for fails, error in rules if fails[k])
 
         # The edge table, in input order.
         self._ids: tuple[str, ...] = tuple(ids)

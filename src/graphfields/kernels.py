@@ -33,9 +33,8 @@ the one Cholesky routine of the package: the proof and the draws of
 ``simulate.sample_from_covariance`` both run it.  The module also
 constructs an explicit six-point witness showing that graphs containing
 three disjoint routes between two points break the exponential family under
-the geodesic metric, and implements the degree-based bound and covariance
-inequalities that any valid radial profile must satisfy on star-shaped
-networks.
+the geodesic metric, and checks the covariance inequalities that any valid
+radial profile must satisfy on star-shaped networks.
 """
 
 from __future__ import annotations

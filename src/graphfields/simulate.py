@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
-from .errors import NotPSDError, TooFewSamplesError
+from .errors import NotPSDError, ParamOutOfRangeError, TooFewSamplesError
 from .graph import _SOLVE_COLUMNS
 from .kernels import CovarianceMatrix, _cholesky
 from .metrics import ResistanceContext, _PointTable, _interpolation_weights, canonical_points
@@ -73,8 +73,16 @@ def _chol_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     raise NotPSDError("covariance matrix is not positive semi-definite enough to factorize")
 
 
-def _stream(seed: int) -> np.random.Generator:
-    """The one stream of ``seed``; see the module docstring."""
+def _stream(seed: int, n: int) -> np.random.Generator:
+    """The one stream of ``seed`` for ``n`` draws; see the module docstring.
+    Both samplers call it first: it refuses fewer than one draw, and a seed
+    that is not a non-negative integer (a bool is not one)."""
+    if n < 1:
+        raise TooFewSamplesError(f"need at least 1 draw, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParamOutOfRangeError(
+            "seed", "an integer >= 0", f"seed must be a non-negative integer, got {seed!r}"
+        )
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
     )
@@ -89,15 +97,14 @@ def sample_from_covariance(cov: CovarianceMatrix, n: int, seed: int) -> FieldSam
     diagonal jitter reported in ``FieldSample.jitter``, guards the values.
     Draws carry ``cov.labels``.
     """
-    if n < 1:
-        raise TooFewSamplesError(f"need at least 1 draw, got {n}")
+    rng = _stream(seed, n)
     report = cov.psd_certificate
     if not report.is_psd:
         raise NotPSDError(
             f"covariance is not PSD (min eigenvalue {report.min_eig:g})"
         )
     factor, jitter = _chol_with_jitter(cov.values)
-    normals = _stream(seed).standard_normal((n, cov.values.shape[0]))
+    normals = rng.standard_normal((n, cov.values.shape[0]))
     return FieldSample(
         labels=cov.labels, draws=normals @ factor, seed=int(seed), jitter=jitter
     )
@@ -174,8 +181,7 @@ def sample_canonical_field(
     (:func:`_bridges`).  The normals are taken in the order of the module
     docstring, and the points have exactly the canonical covariance.
     """
-    if n < 1:
-        raise TooFewSamplesError(f"need at least 1 draw, got {n}")
+    rng = _stream(seed, n)
     g = ctx.graph
     pts = canonical_points(g, points)
     w_lo, w_hi = (w[:, None] for w in _interpolation_weights(pts))
@@ -185,7 +191,7 @@ def sample_canonical_field(
     # Vertex i is row perm_r[i] of a block of vertex draws.
     ends = lu.perm_r[np.concatenate((pts.lo, pts.hi))]
     origin = lu.perm_r[g.vertex_index(ctx.origin)]
-    rng, m = _stream(seed), len(pts)
+    m = len(pts)
     draws = np.empty((n, m))
     for s in range(0, n, _SOLVE_COLUMNS):
         k = min(_SOLVE_COLUMNS, n - s)

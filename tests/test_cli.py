@@ -1031,19 +1031,55 @@ def test_console_entry_point_exit_codes(length, code, error):
     # stdin that is valid, that json cannot read, and whose length is too
     # large for a float.  An error is one JSON line on stderr, never a
     # traceback.
+    done = _console("validate", "--graph", "-", stdin=_TWO_VERTICES.replace("LENGTH", length))
+    if error is None:
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["valid"] is True
+    else:
+        _assert_one_error_line(done, code, error)
+
+
+def _console(*argv, stdin=""):
+    """Run the console script's entry point in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(gf.__file__).resolve().parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "graphfields.cli", "validate", "--graph", "-"],
-        input=_TWO_VERTICES.replace("LENGTH", length),
+    return subprocess.run(
+        [sys.executable, "-m", "graphfields.cli", *map(str, argv)],
+        input=stdin,
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _assert_one_error_line(done, code, error) -> dict:
     assert done.returncode == code
     assert "Traceback" not in done.stderr
-    if error is None:
-        assert done.stderr == "" and json.loads(done.stdout)["valid"] is True
-    else:
-        assert done.stdout == "" and done.stderr.count("\n") == 1
-        assert json.loads(done.stderr)["error"] == error
+    assert done.stdout == "" and done.stderr.count("\n") == 1
+    payload = json.loads(done.stderr)
+    assert payload["error"] == error
+    return payload
+
+
+def _sampler_argv(workdir, command, points):
+    """``simulate`` of the canonical field, ``simulate --kernel`` and
+    ``variogram`` on the single edge."""
+    kernel = ["--kernel", workdir["matern"]] if command == "simulate --kernel" else []
+    return [command.split()[0], "--graph", workdir["edge"], "--points", points, *kernel]
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate --kernel", "variogram"])
+def test_console_refuses_a_negative_seed(workdir, command):
+    done = _console(*_sampler_argv(workdir, command, workdir["points"]), "--seed", "-1")
+    assert _assert_one_error_line(done, 2, "ParamOutOfRange")["field"] == "seed"
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate --kernel", "variogram"])
+def test_console_reports_running_out_of_memory(workdir, command):
+    # 10**17 draws of two points take 1.6e18 bytes, more than any user
+    # address space, so the allocation fails at once whatever the
+    # overcommit setting.
+    two = workdir["dir"] / "two.json"
+    two.write_text(json.dumps([{"vertex": "0"}, {"edge": "e1", "offset": 0.5}]))
+    done = _console(*_sampler_argv(workdir, command, two), "--n", 10**17)
+    assert "allocate" in _assert_one_error_line(done, 1, "OutOfMemory")["message"]

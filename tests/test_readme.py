@@ -1,16 +1,18 @@
-"""The README's library quick tour runs, its comments state its results, and
-its library API list is the package's public names."""
+"""The README's library quick tour runs, its comments state its results, its
+library API list is the package's public names, and its CLI examples parse."""
 
 from __future__ import annotations
 
 import ast
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import graphfields
+from graphfields.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,3 +69,16 @@ def test_readme_library_api_lists_exactly_the_public_names():
     assert len(names) == len(set(names)) == len(graphfields.__all__)
     assert sorted(names) == sorted(graphfields.__all__)
     assert f"these {len(names)} names" in section
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)^### ", text, re.S | re.M).group(1)
+    blocks = re.findall(r"```bash\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    lines = blocks[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert commands
+    for argv in commands:
+        assert argv[0] == "graphfields"
+        build_parser().parse_args(argv[1:])

@@ -140,7 +140,7 @@ def _per_block_draws(ctx, pts, n, seed):
     edge and one point at a time."""
     g = ctx.graph
     lu = g._conductance_lu()
-    rng = _stream(seed)
+    rng = _stream(seed, n)
     io = g.vertex_index(ctx.origin)
     # The distinct interior points by edge position, then offset.
     cuts = sorted({(g._edge_pos[p.edge], p.offset) for p in pts if not p.is_vertex})
@@ -231,7 +231,7 @@ def test_stream_matches_spawned_child():
     for seed in (0, 1, 77, 2**40):
         child = np.random.SeedSequence(seed).spawn(1)[0]
         expected = np.random.Generator(np.random.Philox(child)).standard_normal(64)
-        assert _stream(seed).standard_normal(64).tobytes() == expected.tobytes()
+        assert _stream(seed, 64).standard_normal(64).tobytes() == expected.tobytes()
 
 
 def test_variogram_diagonal_is_zero_and_needs_two_draws():
@@ -274,3 +274,31 @@ def test_draw_count_validation():
     ctx = gf.build_resistance_context(g)
     with pytest.raises(gf.TooFewSamplesError):
         gf.sample_canonical_field(ctx, [gf.vertex_point("0")], 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 1.5, True, False, "1", None])
+def test_samplers_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    ctx = gf.build_resistance_context(single_edge())
+    for sample in (
+        lambda: gf.sample_from_covariance(certified(np.eye(2)), 5, seed=seed),
+        lambda: gf.sample_canonical_field(ctx, [gf.edge_point("e1", 0.5)], 5, seed=seed),
+    ):
+        with pytest.raises(gf.ParamOutOfRangeError) as caught:
+            sample()
+        assert caught.value.field == "seed"
+
+
+def test_samplers_take_numpy_integer_seeds_and_check_the_draw_count_first():
+    cov = certified(np.eye(2))
+    ctx = gf.build_resistance_context(single_edge())
+    pts = [gf.edge_point("e1", 0.5)]
+    for seed in (0, 2**40):
+        for sample in (
+            lambda s: gf.sample_from_covariance(cov, 3, seed=s),
+            lambda s: gf.sample_canonical_field(ctx, pts, 3, seed=s),
+        ):
+            assert sample(np.int64(seed)).draws.tobytes() == sample(seed).draws.tobytes()
+    with pytest.raises(gf.TooFewSamplesError):
+        gf.sample_from_covariance(cov, 0, seed=-1)
+    with pytest.raises(gf.TooFewSamplesError):
+        gf.sample_canonical_field(ctx, pts, 0, seed=-1)
