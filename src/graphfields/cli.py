@@ -9,8 +9,8 @@ for byte ``json.dumps(payload, indent=2)`` and CSV cells are ``repr`` of
 each float, so both are byte-stable; each distinct float of a matrix or
 sample is formatted once.
 Exit codes: 0 success, 1 I/O or parse errors (an empty points array, an
-unwritable or refused ``--out``) and running out of memory, 2 validation
-failures (including a not-PSD verdict under ``--strict``).
+unwritable or refused ``--out``) and running out of memory, 2 usage errors
+and validation failures (including a not-PSD verdict under ``--strict``).
 Errors are emitted as machine-readable JSON objects on stderr.
 """
 
@@ -64,6 +64,13 @@ class _CliFailure(Exception):
         super().__init__(payload.get("message", ""))
         self.exit_code = exit_code
         self.payload = payload
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is a ``UsageError``, not usage text."""
+
+    def error(self, message):
+        raise _CliFailure(2, {"error": "UsageError", "message": message})
 
 
 def _read_json(path: str, what: str):
@@ -270,21 +277,16 @@ def _cmd_distmatrix(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    """``cov`` emits the certified matrix, ``psd-check`` only its certificate.
-
-    Both print eigenvalues, so a certificate that proved the matrix
-    positive definite without them is replaced by ``psd_check``'s report.
-    """
+    """``cov`` emits the covariance matrix, ``psd-check`` only its
+    certificate.  The library certifies the matrix at ``PSD_REL_TOL``; both
+    commands print, and check under ``--strict``, ``psd_check`` of it at
+    ``--tol``, which carries eigenvalues."""
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
     spec = _load_kernel(args.kernel)
-    cov = covariance_matrix(
-        g, points, spec, kind, rel_tol=args.tol, min_separation=MIN_POINT_SEPARATION
-    )
-    report = cov.psd_certificate
-    if report.min_eig is None:
-        report = psd_check(cov.values, args.tol)
+    cov = covariance_matrix(g, points, spec, kind, min_separation=MIN_POINT_SEPARATION)
+    report = psd_check(cov.values, args.tol)
     certificate = _psd_json(report)
     if args.certificate_only:
         _emit(args, certificate)
@@ -397,7 +399,7 @@ def _add_common(p, *, points=False, metric=False, kernel=False, origin=False):
 def build_parser() -> argparse.ArgumentParser:
     """The parser for every subcommand, built on first use and shared by
     later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="graphfields",
         description="metrics, covariance kernels, and Gaussian fields on graphs with Euclidean edges",
     )
@@ -463,9 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliFailure as failure:
         code, payload = failure.exit_code, failure.payload

@@ -110,13 +110,17 @@ def vertex_point(label: str) -> GraphPoint:
 
 
 def edge_point(edge_id: str, offset: float) -> GraphPoint:
-    """The point at ``offset`` along edge ``edge_id``; the offset must be a
-    number (see :func:`_as_float`)."""
+    """The point at ``offset`` along edge ``edge_id`` (see :func:`_offset`)."""
+    return GraphPoint(edge=str(edge_id), offset=_offset(offset))
+
+
+def _offset(x) -> float:
+    """An offset as a float (see :func:`_as_float`), else an
+    ``OffsetOutOfRangeError``; :func:`_locate` reads each point's offset by it."""
     try:
-        offset = _as_float(offset)
+        return _as_float(x)
     except (TypeError, ValueError) as exc:
-        raise OffsetOutOfRangeError(f"offset must be a number, got {offset!r}") from exc
-    return GraphPoint(edge=str(edge_id), offset=offset)
+        raise OffsetOutOfRangeError(f"offset must be a number, got {x!r}") from exc
 
 
 def point_label(p: GraphPoint) -> str:
@@ -663,7 +667,7 @@ def _locate(g: EuclideanGraph, p: GraphPoint) -> tuple[int, float | None]:
         raise OffsetOutOfRangeError(f"malformed point {p!r}")
     k = g._edge_position(p.edge)
     eid, length = g._ids[k], float(g._length[k])
-    off = float(p.offset)
+    off = _offset(p.offset)
     if not math.isfinite(off) or off < 0.0 or off > length:
         raise OffsetOutOfRangeError(
             f"offset {off} outside [0, {length}] on edge {eid!r}",

@@ -347,12 +347,6 @@ class PsdReport:
         return "psd" if self.is_psd else "not_psd"
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    _check_range(
-        math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0"
-    )
-
-
 def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
     """Certify positive semi-definiteness up to a relative eigenvalue band.
 
@@ -362,7 +356,7 @@ def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
     nonnegative: a NaN or negative band would report a positive definite
     matrix as not PSD.
     """
-    _check_rel_tol(rel_tol)
+    _check_range(math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0")
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
@@ -452,13 +446,12 @@ def _cholesky(a: np.ndarray, shift: float) -> np.ndarray | None:
     return r
 
 
-def _certificate(values: np.ndarray, rel_tol: float) -> PsdReport:
+def _certificate(values: np.ndarray) -> PsdReport:
     """The proof of :func:`_proves_positive_definite` when it holds, else
-    :func:`psd_check`; ``rel_tol`` is checked either way."""
-    _check_rel_tol(rel_tol)
+    :func:`psd_check` at ``PSD_REL_TOL``."""
     if _proves_positive_definite(values):
         return PsdReport(min_eig=None, max_eig=None, is_psd=True)
-    return psd_check(values, rel_tol)
+    return psd_check(values)
 
 
 @dataclass(frozen=True)
@@ -467,11 +460,12 @@ class CovarianceMatrix:
 
     ``psd_certificate`` is computed once, when the matrix is built: a proof
     of positive definiteness without eigenvalues when the shifted Cholesky
-    test holds, else :func:`psd_check` of ``values``.  A proof implies the
-    band verdict at any ``rel_tol`` above ``eigvalsh``'s own error, about
-    m u times the largest eigenvalue.  :func:`sample_from_covariance` reads
-    the certificate instead of running ``eigvalsh``, and factors ``values``
-    for its draws by the same routine as the proof, :func:`_cholesky`.
+    test holds, else :func:`psd_check` of ``values`` at ``PSD_REL_TOL``.  A
+    proof implies the band verdict at any ``rel_tol`` above ``eigvalsh``'s
+    own error, about m u times the largest eigenvalue; the CLI prints
+    ``psd_check`` at ``--tol`` instead.  :func:`sample_from_covariance`
+    reads the certificate instead of running ``eigvalsh``, and factors
+    ``values`` for its draws by the same routine as the proof, :func:`_cholesky`.
     """
 
     labels: tuple[str, ...]
@@ -514,16 +508,16 @@ def covariance_matrix(
     spec: KernelSpec,
     kind: MetricKind,
     *,
-    rel_tol: float = PSD_REL_TOL,
     min_separation: float | None = None,
 ) -> CovarianceMatrix:
-    """Covariance matrix C(d(p_i, p_j)) over a point set with a certificate.
+    """Covariance matrix C(d(p_i, p_j)) over a point set, certified at
+    ``PSD_REL_TOL`` (the CLI prints :func:`psd_check` at ``--tol``).
 
-    Neither metric depends on an origin, so neither does the matrix.
-    :func:`distance_matrix` reads the point table built here without
-    building it again.  ``min_separation`` optionally rejects point pairs
-    closer than the given distance, which a caller may use to keep
-    near-duplicates from producing numerically borderline certificates.
+    Neither metric depends on an origin, so neither does the matrix, and
+    :func:`distance_matrix` reads the point table built here.
+    ``min_separation`` optionally rejects point pairs closer than the given
+    distance, which keeps near-duplicates from producing numerically
+    borderline certificates.
     """
     pts = canonical_points(g, points)
     dm = distance_matrix(g, pts, kind)
@@ -539,7 +533,7 @@ def covariance_matrix(
     return CovarianceMatrix(
         labels=pts.labels,
         values=values,
-        psd_certificate=_certificate(values, rel_tol),
+        psd_certificate=_certificate(values),
     )
 
 

@@ -275,10 +275,11 @@ def test_origin_only_on_commands_that_read_it(capsys, workdir):
         ["cov", *inputs, *kernel],
         ["psd-check", *inputs, *kernel],
     ):
-        with pytest.raises(SystemExit) as info:
-            main([*argv, "--origin", "0"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --origin" in capsys.readouterr().err
+        code, out, err = _run(capsys, [*argv, "--origin", "0"])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError"
+        assert "unrecognized arguments: --origin" in payload["message"]
     code, out, err = _run(capsys, ["simulate", *inputs, *kernel, "--origin", "0"])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UsageError"
@@ -373,6 +374,56 @@ def test_psd_check_rejects_bad_tolerance(capsys, workdir, tol):
             assert code == 2 and out == ""
             payload = json.loads(err)
             assert payload["error"] == "ParamOutOfRange" and payload["field"] == "rel_tol"
+
+
+def test_psd_band_set_by_tol_decides_a_matrix_the_proof_does_not_cover(capsys, workdir):
+    # exp(-0.05 d_G) on the six witness points has min_eig -4.9e-3 against
+    # max_eig 5.74: no proof, outside the default band, inside 1e-3.
+    kernel = workdir["dir"] / "exp005.json"
+    kernel.write_text(json.dumps({"family": "power_exponential", "alpha": 1.0, "beta": 0.05}))
+    inputs = ["--graph", str(workdir["witness_graph"]), "--points", str(workdir["witness_points"]),
+              "--kernel", str(kernel), "--metric", "geodesic"]
+    code, out, _ = _run(capsys, ["psd-check", *inputs])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "not_psd"
+    assert payload["min_eig"] == pytest.approx(-4.9e-3, rel=0.02)
+    assert payload["max_eig"] == pytest.approx(5.74, rel=1e-3)
+    code, out, _ = _run(capsys, ["psd-check", *inputs, "--tol", "1e-3"])
+    assert code == 0
+    assert json.loads(out) == {**payload, "verdict": "psd"}
+    code, out, err = _run(capsys, ["cov", *inputs, "--strict"])
+    assert code == 2 and json.loads(err)["error"] == "NotPSD"
+    assert json.loads(out)["psd_certificate"] == payload
+    code, out, err = _run(capsys, ["cov", *inputs, "--strict", "--tol", "1e-3"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["psd_certificate"]["verdict"] == "psd"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--graph", "g", "--points", "p", "--seed", "abc"], "invalid int value"),
+        (["simulate", "--points", "p"], "the following arguments are required: --graph"),
+        (["validate", "--graph", "-", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frobnicate", "--graph", "g"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_one_json_line(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError" and message in payload["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["cov", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: graphfields" in capsys.readouterr().out
 
 
 def test_psd_tolerance_default_is_the_library_default():

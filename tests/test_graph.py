@@ -404,12 +404,21 @@ def test_string_lengths_are_not_numbers(length):
 
 @pytest.mark.parametrize("offset", ["0.5", b"0.5", True, False, None], ids=repr)
 def test_string_offsets_are_not_numbers(offset):
-    # Python points take the same coercion as JSON points.
+    # Python points take the same coercion as JSON points, and a directly
+    # built point is read by the same rule when it is located (an edge
+    # point without an offset is malformed).
     g = gf.build_graph(["a", "b"], [("ab", "a", "b", 1.0)])
     with pytest.raises(gf.OffsetOutOfRangeError, match="offset must be a number"):
         gf.point_from_json(g, {"edge": "ab", "offset": offset})
     with pytest.raises(gf.OffsetOutOfRangeError, match="offset must be a number"):
         gf.edge_point("ab", offset)
+    direct = gf.GraphPoint(edge="ab", offset=offset)
+    message = "malformed point" if offset is None else "offset must be a number"
+    with pytest.raises(gf.OffsetOutOfRangeError, match=message):
+        gf.canonicalize(g, direct)
+    for kind in gf.MetricKind:
+        with pytest.raises(gf.OffsetOutOfRangeError, match=message):
+            gf.distance_matrix(g, [gf.vertex_point("a"), direct], kind)
 
 
 @pytest.mark.parametrize("length", _ODD_LENGTHS, ids=repr)
@@ -568,6 +577,12 @@ def test_out_of_range_offsets_rejected():
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(gf.OffsetOutOfRangeError):
             gf.canonicalize(g, gf.edge_point("e1", bad))
+    # An integer too large for a float reads as infinite, in a point built
+    # directly as in edge_point, and lies outside the edge.
+    for huge in (10**400, -(10**400)):
+        for p in (gf.edge_point("e1", huge), gf.GraphPoint(edge="e1", offset=huge)):
+            with pytest.raises(gf.OffsetOutOfRangeError, match="outside"):
+                gf.canonicalize(g, p)
     with pytest.raises(gf.UnknownEdgeError):
         gf.canonicalize(g, gf.edge_point("nope", 0.5))
     with pytest.raises(gf.UnknownVertexError):

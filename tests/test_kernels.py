@@ -580,7 +580,7 @@ def test_proof_refuses_planted_negative_eigenvalue(exponent):
         assert abs(report.min_eig - smallest) < 1e-14 and report.is_psd
         proved = smallest > 1e-13
         assert kernels._proves_positive_definite(a) is proved
-        assert kernels._certificate(a, kernels.PSD_REL_TOL) == (
+        assert kernels._certificate(a) == (
             gf.PsdReport(None, None, True) if proved else report
         )
 
@@ -592,8 +592,8 @@ def test_proof_refuses_zero_diagonal_and_non_finite_entries():
         assert not kernels._proves_positive_definite(np.array(a))
     assert not kernels._proves_positive_definite(np.zeros((0, 0)))
     # [[0]] and the singular all-ones matrix still read psd through the band.
-    assert kernels._certificate(np.zeros((1, 1)), 0.0) == gf.PsdReport(0.0, 0.0, True)
-    assert kernels._certificate(np.ones((2, 2)), 1e-9).is_psd
+    assert kernels._certificate(np.zeros((1, 1))) == gf.PsdReport(0.0, 0.0, True)
+    assert kernels._certificate(np.ones((2, 2))).is_psd
     # OpenBLAS's dpotrf completes on a NaN pivot; the proof does not.
     nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
     assert scipy.linalg.lapack.dpotrf(nan, lower=1)[1] == 0
@@ -614,17 +614,6 @@ def test_proof_leaves_the_matrix_unchanged():
     before = a.copy()
     assert kernels._proves_positive_definite(a)
     assert np.array_equal(a, before)
-
-
-def test_covariance_matrix_checks_rel_tol_when_proved():
-    g = path_abc()
-    points = [gf.vertex_point(v) for v in "ABC"]
-    spec, kind = IN_RANGE_SPECS[0], MetricKind.RESISTANCE
-    assert gf.covariance_matrix(g, points, spec, kind).psd_certificate.min_eig is None
-    for rel_tol in (float("nan"), -1.0, float("inf")):
-        with pytest.raises(gf.ParamOutOfRangeError) as info:
-            gf.covariance_matrix(g, points, spec, kind, rel_tol=rel_tol)
-        assert info.value.field == "rel_tol"
 
 
 @settings(max_examples=150)
