@@ -34,6 +34,7 @@ from .graph import (
 )
 from .kernels import (
     PSD_REL_TOL,
+    _band,
     covariance_matrix,
     forbidden_certificate,
     kernel_spec_from_json,
@@ -79,7 +80,7 @@ def _read_json(path: str, what: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, an over-long integer
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         raise _CliFailure(
             1, {"error": "InputError", "message": f"cannot read {what}: {exc}"}
         ) from exc
@@ -88,7 +89,7 @@ def _read_json(path: str, what: str):
 def _parse_inline_json(text: str, what: str):
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _CliFailure(
             1, {"error": "InputError", "message": f"cannot parse {what}: {exc}"}
         ) from exc
@@ -279,14 +280,18 @@ def _cmd_distmatrix(args) -> int:
 def _cmd_cov(args) -> int:
     """``cov`` emits the covariance matrix, ``psd-check`` only its
     certificate.  The library certifies the matrix at ``PSD_REL_TOL``; both
-    commands print, and check under ``--strict``, ``psd_check`` of it at
-    ``--tol``, which carries eigenvalues."""
+    commands print, and check under ``--strict``, the band at ``--tol`` of
+    its eigenvalues: the certificate's, or ``psd_check``'s for a proof."""
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
     spec = _load_kernel(args.kernel)
     cov = covariance_matrix(g, points, spec, kind, min_separation=MIN_POINT_SEPARATION)
-    report = psd_check(cov.values, args.tol)
+    report = cov.psd_certificate
+    if report.min_eig is None:
+        report = psd_check(cov.values, args.tol)
+    else:
+        report = _band(report.min_eig, report.max_eig, args.tol)
     certificate = _psd_json(report)
     if args.certificate_only:
         _emit(args, certificate)

@@ -131,10 +131,10 @@ def point_label(p: GraphPoint) -> str:
 
 
 def _as_float(x) -> float:
-    """``float(x)``, except that a bool (JSON ``true``), a string and bytes
-    (JSON ``"2.5"``) are not numbers, and a number too large for a float
-    (JSON ``1`` and 400 zeros) is infinite, as the literal ``1e400`` is."""
-    if isinstance(x, (bool, str, bytes, bytearray)):
+    """``float(x)``, except that a bool (JSON ``true``, or numpy's), a string
+    and bytes (JSON ``"2.5"``) are not numbers, and a number too large for a
+    float (JSON ``1`` and 400 zeros) is infinite, as the literal ``1e400`` is."""
+    if isinstance(x, (bool, np.bool_, str, bytes, bytearray)):
         raise TypeError(f"{x!r} is not a number")
     try:
         return float(x)

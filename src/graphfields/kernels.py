@@ -350,13 +350,12 @@ class PsdReport:
 def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
     """Certify positive semi-definiteness up to a relative eigenvalue band.
 
-    The input is symmetrized as (M + M^T)/2 first; the verdict is PSD when
-    its ``eigvalsh`` estimate min_eig >= -rel_tol * max(|max_eig|, 1).  The
-    report always carries both eigenvalues.  ``rel_tol`` must be finite and
-    nonnegative: a NaN or negative band would report a positive definite
-    matrix as not PSD.
+    The input is symmetrized as (M + M^T)/2 first; the verdict is
+    :func:`_band` of its ``eigvalsh`` estimate, PSD when min_eig >= -rel_tol
+    * max(|max_eig|, 1).  The report always carries both eigenvalues.
+    ``rel_tol`` must be finite and nonnegative: a NaN or negative band would
+    report a positive definite matrix as not PSD.
     """
-    _check_range(math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0")
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
@@ -364,8 +363,13 @@ def psd_check(m, rel_tol: float = PSD_REL_TOL) -> PsdReport:
         raise NonFiniteError("matrix contains non-finite entries")
     sym = 0.5 * (arr + arr.T)
     eigenvalues = np.linalg.eigvalsh(sym)
-    min_eig = float(eigenvalues[0])
-    max_eig = float(eigenvalues[-1])
+    return _band(float(eigenvalues[0]), float(eigenvalues[-1]), rel_tol)
+
+
+def _band(min_eig: float, max_eig: float, rel_tol: float) -> PsdReport:
+    """The one band rule: PSD when min_eig >= -rel_tol * max(|max_eig|, 1).
+    The CLI bands a certificate's eigenvalues again by it at ``--tol``."""
+    _check_range(math.isfinite(rel_tol) and rel_tol >= 0, "rel_tol", "finite and >= 0")
     return PsdReport(min_eig, max_eig, min_eig >= -rel_tol * max(abs(max_eig), 1.0))
 
 
@@ -463,7 +467,7 @@ class CovarianceMatrix:
     test holds, else :func:`psd_check` of ``values`` at ``PSD_REL_TOL``.  A
     proof implies the band verdict at any ``rel_tol`` above ``eigvalsh``'s
     own error, about m u times the largest eigenvalue; the CLI prints
-    ``psd_check`` at ``--tol`` instead.  :func:`sample_from_covariance`
+    :func:`_band` at ``--tol`` instead.  :func:`sample_from_covariance`
     reads the certificate instead of running ``eigvalsh``, and factors
     ``values`` for its draws by the same routine as the proof, :func:`_cholesky`.
     """
@@ -511,7 +515,7 @@ def covariance_matrix(
     min_separation: float | None = None,
 ) -> CovarianceMatrix:
     """Covariance matrix C(d(p_i, p_j)) over a point set, certified at
-    ``PSD_REL_TOL`` (the CLI prints :func:`psd_check` at ``--tol``).
+    ``PSD_REL_TOL`` (the CLI prints :func:`_band` at ``--tol``).
 
     Neither metric depends on an origin, so neither does the matrix, and
     :func:`distance_matrix` reads the point table built here.

@@ -17,13 +17,13 @@ The distance coincides with classical effective resistance on the vertices,
 is invariant to the origin choice and to splitting edges, and never exceeds
 the geodesic distance, with equality exactly on trees.
 
-Because the field is the interpolated vertex field plus bridges, point
-distances are weighted sums of vertex resistances among the endpoints of
-the points, plus bridge terms (see :func:`resistance_matrix`): the same two
-gathers as the geodesic metric, over a block of vertex resistances that the
-graph reads from columns of ``L^-1`` for one fixed ground (vertex 0), solves
-on demand and keeps.  So a distance query takes the graph and no origin,
-and subtracts nothing on an origin's scale.
+Because the field is the interpolated vertex field plus bridges, the field
+at the points is one linear map ``W`` of its values at their endpoint
+vertices (:class:`_PointTable`), and point distances are ``W R W^T`` plus
+bridge terms (:func:`resistance_matrix`), over a block ``R`` of vertex
+resistances read from columns of ``L^-1`` for one fixed ground (vertex 0),
+solved on demand and kept.  So a distance query takes the graph and no
+origin.  The geodesic metric reads the same ends through one min-plus stage.
 
 Only the covariance (``r_graph_matrix``) and the canonical sampler depend
 on the origin ``o``, where the field has unit variance, so only they take
@@ -36,8 +36,9 @@ the vertex field from the graph's one factor of ``L`` and shifts it to
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
 canonical points, their endpoint indices, offsets, edge lengths, edge positions
-and labels, and the first repeated point.  Both metrics, the covariance and
-the canonical sampler read that table; a table passed back in is kept.
+and labels, the first repeated point, the distinct endpoint vertices ``ends``
+and the interpolation map ``W``.  Both metrics, the covariance and the
+canonical sampler read that table; a table passed back in is kept.
 
 ``oracle_effective_resistance`` is an independent cross-check: it assembles
 the plain conductance Laplacian of the network with the query points added
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DuplicatePointsError
 from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label, vertex_point
@@ -78,6 +80,14 @@ class _PointTable(tuple):
     table (-1 for a vertex), and its ``labels``; ``repeat`` is the position
     of the first point equal to an earlier one (``len`` if none).  The
     arrays are read-only.
+
+    ``ends`` lists the distinct endpoint vertices, sorted, and the CSR map
+    ``W`` (a row per point, a column per end) reads the field at the points
+    from its values at ``ends``: row ``p`` holds ``w_lo = (l - s) / l`` at
+    its ``lo`` end's column, then ``w_hi = s / l`` at its ``hi`` end's, for
+    offset ``s`` on an edge of length ``l`` (``1``, then ``0``, at a
+    vertex's own column).  Both come by division, as ``1 - s / l`` would
+    cancel near ``v``.
     """
 
 
@@ -100,10 +110,15 @@ def _point_table(g: EuclideanGraph, points) -> _PointTable:
     eidx[inner] = edge
     lo, hi, elen = pos.copy(), pos.copy(), np.zeros(len(pos))
     lo[inner], hi[inner], elen[inner] = g._u[edge], g._v[edge], g._length[edge]
-    for a in (lo, hi, off, elen, eidx):
+    ends, at = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    w_lo = np.divide(elen - off, elen, out=np.ones_like(elen), where=inner)
+    w_hi = np.divide(off, elen, out=np.zeros_like(elen), where=inner)
+    at, w = at.reshape(2, -1).T.ravel(), np.column_stack((w_lo, w_hi)).ravel()
+    W = csr_array((w, at, np.arange(0, at.size + 1, 2)), shape=(len(pos), ends.size))
+    for a in (lo, hi, off, elen, eidx, ends, W.data, W.indices, W.indptr):
         a.flags.writeable = False
-    labels = tuple(map(point_label, table))
-    vars(table).update(graph=g, lo=lo, hi=hi, off=off, elen=elen, eidx=eidx, labels=labels)
+    vars(table).update(graph=g, lo=lo, hi=hi, off=off, elen=elen, eidx=eidx, ends=ends, W=W)
+    table.labels = tuple(map(point_label, table))
     table.repeat = _first_repeat(located)
     return table
 
@@ -124,33 +139,17 @@ def _same_edge_pairs(eidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[keep], j[keep]
 
 
-def _two_gathers(block, lo, hi, a, b, scale, combine) -> np.ndarray:
-    """``combine(scale(block[lo_p], a_p), scale(block[hi_p], b_p))`` for
-    each point ``p``, then the same on the columns of that
-    (:func:`_column_gather`): a point to point matrix read from a vertex
-    block through both ends of each point, with the ends ``lo``/``hi``
-    given as rows of ``block``.  Points are taken ``_SOLVE_COLUMNS`` rows at
-    a time, so each stage holds its source, its result and one block of
-    rows.
-    """
-    reach = np.empty((lo.size, block.shape[1]))
-    for s in range(0, lo.size, _SOLVE_COLUMNS):
-        rows = slice(s, s + _SOLVE_COLUMNS)
-        near = scale(block[lo[rows]], a[rows, None])
-        combine(near, scale(block[hi[rows]], b[rows, None]), out=reach[rows])
-    return _column_gather(reach, lo, hi, a, b, scale, combine)
-
-
-def _column_gather(reach, lo, hi, a, b, scale, combine) -> np.ndarray:
-    """The second stage of :func:`_two_gathers`: ``combine(scale(reach[p,
-    lo_q], a_q), scale(reach[p, hi_q], b_q))`` for each row ``p`` of
-    ``reach`` and point ``q``."""
-    m = lo.size
-    out = np.empty((len(reach), m))
-    for s in range(0, m, _SOLVE_COLUMNS):
-        rows = slice(s, s + _SOLVE_COLUMNS)
-        near = reach[rows]
-        combine(scale(near[:, lo], a), scale(near[:, hi], b), out=out[rows])
+def _min_plus(rows: np.ndarray, pts: _PointTable) -> np.ndarray:
+    """Row ``p``: the smaller of ``rows[lo_p] + s_p`` and ``rows[hi_p] +
+    (l_p - s_p)``, ends read through the columns of ``pts.W``; the geodesic
+    ``W rows``.  Points are taken ``_SOLVE_COLUMNS`` at a time."""
+    at_lo, at_hi = pts.W.indices[0::2], pts.W.indices[1::2]
+    to_lo, to_hi = pts.off, pts.elen - pts.off
+    out = np.empty((len(pts), rows.shape[1]))
+    for s in range(0, len(pts), _SOLVE_COLUMNS):
+        k = slice(s, s + _SOLVE_COLUMNS)
+        near = rows[at_lo[k]] + to_lo[k, None]
+        np.minimum(near, rows[at_hi[k]] + to_hi[k, None], out=out[k])
     return out
 
 
@@ -277,16 +276,18 @@ def oracle_effective_resistance(
 def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     """Pairwise geodesic distances of points (vectorized).
 
-    Routes through the four endpoint pairings are compared, in two gathers,
-    plus the direct within-edge segment when both points lie on the same
-    edge (required for correctness on cycles, where the around route can be
-    longer).  Vertex distances come from the graph's block over the distinct
-    endpoint vertices of the points, so a query costs one Dijkstra row per
-    endpoint the graph has not searched from before, and never an ``n x n``
-    table.  The graph's first query with points instead searches once from
-    each point when the rows its store lacks outnumber the points
+    Routes through the four endpoint pairings are compared by one min-plus
+    stage (:func:`_min_plus`) applied twice, to vertex rows and then to the
+    transpose of its result, plus the direct within-edge segment when both
+    points lie on the same edge (required for correctness on cycles, where
+    the around route can be longer).  Vertex distances come from the graph's
+    block over the endpoint vertices ``ends`` of the point table, so a query
+    costs one Dijkstra row per endpoint the graph has not searched from
+    before, and never an ``n x n`` table.  The graph's first query with
+    points instead searches once from each point when the rows its store
+    lacks outnumber the points
     (:meth:`~graphfields.graph.EuclideanGraph._searches_from_points`): each
-    search gives that point's row of the first gather, and nothing is
+    search gives that point's row of the first stage, and nothing is
     stored.  The two routes round differently, so that query may differ
     from the stored rows' matrix by about ``n 2^-53`` relative.  A
     two-point :func:`geodesic_distance` counts as a query with points.
@@ -294,26 +295,22 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     searches from every endpoint it lacks, as the first would have.
     """
     pts = canonical_points(g, points)
-    lo, hi, to_lo, elen, eidx = pts.lo, pts.hi, pts.off, pts.elen, pts.eidx
-    ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    at_lo, at_hi = where[: len(lo)], where[len(lo) :]
-    to_hi = elen - to_lo
-    from_points = g._searches_from_points(ends, len(pts))
+    from_points = g._searches_from_points(pts.ends, len(pts))
     if len(pts):
         # Later queries read stored rows, so a long-lived graph warms up; a
         # race at worst lets two first queries search from their points.
         g._geodesic_answered = True
     if from_points:
-        reach = g._point_rows(lo, hi, to_lo, elen, ends)
-        best = _column_gather(reach, at_lo, at_hi, to_lo, to_hi, np.add, np.minimum)
+        reach = g._point_rows(pts.lo, pts.hi, pts.off, pts.elen, pts.ends)
     else:
-        # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c),
-        # fl(b + c)): the nearer end of each row point first, then of each
-        # column point, gives the minimum over the four pairings bit for bit.
-        dist = g._distance_block(ends)
-        best = _two_gathers(dist, at_lo, at_hi, to_lo, to_hi, np.add, np.minimum)
-    i, j = _same_edge_pairs(eidx)
-    best[i, j] = np.minimum(best[i, j], np.abs(to_lo[i] - to_lo[j]))
+        reach = _min_plus(g._distance_block(pts.ends), pts)
+    # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
+    # the nearer end of each row point first, then of each column point,
+    # gives the minimum over the four pairings bit for bit.
+    best = _min_plus(np.ascontiguousarray(reach.T), pts)
+    off = pts.off
+    i, j = _same_edge_pairs(pts.eidx)
+    best[i, j] = np.minimum(best[i, j], np.abs(off[i] - off[j]))
     np.fill_diagonal(best, 0.0)
     return np.minimum(best, best.T)
 
@@ -334,42 +331,28 @@ def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
     return cov
 
 
-def _interpolation_weights(pts: _PointTable) -> tuple[np.ndarray, np.ndarray]:
-    """``w_lo = (l - s) / l`` and ``w_hi = s / l`` of each point at offset
-    ``s`` of an edge of length ``l`` (``1`` and ``0`` at a vertex): the
-    weights of the field at the ``lo`` and ``hi`` ends.  Both come by
-    division, since ``1 - s / l`` would cancel near ``v``."""
-    elen, inner = pts.elen, pts.elen > 0.0
-    w_lo = np.divide(elen - pts.off, elen, out=np.ones_like(elen), where=inner)
-    w_hi = np.divide(pts.off, elen, out=np.zeros_like(elen), where=inner)
-    return w_lo, w_hi
-
-
 def resistance_matrix(g: EuclideanGraph, points) -> np.ndarray:
     """Pairwise resistance distances of points (vectorized).
 
     At a point ``p`` at offset ``s`` of edge ``(u, v)`` of length ``l`` the
     canonical field is ``w_lo Z(u) + w_hi Z(v)`` plus the edge's Brownian
-    bridge (:func:`_interpolation_weights`).  So points on different edges
-    are ``X_pq + h_p + h_q`` apart, where ``X_pq`` sums ``w_i w_j R(i, j)``
-    over an end ``i`` of ``p`` and an end ``j`` of ``q``, in two gathers,
-    and ``h = w_lo w_hi (l - R(u, v))``.  Two points on one edge, a gap ``d``
-    apart, take the series-parallel form ``d (l - d) / l + (d / l)^2
-    R(u, v)``.  Every term is nonnegative, so nothing cancels on the scale
-    of the distance to a ground.  Vertex resistances ``R`` come from the
-    graph's block over the distinct endpoint vertices of the points, so a
-    query solves one column of ``L^-1`` per endpoint the graph has not
-    solved for before.
+    bridge, with the weights of the point table's map ``W``
+    (:class:`_PointTable`).  So points on different edges are ``X_pq + h_p +
+    h_q`` apart, where ``X = W (W R)^T`` sums ``w_i w_j R(i, j)`` over an
+    end ``i`` of ``p`` and an end ``j`` of ``q``, and ``h = w_lo w_hi (l -
+    R(u, v))``.  Two points on one edge, a gap ``d`` apart, take the
+    series-parallel form ``d (l - d) / l + (d / l)^2 R(u, v)``.  Every term
+    is nonnegative, so nothing cancels on the scale of the distance to a
+    ground.  Vertex resistances ``R`` come from the graph's block over the
+    endpoint vertices ``ends`` of the point table, so a query solves one
+    column of ``L^-1`` per endpoint the graph has not solved for before.
     """
     pts = canonical_points(g, points)
-    lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen
-    ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    R = g._resistance_block(ends)
-    lo, hi = where[: len(lo)], where[len(lo) :]
-    w_lo, w_hi = _interpolation_weights(pts)
-    r_uv = R[lo, hi]
-    h = w_lo * w_hi * (elen - r_uv)
-    dist = _two_gathers(R, lo, hi, w_lo, w_hi, np.multiply, np.add)
+    W, off, elen = pts.W, pts.off, pts.elen
+    R = g._resistance_block(pts.ends)
+    r_uv = R[W.indices[0::2], W.indices[1::2]]
+    h = W.data[0::2] * W.data[1::2] * (elen - r_uv)
+    dist = W @ (W @ R).T
     dist += h[:, None] + h
     dist += dist.T
     dist *= 0.5

@@ -34,7 +34,7 @@ from scipy.sparse.linalg import SuperLU, spsolve_triangular
 from .errors import NotPSDError, ParamOutOfRangeError, TooFewSamplesError
 from .graph import _SOLVE_COLUMNS
 from .kernels import CovarianceMatrix, _cholesky
-from .metrics import ResistanceContext, _PointTable, _interpolation_weights, canonical_points
+from .metrics import ResistanceContext, _PointTable, canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
@@ -174,25 +174,24 @@ def sample_canonical_field(
     (covariance ``L^-1``, grounded at vertex 0) comes from one triangular
     solve against the graph's factor of ``L`` (:func:`_vertex_field`).  It
     is shifted to the origin ``o``, ``Z = Z_0 - Z_0(o) + xi`` with
-    ``xi ~ N(0, 1)``, and read at a point at offset ``s`` of an edge
-    ``(u, v)`` of length ``l`` as ``w_lo Z(u) + w_hi Z(v)``, with the
-    weights that :func:`metrics.resistance_matrix` reads
-    (``metrics._interpolation_weights``), plus the edge's bridge
-    (:func:`_bridges`).  The normals are taken in the order of the module
-    docstring, and the points have exactly the canonical covariance.
+    ``xi ~ N(0, 1)``, and read at the points as ``W Z`` over the endpoint
+    vertices ``ends`` of the point table: ``w_lo Z(u) + w_hi Z(v)`` at
+    offset ``s`` of an edge ``(u, v)`` of length ``l``, through the map
+    ``W`` that :func:`metrics.resistance_matrix` reads too
+    (``metrics._PointTable``), plus the edge's bridge (:func:`_bridges`).
+    The normals are taken in the order of the module docstring, and the
+    points have exactly the canonical covariance.
     """
     rng = _stream(seed, n)
     g = ctx.graph
     pts = canonical_points(g, points)
-    w_lo, w_hi = (w[:, None] for w in _interpolation_weights(pts))
     carry, sd, col, steps = _bridges(pts)
     lu = g._conductance_lu()
     upper, root = _whitening(lu)
     # Vertex i is row perm_r[i] of a block of vertex draws.
-    ends = lu.perm_r[np.concatenate((pts.lo, pts.hi))]
+    ends = lu.perm_r[pts.ends]
     origin = lu.perm_r[g.vertex_index(ctx.origin)]
-    m = len(pts)
-    draws = np.empty((n, m))
+    draws = np.empty((n, len(pts)))
     for s in range(0, n, _SOLVE_COLUMNS):
         k = min(_SOLVE_COLUMNS, n - s)
         x = _vertex_field(upper, root, rng, k)
@@ -203,7 +202,7 @@ def sample_canonical_field(
         bridge[:, :-1] = rng.standard_normal((k, sd.size)) * sd
         for at in steps:
             bridge[:, at] += carry[at] * bridge[:, at - 1]
-        draws[s : s + k] = (w_lo * z[:m] + w_hi * z[m:]).T + bridge[:, col]
+        draws[s : s + k] = (pts.W @ z).T + bridge[:, col]
     return FieldSample(labels=pts.labels, draws=draws, seed=int(seed))
 
 

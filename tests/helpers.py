@@ -596,3 +596,46 @@ def four_pairing_geodesic(g: gf.EuclideanGraph, points) -> np.ndarray:
         best = np.where(shared_edge, np.minimum(best, direct), best)
     np.fill_diagonal(best, 0.0)
     return np.minimum(best, best.T)
+
+
+def four_pairing_resistance(g: gf.EuclideanGraph, points) -> np.ndarray:
+    """Pairwise resistance distances of canonical points, one pair at a
+    time, in the order of the two-gather assembly: the row point's ends
+    summed first, then the column point's, plus the bridge terms, averaged
+    with the transposed pair; points on one edge take the series-parallel
+    form.  Python floats round as numpy's do, so the result is bit for bit
+    that of a vectorized assembly in the same order."""
+    lo, hi, off, elen, eidx = point_frame(g, points)
+    ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+    R = g._resistance_block(ends).tolist()
+    m = len(points)
+    ends_of = [(int(where[p]), int(where[m + p])) for p in range(m)]
+    weights = [
+        ((elen[p] - off[p]) / elen[p], off[p] / elen[p]) if elen[p] > 0.0 else (1.0, 0.0)
+        for p in range(m)
+    ]
+    h = [
+        weights[p][0] * weights[p][1] * (elen[p] - R[a][b])
+        for p, (a, b) in enumerate(ends_of)
+    ]
+
+    def gathered(p, q):
+        (a, b), (c, d) = ends_of[p], ends_of[q]
+        (wa, wb), (wc, wd) = weights[p], weights[q]
+        near = R[a][c] * wa + R[b][c] * wb
+        far = R[a][d] * wa + R[b][d] * wb
+        return near * wc + far * wd + (h[p] + h[q])
+
+    out = np.zeros((m, m))
+    for p in range(m):
+        for q in range(m):
+            if p == q:
+                continue
+            if eidx[p] >= 0 and eidx[p] == eidx[q]:
+                gap, length = abs(off[p] - off[q]), elen[p]
+                frac = gap / length
+                a, b = ends_of[p]
+                out[p, q] = gap * (length - gap) / length + frac * frac * R[a][b]
+            else:
+                out[p, q] = (gathered(p, q) + gathered(q, p)) * 0.5
+    return out

@@ -114,6 +114,31 @@ def test_malformed_json_exits_1(capsys, workdir):
     assert json.loads(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("kind", ["graph", "points", "kernel", "from", "to"])
+def test_deeply_nested_json_is_an_input_error(capsys, workdir, kind):
+    # JSON nested 200000 deep exceeds the decoder's recursion limit.
+    nested = "[" * 200000 + "]" * 200000
+    deep = workdir["dir"] / "deep.json"
+    deep.write_text(nested)
+    files = {"graph": workdir["edge"], "points": workdir["points"], "kernel": workdir["matern"]}
+    ends = {"from": '{"vertex": "0"}', "to": '{"vertex": "1"}'}
+    if kind in files:
+        files[kind] = deep
+    else:
+        ends[kind] = nested
+    graph, points, kernel = (["--" + k, str(files[k])] for k in ("graph", "points", "kernel"))
+    inline = ["--from", ends["from"], "--to", ends["to"]]
+    commands = {
+        "graph": [["validate", *graph], ["distmatrix", *graph, *points]],
+        "points": [["distmatrix", *graph, *points], ["cov", *graph, *points, *kernel]],
+        "kernel": [["cov", *graph, *points, *kernel], ["star-check", *kernel, "--n", "3"]],
+    }.get(kind, [["dist", *graph, *inline]])
+    for argv in commands:
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == "" and err.count("\n") == 1, argv
+        assert json.loads(err)["error"] == "InputError"
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_non_utf8_input_exits_1(capsys, workdir, monkeypatch, source):
     raw = b"\xff\xfe{\x00}\x00"
@@ -865,8 +890,8 @@ def test_out_csv_and_npy_refused_without_a_matrix_or_sample(capsys, workdir, suf
 def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeypatch):
     # Each kernel command proves its matrix by one shifted Cholesky, and
     # simulate draws from one more by the same routine; only the commands
-    # that print eigenvalues run eigvalsh, once.  No command runs numpy's
-    # Cholesky.
+    # that print eigenvalues run eigvalsh, once, whether or not the proof
+    # holds.  No command runs numpy's Cholesky.
     calls = {"eigvalsh": [], "dpotrf": [], "cholesky": []}
 
     def counting(name, module, attr):
@@ -883,10 +908,18 @@ def test_simulate_kernel_decomposes_the_covariance_once(capsys, workdir, monkeyp
     counting("cholesky", np.linalg, "cholesky")
     files = ["--graph", str(workdir["edge"]), "--points", str(workdir["points"]),
              "--kernel", str(workdir["matern"])]
+    # exp(-0.05 d_G) on the six witness points: the proof fails, and the
+    # certificate's eigenvalues are banded again at --tol.
+    kernel = workdir["dir"] / "exp005.json"
+    kernel.write_text(json.dumps({"family": "power_exponential", "alpha": 1.0, "beta": 0.05}))
+    witness = ["--graph", str(workdir["witness_graph"]), "--points",
+               str(workdir["witness_points"]), "--kernel", str(kernel), "--metric", "geodesic"]
     for argv, eigvalsh, dpotrf in (
         (["simulate", *files, "--n", "3"], [], [(4, 4), (4, 4)]),
         (["cov", *files], [(4, 4)], [(4, 4)]),
         (["psd-check", *files], [(4, 4)], [(4, 4)]),
+        (["cov", *witness], [(6, 6)], [(6, 6)]),
+        (["psd-check", *witness, "--tol", "1e-3"], [(6, 6)], [(6, 6)]),
     ):
         for seen in calls.values():
             seen.clear()

@@ -395,14 +395,14 @@ def test_construction_errors_match_record_by_record_reference(
     assert _outcome(vertices, records) == expected
 
 
-@pytest.mark.parametrize("length", ["2.5", b"2", bytearray(b"2")], ids=repr)
+@pytest.mark.parametrize("length", ["2.5", b"2", bytearray(b"2"), np.True_], ids=repr)
 def test_string_lengths_are_not_numbers(length):
-    # JSON "2.5" is text, not the number 2.5.
+    # JSON "2.5" is text, not the number 2.5, and numpy's True is a bool.
     with pytest.raises(gf.InvalidGraphError, match="must have a numeric length"):
         gf.build_graph(["a", "b"], [{"id": "ab", "u": "a", "v": "b", "length": length}])
 
 
-@pytest.mark.parametrize("offset", ["0.5", b"0.5", True, False, None], ids=repr)
+@pytest.mark.parametrize("offset", ["0.5", b"0.5", True, False, np.True_, None], ids=repr)
 def test_string_offsets_are_not_numbers(offset):
     # Python points take the same coercion as JSON points, and a directly
     # built point is read by the same rule when it is located (an edge

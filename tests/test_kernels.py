@@ -101,7 +101,7 @@ def test_spec_constructs_exactly_in_range(family, as_text, alpha, beta, xi):
 
 
 def test_spec_refuses_bools_and_stores_plain_floats():
-    for args in ((True, 1.0), (1.0, False), (0.5, 1.0, True)):
+    for args in ((True, 1.0), (1.0, False), (1.0, np.True_), (0.5, 1.0, True)):
         family = KernelFamily.DAGUM if len(args) == 3 else KernelFamily.POWER_EXPONENTIAL
         with pytest.raises(gf.ParamOutOfRangeError, match="a number"):
             KernelSpec(family, *args)

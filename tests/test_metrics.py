@@ -25,6 +25,7 @@ from .helpers import (
     factored_conductance,
     figure_eight,
     four_pairing_geodesic,
+    four_pairing_resistance,
     jittered_grid,
     path_abc,
     point_frame,
@@ -235,20 +236,9 @@ def test_geodesic_matrix_bit_equals_all_pairs_reference(seed, n_vertices, n_chor
                 assert np.array_equal(got, expected[k])
 
 
-@settings(max_examples=100)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    cycle=st.booleans(),
-    n_vertices=st.integers(2, 12),
-    n_chords=st.integers(0, 4),
-    vertex_share=st.sampled_from([0.0, 0.3, 1.0]),
-)
-def test_geodesic_two_gathers_bit_equal_four_pairings(
-    seed, cycle, n_vertices, n_chords, vertex_share
-):
-    # Random graphs and cycles; points on edges and at vertices, several on
-    # one edge and one repeated.  The nearer end of one point, then of the
-    # other, gives the minimum over the four pairings bit for bit.
+def _crowded_points(seed, cycle, n_vertices, n_chords, vertex_share):
+    """A random graph or cycle with points on edges and at vertices, several
+    on one edge and one repeated."""
     rng = np.random.default_rng(seed)
     if cycle:
         size = max(n_vertices, 3)
@@ -266,8 +256,38 @@ def test_geodesic_two_gathers_bit_equal_four_pairings(
     offsets = rng.uniform(0.0, 1.0, size=int(rng.integers(0, 5))) * e.length
     pts += [gf.canonicalize(g, gf.edge_point(e.id, float(off))) for off in offsets]
     pts.append(pts[int(rng.integers(len(pts)))])
+    return g, pts
+
+
+_CROWDED = dict(
+    seed=st.integers(0, 2**32 - 1),
+    cycle=st.booleans(),
+    n_vertices=st.integers(2, 12),
+    n_chords=st.integers(0, 4),
+    vertex_share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+
+
+@settings(max_examples=100)
+@given(**_CROWDED)
+def test_geodesic_matrix_bit_equal_four_pairings(seed, cycle, n_vertices, n_chords, vertex_share):
+    # The nearer end of one point, then of the other, gives the minimum
+    # over the four pairings bit for bit.
+    g, pts = _crowded_points(seed, cycle, n_vertices, n_chords, vertex_share)
     expected = four_pairing_geodesic(g, pts)
     assert gf.metrics.geodesic_matrix(g, pts).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, derandomize=True)
+@given(**_CROWDED)
+def test_resistance_matrix_bit_equal_four_pairing_resistance(
+    seed, cycle, n_vertices, n_chords, vertex_share
+):
+    # W (W R)^T adds each pair's terms in the order of the per-pair
+    # reference, so the matrices agree bit for bit.
+    g, pts = _crowded_points(seed, cycle, n_vertices, n_chords, vertex_share)
+    expected = four_pairing_resistance(g, pts)
+    assert resistance_matrix(g, pts).tobytes() == expected.tobytes()
 
 
 def test_concurrent_queries_read_consistent_row_stores():
@@ -413,7 +433,7 @@ def test_first_geodesic_query_searches_from_points(
     pts += [_vp(g.vertices[int(k)]) for k in rng.integers(len(g.vertices), size=n_vertex_points)]
     pts.append(pts[int(rng.integers(len(pts)))])
     table = canonical_points(g, pts)
-    ends = np.unique(np.concatenate((table.lo, table.hi)))
+    ends = table.ends
     assume(ends.size > len(pts))
 
     def stored(graph):
