@@ -7,7 +7,9 @@ ends in ``.csv``, and as a NumPy ``.npy`` array of the matrix or draws when
 it ends in ``.npy``; other payloads refuse those two.  JSON output is byte
 for byte ``json.dumps(payload, indent=2)`` and CSV cells are ``repr`` of
 each float, so both are byte-stable; each distinct float of a matrix or
-sample is formatted once.
+sample is formatted once.  Output is formatted in full before its first
+byte is written, and then written a row at a time, so a failure writes
+nothing and leaves an existing ``--out`` file as it was.
 Exit codes: 0 success, 1 I/O or parse errors (an empty points array, an
 unwritable or refused ``--out``) and running out of memory, 2 usage errors
 and validation failures (including a not-PSD verdict under ``--strict``).
@@ -119,74 +121,111 @@ def _load_kernel(path: str):
 _REPR_SPECIALS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
-def _float_text(a, *, as_repr: bool = False) -> np.ndarray:
-    """The text of each entry of the float array ``a``, as ``json`` writes it
-    (or ``repr`` with ``as_repr``), in an object array of ``a``'s shape.
+class _FloatText:
+    """The text of each entry of a 2-D float array, as ``json`` writes it (or
+    ``repr`` with ``as_repr``), read a row at a time.
 
     Each distinct bit pattern is formatted once, by one call into json's C
     encoder; keying on bits keeps ``0.0`` and ``-0.0`` apart.  A symmetric
-    matrix holds about half as many distinct values as entries.
+    matrix holds about half as many distinct values as entries.  Only the
+    distinct texts and each entry's index into them are kept; a row's
+    strings are gathered when it is read.
     """
-    a = np.ascontiguousarray(a, dtype=float)
-    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
-    tokens = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
-    if as_repr:
-        tokens = [_REPR_SPECIALS.get(t, t) for t in tokens]
-    return np.array(tokens, dtype=object)[inverse.reshape(a.shape)]
+
+    def __init__(self, a, *, as_repr: bool = False):
+        a = np.ascontiguousarray(a, dtype=float)
+        bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+        texts = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+        if as_repr:
+            texts = [_REPR_SPECIALS.get(t, t) for t in texts]
+        self._texts = np.array(texts, dtype=object)
+        self._index = inverse.reshape(a.shape)
+
+    def __iter__(self):
+        for row in self._index:
+            yield self._texts[row].tolist()
 
 
-def _matrix_json(a) -> str:
-    """A 2-D float array as ``json.dumps(a.tolist(), indent=2)`` writes it one
-    level deep, as a value of a top-level key."""
-    rows = [
-        "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
-        for row in _float_text(a).tolist()
+def _write_matrix(fh, rows: _FloatText) -> None:
+    """The rows as ``json.dumps(a.tolist(), indent=2)`` writes them one
+    level deep, as a value of a top-level key, one row per write."""
+    fh.write("[")
+    n = 0
+    for n, cells in enumerate(rows, 1):
+        fh.write(",\n    " if n > 1 else "\n    ")
+        fh.write("[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]")
+    fh.write("\n  ]" if n else "]")
+
+
+def _writer(payload: dict, table=None, *, as_csv: bool = False):
+    """A function that writes ``payload`` to a text file as exactly
+    ``json.dumps(payload, indent=2)`` and a newline, with 2-D float arrays in
+    place of nested lists, or with ``as_csv`` the ``table = (labels,
+    matrix)`` as CSV, a row at a time.
+
+    Everything is formatted here, before the function is returned, so a
+    failure to format writes nothing.  Arrays are read through
+    :class:`_FloatText`; every other value goes through ``json`` and is
+    re-indented one level, which is exact because JSON text holds no raw
+    newline.
+    """
+    if as_csv:
+        labels, rows = list(table[0]), _FloatText(table[1], as_repr=True)
+
+        def write(fh) -> None:
+            writer = csv.writer(fh)
+            writer.writerow(labels)
+            writer.writerows(rows)
+
+        return write
+    items = [
+        (
+            f"  {json.dumps(key)}: ",
+            _FloatText(value)
+            if isinstance(value, np.ndarray)
+            else json.dumps(value, indent=2).replace("\n", "\n  "),
+        )
+        for key, value in payload.items()
     ]
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
+    def write(fh) -> None:
+        fh.write("{")
+        for n, (head, value) in enumerate(items):
+            fh.write(",\n" + head if n else "\n" + head)
+            if isinstance(value, str):
+                fh.write(value)
+            else:
+                _write_matrix(fh, value)
+        fh.write("\n}\n" if items else "}\n")
 
-def _dumps(payload: dict) -> str:
-    """Exactly ``json.dumps(payload, indent=2)`` with 2-D float arrays in
-    place of nested lists.
-
-    The arrays are laid out by ``_matrix_json``; every other value goes
-    through ``json`` and is re-indented one level, which is exact because
-    JSON text holds no raw newline.
-    """
-    items = []
-    for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            text = _matrix_json(value)
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+    return write
 
 
 def _emit(args, payload: dict, *, table=None) -> None:
     """Write ``payload`` as JSON, or ``table = (labels, matrix)`` as CSV when
     ``--out`` ends in ``.csv``, or its matrix alone as a ``.npy`` array
-    when ``--out`` ends in ``.npy``; without a table, refuse those two."""
+    when ``--out`` ends in ``.npy``; without a table, refuse those two.
+    The output is formatted in full before ``--out`` is opened, so a
+    failure leaves an existing file as it was."""
     out = args.out
     if not out:
-        sys.stdout.write(_dumps(payload) + "\n")
+        _writer(payload)(sys.stdout)
         return
     as_csv, as_npy = out.endswith(".csv"), out.endswith(".npy")
     if table is None and (as_csv or as_npy):
         message = f"cannot write output: {args.command} has no matrix or sample for {out[-4:]}"
         raise _CliFailure(1, {"error": "OutputError", "message": message})
+    if as_npy:
+        matrix = np.asarray(table[1], dtype=float)
+    else:
+        write = _writer(payload, table, as_csv=as_csv)
     try:
         if as_npy:
             with open(out, "wb") as fh:
-                np.save(fh, np.asarray(table[1], dtype=float), allow_pickle=False)
-            return
-        with open(out, "w", encoding="utf-8", newline="" if as_csv else None) as fh:
-            if as_csv:
-                writer = csv.writer(fh)
-                writer.writerow(table[0])
-                writer.writerows(_float_text(table[1], as_repr=True).tolist())
-            else:
-                fh.write(_dumps(payload) + "\n")
+                np.save(fh, matrix, allow_pickle=False)
+        else:
+            with open(out, "w", encoding="utf-8", newline="" if as_csv else None) as fh:
+                write(fh)
     except OSError as exc:
         raise _CliFailure(
             1, {"error": "OutputError", "message": f"cannot write output: {exc}"}

@@ -867,13 +867,15 @@ def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:
 
 
 def _point_fields(obj) -> GraphPoint:
-    """The point a JSON object names, not yet located on a graph."""
+    """The point a JSON object names, not yet located on a graph; an object
+    that mixes the two forms names no point."""
     if not isinstance(obj, dict):
         raise OffsetOutOfRangeError(f"point JSON must be an object, got {obj!r}")
-    if "vertex" in obj:
+    on_edge = "edge" in obj or "offset" in obj
+    if "vertex" in obj and not on_edge:
         return vertex_point(obj["vertex"])
-    if "edge" in obj and "offset" in obj:
+    if "vertex" not in obj and "edge" in obj and "offset" in obj:
         return edge_point(obj["edge"], obj["offset"])
     raise OffsetOutOfRangeError(
-        'point JSON must be {"vertex": ...} or {"edge": ..., "offset": ...}'
+        'point JSON must be either {"vertex": ...} or {"edge": ..., "offset": ...}'
     )

@@ -22,7 +22,9 @@ mpmath.  Below 2^-5 every entry sums the first five terms of the series of
 K_nu at 0, each bracket taken by ``expm1`` so that nothing cancels at
 small nu; it is within 4.5e-16 relative of mpmath down to the smallest
 subnormal, and exactly 1 at z = 0.  From 2^10 on the profile is 0: e^-z
-underflows past 745.
+underflows past 745.  Only this table and series read special functions
+(``Gamma`` and ``zeta``), so ``scipy.special`` is imported on the first
+Matern evaluation at nu other than 1/2, not when the module loads.
 
 Beyond kernel evaluation the module certifies covariance matrices.  A
 covariance matrix is proved positive definite by one Cholesky factorization
@@ -45,10 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly
 from scipy.linalg.lapack import dpotrf as _dpotrf
-from scipy.special import gamma as _gamma
-from scipy.special import zeta as _zeta
 
 from .errors import (
     DuplicatePointsError,
@@ -188,17 +187,29 @@ _CELL_BASE = int(np.float64(_TABLE_Z0).view(np.int64)) >> _CELL_BITS
 # below 2^-53 of the sum.
 _SERIES_TERMS = 5
 _ODD_K = np.arange(53, 2, -2)
-_ZETA_ODD = _zeta(_ODD_K) / _ODD_K
 
 # Interpolation at the Chebyshev points x_n = cos(theta_n) of a cell: the
-# DCT-II that takes values there to Chebyshev coefficients, and the matrix
-# whose row j holds the monomial coefficients of T_j.
+# DCT-II that takes values there to Chebyshev coefficients.
 _THETA = np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)
 _DCT = 2.0 / (_DEGREE + 1) * np.cos(np.outer(_THETA, np.arange(_DEGREE + 1)))
 _DCT[:, 0] /= 2.0
-_CHEB_TO_MONO = np.array(
-    [np.pad(p, (0, _DEGREE + 1 - len(p))) for p in map(cheb2poly, np.eye(_DEGREE + 1))]
-)
+
+
+@functools.cache
+def _special() -> tuple:
+    """What only the Matern table and series read, imported and built on
+    first use, so that a process that evaluates neither never loads
+    ``scipy.special``: ``Gamma``, zeta(k) / k for the odd k of _ODD_K, and
+    the matrix whose row j holds the monomial coefficients of T_j."""
+    from numpy.polynomial.chebyshev import cheb2poly
+    from scipy.special import gamma, zeta
+
+    zeta_odd = zeta(_ODD_K) / _ODD_K
+    cheb_to_mono = np.array(
+        [np.pad(p, (0, _DEGREE + 1 - len(p))) for p in map(cheb2poly, np.eye(_DEGREE + 1))]
+    )
+    zeta_odd.flags.writeable = cheb_to_mono.flags.writeable = False
+    return gamma, zeta_odd, cheb_to_mono
 
 
 @functools.cache
@@ -242,7 +253,8 @@ def _rule() -> tuple:
 
 def _matern_norm(nu: float) -> float:
     """The profile's limit 2^(nu-1) Gamma(nu) of z^nu K_nu(z) at z = 0."""
-    return 2.0 ** (nu - 1.0) * _gamma(nu)
+    gamma, _, _ = _special()
+    return 2.0 ** (nu - 1.0) * gamma(nu)
 
 
 @functools.lru_cache(maxsize=16)
@@ -264,7 +276,8 @@ def _matern_table(nu: float) -> np.ndarray:
     mean = values.mean(axis=1, keepdims=True)
     cheb = (values - mean) @ _DCT
     cheb[:, 0] += mean[:, 0]
-    table = np.ascontiguousarray((cheb @ _CHEB_TO_MONO)[:, ::-1].T)
+    _, _, cheb_to_mono = _special()
+    table = np.ascontiguousarray((cheb @ cheb_to_mono)[:, ::-1].T)
     table.flags.writeable = False
     return table
 
@@ -314,7 +327,8 @@ def _matern_series(nu: float, z: np.ndarray) -> np.ndarray:
     k = np.arange(1, _SERIES_TERMS)
     a = np.cumprod(np.concatenate(([1.0], 1.0 / (k * (k - nu)))))
     c = np.cumsum(np.concatenate(([0.0], np.log1p(-2.0 * nu / (k + nu)))))
-    log_ratio = 2.0 * (np.euler_gamma * nu + np.sum(_ZETA_ODD * nu**_ODD_K))
+    _, zeta_odd, _ = _special()
+    log_ratio = 2.0 * (np.euler_gamma * nu + np.sum(zeta_odd * nu**_ODD_K))
     with np.errstate(divide="ignore"):
         lead = log_ratio + 2.0 * nu * (np.log(z) - math.log(2.0))
     q = 0.25 * z * z

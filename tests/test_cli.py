@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfields as gf
-from graphfields.cli import _dumps, _float_text, build_parser, main
+from graphfields.cli import _writer, build_parser, main
 from graphfields.kernels import PSD_REL_TOL
 from .helpers import figure_eight, single_edge, theta_graph, unit_triangle
 
@@ -1047,11 +1047,15 @@ _PAYLOADS = st.dictionaries(
 @given(_PAYLOADS)
 def test_dumps_is_json_dumps_indent_2(payload):
     as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
-    assert _dumps(payload) == json.dumps(as_lists, indent=2)
+    text = io.StringIO()
+    _writer(payload)(text)
+    assert text.getvalue() == json.dumps(as_lists, indent=2) + "\n"
     for value in payload.values():
         if isinstance(value, np.ndarray):
-            reference = [[repr(float(x)) for x in row] for row in value]
-            assert _float_text(value, as_repr=True).tolist() == reference
+            cells = io.StringIO(newline="")
+            _writer({}, (["x"] * value.shape[1], value), as_csv=True)(cells)
+            rows = list(csv.reader(io.StringIO(cells.getvalue(), newline="")))
+            assert rows[1:] == [[repr(float(x)) for x in row] for row in value]
 
 
 def test_every_command_prints_the_indent_2_layout(capsys, workdir):
@@ -1080,6 +1084,90 @@ def test_every_command_prints_the_indent_2_layout(capsys, workdir):
         out_json = workdir["dir"] / "out.json"
         code, _, _ = _run(capsys, [*argv, "--out", str(out_json)])
         assert code == 0 and out_json.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_a_failed_format_writes_nothing(capsys, workdir, monkeypatch, suffix):
+    # The matrix's floats are formatted by one json.dumps call, here out of
+    # memory; an --out file opened before it would be left empty.
+    dumps = json.dumps
+
+    def out_of_memory(obj, *args, **kwargs):
+        if isinstance(obj, list) and obj and isinstance(obj[0], float):
+            raise MemoryError
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", out_of_memory)
+    out = workdir["dir"] / f"out{suffix}"
+    out.write_text("PREVIOUS RESULT")
+    argv = ["distmatrix", "--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    for extra in ([], ["--out", str(out)]):
+        code, stdout, err = _run(capsys, [*argv, *extra])
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == "OutOfMemory"
+    assert out.read_bytes() == b"PREVIOUS RESULT"
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"vertex": "0", "edge": "e1", "offset": 0.5},
+        {"vertex": "0", "edge": "e1"},
+        {"vertex": "0", "offset": 0.5},
+    ],
+)
+def test_a_point_object_mixing_both_forms_exits_2(capsys, workdir, point):
+    path = workdir["dir"] / "mixed.json"
+    path.write_text(json.dumps([{"vertex": "1"}, point]))
+    graph = ["--graph", str(workdir["edge"])]
+    text = json.dumps(point)
+    for argv in (
+        ["distmatrix", *graph, "--points", str(path)],
+        ["dist", *graph, "--from", text, "--to", '{"vertex": "1"}'],
+        ["dist", *graph, "--from", '{"vertex": "1"}', "--to", text],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "OffsetOutOfRange"
+
+
+_IMPORTS = """
+import json, pathlib, sys
+import scipy.sparse, scipy.sparse.csgraph, scipy.sparse.linalg, scipy.linalg.lapack
+
+def special():
+    return sorted(name for name in sys.modules if name.startswith("scipy.special"))
+
+loaded = {"scipy": special()}
+import graphfields.cli
+loaded["import"] = special()
+graph, points, out, *kernels = sys.argv[1:]
+for kernel in kernels:
+    code = graphfields.cli.main(
+        ["cov", "--graph", graph, "--points", points, "--kernel", kernel, "--out", out]
+    )
+    assert code == 0, code
+    loaded[json.loads(pathlib.Path(kernel).read_text())["family"]] = special()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_matern_family_loads_scipy_special(workdir):
+    # The scipy modules graphfields uses load first, so what the import and
+    # the commands add is graphfields' own doing.  At nu = 1/2 the Matern
+    # profile is exp(-z) and reads no special function, so nu is 1/4 here.
+    matern = workdir["dir"] / "matern_quarter.json"
+    matern.write_text(json.dumps({"family": "matern", "alpha": 0.25, "beta": 1.0}))
+    env = {**os.environ, "PYTHONPATH": str(Path(gf.__file__).resolve().parents[1])}
+    argv = [workdir["edge"], workdir["points"], workdir["dir"] / "cov.json", workdir["flat_exp"], matern]
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTS, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded["import"] == loaded["power_exponential"] == loaded["scipy"]
+    assert "scipy.special" in loaded["matern"]
 
 
 def test_csv_quotes_labels_and_keeps_repr_text(capsys, workdir):

@@ -616,6 +616,18 @@ def test_point_json_round_trip():
         assert gf.point_from_json(g, obj) == gf.canonicalize(g, p) == p
 
 
+def test_point_json_mixing_both_forms_is_refused():
+    # Such an object was read as its vertex, and its edge point dropped.
+    g = single_edge()
+    for obj in (
+        {"vertex": "0", "edge": "e1", "offset": 0.5},
+        {"vertex": "0", "edge": "e1"},
+        {"vertex": "0", "offset": 0.5},
+    ):
+        with pytest.raises(gf.OffsetOutOfRangeError, match="either"):
+            gf.point_from_json(g, obj)
+
+
 def test_graph_json_round_trip():
     g = figure_eight()
     again = gf.graph_from_json(gf.graph_to_json(g))
