@@ -53,7 +53,7 @@ from .metrics import (
     geodesic_matrix,
     resistance_matrix,
 )
-from .simulate import empirical_variogram, sample_canonical_field, sample_from_covariance
+from .simulate import _canonical_variogram, sample_canonical_field, sample_from_covariance
 
 # Point pairs closer than this are refused in covariance construction so the
 # PSD certificate is not dominated by near-duplicate rows.
@@ -376,9 +376,8 @@ def _cmd_star_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    """``simulate`` emits the draws, ``variogram`` only their empirical
-    variogram.  Only the canonical field reads ``--origin``, so a kernel
-    covariance, which no origin changes, refuses one."""
+    """Only the canonical field reads ``--origin``, so a kernel covariance,
+    which no origin changes, refuses one."""
     if args.kernel and args.origin is not None:
         message = "--origin applies only to the canonical field, not to --kernel"
         raise _CliFailure(2, {"error": "UsageError", "message": message})
@@ -394,21 +393,28 @@ def _cmd_simulate(args) -> int:
         ctx = build_resistance_context(g, args.origin)
         sample = sample_canonical_field(ctx, points, args.n, args.seed)
         model = {"model": "canonical", "origin": ctx.origin}
-    n = int(sample.draws.shape[0])
-    if args.variogram:
-        table = (sample.labels, empirical_variogram(sample))
-        payload = _matrix_payload(
-            "empirical_variogram", *table, n=n, seed=sample.seed, origin=ctx.origin
-        )
-    else:
-        table = (sample.labels, sample.draws)
-        payload = {
-            "labels": list(sample.labels),
-            "seed": sample.seed,
-            "n": n,
-            "draws": np.asarray(sample.draws, dtype=float),
-            **model,
-        }
+    payload = {
+        "labels": list(sample.labels),
+        "seed": sample.seed,
+        "n": int(sample.draws.shape[0]),
+        "draws": np.asarray(sample.draws, dtype=float),
+        **model,
+    }
+    _emit(args, payload, table=(sample.labels, sample.draws))
+    return 0
+
+
+def _cmd_variogram(args) -> int:
+    """:func:`simulate._canonical_variogram` folds the sampler's blocks as
+    they are drawn, so no ``--n x m`` array of draws is formed; the bits are
+    those of ``empirical_variogram(sample_canonical_field(...))``."""
+    g = _load_graph(args.graph)
+    points = _load_points(g, args.points)
+    ctx = build_resistance_context(g, args.origin)
+    table = _canonical_variogram(ctx, points, args.n, args.seed)
+    payload = _matrix_payload(
+        "empirical_variogram", *table, n=args.n, seed=args.seed, origin=ctx.origin
+    )
     _emit(args, payload, table=table)
     return 0
 
@@ -497,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=None, help="sample a kernel covariance instead of the canonical field")
     p.add_argument("--n", type=int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=_cmd_simulate, variogram=False)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("variogram", help="empirical variogram of the canonical field")
     _add_common(p, points=True, origin=True)
     p.add_argument("--n", type=int, default=20000, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=_cmd_simulate, variogram=True, kernel=None)
+    p.set_defaults(func=_cmd_variogram)
 
     return parser
 

@@ -540,14 +540,16 @@ def covariance_matrix(
     pts = canonical_points(g, points)
     dm = distance_matrix(g, pts, kind)
     if min_separation is not None and len(pts) > 1:
-        off_diag = dm[~np.eye(len(pts), dtype=bool)]
-        closest = float(off_diag.min())
+        # The profile ignores the diagonal, so it may hold the identity of min.
+        np.fill_diagonal(dm, np.inf)
+        closest = float(dm.min())
         if closest < min_separation:
             raise DuplicatePointsError(
                 f"two points are at distance {closest}, below the required "
                 f"separation {min_separation}"
             )
     values = covariance_from_distances(dm, spec)
+    del dm
     return CovarianceMatrix(
         labels=pts.labels,
         values=values,

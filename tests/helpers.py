@@ -639,3 +639,13 @@ def four_pairing_resistance(g: gf.EuclideanGraph, points) -> np.ndarray:
             else:
                 out[p, q] = (gathered(p, q) + gathered(q, p)) * 0.5
     return out
+
+
+def two_pass_variogram(draws: np.ndarray) -> np.ndarray:
+    """``c_ii + c_jj - 2 c_ij`` of ``np.cov`` of the draws, which subtracts
+    the column means before it forms products, with a zero diagonal."""
+    cov = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
+    var = np.diag(cov)
+    out = var[:, None] + var - 2.0 * cov
+    np.fill_diagonal(out, 0.0)
+    return out

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,14 @@ from hypothesis import strategies as st
 import graphfields as gf
 from graphfields.cli import _writer, build_parser, main
 from graphfields.kernels import PSD_REL_TOL
-from .helpers import figure_eight, single_edge, theta_graph, unit_triangle
+from .helpers import (
+    figure_eight,
+    jittered_grid,
+    random_points,
+    single_edge,
+    theta_graph,
+    unit_triangle,
+)
 
 
 @pytest.fixture()
@@ -708,6 +716,71 @@ def test_variogram_close_to_resistance(capsys, workdir):
     assert vario[1, 2] == pytest.approx(0.5, rel=0.05)
 
 
+def _grid_files(tmp_path, side: int, count: int):
+    """A jittered grid, ``count`` random points on it, and the ``--graph``
+    and ``--points`` arguments of their JSON files."""
+    rng = np.random.default_rng(side)
+    g = jittered_grid(rng, side)
+    pts = random_points(rng, g, count, vertex_share=0.1)
+    graph, points = tmp_path / "grid.json", tmp_path / "grid_points.json"
+    graph.write_text(json.dumps(gf.graph_to_json(g)))
+    points.write_text(json.dumps([
+        {"vertex": p.vertex} if p.is_vertex else {"edge": p.edge, "offset": p.offset}
+        for p in pts
+    ]))
+    return g, pts, ["--graph", str(graph), "--points", str(points)]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_variogram_command_equals_the_library_bit_for_bit(tmp_path, seed):
+    # The command streams the sampler's blocks; the library stacks them
+    # into draws and reads those back in the same blocks.
+    g, pts, files = _grid_files(tmp_path, 6, 30)
+    ctx = gf.build_resistance_context(g)
+    out = tmp_path / "v.npy"
+    for n in (2, 130, 2000):
+        argv = ["variogram", *files, "--n", str(n), "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 0
+        expected = gf.empirical_variogram(gf.sample_canonical_field(ctx, pts, n, seed))
+        assert np.load(out).tobytes() == expected.tobytes()
+
+
+def test_variogram_memory_does_not_grow_with_the_draw_count(tmp_path):
+    # Draws of 200 points at n = 40000 would take 64 MB.
+    _, _, files = _grid_files(tmp_path, 5, 200)
+    argv = ["variogram", *files, "--out", str(tmp_path / "v.npy"), "--n"]
+
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main([*argv, str(n)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # what any first call loads and caches
+    assert peak(40000) - peak(2000) <= 2**20
+
+
+def test_variogram_refuses_before_drawing(capsys, workdir, monkeypatch):
+    # The draw count, then the seed, then the second draw, all before the
+    # first normal.
+    def draw(*args):
+        raise AssertionError("drew a block")
+
+    monkeypatch.setattr(gf.simulate, "_vertex_field", draw)
+    inputs = ["variogram", "--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
+    for extra, error, message in (
+        (["--n", "0", "--seed", "-1"], "TooFewSamples", "need at least 1 draw, got 0"),
+        (["--n", "1", "--seed", "-1"], "ParamOutOfRange", None),
+        (["--n", "1"], "TooFewSamples", "variogram needs at least 2 draws, got 1"),
+    ):
+        code, out, err = _run(capsys, [*inputs, *extra])
+        payload = json.loads(err)
+        assert (code, out, payload["error"]) == (2, "", error)
+        assert message in (None, payload["message"])
+
+
 def test_unknown_point_reference_exits_2(capsys, workdir):
     bad_points = workdir["dir"] / "badpts.json"
     bad_points.write_text(json.dumps([{"vertex": "Z"}]))
@@ -1246,7 +1319,7 @@ def test_console_refuses_a_negative_seed(workdir, command):
     assert _assert_one_error_line(done, 2, "ParamOutOfRange")["field"] == "seed"
 
 
-@pytest.mark.parametrize("command", ["simulate", "simulate --kernel", "variogram"])
+@pytest.mark.parametrize("command", ["simulate", "simulate --kernel"])
 def test_console_reports_running_out_of_memory(workdir, command):
     # 10**17 draws of two points take 1.6e18 bytes, more than any user
     # address space, so the allocation fails at once whatever the

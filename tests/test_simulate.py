@@ -22,6 +22,7 @@ from .helpers import (
     random_graph,
     random_points,
     single_edge,
+    two_pass_variogram,
     unit_square,
 )
 
@@ -265,6 +266,44 @@ def test_variogram_single_edge_pair_value():
     sample = gf.sample_canonical_field(ctx, pts, 20000, seed=23)
     vario = gf.empirical_variogram(sample)
     assert vario[0, 1] == pytest.approx(0.5, rel=0.05)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(4, 9),
+    n_chords=st.integers(0, 2),
+    n=st.sampled_from([2, 3, 63, 64, 65, 200, 1000]),
+)
+def test_variogram_matches_a_two_pass_reference(seed, n_vertices, n_chords, n):
+    # The one-pass block update against np.cov of the same draws, with an
+    # origin other than vertex 0 and a pair 1e-9 l apart, which is summed
+    # directly.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, n_chords)
+    pts = random_points(rng, g, int(rng.integers(1, 40)))
+    e = g.edges[int(rng.integers(0, len(g.edges)))]
+    pts += [gf.edge_point(e.id, 0.5 * e.length), gf.edge_point(e.id, (0.5 + 1e-9) * e.length)]
+    ctx = gf.build_resistance_context(g, g.vertices[int(rng.integers(0, len(g.vertices)))])
+    sample = gf.sample_canonical_field(ctx, pts, n, seed)
+    reference = two_pass_variogram(sample.draws)
+    largest = np.max(np.var(sample.draws, axis=0, ddof=1))
+    assert np.max(np.abs(gf.empirical_variogram(sample) - reference)) <= 1e-12 * largest
+
+
+def test_variogram_of_near_points_far_from_the_origin_is_their_difference_variance():
+    # Two points 1e-12 apart on the far edge of a chain of 101 unit edges:
+    # a_ii + a_jj - 2 a_ij of their variances near 101 would lose about
+    # 6 % here, so the pair's entry is the variance of Z_i - Z_j itself.
+    labels = [str(k) for k in range(102)]
+    g = gf.build_graph(labels, [(f"e{k}", str(k), str(k + 1), 1.0) for k in range(101)])
+    ctx = gf.build_resistance_context(g, "0")
+    pts = [gf.edge_point("e100", 0.5), gf.edge_point("e100", 0.5 + 1e-12)]
+    sample = gf.sample_canonical_field(ctx, pts, 20000, seed=7)
+    expected = np.var(sample.draws[:, 0] - sample.draws[:, 1], ddof=1)
+    got = gf.empirical_variogram(sample)
+    assert got[0, 1] == got[1, 0] == pytest.approx(expected, rel=1e-9)
+    assert got[0, 1] == pytest.approx(1e-12, rel=0.05)
 
 
 def test_draw_count_validation():

@@ -1,0 +1,93 @@
+"""Digest of the outputs of every ``cli_mix`` command, to compare two trees.
+
+Run from the root of a graphfields checkout:
+
+    python3 tools/digest.py --seed 1 --seed 2 --seed 3 [--keep DIR]
+
+For each seed it writes the input files of ``benchmark/workloads.CliMix``
+and runs its 13 commands in process through ``graphfields.cli.main``: once
+to stdout and, for a command whose payload holds a ``matrix`` or ``draws``,
+once more for each ``--out`` of ``x.json``, ``x.csv`` and ``x.npy``.  It
+prints one ``<name> <sha256>`` line for the stdout, stderr and exit code
+of each run and for each file written: ``1.cov.stdout`` is the stdout of
+``cov`` for seed 1 without ``--out``, ``1.cov.csv.stderr`` its stderr with
+``--out x.csv`` and ``1.cov.csv.file`` the file written.  BLAS
+runs one thread, as in ``benchmark/run.py``.
+
+To check that a change keeps the bytes, run this in both checkouts and
+``diff`` the two outputs.  The bits depend on the platform and the BLAS
+build, so no digest is kept to compare against.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
+
+import graphfields.cli  # noqa: E402
+from workloads import CliMix  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list) -> tuple[str, str, int]:
+    """Standard output, standard error and exit code of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = graphfields.cli.main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def digest(seed: int, workdir: str):
+    """The ``(name, sha256)`` of every output of the seed's commands."""
+    workload = CliMix(seed, workdir)
+    for name, argv in workload.commands:
+        stdout, stderr, code = _run(argv)
+        runs = [(f"{seed}.{name}", stdout, stderr, code, None)]
+        payload = json.loads(stdout) if code == 0 else {}
+        if "matrix" in payload or "draws" in payload:
+            for ext in ("json", "csv", "npy"):
+                path = os.path.join(workdir, f"{name}.{ext}")
+                runs.append((f"{seed}.{name}.{ext}", *_run([*argv, "--out", path]), path))
+        for head, stdout, stderr, code, path in runs:
+            yield f"{head}.stdout", _sha(stdout.encode())
+            yield f"{head}.stderr", _sha(stderr.encode())
+            yield f"{head}.exit", _sha(str(code).encode())
+            if path is not None:
+                with open(path, "rb") as fh:
+                    yield f"{head}.file", _sha(fh.read())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, action="append", required=True)
+    parser.add_argument("--keep", default=None, help="write inputs and outputs here and keep them")
+    args = parser.parse_args(argv)
+    for seed in args.seed:
+        if args.keep:
+            workdir = os.path.join(args.keep, f"seed{seed}")
+            os.makedirs(workdir, exist_ok=True)
+            context = contextlib.nullcontext(workdir)
+        else:
+            context = tempfile.TemporaryDirectory()
+        with context as workdir:
+            for name, sha in digest(seed, workdir):
+                print(name, sha)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
