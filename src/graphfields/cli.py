@@ -376,15 +376,19 @@ def _cmd_star_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    """Only the canonical field reads ``--origin``, so a kernel covariance,
-    which no origin changes, refuses one."""
+    """Only the canonical field reads ``--origin`` and only a kernel reads
+    ``--metric``; either flag on the other model is refused before any file
+    is read."""
     if args.kernel and args.origin is not None:
         message = "--origin applies only to the canonical field, not to --kernel"
+        raise _CliFailure(2, {"error": "UsageError", "message": message})
+    if not args.kernel and args.metric is not None:
+        message = "--metric applies only to --kernel, not to the canonical field"
         raise _CliFailure(2, {"error": "UsageError", "message": message})
     g = _load_graph(args.graph)
     points = _load_points(g, args.points)
     if args.kernel:
-        kind = MetricKind(args.metric)
+        kind = MetricKind(args.metric or MetricKind.RESISTANCE.value)
         spec = _load_kernel(args.kernel)
         cov = covariance_matrix(g, points, spec, kind, min_separation=MIN_POINT_SEPARATION)
         sample = sample_from_covariance(cov, args.n, args.seed)
@@ -503,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=None, help="sample a kernel covariance instead of the canonical field")
     p.add_argument("--n", type=int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=_cmd_simulate)
+    # No default, so that the canonical field can tell a given --metric.
+    p.set_defaults(func=_cmd_simulate, metric=None)
 
     p = sub.add_parser("variogram", help="empirical variogram of the canonical field")
     _add_common(p, points=True, origin=True)

@@ -8,8 +8,7 @@ consistency*: every edge must itself be a shortest route between its
 endpoints.  On a cycle this is exactly the requirement that no edge exceeds
 half the circumference.
 
-The vertices, edges and lengths of a graph are fixed once it is built;
-:func:`split_edge` returns a new graph.
+The vertices, edges and lengths of a graph are fixed once it is built.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_array, csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, depth_first_order, dijkstra
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (
@@ -702,30 +702,6 @@ def _unique_label(base: str, taken) -> str:
     return f"{base}~{k}"
 
 
-def split_edge(g: EuclideanGraph, p: GraphPoint) -> tuple[EuclideanGraph, str]:
-    """Split an edge at an interior point, returning (new graph, new vertex).
-
-    The replaced edge ``e`` becomes two edges with ids ``e.id + ":a"`` (the
-    side containing ``e.u``) and ``e.id + ":b"``; the new vertex is labelled
-    ``"{e.id}@{offset}"``.  Each label gets a ``~k`` suffix if it is taken.
-    All other edges are untouched and both metrics on the point continuum
-    are unchanged by this operation.
-    """
-    at, off = _locate(g, p)
-    if off is None:
-        raise OffsetOutOfRangeError(
-            "split point must lie strictly inside an edge", vertex=g.vertices[at]
-        )
-    edges = list(g._edge_records())
-    eid, u, v, length = edges.pop(at)
-    w = _unique_label(f"{eid}@{off!r}", g._vindex)
-    # The new ids extend ``eid``, so neither can be ``eid`` or the other.
-    left_id = _unique_label(f"{eid}:a", g._edge_pos)
-    right_id = _unique_label(f"{eid}:b", g._edge_pos)
-    edges += [(left_id, u, w, off), (right_id, w, v, length - off)]
-    return EuclideanGraph([*g.vertices, w], edges), w
-
-
 # -- block structure -------------------------------------------------------
 
 
@@ -771,74 +747,67 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
     Kinds are exhaustive and exclusive: Bridge (single edge), Cycle (as many
     edges as vertices within the block, i.e. a simple ring), Complex (more
     edges than vertices, i.e. the block contains two points joined by three
-    internally disjoint routes).  An iterative depth-first search from the
-    first vertex walks the edge table by integer positions; each vertex
-    meets its edges in input order, which fixes the block order.
+    internally disjoint routes).  Tarjan's lowpoint rule splits the tree of
+    scipy's depth-first search from the first vertex, in which each vertex
+    meets its neighbours in the input order of its edges.  Blocks come in
+    the order Tarjan's search closes them, as before the search was scipy's.
     """
     n, m = len(g.vertices), len(g._ids)
-    # The edges at vertex v are entries start[v]:start[v + 1] of nbr_edge
-    # (edge positions, ascending) and nbr_vertex (the other endpoints).
-    ends, pos = np.concatenate((g._u, g._v)), np.tile(np.arange(m), 2)
-    order = np.lexsort((pos, ends))
-    nbr_edge = pos[order].tolist()
-    nbr_vertex = np.concatenate((g._v, g._u))[order].tolist()
-    start = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
-
-    disc, low = [-1] * n, [0] * n
-    disc[0] = counter = 0
-    edge_stack: list[int] = []
-    raw_blocks: list[list[int]] = []
-    cuts: list[int] = []  # the vertex at which each raw block closed
-    # A frame is [vertex, edge it was entered by, next incidence entry].
-    frames = [[0, -1, start[0]]]
-    while frames:
-        frame = frames[-1]
-        v, parent_e, first = frame
-        for k in range(first, start[v + 1]):
-            e, w = nbr_edge[k], nbr_vertex[k]
-            if e == parent_e:
-                continue
-            if disc[w] < 0:
-                edge_stack.append(e)
-                counter += 1
-                disc[w] = low[w] = counter
-                frame[2] = k + 1
-                frames.append([w, e, start[w]])
-                break
-            if disc[w] < disc[v]:
-                edge_stack.append(e)
-                low[v] = min(low[v], disc[w])
-        else:
-            frames.pop()
-            if not frames:
-                break
-            u = frames[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                block = [edge_stack.pop()]
-                while block[-1] != parent_e:
-                    block.append(edge_stack.pop())
-                raw_blocks.append(block)
-                cuts.append(u)
-    articulation = {u for u in cuts if u != 0}
-    if cuts.count(0) >= 2:  # the root separates two blocks that close at it
-        articulation.add(0)
-
-    labels, iu, iv = g.vertices, g._u.tolist(), g._v.tolist()
-    blocks = []
-    for block in raw_blocks:
-        vertices = frozenset(labels[x] for e in block for x in (iu[e], iv[e]))
-        if len(block) == 1:
-            kind = BlockKind.BRIDGE
-        elif len(block) == len(vertices):
-            kind = BlockKind.CYCLE
-        else:
-            kind = BlockKind.COMPLEX
-        edge_ids = frozenset(g._ids[e] for e in block)
-        blocks.append(Block(edge_ids, vertices, kind))
-    return BlockDecomposition(
-        tuple(blocks), frozenset(labels[x] for x in articulation)
+    # Row v lists v's neighbours in the input order of the edges.
+    ends, nbrs = np.concatenate((g._u, g._v)), np.concatenate((g._v, g._u))
+    order = np.lexsort((np.tile(np.arange(m), 2), ends))
+    indptr = np.searchsorted(ends[order], np.arange(n + 1))
+    adjacency = csr_matrix((np.ones(2 * m), nbrs[order], indptr), shape=(n, n))
+    preorder, parent = depth_first_order(adjacency, 0, return_predecessors=True)
+    rank = np.argsort(preorder)
+    # An edge outside the tree joins a vertex to an ancestor, and lowers the
+    # lowpoint of its deeper end to the ancestor's rank.
+    deep = np.where(rank[g._u] > rank[g._v], g._u, g._v)
+    high = g._u + g._v - deep
+    back = parent[deep] != high
+    low = rank.copy()
+    np.minimum.at(low, deep[back], rank[high[back]])
+    # Lowpoints and subtree sizes carried up the tree, deepest first.
+    low, size, up = low.tolist(), [1] * n, parent.tolist()
+    for x in preorder[:0:-1].tolist():
+        low[up[x]] = min(low[up[x]], low[x])
+        size[up[x]] += size[x]
+    low, size = np.array(low), np.array(size)
+    # The tree edge into x starts a block when no edge below x reaches
+    # above its parent; every other tree edge is in its parent's block.
+    child = preorder[1:]
+    starts = low[child] >= rank[parent[child]]
+    joined = child[~starts]
+    _, component = connected_components(
+        csr_matrix((np.ones(joined.size), (joined, parent[joined])), shape=(n, n)),
+        directed=False,
     )
+    # A block closes when the search finishes the vertex that starts it: at
+    # the end of that vertex's subtree, after deeper vertices ending there.
+    first = child[starts]
+    first = first[np.lexsort((-rank[first], rank[first] + size[first]))]
+    slot = np.empty(n, dtype=np.intp)
+    slot[component[first]] = np.arange(first.size)
+    # Each edge is in the block of its deeper end.
+    of_edge = slot[component[deep]]
+    by_block = np.argsort(of_edge, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(of_edge, minlength=first.size)).tolist()
+    # The parent of a block's first vertex is an articulation vertex; the
+    # root is one only when it is the parent of two such vertices.
+    cuts = np.bincount(parent[first], minlength=n)
+    cuts[0] -= 1
+    labels, iu, iv = g.vertices, g._u.tolist(), g._v.tolist()
+    # A block has one edge fewer than its vertices (a bridge), as many (a
+    # simple cycle) or more.
+    kinds = (BlockKind.BRIDGE, BlockKind.CYCLE, BlockKind.COMPLEX)
+    blocks = []
+    for lo, hi in zip([0, *bounds], bounds):
+        block = by_block[lo:hi]
+        vertices = frozenset(labels[x] for e in block for x in (iu[e], iv[e]))
+        kind = kinds[min(len(block) - len(vertices), 1) + 1]
+        blocks.append(Block(frozenset(g._ids[e] for e in block), vertices, kind))
+    articulation = frozenset(labels[x] for x in np.flatnonzero(cuts > 0).tolist())
+    return BlockDecomposition(tuple(blocks), articulation)
 
 
 # -- JSON wire format --------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 import graphfields as gf
-from graphfields.graph import _as_float, _edge_fields, _unique_label
+from graphfields.graph import _as_float, _edge_fields, _locate, _unique_label
 
 
 # -- fixed fixtures -----------------------------------------------------------
@@ -424,6 +424,30 @@ def exact_matern(nu: float, z: float, digits: int = 40) -> float:
     with mpmath.workdps(digits):
         nu, z = mpmath.mpf(nu), mpmath.mpf(z)
         return float(z**nu * mpmath.besselk(nu, z) / (2 ** (nu - 1) * mpmath.gamma(nu)))
+
+
+def split_edge(g: gf.EuclideanGraph, p: gf.GraphPoint) -> tuple[gf.EuclideanGraph, str]:
+    """Split an edge at an interior point, returning (new graph, new vertex).
+
+    The replaced edge ``e`` becomes two edges with ids ``e.id + ":a"`` (the
+    side containing ``e.u``) and ``e.id + ":b"``; the new vertex is labelled
+    ``"{e.id}@{offset}"``.  Each label gets a ``~k`` suffix if it is taken.
+    All other edges are untouched and both metrics on the point continuum
+    are unchanged by this operation.
+    """
+    at, off = _locate(g, p)
+    if off is None:
+        raise gf.OffsetOutOfRangeError(
+            "split point must lie strictly inside an edge", vertex=g.vertices[at]
+        )
+    edges = list(g._edge_records())
+    eid, u, v, length = edges.pop(at)
+    w = _unique_label(f"{eid}@{off!r}", g._vindex)
+    # The new ids extend ``eid``, so neither can be ``eid`` or the other.
+    left_id = _unique_label(f"{eid}:a", g._edge_pos)
+    right_id = _unique_label(f"{eid}:b", g._edge_pos)
+    edges += [(left_id, u, w, off), (right_id, w, v, length - off)]
+    return gf.EuclideanGraph([*g.vertices, w], edges), w
 
 
 def isomorphic_by_labels(

@@ -22,6 +22,7 @@ from .helpers import (
     random_points,
     random_tree,
     single_edge,
+    split_edge,
     unit_square,
     unit_star,
 )
@@ -127,7 +128,7 @@ def test_criterion_04_origin_and_split_invariance():
 
         e = g.edges[int(rng.integers(0, len(g.edges)))]
         offset = float(rng.uniform(0.25, 0.75)) * e.length
-        g2, w = gf.split_edge(g, gf.edge_point(e.id, offset))
+        g2, w = split_edge(g, gf.edge_point(e.id, offset))
         remapped = []
         for p in pts:
             if p.is_vertex or p.edge != e.id:

@@ -1319,6 +1319,20 @@ def test_console_refuses_a_negative_seed(workdir, command):
     assert _assert_one_error_line(done, 2, "ParamOutOfRange")["field"] == "seed"
 
 
+def test_console_refuses_a_metric_for_the_canonical_field(capsys, workdir):
+    # The canonical field has no metric, so a --metric there is refused
+    # before any file is read: the files named here do not exist.
+    missing = workdir["dir"] / "missing.json"
+    for metric in ("geodesic", "resistance"):
+        done = _console("simulate", "--graph", missing, "--points", missing, "--metric", metric)
+        payload = _assert_one_error_line(done, 2, "UsageError")
+        assert payload["message"] == "--metric applies only to --kernel, not to the canonical field"
+    # A kernel without --metric reads the resistance metric.
+    argv = _sampler_argv(workdir, "simulate --kernel", workdir["points"])
+    code, out, _ = _run(capsys, list(map(str, argv)))
+    assert code == 0 and json.loads(out)["metric"] == "resistance"
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate --kernel"])
 def test_console_reports_running_out_of_memory(workdir, command):
     # 10**17 draws of two points take 1.6e18 bytes, more than any user

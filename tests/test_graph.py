@@ -27,6 +27,7 @@ from .helpers import (
     random_onesum,
     reference_build_error,
     single_edge,
+    split_edge,
     theta_graph,
     unit_square,
     vertex_distance,
@@ -602,7 +603,7 @@ def test_malformed_points_rejected():
         with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
             gf.canonicalize(g, bad)
         with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
-            gf.split_edge(g, bad)
+            split_edge(g, bad)
         with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
             gf.distance_matrix(g, [gf.vertex_point("1"), bad], gf.MetricKind.GEODESIC)
 
@@ -640,7 +641,7 @@ def test_graph_json_round_trip():
 
 def test_split_partitions_length():
     g = single_edge()
-    g2, w = gf.split_edge(g, gf.edge_point("e1", 0.25))
+    g2, w = split_edge(g, gf.edge_point("e1", 0.25))
     assert len(g2.edges) == 2 and len(g2.vertices) == 3
     lengths = sorted(e.length for e in g2.edges)
     assert lengths == [0.25, 0.75]
@@ -649,7 +650,7 @@ def test_split_partitions_length():
 
 def test_split_square_midpoint_revalidates_as_cycle():
     g = unit_square()
-    g2, _ = gf.split_edge(g, gf.edge_point("ab", 0.5))
+    g2, _ = split_edge(g, gf.edge_point("ab", 0.5))
     assert len(g2.vertices) == 5 and len(g2.edges) == 5
     blocks = gf.block_decomposition(g2).blocks
     assert len(blocks) == 1 and blocks[0].kind is gf.BlockKind.CYCLE
@@ -660,7 +661,7 @@ def test_split_and_json_read_the_edge_table():
     # the edge order, ids and labels of splitting the Edge records.
     g = theta_graph()
     eid, off = g._ids[1], 0.3 * float(g._length[1])
-    h, w = gf.split_edge(g, gf.edge_point(eid, off))
+    h, w = split_edge(g, gf.edge_point(eid, off))
     payload = gf.graph_to_json(h)
     assert "edges" not in vars(g) and "edges" not in vars(h)
     e = g.edge(eid)
@@ -680,7 +681,7 @@ def test_split_labels_avoid_taken_ones():
         [("e", "a", "b", 1.0), ("e:a", "b", "c", 1.0), ("e:b~2", "c", "e@0.5", 1.0),
          ("e:b", "e@0.5", "a", 1.5)],
     )
-    h, w = gf.split_edge(g, gf.edge_point("e", 0.5))
+    h, w = split_edge(g, gf.edge_point("e", 0.5))
     assert w == "e@0.5~2"
     assert h._ids == ("e:a", "e:b~2", "e:b", "e:a~2", "e:b~3")
 
@@ -688,7 +689,7 @@ def test_split_labels_avoid_taken_ones():
 def test_split_at_vertex_rejected():
     g = single_edge()
     with pytest.raises(gf.OffsetOutOfRangeError):
-        gf.split_edge(g, gf.vertex_point("0"))
+        split_edge(g, gf.vertex_point("0"))
 
 
 # -- blocks and geodesic validity -----------------------------------------------
@@ -696,7 +697,7 @@ def test_split_at_vertex_rejected():
 
 def test_tree_blocks_are_bridges():
     g = path_abc()
-    g2, _ = gf.split_edge(g, gf.edge_point("bc", 1.0))
+    g2, _ = split_edge(g, gf.edge_point("bc", 1.0))
     decomposition = gf.block_decomposition(g2)
     assert len(decomposition.blocks) == 3
     assert all(b.kind is gf.BlockKind.BRIDGE for b in decomposition.blocks)
@@ -746,8 +747,10 @@ def test_blocks_partition_edges_and_kinds_are_consistent():
 
 
 def _assert_blocks_match_networkx(g):
-    """Block edge sets and articulation vertices equal networkx's, which
-    shares no code with the decomposition under test."""
+    """Block edge sets, in order, and articulation vertices equal
+    networkx's, which shares no code with the decomposition under test.
+    With the vertices added in label order and the edges in input order,
+    networkx lists blocks in the order Tarjan's search closes them."""
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
@@ -761,7 +764,7 @@ def _assert_blocks_match_networkx(g):
     ]
     decomposition = gf.block_decomposition(g)
     got = [b.edge_ids for b in decomposition.blocks]
-    assert len(got) == len(expected) and set(got) == set(expected)
+    assert got == expected
     assert decomposition.articulation_vertices == frozenset(nx.articulation_points(h))
 
 

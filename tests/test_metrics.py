@@ -36,6 +36,7 @@ from .helpers import (
     random_points,
     random_tree,
     single_edge,
+    split_edge,
     tree_kernel_closed_form,
     unit_square,
     unit_triangle,
@@ -962,7 +963,7 @@ def test_split_invariance_of_both_metrics(seed):
         pts = random_points(rng, g, 7)
         e = g.edges[int(rng.integers(0, len(g.edges)))]
         offset = float(rng.uniform(0.3, 0.7)) * e.length
-        g2, w = gf.split_edge(g, gf.edge_point(e.id, offset))
+        g2, w = split_edge(g, gf.edge_point(e.id, offset))
         pts2 = _remap_after_split(pts, e, offset, f"{e.id}:a", f"{e.id}:b", w)
         for kind in (MetricKind.GEODESIC, MetricKind.RESISTANCE):
             before = gf.distance_matrix(g, pts, kind)

@@ -67,7 +67,6 @@ PUBLIC_NAMES = [
     "resistance_distance",
     "sample_canonical_field",
     "sample_from_covariance",
-    "split_edge",
     "star_inequality_check",
     "theta_witness_graph",
     "vertex_point",
@@ -75,7 +74,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_exactly_the_locked_list_and_resolve():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert sorted(gf.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gf, name) is not None, name

@@ -1,4 +1,5 @@
-"""Digest of the outputs of every ``cli_mix`` command, to compare two trees.
+"""Digest of the outputs of every ``cli_mix`` command and of ``cov_sites``,
+to compare two trees.
 
 Run from the root of a graphfields checkout:
 
@@ -8,11 +9,19 @@ For each seed it writes the input files of ``benchmark/workloads.CliMix``
 and runs its 13 commands in process through ``graphfields.cli.main``: once
 to stdout and, for a command whose payload holds a ``matrix`` or ``draws``,
 once more for each ``--out`` of ``x.json``, ``x.csv`` and ``x.npy``.  It
-prints one ``<name> <sha256>`` line for the stdout, stderr and exit code
-of each run and for each file written: ``1.cov.stdout`` is the stdout of
-``cov`` for seed 1 without ``--out``, ``1.cov.csv.stderr`` its stderr with
-``--out x.csv`` and ``1.cov.csv.file`` the file written.  BLAS
-runs one thread, as in ``benchmark/run.py``.
+also writes the 600-vertex cactus of ``benchmark/workloads.CovSites`` to
+``cactus.json`` and runs ``blocks`` and ``forbidden-check`` on it, so the
+block order of a graph of many blocks is covered.  It prints one
+``<name> <sha256>`` line for the stdout, stderr and exit code of each run
+and for each file written: ``1.cov.stdout`` is the stdout of ``cov`` for
+seed 1 without ``--out``, ``1.cov.csv.stderr`` its stderr with ``--out
+x.csv``, ``1.cov.csv.file`` the file written and ``1.cactus.blocks.stdout``
+the stdout of ``blocks`` on the cactus.  Then it serves the first 16
+``CovSites`` requests, two of each (metric, family) pair, and prints one
+line each for the bytes of the values, the labels and the certificate's
+``verdict``, ``min_eig`` and ``max_eig``: ``1.cov_sites.0.values``,
+``1.cov_sites.0.labels`` and ``1.cov_sites.0.certificate``.  BLAS runs
+one thread, as in ``benchmark/run.py``.
 
 To check that a change keeps the bytes, run this in both checkouts and
 ``diff`` the two outputs.  The bits depend on the platform and the BLAS
@@ -35,8 +44,13 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
 
+import numpy as np  # noqa: E402
+
 import graphfields.cli  # noqa: E402
-from workloads import CliMix  # noqa: E402
+from workloads import CliMix, CovSites  # noqa: E402
+
+# The first requests of ``cov_sites``, two for each (metric, family) pair.
+COV_SITES_REQUESTS = 16
 
 
 def _sha(data: bytes) -> str:
@@ -53,8 +67,19 @@ def _run(argv: list) -> tuple[str, str, int]:
 
 def digest(seed: int, workdir: str):
     """The ``(name, sha256)`` of every output of the seed's commands."""
-    workload = CliMix(seed, workdir)
-    for name, argv in workload.commands:
+    sites = CovSites(seed, workdir)
+    cactus = os.path.join(workdir, "cactus.json")
+    with open(cactus, "w", encoding="utf-8") as fh:
+        json.dump({
+            "vertices": sites.vertices,
+            "edges": [{"id": e, "u": u, "v": v, "length": w} for e, u, v, w in sites.edges],
+        }, fh)
+    commands = [
+        *CliMix(seed, workdir).commands,
+        ("cactus.blocks", ["blocks", "--graph", cactus]),
+        ("cactus.forbidden-check", ["forbidden-check", "--graph", cactus]),
+    ]
+    for name, argv in commands:
         stdout, stderr, code = _run(argv)
         runs = [(f"{seed}.{name}", stdout, stderr, code, None)]
         payload = json.loads(stdout) if code == 0 else {}
@@ -69,6 +94,16 @@ def digest(seed: int, workdir: str):
             if path is not None:
                 with open(path, "rb") as fh:
                     yield f"{head}.file", _sha(fh.read())
+    sites.setup(graphfields)
+    for i in range(COV_SITES_REQUESTS):
+        out = sites.request(sites.prepare(i))
+        cert = out.psd_certificate
+        head = f"{seed}.cov_sites.{i}"
+        yield f"{head}.values", _sha(np.ascontiguousarray(out.values, dtype=float).tobytes())
+        yield f"{head}.labels", _sha(json.dumps(list(out.labels)).encode())
+        yield f"{head}.certificate", _sha(
+            json.dumps([cert.verdict, cert.min_eig, cert.max_eig]).encode()
+        )
 
 
 def main(argv=None) -> int:
