@@ -20,14 +20,12 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_array, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order, dijkstra
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (
     DistanceInconsistentError,
-    FactorizationFailedError,
     InvalidGraphError,
     MultiEdgeOrLoopError,
     NotConnectedError,
@@ -52,28 +50,6 @@ _CHECK_CHUNK = 2048
 # A search fills at most this many float64 entries (4 MB) with distances, so
 # a chunk whose halo is most of the graph stays O(rows * n) in memory.
 _CHECK_BLOCK_ENTRIES = 1 << 19
-
-# A graph keeps the vertex rows its metric queries compute (Dijkstra rows
-# for the geodesic metric, columns of L^-1 for the resistance metric) in
-# stores of at most this many bytes in all: 256 MiB holds both full n x n
-# tables up to n = 4096, so a graph of that size that serves repeated
-# queries computes each row once, while a store on a larger graph stays far
-# below its n x n tables (1688 rows of 19881 floats).  Rows beyond the
-# budget serve their query and are dropped.
-_ROW_STORE_BYTES = 256 << 20
-
-# Rows are computed, right-hand sides solved and canonical realizations
-# drawn at most this many at a time: a block that stays in cache solves two
-# to three times faster than one wide block, and a block bounds what a query
-# holds beside the stores.
-_SOLVE_COLUMNS = 64
-
-# Columns of L^-1 are solved as many at a time as fill this many bytes of
-# right-hand side, but at least 8.  Per column, blocks of 8 to 12 solved
-# fastest on grids of 4900 to 40000 vertices, 1.3 to 2.5 times faster than
-# blocks of 64, and blocks of 24 to 32 at 900 vertices.
-_SOLVE_BLOCK_BYTES = 1 << 18
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -230,22 +206,10 @@ class EuclideanGraph:
     :class:`Edge` tuple :attr:`edges` is built from that table on first
     access.
 
-    Vertices, edges and lengths never change after construction.  The
-    state that does is the row stores of the two metrics, a flag set by the
-    first geodesic query with points, and the one factor of ``L``
-    (:meth:`_conductance_lu`), made on first use and kept, which resistance
-    queries and canonical draws read.  Geodesic queries read
-    vertex distances through :meth:`_distance_block` (rows of single-source
-    Dijkstra searches) and resistance queries read vertex resistances
-    through :meth:`_resistance_block` (columns of ``L^-1``).  Each
-    computes only the rows its store lacks and keeps them while all stores
-    hold at most ``_ROW_STORE_BYTES``.  Each growth publishes fresh
-    (position map, rows) pairs in one attribute assignment and writes to no
-    array a reader may hold, so concurrent queries always read consistent
-    stores, and a race at worst computes a row twice.  No result depends on
-    which rows were stored before, except the graph's first geodesic
-    query, which may search from its points instead (within ``n 2^-53``
-    relative; see :meth:`_searches_from_points`).
+    Vertices, edges and lengths never change after construction.  What
+    does is the caches that :mod:`graphfields.metrics` alone fills and
+    reads: the row stores, the first-geodesic-query flag and the factor of
+    ``L``.
     """
 
     def __init__(self, vertices, edges):
@@ -298,15 +262,9 @@ class EuclideanGraph:
         self._ids: tuple[str, ...] = tuple(ids)
         self._u, self._v, self._length = iu, iv, length
         self._weights = self._check_connected_and_consistent()
-        # Per metric, row k of its store holds the row of the vertex whose
-        # position is k; vertices without a row have position -1.
-        n = len(self.vertices)
-        empty = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
-        self._row_stores = {"geodesic": empty, "resistance": empty}
-        # Set by the first geodesic query with points; only a query before
-        # it may search from its points, so later queries warm the store.
+        # Empty slots for the caches that graphfields.metrics alone fills.
+        self._row_stores = self._conductance_factor = None
         self._geodesic_answered = False
-        self._conductance_factor: SuperLU | None = None
 
     def _vertex_indices(self, labels) -> np.ndarray:
         """The index of the vertex ``str(label)`` for each label, or -1."""
@@ -360,139 +318,6 @@ class EuclideanGraph:
             )
         return weights
 
-    def _distance_block(self, idx: np.ndarray) -> np.ndarray:
-        """Shortest-route distances between the vertices with the distinct
-        indices ``idx``: the symmetric block ``minimum(B, B.T)`` of
-        ``B = D[idx][:, idx]``, where row ``i`` of ``D`` is the Dijkstra
-        search from vertex ``i`` over the symmetric matrix of edge lengths
-        that :meth:`_check_connected_and_consistent` searches too.
-        """
-        block = self._stored_block("geodesic", idx, self._dijkstra_rows, _SOLVE_COLUMNS)
-        return np.minimum(block, block.T)
-
-    def _dijkstra_rows(self, idx: np.ndarray) -> np.ndarray:
-        return dijkstra(self._weights, directed=True, indices=idx)
-
-    def _searches_from_points(self, ends: np.ndarray, m: int) -> bool:
-        """Whether a geodesic query of ``m`` points, whose distinct endpoint
-        vertices are ``ends``, searches once per point (see
-        :meth:`_point_rows`) instead of reading stored rows: only while the
-        graph has answered no geodesic query with points (the flag
-        ``_geodesic_answered``, which
-        :func:`~graphfields.metrics.geodesic_matrix` sets), and only when
-        the rows its store lacks outnumber its points.  It changes
-        nothing."""
-        if self._geodesic_answered:
-            return False
-        pos, _ = self._row_stores["geodesic"]
-        return np.count_nonzero(pos[ends] < 0) > m
-
-    def _point_rows(self, lo, hi, off, elen, cols: np.ndarray) -> np.ndarray:
-        """Shortest-route distances from each point to the vertices
-        ``cols``, one Dijkstra search per point, ``_SOLVE_COLUMNS`` points
-        at a time; nothing is stored.
-
-        A point is given as in the point table: the ends ``lo``/``hi`` of
-        its edge, its offset ``off`` from ``lo`` and the edge length
-        ``elen`` (0 for a vertex, which searches from itself).  An interior
-        point searches from a node of its own joined to ``lo`` and ``hi`` by
-        ``off`` and ``elen - off``; no edge enters such a node, so no route
-        passes through one.
-        """
-        n = len(self.vertices)
-        inner = np.flatnonzero(elen > 0.0)
-        source = lo.copy()
-        source[inner] = n + np.arange(inner.size)
-        w = self._weights
-        size = n + inner.size
-        joins = np.column_stack((lo[inner], hi[inner])).ravel()
-        lengths = np.column_stack((off[inner], elen[inner] - off[inner])).ravel()
-        joined = csr_matrix(
-            (np.concatenate((w.data, lengths)),
-             np.concatenate((w.indices, joins)),
-             np.concatenate((w.indptr, w.indptr[-1] + 2 * np.arange(1, inner.size + 1)))),
-            shape=(size, size),
-        )
-        out = np.empty((lo.size, cols.size))
-        for s in range(0, lo.size, _SOLVE_COLUMNS):
-            rows = dijkstra(joined, directed=True, indices=source[s : s + _SOLVE_COLUMNS])
-            out[s : s + _SOLVE_COLUMNS] = rows[:, cols]
-        return out
-
-    def _resistance_block(self, idx: np.ndarray) -> np.ndarray:
-        """Effective resistances between the vertices with the distinct
-        indices ``idx``: ``C_ii + C_jj - 2 C_ij`` on the symmetric part of
-        the block ``C[idx][:, idx]`` of ``C = L^-1``, where ``L`` is the
-        conductance matrix (conductance = 1/length) plus a unit at vertex 0.
-
-        The result does not depend on the ground, so one ``L`` serves every
-        origin.  It is exactly symmetric with a zero diagonal.
-        """
-        n = len(self.vertices)
-        step = min(_SOLVE_COLUMNS, max(8, _SOLVE_BLOCK_BYTES // (8 * n)))
-        block = self._stored_block("resistance", idx, self._conductance_columns, step)
-        # Twice the symmetric part; halving and doubling are exact.
-        block += block.T
-        diag = 0.5 * block.diagonal()
-        out = diag[:, None] + diag
-        out -= block
-        return out
-
-    def _conductance_columns(self, idx: np.ndarray) -> np.ndarray:
-        """Columns ``idx`` of ``L^-1`` (see :meth:`_resistance_block`), as
-        rows."""
-        rhs = np.zeros((len(self.vertices), idx.size))
-        rhs[idx, np.arange(idx.size)] = 1.0
-        return self._conductance_lu().solve(rhs).T
-
-    def _conductance_lu(self) -> SuperLU:
-        """The factor (see :func:`_factor`) of ``L``, the conductance matrix
-        (conductance = 1/length) plus a unit at vertex 0, read off the edge
-        table on the first call and kept; a race at worst factors twice."""
-        lu = self._conductance_factor
-        if lu is None:
-            n = len(self.vertices)
-            ends = np.concatenate((self._u, self._v, self._u, self._v, [0]))
-            other = np.concatenate((self._u, self._v, self._v, self._u, [0]))
-            c = 1.0 / self._length
-            L = csc_array((np.concatenate((c, c, -c, -c, [1.0])), (ends, other)), shape=(n, n))
-            lu = self._conductance_factor = _factor(L)
-        return lu
-
-    def _stored_block(self, kind: str, idx: np.ndarray, compute, step: int) -> np.ndarray:
-        """The block ``X[idx][:, idx]`` of the table ``X`` of the store
-        ``kind``, for distinct vertex indices ``idx``.
-
-        Rows the store lacks come from ``compute(rows)``, ``step`` at a
-        time; each is kept while the stores hold at most
-        ``_ROW_STORE_BYTES`` in all, else it serves this block only.
-        ``compute`` must give a row the same bits whichever rows it is
-        computed with, so no result depends on what was stored.
-        """
-        stores = self._row_stores
-        pos, rows = stores[kind]
-        at = pos[idx]
-        block = np.empty((idx.size, idx.size))
-        block[at >= 0] = rows[np.ix_(at[at >= 0], idx)]
-        fresh = np.flatnonzero(at < 0)
-        n, top = len(self.vertices), len(rows)
-        used = sum(stored.nbytes for _, stored in stores.values())
-        kept = min(fresh.size, max(0, (_ROW_STORE_BYTES - used) // (8 * n)))
-        if kept:
-            grown = np.empty((top + kept, n))
-            grown[:top] = rows
-        for s in range(0, fresh.size, step):
-            part = fresh[s : s + step]
-            new = compute(idx[part])
-            block[part] = new[:, idx]
-            if s < kept:
-                grown[top + s : top + kept][: part.size] = new[: kept - s]
-        if kept:
-            pos = pos.copy()
-            pos[idx[fresh[:kept]]] = np.arange(top, top + kept)
-            self._row_stores = {**stores, kind: (pos, grown)}
-        return block
-
     # -- lookups ----------------------------------------------------------
 
     def vertex_index(self, label: str) -> int:
@@ -532,7 +357,7 @@ def _route_lengths(
     ``(iu[k], iv[k])``, of length ``lengths[k]``, in the connected graph
     whose symmetric matrix of edge lengths is ``weights``: the minimum of
     the directed searches from either end, as
-    :meth:`EuclideanGraph._distance_block` reads them.
+    :func:`graphfields.metrics._distance_block` reads them.
 
     Any other route leaves one end and enters the other by other edges.  So
     an edge is its own route, with no search, when it is a shortest edge at
@@ -617,32 +442,6 @@ def _blocks(bounds: list[int], size: int):
     for lo, hi in zip(bounds, bounds[1:]):
         for first in range(lo, hi, size):
             yield first, min(first + size, hi)
-
-
-def _factor(L: csc_array) -> SuperLU:
-    """Symmetric-mode sparse LU ``L = P^T F D F^T P`` of a conductance
-    matrix: fill-reducing ``P`` (``perm_r == perm_c``), unit lower ``F`` and
-    positive pivots ``D``.
-
-    Raises :class:`FactorizationFailedError` when that structure fails,
-    which signals a numerically singular L.
-    """
-    try:
-        factor = splu(
-            L,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise FactorizationFailedError(
-            f"conductance matrix is numerically singular: {exc}"
-        ) from exc
-    if not np.array_equal(factor.perm_r, factor.perm_c):
-        raise FactorizationFailedError("factorization of L pivoted off the diagonal")
-    if not np.all(factor.U.diagonal() > 0):
-        raise FactorizationFailedError("conductance matrix is not positive definite")
-    return factor
 
 
 def build_graph(vertices, edges) -> EuclideanGraph:

@@ -466,8 +466,9 @@ def _cholesky(a: np.ndarray, shift: float) -> np.ndarray | None:
 
 def _certificate(values: np.ndarray) -> PsdReport:
     """The proof of :func:`_proves_positive_definite` when it holds, else
-    :func:`psd_check` at ``PSD_REL_TOL``."""
-    if _proves_positive_definite(values):
+    :func:`psd_check` at ``PSD_REL_TOL``; an empty matrix is vacuously
+    positive definite, so it gets the proof."""
+    if not values.size or _proves_positive_definite(values):
         return PsdReport(min_eig=None, max_eig=None, is_psd=True)
     return psd_check(values)
 

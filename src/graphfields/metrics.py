@@ -3,10 +3,10 @@
 The geodesic distance between two points is the length of the shortest route
 between them; for vertices this is the usual weighted shortest-path metric,
 and point queries reduce to lookups among the endpoint vertices of the
-points, whose Dijkstra rows the graph computes on demand and keeps.  A
-graph's first query with points searches once from each point instead, and
-keeps nothing, when its points have more endpoints than there are points
-(see :func:`geodesic_matrix`).
+points, whose Dijkstra rows are computed on demand and kept on the graph.
+A graph's first query with points searches once from each point instead,
+and keeps nothing, when its points have more endpoints than there are
+points (see :func:`geodesic_matrix`).
 
 The resistance metric is the variogram of a canonical Gaussian field: a
 multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
@@ -24,6 +24,11 @@ bridge terms (:func:`resistance_matrix`), over a block ``R`` of vertex
 resistances read from columns of ``L^-1`` for one fixed ground (vertex 0),
 solved on demand and kept.  So a distance query takes the graph and no
 origin.  The geodesic metric reads the same ends through one min-plus stage.
+
+This module owns that vertex-row engine; the graph only holds empty slots
+for its caches: the row stores of both metrics (:func:`_stored_block`), the
+flag of a graph's first geodesic query (:func:`geodesic_matrix`) and the one
+factor of ``L`` (:func:`_conductance_lu`), which canonical draws read too.
 
 Only the covariance (``r_graph_matrix``) and the canonical sampler depend
 on the origin ``o``, where the field has unit variance, so only they take
@@ -51,15 +56,40 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array, csr_matrix
+from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import SuperLU, splu
 
-from .errors import DuplicatePointsError
+from .errors import DuplicatePointsError, FactorizationFailedError
 from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label, vertex_point
-from .graph import _SOLVE_COLUMNS, _first_repeat, _locate, _point_at
+from .graph import _first_repeat, _locate, _point_at
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
 _PINV_RTOL = 1e-12
+
+# A graph keeps the vertex rows its metric queries compute (Dijkstra rows
+# for the geodesic metric, columns of L^-1 for the resistance metric) in
+# stores of at most this many bytes in all: 256 MiB holds both full n x n
+# tables up to n = 4096, so a graph of that size that serves repeated
+# queries computes each row once, while a store on a larger graph stays far
+# below its n x n tables (1688 rows of 19881 floats).  Rows beyond the
+# budget serve their query and are dropped.  A growing store briefly holds
+# its old and new arrays, so a store near its budget peaks at about twice
+# the budget.
+_ROW_STORE_BYTES = 256 << 20
+
+# Rows are computed, right-hand sides solved and canonical realizations
+# drawn at most this many at a time: a block that stays in cache solves two
+# to three times faster than one wide block, and a block bounds what a query
+# holds beside the stores.
+_SOLVE_COLUMNS = 64
+
+# Columns of L^-1 are solved as many at a time as fill this many bytes of
+# right-hand side, but at least 8.  Per column, blocks of 8 to 12 solved
+# fastest on grids of 4900 to 40000 vertices, 1.3 to 2.5 times faster than
+# blocks of 64, and blocks of 24 to 32 at 900 vertices.
+_SOLVE_BLOCK_BYTES = 1 << 18
 
 
 class MetricKind(str, Enum):
@@ -151,6 +181,171 @@ def _min_plus(rows: np.ndarray, pts: _PointTable) -> np.ndarray:
         near = rows[at_lo[k]] + to_lo[k, None]
         np.minimum(near, rows[at_hi[k]] + to_hi[k, None], out=out[k])
     return out
+
+
+# -- vertex rows -------------------------------------------------------------
+
+
+def _stores(g: EuclideanGraph) -> dict:
+    """The row stores of ``g`` by metric, made on first use: in a store
+    ``(pos, rows)``, vertex ``i`` has the row ``rows[pos[i]]``, or none
+    where ``pos[i]`` is -1."""
+    stores = g._row_stores
+    if stores is None:
+        n = len(g.vertices)
+        empty = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
+        stores = g._row_stores = {"geodesic": empty, "resistance": empty}
+    return stores
+
+
+def _stored_block(
+    g: EuclideanGraph, kind: str, idx: np.ndarray, compute, step: int
+) -> np.ndarray:
+    """The block ``X[idx][:, idx]`` of the table ``X`` of the store
+    ``kind``, for distinct vertex indices ``idx``.
+
+    Rows the store lacks come from ``compute(rows)``, ``step`` at a
+    time; each is kept while the stores hold at most
+    ``_ROW_STORE_BYTES`` in all, else it serves this block only.
+    ``compute`` must give a row the same bits whichever rows it is
+    computed with, so no result depends on what was stored.  A growth
+    publishes fresh stores in one attribute assignment and writes to no
+    array a reader may hold, so concurrent queries read consistent stores,
+    and a race at worst computes a row twice.
+    """
+    stores = _stores(g)
+    pos, rows = stores[kind]
+    at = pos[idx]
+    block = np.empty((idx.size, idx.size))
+    block[at >= 0] = rows[np.ix_(at[at >= 0], idx)]
+    fresh = np.flatnonzero(at < 0)
+    n, top = len(g.vertices), len(rows)
+    used = sum(stored.nbytes for _, stored in stores.values())
+    kept = min(fresh.size, max(0, (_ROW_STORE_BYTES - used) // (8 * n)))
+    if kept:
+        grown = np.empty((top + kept, n))
+        grown[:top] = rows
+    for s in range(0, fresh.size, step):
+        part = fresh[s : s + step]
+        new = compute(idx[part])
+        block[part] = new[:, idx]
+        if s < kept:
+            grown[top + s : top + kept][: part.size] = new[: kept - s]
+    if kept:
+        pos = pos.copy()
+        pos[idx[fresh[:kept]]] = np.arange(top, top + kept)
+        g._row_stores = {**stores, kind: (pos, grown)}
+    return block
+
+
+def _distance_block(g: EuclideanGraph, idx: np.ndarray) -> np.ndarray:
+    """Shortest-route distances between the vertices with the distinct
+    indices ``idx``: the symmetric block ``minimum(B, B.T)`` of
+    ``B = D[idx][:, idx]``, where row ``i`` of ``D`` is the Dijkstra search
+    from vertex ``i`` over the symmetric matrix of edge lengths that the
+    graph's consistency check searches too.
+    """
+    block = _stored_block(
+        g, "geodesic", idx, lambda rows: dijkstra(g._weights, directed=True, indices=rows),
+        _SOLVE_COLUMNS,
+    )
+    return np.minimum(block, block.T)
+
+
+def _point_rows(g: EuclideanGraph, pts: _PointTable) -> np.ndarray:
+    """Shortest-route distances from each point of the table ``pts`` to
+    its endpoint vertices ``ends``, one Dijkstra search per point,
+    ``_SOLVE_COLUMNS`` points at a time; nothing is stored.
+
+    A vertex point searches from itself.  An interior point searches from
+    a node of its own joined to its ends ``lo`` and ``hi`` by ``off`` and
+    ``elen - off``; no edge enters such a node, so no route passes through
+    one.
+    """
+    lo, hi, off, elen = pts.lo, pts.hi, pts.off, pts.elen
+    n = len(g.vertices)
+    inner = np.flatnonzero(elen > 0.0)
+    source = lo.copy()
+    source[inner] = n + np.arange(inner.size)
+    w = g._weights
+    size = n + inner.size
+    joins = np.column_stack((lo[inner], hi[inner])).ravel()
+    lengths = np.column_stack((off[inner], elen[inner] - off[inner])).ravel()
+    joined = csr_matrix(
+        (np.concatenate((w.data, lengths)),
+         np.concatenate((w.indices, joins)),
+         np.concatenate((w.indptr, w.indptr[-1] + 2 * np.arange(1, inner.size + 1)))),
+        shape=(size, size),
+    )
+    out = np.empty((lo.size, pts.ends.size))
+    for s in range(0, lo.size, _SOLVE_COLUMNS):
+        rows = dijkstra(joined, directed=True, indices=source[s : s + _SOLVE_COLUMNS])
+        out[s : s + _SOLVE_COLUMNS] = rows[:, pts.ends]
+    return out
+
+
+def _resistance_block(g: EuclideanGraph, idx: np.ndarray) -> np.ndarray:
+    """Effective resistances between the vertices with the distinct
+    indices ``idx``: ``C_ii + C_jj - 2 C_ij`` on the symmetric part of
+    the block ``C[idx][:, idx]`` of ``C = L^-1``, where ``L`` is the
+    conductance matrix (conductance = 1/length) plus a unit at vertex 0.
+
+    The result does not depend on the ground, so one ``L`` serves every
+    origin.  It is exactly symmetric with a zero diagonal.
+    """
+    n = len(g.vertices)
+
+    def columns(rows: np.ndarray) -> np.ndarray:
+        # Columns ``rows`` of L^-1, as rows.
+        rhs = np.zeros((n, rows.size))
+        rhs[rows, np.arange(rows.size)] = 1.0
+        return _conductance_lu(g).solve(rhs).T
+
+    step = min(_SOLVE_COLUMNS, max(8, _SOLVE_BLOCK_BYTES // (8 * n)))
+    block = _stored_block(g, "resistance", idx, columns, step)
+    # Twice the symmetric part; halving and doubling are exact.
+    block += block.T
+    diag = 0.5 * block.diagonal()
+    out = diag[:, None] + diag
+    out -= block
+    return out
+
+
+def _conductance_lu(g: EuclideanGraph) -> SuperLU:
+    """The symmetric-mode sparse LU ``L = P^T F D F^T P`` of ``L``, the
+    conductance matrix (conductance = 1/length) plus a unit at vertex 0,
+    with fill-reducing ``P`` (``perm_r == perm_c``), unit lower ``F`` and
+    positive pivots ``D``.  It is read off the edge table on the first call
+    and kept; a race at worst factors twice.
+
+    Raises :class:`FactorizationFailedError` when that structure fails,
+    which signals a numerically singular L.
+    """
+    lu = g._conductance_factor
+    if lu is not None:
+        return lu
+    n = len(g.vertices)
+    ends = np.concatenate((g._u, g._v, g._u, g._v, [0]))
+    other = np.concatenate((g._u, g._v, g._v, g._u, [0]))
+    c = 1.0 / g._length
+    L = csc_array((np.concatenate((c, c, -c, -c, [1.0])), (ends, other)), shape=(n, n))
+    try:
+        lu = splu(
+            L,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise FactorizationFailedError(
+            f"conductance matrix is numerically singular: {exc}"
+        ) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationFailedError("factorization of L pivoted off the diagonal")
+    if not np.all(lu.U.diagonal() > 0):
+        raise FactorizationFailedError("conductance matrix is not positive definite")
+    g._conductance_factor = lu
+    return lu
 
 
 # -- geodesic metric ---------------------------------------------------------
@@ -280,30 +475,31 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     stage (:func:`_min_plus`) applied twice, to vertex rows and then to the
     transpose of its result, plus the direct within-edge segment when both
     points lie on the same edge (required for correctness on cycles, where
-    the around route can be longer).  Vertex distances come from the graph's
-    block over the endpoint vertices ``ends`` of the point table, so a query
-    costs one Dijkstra row per endpoint the graph has not searched from
-    before, and never an ``n x n`` table.  The graph's first query with
-    points instead searches once from each point when the rows its store
-    lacks outnumber the points
-    (:meth:`~graphfields.graph.EuclideanGraph._searches_from_points`): each
-    search gives that point's row of the first stage, and nothing is
-    stored.  The two routes round differently, so that query may differ
-    from the stored rows' matrix by about ``n 2^-53`` relative.  A
-    two-point :func:`geodesic_distance` counts as a query with points.
-    After a first query that searched from its points, the next cold query
-    searches from every endpoint it lacks, as the first would have.
+    the around route can be longer).  Vertex distances come from the
+    geodesic row store's block over the endpoint vertices ``ends`` of the
+    point table (:func:`_distance_block`), so a query costs one Dijkstra row
+    per endpoint the graph has not searched from before, and never an
+    ``n x n`` table.  The graph's first query with points instead searches
+    once from each point when the rows its store lacks outnumber the points
+    (:func:`_point_rows`): each search gives that point's row of the first
+    stage, and nothing is stored.  The two routes round differently, so
+    that query may differ from the stored rows' matrix by about ``n 2^-53``
+    relative.  A two-point :func:`geodesic_distance` counts as a query with
+    points.  After a first query that searched from its points (the graph's
+    flag ``_geodesic_answered``, read and set here only), the next cold
+    query searches from every endpoint it lacks, as the first would have.
     """
     pts = canonical_points(g, points)
-    from_points = g._searches_from_points(pts.ends, len(pts))
+    pos, _ = _stores(g)["geodesic"]
+    from_points = not g._geodesic_answered and np.count_nonzero(pos[pts.ends] < 0) > len(pts)
     if len(pts):
         # Later queries read stored rows, so a long-lived graph warms up; a
         # race at worst lets two first queries search from their points.
         g._geodesic_answered = True
     if from_points:
-        reach = g._point_rows(pts.lo, pts.hi, pts.off, pts.elen, pts.ends)
+        reach = _point_rows(g, pts)
     else:
-        reach = _min_plus(g._distance_block(pts.ends), pts)
+        reach = _min_plus(_distance_block(g, pts.ends), pts)
     # Rounding is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
     # the nearer end of each row point first, then of each column point,
     # gives the minimum over the four pairings bit for bit.
@@ -349,7 +545,7 @@ def resistance_matrix(g: EuclideanGraph, points) -> np.ndarray:
     """
     pts = canonical_points(g, points)
     W, off, elen = pts.W, pts.off, pts.elen
-    R = g._resistance_block(pts.ends)
+    R = _resistance_block(g, pts.ends)
     r_uv = R[W.indices[0::2], W.indices[1::2]]
     h = W.data[0::2] * W.data[1::2] * (elen - r_uv)
     dist = W @ (W @ R).T

@@ -8,12 +8,13 @@ factors the values by the proof's Cholesky routine.  The constructive
 canonical field as the paper defines it, a vertex field with covariance
 ``L^-1``, shifted to the origin, linearly interpolated along each edge, plus
 an independent Brownian bridge on each edge.  The vertex field comes from a
-triangular solve against the graph's one sparse factor of ``L``.  The
-empirical variogram of such samples converges to the resistance distance,
-which verifies the metric end to end.  It is accumulated in one pass over
-blocks of draws, in memory that grows with the square of the point count
-and not with the number of draws; the CLI ``variogram`` feeds it the
-canonical sampler's blocks as they are drawn and never holds the draws.
+triangular solve against the graph's one sparse factor of ``L``
+(``metrics._conductance_lu``).  The empirical variogram of such samples
+converges to the resistance distance, which verifies the metric end to end.
+It is accumulated in one pass over blocks of draws, in memory that grows
+with the square of the point count and not with the number of draws; the
+CLI ``variogram`` feeds it the canonical sampler's blocks as they are drawn
+and never holds the draws.
 
 Reproducibility: every draw takes all its normals from one stream, the
 Philox generator over ``SeedSequence(seed, spawn_key=(0,))`` (the first
@@ -36,9 +37,9 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, ParamOutOfRangeError, TooFewSamplesError
-from .graph import _SOLVE_COLUMNS
 from .kernels import CovarianceMatrix, _cholesky
-from .metrics import ResistanceContext, _PointTable, canonical_points
+from .metrics import _SOLVE_COLUMNS, ResistanceContext, _PointTable, _conductance_lu
+from .metrics import canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
@@ -120,7 +121,7 @@ def _vertex_field(
     upper: csr_array, root: np.ndarray, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """``n`` draws with covariance ``L^-1`` for ``L = P^T F D F^T P`` (see
-    :func:`graph._factor`), one per column: ``x`` solving
+    :func:`metrics._conductance_lu`), one per column: ``x`` solving
     ``F^T x = D^(-1/2) w`` for white noise ``w`` (one normal per unknown)
     has covariance ``P L^-1 P^T``, so unknown ``i`` is row ``perm_r[i]``.
 
@@ -193,7 +194,7 @@ def _canonical_blocks(ctx: ResistanceContext, points, n: int, seed: int):
     g = ctx.graph
     pts = canonical_points(g, points)
     carry, sd, col, steps = _bridges(pts)
-    lu = g._conductance_lu()
+    lu = _conductance_lu(g)
     upper, root = _whitening(lu)
     # Vertex i is row perm_r[i] of a block of vertex draws.
     ends = lu.perm_r[pts.ends]

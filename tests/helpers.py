@@ -90,7 +90,7 @@ def vertex_distance(g: gf.EuclideanGraph, u: str, v: str) -> float:
     """Shortest-route distance between two vertices, as the graph's row
     store gives it to geodesic queries."""
     idx = np.unique([g.vertex_index(u), g.vertex_index(v)])
-    return float(g._distance_block(idx)[0, -1])
+    return float(gf.metrics._distance_block(g, idx)[0, -1])
 
 
 def has_edge_between(g: gf.EuclideanGraph, u: str, v: str) -> bool:
@@ -365,7 +365,7 @@ def dense_canonical_covariance(g: gf.EuclideanGraph, origin: str, points):
 def factored_conductance(g: gf.EuclideanGraph) -> np.ndarray:
     """The dense matrix the graph's kept factor of ``L`` factors, multiplied
     back out: ``Pr^T F U Pc^T`` for ``Pr L Pc = F U``."""
-    lu = g._conductance_lu()
+    lu = gf.metrics._conductance_lu(g)
     n = lu.shape[0]
     rows, cols = np.zeros((n, n)), np.zeros((n, n))
     rows[lu.perm_r, np.arange(n)] = 1.0
@@ -607,7 +607,7 @@ def four_pairing_geodesic(g: gf.EuclideanGraph, points) -> np.ndarray:
     points on one edge."""
     lo, hi, to_lo, elen, eidx = point_frame(g, points)
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    dist = g._distance_block(ends)
+    dist = gf.metrics._distance_block(g, ends)
     lo, hi = where[: len(lo)], where[len(lo) :]
     to_hi = elen - to_lo
     best = to_lo[:, None] + dist[np.ix_(lo, lo)] + to_lo[None, :]
@@ -631,7 +631,7 @@ def four_pairing_resistance(g: gf.EuclideanGraph, points) -> np.ndarray:
     that of a vectorized assembly in the same order."""
     lo, hi, off, elen, eidx = point_frame(g, points)
     ends, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-    R = g._resistance_block(ends).tolist()
+    R = gf.metrics._resistance_block(g, ends).tolist()
     m = len(points)
     ends_of = [(int(where[p]), int(where[m + p])) for p in range(m)]
     weights = [

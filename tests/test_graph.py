@@ -559,7 +559,7 @@ def test_large_grid_builds_without_all_pairs_table():
         finally:
             tracemalloc.stop()
         assert peak < table_bytes / 32
-        assert not any(len(rows) for _, rows in g._row_stores.values())
+        assert g._row_stores is None and g._conductance_factor is None
 
 
 # -- points and canonicalization ----------------------------------------------

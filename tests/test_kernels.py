@@ -461,6 +461,19 @@ def test_covariance_matrix_equals_entrywise_profile_across_row_blocks(kind):
             assert np.array_equal(cov.values, expected), (m, spec)
 
 
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_covariance_matrix_of_no_points_is_empty_and_proved(kind):
+    # distance_matrix and r_graph_matrix give empty matrices for no points;
+    # an empty matrix is vacuously positive definite, so it gets the proof.
+    g = gf.build_graph(
+        ["a", "b", "c"], [("ab", "a", "b", 1.0), ("bc", "b", "c", 1.0), ("ca", "c", "a", 1.0)]
+    )
+    for spec in IN_RANGE_SPECS:
+        cov = gf.covariance_matrix(g, [], spec, kind, min_separation=1.0)
+        assert cov.labels == () and cov.values.shape == (0, 0)
+        assert cov.psd_certificate == gf.PsdReport(None, None, True)
+
+
 def test_covariance_matrix_canonicalizes_each_point_once(monkeypatch):
     seen = []
     real = gf.metrics._locate

@@ -338,7 +338,7 @@ def test_concurrent_queries_read_consistent_row_stores():
 
 
 def _stored_bytes(g) -> int:
-    return sum(rows.nbytes for _, rows in g._row_stores.values())
+    return sum(rows.nbytes for _, rows in gf.metrics._stores(g).values())
 
 
 @settings(max_examples=30)
@@ -374,7 +374,7 @@ def test_matrices_are_bit_equal_cold_warm_and_past_the_store_budget(
             assert np.array_equal(expected[0], expected[-1])
         budget = budget_rows * 8 * len(g.vertices)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf.graph, "_ROW_STORE_BYTES", budget)
+            mp.setattr(gf.metrics, "_ROW_STORE_BYTES", budget)
             for k in reversed(range(len(sets))):
                 got = gf.distance_matrix(small, sets[k], kind)
                 if kind is MetricKind.GEODESIC and k == len(sets) - 1:
@@ -393,7 +393,7 @@ def test_rows_past_the_budget_equal_stored_rows_on_a_grid(monkeypatch):
     pts = random_points(np.random.default_rng(4), g, 150, vertex_share=0.1)
     gf.distance_matrix(g, pts[:1], MetricKind.GEODESIC)
     expected = {kind: gf.distance_matrix(g, pts, kind) for kind in MetricKind}
-    monkeypatch.setattr(gf.graph, "_ROW_STORE_BYTES", 5 * 8 * len(g.vertices))
+    monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", 5 * 8 * len(g.vertices))
     small = gf.build_graph(g.vertices, g.edges)
     gf.distance_matrix(small, pts[:1], MetricKind.GEODESIC)
     for kind in MetricKind:
@@ -438,7 +438,7 @@ def test_first_geodesic_query_searches_from_points(
     assume(ends.size > len(pts))
 
     def stored(graph):
-        pos, rows = graph._row_stores["geodesic"]
+        pos, rows = gf.metrics._stores(graph)["geodesic"]
         return len(rows), np.count_nonzero(pos[ends] >= 0)
 
     warm = gf.build_graph(g.vertices, g.edges)
@@ -454,6 +454,44 @@ def test_first_geodesic_query_searches_from_points(
     second = gf.metrics.geodesic_matrix(g, pts)
     assert stored(g) == (ends.size, ends.size)
     assert second.tobytes() == from_rows.tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(8, 40),
+    n_chords=st.integers(0, 6),
+    n_edges=st.integers(1, 4),
+    per_edge=st.integers(2, 4),
+    n_vertex_points=st.integers(0, 3),
+)
+def test_first_geodesic_query_with_few_ends_reads_and_stores_rows(
+    seed, n_vertices, n_chords, n_edges, per_edge, n_vertex_points
+):
+    # The cov_sites shape: the first query with points on a long-lived graph
+    # has no more endpoint vertices than points (several points inside each
+    # edge of a matching, and vertex points at their ends; equality when
+    # there are none), so it reads rows and stores every one it computes,
+    # and its matrix is that of an instance that answered a query before.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_vertices, n_chords)
+    pts, used = [], set()
+    for k in rng.permutation(len(g.edges)):
+        e = g.edges[k]
+        if len(used) < 2 * n_edges and not used & {e.u, e.v}:
+            used |= {e.u, e.v}
+            pts += [_ep(e.id, float(x) * e.length) for x in rng.uniform(0.02, 0.98, per_edge)]
+    pts += [_vp(v) for v in rng.choice(sorted(used), n_vertex_points)]
+    ends = canonical_points(g, pts).ends
+    assert ends.size <= len(pts)
+    warm = gf.build_graph(g.vertices, g.edges)
+    e = g.edges[0]
+    gf.metrics.geodesic_matrix(warm, [_ep(e.id, 0.5 * e.length)])
+    from_rows = gf.metrics.geodesic_matrix(warm, pts)
+    first = gf.metrics.geodesic_matrix(g, pts)
+    pos, rows = gf.metrics._stores(g)["geodesic"]
+    assert len(rows) == ends.size and (pos[ends] >= 0).all()
+    assert first.tobytes() == from_rows.tobytes()
 
 
 def test_geodesic_queries_on_large_grid_stay_far_below_all_pairs_table():
@@ -516,7 +554,7 @@ def test_factor_columns_match_dense_inverse():
     ctx = gf.build_resistance_context(g, g.vertices[3])
     # L^-1 from the definition, with its unit at vertex 0.
     dense, _ = dense_canonical_covariance(g, g.vertices[0], list(map(gf.vertex_point, g.vertices)))
-    columns = g._conductance_lu().solve(np.eye(len(g.vertices)))
+    columns = gf.metrics._conductance_lu(g).solve(np.eye(len(g.vertices)))
     assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)
     # The same covariance assembled by hand from the definition.
     mu, bridge = dense_canonical_covariance(g, ctx.origin, pts)

@@ -55,6 +55,17 @@ def test_fixed_seed_is_bitwise_reproducible():
     assert a.draws.tobytes() != c.draws.tobytes()
 
 
+def test_draws_of_an_empty_covariance_have_no_columns():
+    # As the canonical sampler's draws at no points: n rows of no values.
+    g = unit_square()
+    spec = gf.KernelSpec(gf.KernelFamily.POWER_EXPONENTIAL, 1.0, 1.0)
+    cov = gf.covariance_matrix(g, [], spec, MetricKind.RESISTANCE)
+    sample = gf.sample_from_covariance(cov, 5, seed=1)
+    canonical = gf.sample_canonical_field(gf.build_resistance_context(g), [], 5, seed=1)
+    assert sample.draws.shape == canonical.draws.shape == (5, 0)
+    assert sample.labels == canonical.labels == () and sample.jitter == 0.0
+
+
 def test_not_psd_rejected():
     with pytest.raises(gf.NotPSDError):
         gf.sample_from_covariance(certified([[1.0, 2.0], [2.0, 1.0]]), 5, seed=0)
@@ -140,7 +151,7 @@ def _per_block_draws(ctx, pts, n, seed):
     factor again for every block of 64 draws, and the bridges drawn one
     edge and one point at a time."""
     g = ctx.graph
-    lu = g._conductance_lu()
+    lu = gf.metrics._conductance_lu(g)
     rng = _stream(seed, n)
     io = g.vertex_index(ctx.origin)
     # The distinct interior points by edge position, then offset.

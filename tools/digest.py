@@ -23,6 +23,15 @@ line each for the bytes of the values, the labels and the certificate's
 ``1.cov_sites.0.labels`` and ``1.cov_sites.0.certificate``.  BLAS runs
 one thread, as in ``benchmark/run.py``.
 
+After the seeds, once per run, it prints one line for the bytes of the
+Matern ``radial_profile`` (``beta = 1``, so ``t = z``) at each of six nu,
+1/2 (the exact ``exp(-z)``) among them, as ``matern.0.25``.  The values are
+taken on one fixed grid of ``z``: zero, subnormals up to the smallest
+normal, a geometric sweep of the series range below ``2^-5``, 256 points in
+each octave of the table (so every cell boundary) with the neighbours of
+each octave boundary from ``2^-5`` to ``2^10``, and values past 745, where
+``e^-z`` underflows, up to ``inf``.
+
 To check that a change keeps the bytes, run this in both checkouts and
 ``diff`` the two outputs.  The bits depend on the platform and the BLAS
 build, so no digest is kept to compare against.
@@ -51,6 +60,9 @@ from workloads import CliMix, CovSites  # noqa: E402
 
 # The first requests of ``cov_sites``, two for each (metric, family) pair.
 COV_SITES_REQUESTS = 16
+
+# The Matern smoothness values of the profile lines, 1/2 among them.
+MATERN_NU = (0.5, 0.4999, 0.3, 0.25, 0.1, 1e-6)
 
 
 def _sha(data: bytes) -> str:
@@ -106,6 +118,27 @@ def digest(seed: int, workdir: str):
         )
 
 
+def matern_grid() -> np.ndarray:
+    """The fixed ``z`` of the Matern lines; see the module docstring."""
+    tiny = np.finfo(float).smallest_normal
+    subnormal = np.ldexp(1.0, np.arange(-1074, -1021))
+    series = np.geomspace(tiny, 2.0**-5, 512, endpoint=False)
+    octave = np.ldexp(1.0, np.arange(-5, 11))
+    cells = (octave[:-1, None] * (1.0 + np.arange(256) / 256.0)).ravel()
+    edges = np.concatenate((np.nextafter(octave, 0.0), np.nextafter(octave, np.inf)))
+    beyond = [700.0, 744.0, 745.0, 745.2, 746.0, 800.0, 1e4, 1e300, np.inf]
+    return np.unique(np.concatenate(([0.0], subnormal, series, cells, octave, edges, beyond)))
+
+
+def matern_lines():
+    """The ``(name, sha256)`` of the Matern profile at each of ``MATERN_NU``."""
+    z = matern_grid()
+    for nu in MATERN_NU:
+        spec = graphfields.KernelSpec(graphfields.KernelFamily.MATERN, nu, 1.0)
+        values = np.ascontiguousarray(graphfields.radial_profile(spec, z), dtype=float)
+        yield f"matern.{nu!r}", _sha(values.tobytes())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, action="append", required=True)
@@ -121,6 +154,8 @@ def main(argv=None) -> int:
         with context as workdir:
             for name, sha in digest(seed, workdir):
                 print(name, sha)
+    for name, sha in matern_lines():
+        print(name, sha)
     return 0
 
 
