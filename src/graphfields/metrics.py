@@ -28,15 +28,16 @@ origin.  The geodesic metric reads the same ends through one min-plus stage.
 This module owns that vertex-row engine; the graph only holds empty slots
 for its caches: the row stores of both metrics (:func:`_stored_block`), the
 flag of a graph's first geodesic query (:func:`geodesic_matrix`) and the one
-factor of ``L`` (:func:`_conductance_lu`), which canonical draws read too.
+factor of ``L`` (:func:`_conductance_lu`), which canonical draws read too,
+through :func:`_vertex_draws`, the one reader of its layout.
 
 Only the covariance (``r_graph_matrix``) and the canonical sampler depend
 on the origin ``o``, where the field has unit variance, so only they take
 a :class:`ResistanceContext`, the graph and an origin checked against it.
 The covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``, read
-from one distance query over the points and ``o``, and the sampler draws
-the vertex field from the graph's one factor of ``L`` and shifts it to
-``o`` (see :mod:`graphfields.simulate`).
+from one distance query over the points and ``o``, and the sampler takes
+the vertex field from :func:`_vertex_draws` and shifts it to ``o`` (see
+:mod:`graphfields.simulate`).
 
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
@@ -58,7 +59,7 @@ from enum import Enum
 import numpy as np
 from scipy.sparse import csc_array, csr_array, csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import SuperLU, splu, spsolve_triangular
 
 from .errors import DuplicatePointsError, FactorizationFailedError
 from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label, vertex_point
@@ -319,11 +320,17 @@ def _conductance_lu(g: EuclideanGraph) -> SuperLU:
     and kept; a race at worst factors twice.
 
     Raises :class:`FactorizationFailedError` when that structure fails,
-    which signals a numerically singular L.
+    which signals a numerically singular L, and, before dividing, naming
+    the first edge whose ``1/length`` overflows (length <= ``1/DBL_MAX``).
     """
     lu = g._conductance_factor
     if lu is not None:
         return lu
+    short = np.flatnonzero(g._length <= 1.0 / np.finfo(float).max)
+    if short.size:
+        eid = g._ids[short[0]]
+        raise FactorizationFailedError(
+            f"edge {eid!r} is too short: 1/length overflows", edge_id=eid)
     n = len(g.vertices)
     ends = np.concatenate((g._u, g._v, g._u, g._v, [0]))
     other = np.concatenate((g._u, g._v, g._v, g._u, [0]))
@@ -346,6 +353,32 @@ def _conductance_lu(g: EuclideanGraph) -> SuperLU:
         raise FactorizationFailedError("conductance matrix is not positive definite")
     g._conductance_factor = lu
     return lu
+
+
+def _vertex_draws(g: EuclideanGraph, idx, rng: np.random.Generator, n: int):
+    """A generator of ``n`` draws with covariance ``L^-1`` at the vertex
+    indices ``idx``, in ``(len(idx), k)`` blocks of ``k <= _SOLVE_COLUMNS``
+    draws, one per column; ``L`` is factored and whitened on the call, and
+    no normal is drawn before the first block is asked for.
+
+    The one reader of the factor's layout: for ``L = P^T F D F^T P``, a
+    block takes a row of normals ``w`` per draw, one per vertex, and solves
+    ``F^T x = D^(-1/2) w^T``, so ``x`` has covariance ``P L^-1 P^T`` and
+    vertex ``i`` is row ``perm_r[i]``.  ``F^T`` is ``lu.L.T`` (CSR), solved
+    in place: the first solve sorts the arrays ``lu.L`` shares with it.
+    """
+    lu = _conductance_lu(g)
+    upper, root, rows = lu.L.T, np.sqrt(lu.U.diagonal()), lu.perm_r[idx]
+
+    def blocks():
+        for s in range(0, n, _SOLVE_COLUMNS):
+            white = rng.standard_normal((min(_SOLVE_COLUMNS, n - s), root.size)).T
+            white /= root[:, None]
+            yield spsolve_triangular(
+                upper, white, lower=False, unit_diagonal=True, overwrite_A=True, overwrite_b=True
+            )[rows]
+
+    return blocks()
 
 
 # -- geodesic metric ---------------------------------------------------------

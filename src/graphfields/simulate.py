@@ -7,9 +7,9 @@ factors the values by the proof's Cholesky routine.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it builds the
 canonical field as the paper defines it, a vertex field with covariance
 ``L^-1``, shifted to the origin, linearly interpolated along each edge, plus
-an independent Brownian bridge on each edge.  The vertex field comes from a
-triangular solve against the graph's one sparse factor of ``L``
-(``metrics._conductance_lu``).  The empirical variogram of such samples
+an independent Brownian bridge on each edge.  The vertex field comes from
+``metrics._vertex_draws``, the one reader of the layout of the graph's
+sparse factor of ``L``.  The empirical variogram of such samples
 converges to the resistance distance, which verifies the metric end to end.
 It is accumulated in one pass over blocks of draws, in memory that grows
 with the square of the point count and not with the number of draws; the
@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyr as _dsyr, dsyrk as _dsyrk
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import SuperLU, spsolve_triangular
 
 from .errors import NotPSDError, ParamOutOfRangeError, TooFewSamplesError
 from .kernels import CovarianceMatrix, _cholesky
-from .metrics import _SOLVE_COLUMNS, ResistanceContext, _PointTable, _conductance_lu
+from .metrics import _SOLVE_COLUMNS, ResistanceContext, _PointTable, _vertex_draws
 from .metrics import canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
@@ -117,33 +115,6 @@ def sample_from_covariance(cov: CovarianceMatrix, n: int, seed: int) -> FieldSam
     )
 
 
-def _vertex_field(
-    upper: csr_array, root: np.ndarray, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """``n`` draws with covariance ``L^-1`` for ``L = P^T F D F^T P`` (see
-    :func:`metrics._conductance_lu`), one per column: ``x`` solving
-    ``F^T x = D^(-1/2) w`` for white noise ``w`` (one normal per unknown)
-    has covariance ``P L^-1 P^T``, so unknown ``i`` is row ``perm_r[i]``.
-
-    ``upper`` is ``F^T`` as a CSR matrix with sorted indices and ``root`` is
-    ``sqrt(D)``, both prepared once per factor by :func:`_whitening`; the
-    solve reads ``upper`` in place and changes none of its values.
-    """
-    white = rng.standard_normal((n, root.size)).T
-    white /= root[:, None]
-    return spsolve_triangular(
-        upper, white, lower=False, unit_diagonal=True, overwrite_A=True, overwrite_b=True
-    )
-
-
-def _whitening(lu: SuperLU) -> tuple[csr_array, np.ndarray]:
-    """``F^T`` (CSR, sorted indices) and ``sqrt(D)`` of a factor, as
-    :func:`_vertex_field` reads them."""
-    upper = csr_array(lu.L.T)
-    upper.sort_indices()
-    return upper, np.sqrt(lu.U.diagonal())
-
-
 def _bridges(pts: _PointTable):
     """The Brownian bridge of each edge at the points of ``pts``, drawn in
     offset order by the Markov step: from ``b_prev`` at ``s_prev`` (0 at
@@ -179,8 +150,8 @@ def _canonical_blocks(ctx: ResistanceContext, points, n: int, seed: int):
     The seed and ``n`` are checked, and the factor and bridges prepared,
     before this returns; no normal is drawn until the first block is asked
     for.  Per block, the vertex field ``Z_0`` (covariance ``L^-1``,
-    grounded at vertex 0) comes from one triangular solve against the
-    graph's factor of ``L`` (:func:`_vertex_field`).  It is shifted to the
+    grounded at vertex 0) comes from :func:`metrics._vertex_draws`, the one
+    reader of the layout of the graph's factor of ``L``.  It is shifted to the
     origin ``o``, ``Z = Z_0 - Z_0(o) + xi`` with ``xi ~ N(0, 1)``, and read
     at the points as ``W Z`` over the endpoint vertices ``ends`` of the
     point table: ``w_lo Z(u) + w_hi Z(v)`` at offset ``s`` of an edge
@@ -194,18 +165,13 @@ def _canonical_blocks(ctx: ResistanceContext, points, n: int, seed: int):
     g = ctx.graph
     pts = canonical_points(g, points)
     carry, sd, col, steps = _bridges(pts)
-    lu = _conductance_lu(g)
-    upper, root = _whitening(lu)
-    # Vertex i is row perm_r[i] of a block of vertex draws.
-    ends = lu.perm_r[pts.ends]
-    origin = lu.perm_r[g.vertex_index(ctx.origin)]
+    vertex = _vertex_draws(g, [*pts.ends, g.vertex_index(ctx.origin)], rng, n)
 
     def blocks():
-        for s in range(0, n, _SOLVE_COLUMNS):
-            k = min(_SOLVE_COLUMNS, n - s)
-            x = _vertex_field(upper, root, rng, k)
-            z = x[ends]
-            z -= x[origin]
+        for x in vertex:  # rows: the ends, then the origin
+            k = x.shape[1]
+            z = x[:-1]
+            z -= x[-1]
             z += rng.standard_normal(k)
             bridge = np.zeros((k, sd.size + 1))
             bridge[:, :-1] = rng.standard_normal((k, sd.size)) * sd

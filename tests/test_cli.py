@@ -765,10 +765,11 @@ def test_variogram_memory_does_not_grow_with_the_draw_count(tmp_path):
 def test_variogram_refuses_before_drawing(capsys, workdir, monkeypatch):
     # The draw count, then the seed, then the second draw, all before the
     # first normal.
-    def draw(*args):
+    def draws(*args):
         raise AssertionError("drew a block")
+        yield
 
-    monkeypatch.setattr(gf.simulate, "_vertex_field", draw)
+    monkeypatch.setattr(gf.simulate, "_vertex_draws", draws)
     inputs = ["variogram", "--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
     for extra, error, message in (
         (["--n", "0", "--seed", "-1"], "TooFewSamples", "need at least 1 draw, got 0"),
@@ -1284,17 +1285,38 @@ def test_console_entry_point_exit_codes(length, code, error):
         _assert_one_error_line(done, code, error)
 
 
-def _console(*argv, stdin=""):
-    """Run the console script's entry point in a fresh interpreter."""
+def _console(*argv, stdin="", flags=()):
+    """Run the console script's entry point in a fresh interpreter, started
+    with the interpreter options ``flags``."""
     env = {**os.environ, "PYTHONPATH": str(Path(gf.__file__).resolve().parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "graphfields.cli", *map(str, argv)],
+        [sys.executable, *flags, "-m", "graphfields.cli", *map(str, argv)],
         input=stdin,
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+_TOO_SHORT = json.dumps({"vertices": ["a", "b", "c"], "edges": [
+    {"id": "ab", "u": "a", "v": "b", "length": 5e-324},
+    {"id": "bc", "u": "b", "v": "c", "length": 1.0},
+]})
+
+
+@pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "W-error"])
+def test_console_refuses_an_edge_whose_conductance_overflows(flags):
+    # 1 / 5e-324 overflows.  Under the default warning filters (not this
+    # suite's "error") a RuntimeWarning would print before the JSON line,
+    # and under -W error it would be a traceback; the edge is refused before
+    # dividing.  Geodesic distances still answer.
+    ends = ["--from", '{"vertex": "a"}', "--to", '{"edge": "bc", "offset": 0.5}']
+    argv = ["dist", "--graph", "-", *ends, "--metric"]
+    done = _console(*argv, "resistance", stdin=_TOO_SHORT, flags=flags)
+    assert _assert_one_error_line(done, 2, "FactorizationFailed")["edge_id"] == "ab"
+    done = _console(*argv, "geodesic", stdin=_TOO_SHORT, flags=flags)
+    assert (done.returncode, done.stderr, json.loads(done.stdout)["value"]) == (0, "", 0.5)
 
 
 def _assert_one_error_line(done, code, error) -> dict:

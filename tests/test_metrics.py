@@ -637,6 +637,50 @@ def test_large_tree_resistance_equals_geodesic():
     assert np.max(np.abs(geo - res)) <= 1e-9
 
 
+def _path(ab: float, bc: float):
+    """The path a--b--c with the edges ``ab`` and ``bc`` of these lengths."""
+    return gf.build_graph(["a", "b", "c"], [("ab", "a", "b", ab), ("bc", "b", "c", bc)])
+
+
+def _extreme(ab, bc, raises, what):
+    reason = f"{what}; ROADMAP items 13 (exact small differences) and 16 (per-block factors)"
+    return pytest.param(
+        ab, bc, marks=pytest.mark.xfail(strict=True, raises=raises, reason=reason),
+        id=f"ab={ab:g}-bc={bc:g}",
+    )
+
+
+@pytest.mark.parametrize("ab, bc", [
+    _extreme(1.0, 1e-300, AssertionError, "d_R(a, b) is 0.5 where d_G is 1"),
+    _extreme(1e-300, 1.0, AssertionError, "d_R(a, b) is 1.49e-300 where d_G is 1e-300"),
+    _extreme(1e300, 1.0, gf.FactorizationFailedError, "L is numerically singular"),
+    _extreme(1e-200, 1.0, gf.FactorizationFailedError, "L is numerically singular"),
+])
+def test_paths_with_extreme_lengths_keep_resistance_equal_to_geodesic(ab, bc):
+    # On a tree d_R equals d_G, whatever the lengths.
+    g = _path(ab, bc)
+    pts = [gf.vertex_point(v) for v in "abc"]
+    geo = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
+    res = gf.distance_matrix(g, pts, MetricKind.RESISTANCE)
+    assert np.allclose(res, geo, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("short", [5e-324, 1.0 / np.finfo(float).max])
+def test_an_edge_whose_conductance_overflows_is_refused_by_name(short):
+    # 1 / length overflows: resistance and covariance refuse the edge before
+    # dividing, so no RuntimeWarning (an error in this suite) is raised.
+    # Geodesic distances do not divide by lengths and keep their answers.
+    g = _path(short, 1.0)
+    pts = [*map(gf.vertex_point, "abc"), gf.edge_point("bc", 0.5)]
+    ctx = gf.build_resistance_context(g)
+    for query in (lambda: resistance_matrix(g, pts), lambda: gf.r_graph_matrix(ctx, pts)):
+        with pytest.raises(gf.FactorizationFailedError, match="'ab' is too short") as info:
+            query()
+        assert info.value.detail == {"edge_id": "ab"}
+    geo = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
+    assert geo[0].tolist() == [0.0, short, 1.0, 0.5]
+
+
 # -- field kernels on the single edge -------------------------------------------
 
 

@@ -205,6 +205,16 @@ def test_canonical_draws_equal_per_block_whitening(n):
     assert hashlib.sha256(got.tobytes()).digest() == hashlib.sha256(expected.tobytes()).digest()
 
 
+def test_canonical_draws_refuse_an_edge_whose_conductance_overflows():
+    # 1 / 5e-324 overflows; the edge is named before anything is divided
+    # or drawn, with no RuntimeWarning (an error in this suite).
+    g = gf.build_graph(["a", "b", "c"], [("ab", "a", "b", 5e-324), ("bc", "b", "c", 1.0)])
+    ctx = gf.build_resistance_context(g)
+    with pytest.raises(gf.FactorizationFailedError, match="'ab' is too short") as info:
+        gf.sample_canonical_field(ctx, [gf.vertex_point("c"), gf.edge_point("bc", 0.5)], 5, 1)
+    assert info.value.detail == {"edge_id": "ab"}
+
+
 @settings(max_examples=20)
 @given(
     seed=st.integers(0, 2**32 - 1),
