@@ -277,12 +277,8 @@ class EuclideanGraph:
     def edges(self) -> tuple[Edge, ...]:
         """The edges in input order, built from the edge table on first
         access; the CLI and the functions it calls read the table."""
-        return tuple(itertools.starmap(Edge, self._edge_records()))
-
-    def _edge_records(self):
-        """The ``(id, u, v, length)`` record of each edge, in input order."""
         ends = (map(self.vertices.__getitem__, a.tolist()) for a in (self._u, self._v))
-        return zip(self._ids, *ends, self._length.tolist())
+        return tuple(itertools.starmap(Edge, zip(self._ids, *ends, self._length.tolist())))
 
     # -- validation -----------------------------------------------------
 
@@ -487,7 +483,7 @@ def _point_at(g: EuclideanGraph, at: int, off: float | None) -> GraphPoint:
     return GraphPoint(edge=g._ids[at], offset=off)
 
 
-def canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
+def _canonicalize(g: EuclideanGraph, p: GraphPoint) -> GraphPoint:
     """Normalize a point: boundary offsets become the endpoint vertex."""
     return _point_at(g, *_locate(g, p))
 
@@ -612,16 +608,6 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
 # -- JSON wire format --------------------------------------------------------
 
 
-def graph_to_json(g: EuclideanGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [
-            {"id": eid, "u": u, "v": v, "length": length}
-            for eid, u, v, length in g._edge_records()
-        ],
-    }
-
-
 def graph_from_json(obj: dict) -> EuclideanGraph:
     if not isinstance(obj, dict) or not all(
         isinstance(obj.get(key), list) for key in ("vertices", "edges")
@@ -631,7 +617,7 @@ def graph_from_json(obj: dict) -> EuclideanGraph:
 
 
 def point_from_json(g: EuclideanGraph, obj: dict) -> GraphPoint:
-    return canonicalize(g, _point_fields(obj))
+    return _canonicalize(g, _point_fields(obj))
 
 
 def _point_fields(obj) -> GraphPoint:

@@ -60,7 +60,7 @@ from .metrics import MetricKind, canonical_points, distance_matrix
 
 PSD_REL_TOL = 1e-9
 
-# Rows of the upper triangle that covariance_from_distances hands to one
+# Rows of the upper triangle that _covariance_from_distances hands to one
 # radial_profile call.  The square diagonal block of each call is evaluated
 # on both sides of the diagonal, m * _ROW_BLOCK / 2 profile values in all;
 # 32 keeps that waste at 6 % of the m^2 / 2 pairs at m = 500 while the
@@ -492,7 +492,7 @@ class CovarianceMatrix:
     psd_certificate: PsdReport
 
 
-def covariance_from_distances(dm: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def _covariance_from_distances(dm: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Apply a radial profile to a square distance matrix; unit diagonal.
 
     This reads only the strict upper triangle of ``dm``: the profile is
@@ -502,9 +502,6 @@ def covariance_from_distances(dm: np.ndarray, spec: KernelSpec) -> np.ndarray:
     symmetric, and for a symmetric ``dm`` (as ``distance_matrix`` returns)
     it equals the entrywise profile with a unit diagonal bit for bit.
     """
-    dm = np.asarray(dm, dtype=float)
-    if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
-        raise ValueError(f"expected a square distance matrix, got shape {dm.shape}")
     m = dm.shape[0]
     out = np.empty((m, m))
     for s in range(0, m, _ROW_BLOCK):
@@ -549,7 +546,7 @@ def covariance_matrix(
                 f"two points are at distance {closest}, below the required "
                 f"separation {min_separation}"
             )
-    values = covariance_from_distances(dm, spec)
+    values = _covariance_from_distances(dm, spec)
     del dm
     return CovarianceMatrix(
         labels=pts.labels,
@@ -582,7 +579,7 @@ class ForbiddenWitness:
     negative_eigenvalue: float | None
 
 
-def theta_witness_graph(t: float, r: float) -> tuple[EuclideanGraph, list]:
+def _theta_witness_graph(t: float, r: float) -> tuple[EuclideanGraph, list]:
     """Theta graph and the six labeled points of the witness configuration.
 
     Two junction vertices are joined by three internally disjoint routes of
@@ -618,7 +615,7 @@ def forbidden_certificate(t: float, r: float) -> ForbiddenWitness:
     exp(-beta * d) is scanned over a log grid of rates for a negative
     eigenvalue.
     """
-    g, points = theta_witness_graph(t, r)
+    g, points = _theta_witness_graph(t, r)
     dm = distance_matrix(g, points, MetricKind.GEODESIC)
     sigma = 0.5 * (dm[1:, 0][:, None] + dm[0, 1:][None, :] - dm[1:, 1:])
     xi = t / r

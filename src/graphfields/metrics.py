@@ -31,19 +31,16 @@ flag of a graph's first geodesic query (:func:`geodesic_matrix`) and the one
 factor of ``L`` (:func:`_conductance_lu`), which canonical draws read too,
 through :func:`_vertex_draws`, the one reader of its layout.
 
-Only the covariance (``r_graph_matrix``) and the canonical sampler depend
-on the origin ``o``, where the field has unit variance, so only they take
-a :class:`ResistanceContext`, the graph and an origin checked against it.
-The covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``, read
-from one distance query over the points and ``o``, and the sampler takes
-the vertex field from :func:`_vertex_draws` and shifts it to ``o`` (see
-:mod:`graphfields.simulate`).
+Only the canonical sampler depends on the origin ``o``, where the field
+has unit variance, so only it takes a :class:`ResistanceContext`, the graph
+and an origin checked against it.  It takes the vertex field from
+:func:`_vertex_draws` and shifts it to ``o`` (see :mod:`graphfields.simulate`).
 
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
 canonical points, their endpoint indices, offsets, edge lengths, edge positions
 and labels, the first repeated point, the distinct endpoint vertices ``ends``
-and the interpolation map ``W``.  Both metrics, the covariance and the
+and the interpolation map ``W``.  Both metrics, kernel covariances and the
 canonical sampler read that table; a table passed back in is kept.
 
 ``oracle_effective_resistance`` is an independent cross-check: it assembles
@@ -62,8 +59,8 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import SuperLU, splu, spsolve_triangular
 
 from .errors import DuplicatePointsError, FactorizationFailedError
-from .graph import EuclideanGraph, GraphPoint, canonicalize, point_label, vertex_point
-from .graph import _first_repeat, _locate, _point_at
+from .graph import EuclideanGraph, GraphPoint, point_label
+from .graph import _canonicalize, _first_repeat, _locate, _point_at
 
 # Relative eigenvalue cutoff identifying the null space of the combinatorial
 # Laplacian in the oracle's pseudoinverse.
@@ -364,11 +361,13 @@ def _vertex_draws(g: EuclideanGraph, idx, rng: np.random.Generator, n: int):
     The one reader of the factor's layout: for ``L = P^T F D F^T P``, a
     block takes a row of normals ``w`` per draw, one per vertex, and solves
     ``F^T x = D^(-1/2) w^T``, so ``x`` has covariance ``P L^-1 P^T`` and
-    vertex ``i`` is row ``perm_r[i]``.  ``F^T`` is ``lu.L.T`` (CSR), solved
-    in place: the first solve sorts the arrays ``lu.L`` shares with it.
+    vertex ``i`` is row ``perm_r[i]``.  ``F^T`` is a copy of ``lu.L.T``
+    (CSR) with sorted indices, made on the call and solved in place, so the
+    arrays of the factor kept on the graph, which every reader shares, are
+    never written, and no block copies or sorts ``F^T`` again.
     """
     lu = _conductance_lu(g)
-    upper, root, rows = lu.L.T, np.sqrt(lu.U.diagonal()), lu.perm_r[idx]
+    upper, root, rows = lu.L.T.sorted_indices(), np.sqrt(lu.U.diagonal()), lu.perm_r[idx]
 
     def blocks():
         for s in range(0, n, _SOLVE_COLUMNS):
@@ -396,10 +395,10 @@ def geodesic_distance(g: EuclideanGraph, p: GraphPoint, q: GraphPoint) -> float:
 class ResistanceContext:
     """An origin vertex checked against its graph.
 
-    The origin is the vertex of unit variance of the covariance and of
-    canonical draws, which read the graph's one factor of ``L`` (grounded
-    at vertex 0) and its vertex resistances.  Distances do not depend on
-    it.  The context is frozen and holds no cache.
+    The origin is the vertex of unit variance of canonical draws, which
+    read only the graph's one factor of ``L`` (grounded at vertex 0),
+    through :func:`_vertex_draws`.  Distances do not depend on it.  The
+    context is frozen and holds no cache.
     """
 
     graph: EuclideanGraph
@@ -411,7 +410,7 @@ def build_resistance_context(
 ) -> ResistanceContext:
     """Check the origin against the graph; it defaults to the smallest label.
 
-    The context is the argument of :func:`r_graph_matrix` and
+    The context is the argument of
     :func:`~graphfields.simulate.sample_canonical_field`.  It stays a
     separate step, not an ``origin=`` keyword, because ``benchmark/``
     calls this function by name.
@@ -447,8 +446,8 @@ def oracle_effective_resistance(
     cutoff as the null space.  Deliberately shares no code with
     :func:`resistance_distance`.
     """
-    p = canonicalize(g, p)
-    q = canonicalize(g, q)
+    p = _canonicalize(g, p)
+    q = _canonicalize(g, q)
     if p == q:
         return 0.0
 
@@ -542,22 +541,6 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     best[i, j] = np.minimum(best[i, j], np.abs(off[i] - off[j]))
     np.fill_diagonal(best, 0.0)
     return np.minimum(best, best.T)
-
-
-def r_graph_matrix(ctx: ResistanceContext, points) -> np.ndarray:
-    """Canonical-field covariance matrix of points (vectorized).
-
-    The field has unit variance at the origin ``o`` and variogram ``d_R``,
-    so the covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``,
-    read from one :func:`resistance_matrix` over the points and ``o``.
-    """
-    dist = resistance_matrix(ctx.graph, [*points, vertex_point(ctx.origin)])
-    to_origin = dist[-1, :-1]
-    cov = to_origin[:, None] + to_origin
-    cov -= dist[:-1, :-1]
-    cov *= 0.5
-    cov += 1.0
-    return cov
 
 
 def resistance_matrix(g: EuclideanGraph, points) -> np.ndarray:

@@ -10,7 +10,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 import graphfields as gf
-from graphfields.graph import _as_float, _edge_fields, _locate, _unique_label
+from graphfields.graph import _as_float, _canonicalize, _edge_fields, _locate, _unique_label
+from graphfields.metrics import resistance_matrix
 
 
 # -- fixed fixtures -----------------------------------------------------------
@@ -237,7 +238,7 @@ def random_points(
         else:
             e = g.edges[int(rng.integers(0, len(g.edges)))]
             p = gf.edge_point(e.id, float(rng.uniform(0.02, 0.98)) * e.length)
-        p = gf.canonicalize(g, p)
+        p = _canonicalize(g, p)
         key = (p.vertex, p.edge, p.offset)
         if key in seen:
             continue
@@ -249,10 +250,22 @@ def random_points(
 # -- brute-force oracles ------------------------------------------------------
 
 
+def r_graph_matrix(ctx: gf.ResistanceContext, points) -> np.ndarray:
+    """Canonical-field covariance matrix of points.
+
+    The field has unit variance at the origin ``o`` and variogram ``d_R``,
+    so the covariance is ``1 + (d_R(p, o) + d_R(q, o) - d_R(p, q)) / 2``,
+    read from one resistance matrix over the points and ``o``.
+    """
+    dist = resistance_matrix(ctx.graph, [*points, gf.vertex_point(ctx.origin)])
+    to_origin = dist[-1, :-1]
+    return 1.0 + 0.5 * (to_origin[:, None] + to_origin - dist[:-1, :-1])
+
+
 def r_graph(ctx: gf.ResistanceContext, p: gf.GraphPoint, q: gf.GraphPoint) -> float:
     """Covariance of the canonical field between two points."""
-    pts = [gf.canonicalize(ctx.graph, x) for x in (p, q)]
-    return float(gf.r_graph_matrix(ctx, pts)[0, 1])
+    pts = [_canonicalize(ctx.graph, x) for x in (p, q)]
+    return float(r_graph_matrix(ctx, pts)[0, 1])
 
 
 def tree_kernel_closed_form(
@@ -308,8 +321,8 @@ def brute_force_point_distance(
     g: gf.EuclideanGraph, p: gf.GraphPoint, q: gf.GraphPoint
 ) -> float:
     """Geodesic oracle for points built on the path-enumeration distances."""
-    p = gf.canonicalize(g, p)
-    q = gf.canonicalize(g, q)
+    p = _canonicalize(g, p)
+    q = _canonicalize(g, q)
     if p == q:
         return 0.0
 
@@ -426,6 +439,14 @@ def exact_matern(nu: float, z: float, digits: int = 40) -> float:
         return float(z**nu * mpmath.besselk(nu, z) / (2 ** (nu - 1) * mpmath.gamma(nu)))
 
 
+def graph_to_json(g: gf.EuclideanGraph) -> dict:
+    """The JSON wire form of a graph, as ``graph_from_json`` reads it."""
+    return {
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges],
+    }
+
+
 def split_edge(g: gf.EuclideanGraph, p: gf.GraphPoint) -> tuple[gf.EuclideanGraph, str]:
     """Split an edge at an interior point, returning (new graph, new vertex).
 
@@ -440,7 +461,7 @@ def split_edge(g: gf.EuclideanGraph, p: gf.GraphPoint) -> tuple[gf.EuclideanGrap
         raise gf.OffsetOutOfRangeError(
             "split point must lie strictly inside an edge", vertex=g.vertices[at]
         )
-    edges = list(g._edge_records())
+    edges = [(e.id, e.u, e.v, e.length) for e in g.edges]
     eid, u, v, length = edges.pop(at)
     w = _unique_label(f"{eid}@{off!r}", g._vindex)
     # The new ids extend ``eid``, so neither can be ``eid`` or the other.

@@ -14,9 +14,11 @@ import numpy as np
 
 import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind
+from graphfields.kernels import _covariance_from_distances
 from .helpers import (
     figure_eight,
     r_graph,
+    r_graph_matrix,
     random_graph,
     random_onesum,
     random_points,
@@ -121,7 +123,7 @@ def test_criterion_04_origin_and_split_invariance():
         # Only the covariance reads the origin; its variogram at either
         # origin is the distance, relative to the largest variance.
         for origin in (g.vertices[0], g.vertices[-1]):
-            cov = gf.r_graph_matrix(gf.build_resistance_context(g, origin), pts)
+            cov = r_graph_matrix(gf.build_resistance_context(g, origin), pts)
             var = np.diag(cov)
             dev = np.max(np.abs(var[:, None] + var - 2.0 * cov - base)) / np.max(var)
             worst_origin = max(worst_origin, float(dev))
@@ -173,7 +175,7 @@ def _psd_sweep(graphs_points, kind: MetricKind):
     for g, pts in graphs_points:
         dm = gf.distance_matrix(g, pts, kind)
         for spec in KERNEL_SWEEP:
-            cov = gf.covariance_from_distances(dm, spec)
+            cov = _covariance_from_distances(dm, spec)
             report = gf.psd_check(cov)
             ratio = report.min_eig / max(report.max_eig, 1.0)
             worst_ratio = min(worst_ratio, ratio)

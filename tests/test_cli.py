@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 import graphfields as gf
 from graphfields.cli import _writer, build_parser, main
-from graphfields.kernels import PSD_REL_TOL
+from graphfields.kernels import PSD_REL_TOL, _theta_witness_graph
 from .helpers import (
     figure_eight,
+    graph_to_json,
     jittered_grid,
     random_points,
     single_edge,
@@ -34,9 +35,9 @@ from .helpers import (
 def workdir(tmp_path):
     files = {}
     files["edge"] = tmp_path / "edge.json"
-    files["edge"].write_text(json.dumps(gf.graph_to_json(single_edge())))
+    files["edge"].write_text(json.dumps(graph_to_json(single_edge())))
     files["theta"] = tmp_path / "theta.json"
-    files["theta"].write_text(json.dumps(gf.graph_to_json(theta_graph())))
+    files["theta"].write_text(json.dumps(graph_to_json(theta_graph())))
     files["bad_triangle"] = tmp_path / "bad.json"
     files["bad_triangle"].write_text(
         json.dumps(
@@ -70,9 +71,9 @@ def workdir(tmp_path):
         json.dumps({"family": "power_exponential", "alpha": 1.0, "beta": 0.001})
     )
     # the six witness points as vertices of the witness theta graph
-    wgraph, wpoints = gf.theta_witness_graph(0.5, 1.0)
+    wgraph, wpoints = _theta_witness_graph(0.5, 1.0)
     files["witness_graph"] = tmp_path / "wgraph.json"
-    files["witness_graph"].write_text(json.dumps(gf.graph_to_json(wgraph)))
+    files["witness_graph"].write_text(json.dumps(graph_to_json(wgraph)))
     files["witness_points"] = tmp_path / "wpoints.json"
     files["witness_points"].write_text(
         json.dumps([{"vertex": p.vertex} for p in wpoints])
@@ -237,7 +238,7 @@ def test_forbidden_check_emits_witness(capsys, workdir):
 
 def test_forbidden_check_safe_graph_has_no_witness(capsys, workdir):
     safe = workdir["dir"] / "safe.json"
-    safe.write_text(json.dumps(gf.graph_to_json(unit_triangle())))
+    safe.write_text(json.dumps(graph_to_json(unit_triangle())))
     code, out, _ = _run(capsys, ["forbidden-check", "--graph", str(safe)])
     assert code == 0
     assert out == '{\n  "class": "SafeForGeodesic"\n}\n'
@@ -723,7 +724,7 @@ def _grid_files(tmp_path, side: int, count: int):
     g = jittered_grid(rng, side)
     pts = random_points(rng, g, count, vertex_share=0.1)
     graph, points = tmp_path / "grid.json", tmp_path / "grid_points.json"
-    graph.write_text(json.dumps(gf.graph_to_json(g)))
+    graph.write_text(json.dumps(graph_to_json(g)))
     points.write_text(json.dumps([
         {"vertex": p.vertex} if p.is_vertex else {"edge": p.edge, "offset": p.offset}
         for p in pts
@@ -805,7 +806,7 @@ def test_blocks_payload_is_byte_stable(capsys, workdir):
     g = figure_eight()
     g = gf.build_graph([*g.vertices, "F"], [*g.edges, ("bf", "B", "F", 2.0)])
     path = workdir["dir"] / "eight_bridge.json"
-    path.write_text(json.dumps(gf.graph_to_json(g)))
+    path.write_text(json.dumps(graph_to_json(g)))
     code, out, _ = _run(capsys, ["blocks", "--graph", str(path)])
     assert code == 0
     assert json.loads(out) == {
@@ -1247,7 +1248,7 @@ def test_only_the_matern_family_loads_scipy_special(workdir):
 def test_csv_quotes_labels_and_keeps_repr_text(capsys, workdir):
     g = gf.build_graph(["A", "B"], [('a,"b', "A", "B", 1.0)])
     path = workdir["dir"] / "quoted.json"
-    path.write_text(json.dumps(gf.graph_to_json(g)))
+    path.write_text(json.dumps(graph_to_json(g)))
     points = workdir["dir"] / "quoted_points.json"
     points.write_text(json.dumps([{"edge": 'a,"b', "offset": x} for x in (0.0, 0.1, 1e-5)]))
     argv = ["distmatrix", "--graph", str(path), "--points", str(points), "--metric", "geodesic"]

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import graphfields as gf
+from graphfields.graph import _canonicalize
 from .helpers import (
     blocked_route_lengths,
     figure_eight,
     graded_grid,
+    graph_to_json,
     has_edge_between,
     isomorphic_by_labels,
     jittered_grid,
@@ -416,7 +418,7 @@ def test_string_offsets_are_not_numbers(offset):
     direct = gf.GraphPoint(edge="ab", offset=offset)
     message = "malformed point" if offset is None else "offset must be a number"
     with pytest.raises(gf.OffsetOutOfRangeError, match=message):
-        gf.canonicalize(g, direct)
+        _canonicalize(g, direct)
     for kind in gf.MetricKind:
         with pytest.raises(gf.OffsetOutOfRangeError, match=message):
             gf.distance_matrix(g, [gf.vertex_point("a"), direct], kind)
@@ -504,7 +506,7 @@ def test_edges_are_built_on_first_access():
     for metric in ("geodesic", "resistance"):
         gf.distance_matrix(g, pts, metric)
     gf.block_decomposition(g)
-    gf.canonicalize(g, gf.edge_point("h0_0", 0.5))
+    _canonicalize(g, gf.edge_point("h0_0", 0.5))
     assert g.edge("h0_0").id == "h0_0" and repr(g) and g.total_length > 0
     assert "edges" not in vars(g)
     edges = g.edges
@@ -567,9 +569,9 @@ def test_large_grid_builds_without_all_pairs_table():
 
 def test_boundary_offsets_canonicalize_to_vertices():
     g = single_edge()
-    assert gf.canonicalize(g, gf.edge_point("e1", 0.0)) == gf.vertex_point("0")
-    assert gf.canonicalize(g, gf.edge_point("e1", 1.0)) == gf.vertex_point("1")
-    interior = gf.canonicalize(g, gf.edge_point("e1", 0.25))
+    assert _canonicalize(g, gf.edge_point("e1", 0.0)) == gf.vertex_point("0")
+    assert _canonicalize(g, gf.edge_point("e1", 1.0)) == gf.vertex_point("1")
+    interior = _canonicalize(g, gf.edge_point("e1", 0.25))
     assert not interior.is_vertex and interior.offset == 0.25
 
 
@@ -577,17 +579,17 @@ def test_out_of_range_offsets_rejected():
     g = single_edge()
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(gf.OffsetOutOfRangeError):
-            gf.canonicalize(g, gf.edge_point("e1", bad))
+            _canonicalize(g, gf.edge_point("e1", bad))
     # An integer too large for a float reads as infinite, in a point built
     # directly as in edge_point, and lies outside the edge.
     for huge in (10**400, -(10**400)):
         for p in (gf.edge_point("e1", huge), gf.GraphPoint(edge="e1", offset=huge)):
             with pytest.raises(gf.OffsetOutOfRangeError, match="outside"):
-                gf.canonicalize(g, p)
+                _canonicalize(g, p)
     with pytest.raises(gf.UnknownEdgeError):
-        gf.canonicalize(g, gf.edge_point("nope", 0.5))
+        _canonicalize(g, gf.edge_point("nope", 0.5))
     with pytest.raises(gf.UnknownVertexError):
-        gf.canonicalize(g, gf.vertex_point("Z"))
+        _canonicalize(g, gf.vertex_point("Z"))
 
 
 def test_malformed_points_rejected():
@@ -601,7 +603,7 @@ def test_malformed_points_rejected():
         gf.GraphPoint(),
     ):
         with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
-            gf.canonicalize(g, bad)
+            _canonicalize(g, bad)
         with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
             split_edge(g, bad)
         with pytest.raises(gf.OffsetOutOfRangeError, match="^malformed point "):
@@ -614,7 +616,7 @@ def test_point_json_round_trip():
         (gf.vertex_point("0"), {"vertex": "0"}),
         (gf.edge_point("e1", 0.3), {"edge": "e1", "offset": 0.3}),
     ):
-        assert gf.point_from_json(g, obj) == gf.canonicalize(g, p) == p
+        assert gf.point_from_json(g, obj) == _canonicalize(g, p) == p
 
 
 def test_point_json_mixing_both_forms_is_refused():
@@ -631,7 +633,7 @@ def test_point_json_mixing_both_forms_is_refused():
 
 def test_graph_json_round_trip():
     g = figure_eight()
-    again = gf.graph_from_json(gf.graph_to_json(g))
+    again = gf.graph_from_json(graph_to_json(g))
     assert isomorphic_by_labels(g, again)
     assert [e.id for e in again.edges] == [e.id for e in g.edges]
 
@@ -656,14 +658,13 @@ def test_split_square_midpoint_revalidates_as_cycle():
     assert len(blocks) == 1 and blocks[0].kind is gf.BlockKind.CYCLE
 
 
-def test_split_and_json_read_the_edge_table():
-    # Neither builds the Edge tuple of either graph; the split graph keeps
-    # the edge order, ids and labels of splitting the Edge records.
+def test_split_and_json_keep_the_edge_records():
+    # The split graph keeps the edge order, ids and labels of splitting the
+    # Edge records, and its JSON lists those records in that order.
     g = theta_graph()
     eid, off = g._ids[1], 0.3 * float(g._length[1])
     h, w = split_edge(g, gf.edge_point(eid, off))
-    payload = gf.graph_to_json(h)
-    assert "edges" not in vars(g) and "edges" not in vars(h)
+    payload = graph_to_json(h)
     e = g.edge(eid)
     expected = [x for x in g.edges if x.id != eid]
     expected += [gf.Edge(f"{eid}:a", e.u, w, off), gf.Edge(f"{eid}:b", w, e.v, e.length - off)]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import graphfields as gf
 from graphfields import KernelFamily, KernelSpec, MetricKind, kernels
+from graphfields.kernels import _covariance_from_distances, _theta_witness_graph
 from .helpers import (
     embedding_gram,
     exact_matern,
@@ -431,15 +432,9 @@ def test_covariance_from_distances_reads_upper_triangle_only():
     upper = dm.copy()
     upper[np.tril_indices(len(x), -1)] = -1.0
     for spec in IN_RANGE_SPECS:
-        cov = gf.covariance_from_distances(upper, spec)
+        cov = _covariance_from_distances(upper, spec)
         assert np.array_equal(cov, cov.T)
-        assert np.array_equal(cov, gf.covariance_from_distances(dm, spec))
-
-
-def test_covariance_from_distances_rejects_non_square():
-    for shape in ((2, 3), (4,), (2, 2, 2)):
-        with pytest.raises(ValueError):
-            gf.covariance_from_distances(np.zeros(shape), IN_RANGE_SPECS[0])
+        assert np.array_equal(cov, _covariance_from_distances(dm, spec))
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
@@ -463,7 +458,7 @@ def test_covariance_matrix_equals_entrywise_profile_across_row_blocks(kind):
 
 @pytest.mark.parametrize("kind", list(MetricKind))
 def test_covariance_matrix_of_no_points_is_empty_and_proved(kind):
-    # distance_matrix and r_graph_matrix give empty matrices for no points;
+    # distance_matrix gives an empty matrix for no points;
     # an empty matrix is vacuously positive definite, so it gets the proof.
     g = gf.build_graph(
         ["a", "b", "c"], [("ab", "a", "b", 1.0), ("bc", "b", "c", 1.0), ("ca", "c", "a", 1.0)]
@@ -492,7 +487,7 @@ def test_matern_covariance_peaks_below_two_matrices():
     dm = np.abs(x[:, None] - x[None, :])
     tracemalloc.start()
     try:
-        cov = gf.covariance_from_distances(dm, KernelSpec(KernelFamily.MATERN, 0.25, 2.0))
+        cov = _covariance_from_distances(dm, KernelSpec(KernelFamily.MATERN, 0.25, 2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -555,7 +550,7 @@ def test_psd_check_rejects_band_that_is_not_finite_and_nonnegative(rel_tol):
 def test_proof_refuses_theta_witness_matrices_with_a_negative_eigenvalue():
     # exp(-beta d_G) on the six witness points is indefinite over the low
     # end of the forbidden_certificate scan and proved above it.
-    g, points = gf.theta_witness_graph(0.5, 1.0)
+    g, points = _theta_witness_graph(0.5, 1.0)
     dm = gf.distance_matrix(g, points, MetricKind.GEODESIC)
     negative = 0
     for beta in np.geomspace(*kernels._BETA_SCAN_RANGE, kernels._BETA_SCAN_COUNT):
@@ -692,7 +687,7 @@ def test_embedding_gram_tree_geodesic_equals_resistance():
 
 
 def test_embedding_gram_theta_config_not_psd():
-    g, pts = gf.theta_witness_graph(0.5, 1.0)
+    g, pts = _theta_witness_graph(0.5, 1.0)
     gram = embedding_gram(g, pts, 0, MetricKind.GEODESIC)
     assert not gf.psd_check(gram).is_psd
 
@@ -705,7 +700,7 @@ def test_witness_distances_realize_stated_matrix():
     for _ in range(10):
         t = float(rng.uniform(0.05, 0.5))
         r = float(rng.uniform(t, 1.0))
-        g, pts = gf.theta_witness_graph(t, r)
+        g, pts = _theta_witness_graph(t, r)
         dm = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
         stated = np.array(
             [
@@ -803,7 +798,7 @@ def test_kernels_valid_under_resistance_on_random_graphs():
         pts = random_points(rng, g, 200, vertex_share=0.2)
         dm = gf.distance_matrix(g, pts, MetricKind.RESISTANCE)
         for spec in IN_RANGE_SPECS:
-            cov = gf.covariance_from_distances(dm, spec)
+            cov = _covariance_from_distances(dm, spec)
             assert gf.psd_check(cov).is_psd, spec
 
 
@@ -814,7 +809,7 @@ def test_kernels_valid_under_geodesic_on_onesums():
         pts = random_points(rng, g, 200, vertex_share=0.2)
         dm = gf.distance_matrix(g, pts, MetricKind.GEODESIC)
         for spec in IN_RANGE_SPECS:
-            cov = gf.covariance_from_distances(dm, spec)
+            cov = _covariance_from_distances(dm, spec)
             assert gf.psd_check(cov).is_psd, spec
 
 

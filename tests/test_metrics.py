@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import graphfields as gf
 from graphfields import MetricKind
+from graphfields.graph import _canonicalize
 from graphfields.metrics import canonical_points, resistance_matrix
 from .helpers import (
     brute_force_point_distance,
@@ -30,6 +31,7 @@ from .helpers import (
     path_abc,
     point_frame,
     r_graph,
+    r_graph_matrix,
     random_cycle_lengths,
     random_graph,
     random_onesum,
@@ -105,7 +107,7 @@ def test_point_table_equals_per_point_reference(seed, n_vertices, n_chords, inva
     g = random_graph(rng, n_vertices, min(n_chords, n_vertices - 2) if n_vertices > 2 else 0)
     points = _raw_points(rng, g, invalid)
     try:
-        expected = [gf.canonicalize(g, p) for p in points]
+        expected = [_canonicalize(g, p) for p in points]
     except gf.GraphFieldsError as exc:
         with pytest.raises(type(exc)) as raised:
             canonical_points(g, points)
@@ -255,7 +257,7 @@ def _crowded_points(seed, cycle, n_vertices, n_chords, vertex_share):
     pts = random_points(rng, g, count, vertex_share=vertex_share)
     e = g.edges[int(rng.integers(len(g.edges)))]
     offsets = rng.uniform(0.0, 1.0, size=int(rng.integers(0, 5))) * e.length
-    pts += [gf.canonicalize(g, gf.edge_point(e.id, float(off))) for off in offsets]
+    pts += [_canonicalize(g, gf.edge_point(e.id, float(off))) for off in offsets]
     pts.append(pts[int(rng.integers(len(pts)))])
     return g, pts
 
@@ -298,7 +300,10 @@ def test_concurrent_queries_read_consistent_row_stores():
     # index the wrong row or fail.  Resistance matrices equal those of one
     # thread on another instance bit for bit, whichever columns were stored.
     # Each instance answers one geodesic query first, the one that may
-    # search from its points, so the threads read stored rows only.
+    # search from its points, so the threads read stored rows only.  Beside
+    # the resistance queries, canonical draws of 70 (two blocks) read the
+    # factor of L that those queries solve with, and equal serial draws bit
+    # for bit.
     rng = np.random.default_rng(12)
     base = random_graph(rng, 40, 6)
     sets = [random_points(rng, base, int(rng.integers(2, 12))) for _ in range(24)]
@@ -311,8 +316,15 @@ def test_concurrent_queries_read_consistent_row_stores():
         for pts, kind in zip(sets, kinds)
     ]
 
-    def work(g, first, results):
+    def draw(g, k):
+        return gf.sample_canonical_field(gf.build_resistance_context(g), sets[k], 70, seed=k).draws
+
+    expected_draws = {k: draw(alone, k) for k in range(2, len(sets), 3)}
+
+    def work(g, first, results, draws):
         for k in range(first, len(sets), 8):
+            if k in expected_draws:
+                draws[k] = draw(g, k)
             results[k] = gf.distance_matrix(g, sets[k], kinds[k])
 
     interval = sys.getswitchinterval()
@@ -322,9 +334,9 @@ def test_concurrent_queries_read_consistent_row_stores():
             g = gf.build_graph(base.vertices, base.edges)
             warm = gf.distance_matrix(g, sets[0], MetricKind.GEODESIC)
             np.testing.assert_allclose(warm, expected[0], rtol=1e-12, atol=0.0)
-            results = [None] * len(sets)
+            results, draws = [None] * len(sets), {}
             threads = [
-                threading.Thread(target=work, args=(g, k, results)) for k in range(8)
+                threading.Thread(target=work, args=(g, k, results, draws)) for k in range(8)
             ]
             for t in threads:
                 t.start()
@@ -333,6 +345,9 @@ def test_concurrent_queries_read_consistent_row_stores():
             assert not any(t.is_alive() for t in threads)
             for got, want in zip(results, expected):
                 assert np.array_equal(got, want)
+            assert {k: d.tobytes() for k, d in draws.items()} == {
+                k: d.tobytes() for k, d in expected_draws.items()
+            }
     finally:
         sys.setswitchinterval(interval)
 
@@ -543,7 +558,7 @@ def test_r_graph_matrix_locates_each_point_once(monkeypatch):
     seen = []
     real = gf.metrics._locate
     monkeypatch.setattr(gf.metrics, "_locate", lambda g, p: seen.append(p) or real(g, p))
-    gf.r_graph_matrix(ctx, points)
+    r_graph_matrix(ctx, points)
     assert seen == [*points, gf.vertex_point("C")]
 
 
@@ -558,7 +573,7 @@ def test_factor_columns_match_dense_inverse():
     assert np.allclose(columns, dense, rtol=0.0, atol=1e-12)
     # The same covariance assembled by hand from the definition.
     mu, bridge = dense_canonical_covariance(g, ctx.origin, pts)
-    got = gf.r_graph_matrix(ctx, pts)
+    got = r_graph_matrix(ctx, pts)
     assert np.allclose(got, mu + bridge, rtol=0.0, atol=1e-12)
 
 
@@ -590,7 +605,7 @@ def test_covariance_is_the_canonical_law(seed, n_vertices, n_chords):
     diag = np.diag(expected)
     variogram = diag[:, None] + diag[None, :] - 2.0 * expected
     scale = np.max(diag)
-    assert np.max(np.abs(gf.r_graph_matrix(ctx, pts) - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(r_graph_matrix(ctx, pts) - expected)) <= 1e-13 * scale
     assert np.max(np.abs(resistance_matrix(g, pts) - variogram)) <= 1e-12
 
 
@@ -665,6 +680,30 @@ def test_paths_with_extreme_lengths_keep_resistance_equal_to_geodesic(ab, bc):
     assert np.allclose(res, geo, rtol=1e-12, atol=0.0)
 
 
+def _short_side(eps, raises, what):
+    return pytest.param(
+        eps, marks=pytest.mark.xfail(strict=True, raises=raises, reason=f"{what}; ROADMAP item 16"),
+        id=f"eps={eps:g}",
+    )
+
+
+@pytest.mark.parametrize("eps", [
+    pytest.param(0.5, id="eps=0.5"),
+    pytest.param(1e-3, id="eps=0.001"),
+    _short_side(1e-9, AssertionError, "d_R is 8.3e-8 off relative"),
+    _short_side(1e-13, AssertionError, "d_R is 8.0e-4 off relative"),
+    _short_side(1e-200, gf.FactorizationFailedError, "factorization of L pivoted off the diagonal"),
+])
+def test_a_short_side_of_a_triangle_keeps_its_series_parallel_resistance(eps):
+    # Across a side of length eps, parallel to a route of length 2 over the
+    # two unit sides, d_R is 2 eps / (2 + eps).
+    g = gf.build_graph(
+        ["a", "b", "c"], [("ab", "a", "b", 1.0), ("bc", "b", "c", 1.0), ("ca", "c", "a", eps)]
+    )
+    res = gf.distance_matrix(g, [gf.vertex_point("c"), gf.vertex_point("a")], MetricKind.RESISTANCE)
+    assert res[0, 1] == pytest.approx(2.0 * eps / (2.0 + eps), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("short", [5e-324, 1.0 / np.finfo(float).max])
 def test_an_edge_whose_conductance_overflows_is_refused_by_name(short):
     # 1 / length overflows: resistance and covariance refuse the edge before
@@ -673,7 +712,7 @@ def test_an_edge_whose_conductance_overflows_is_refused_by_name(short):
     g = _path(short, 1.0)
     pts = [*map(gf.vertex_point, "abc"), gf.edge_point("bc", 0.5)]
     ctx = gf.build_resistance_context(g)
-    for query in (lambda: resistance_matrix(g, pts), lambda: gf.r_graph_matrix(ctx, pts)):
+    for query in (lambda: resistance_matrix(g, pts), lambda: r_graph_matrix(ctx, pts)):
         with pytest.raises(gf.FactorizationFailedError, match="'ab' is too short") as info:
             query()
         assert info.value.detail == {"edge_id": "ab"}
@@ -945,7 +984,7 @@ def test_matrix_matches_scalar_queries():
     n_chords=st.integers(0, 3),
 )
 def test_distance_matrix_is_exactly_symmetric(seed, n_vertices, n_chords):
-    # covariance_from_distances reads one triangle only, so both metrics
+    # _covariance_from_distances reads one triangle only, so both metrics
     # must give d(p, q) and d(q, p) bit for bit, also where several points
     # on one edge take the same-edge closed form.
     rng = np.random.default_rng(seed)
@@ -1012,7 +1051,7 @@ def test_origin_invariance_of_resistance(seed):
     pts = random_points(rng, g, 8)
     dist = gf.distance_matrix(g, pts, MetricKind.RESISTANCE)
     for origin in (g.vertices[0], g.vertices[int(rng.integers(1, len(g.vertices)))]):
-        cov = gf.r_graph_matrix(gf.build_resistance_context(g, origin), pts)
+        cov = r_graph_matrix(gf.build_resistance_context(g, origin), pts)
         var = np.diag(cov)
         o = gf.vertex_point(origin)
         to_origin = [gf.oracle_effective_resistance(g, p, o) for p in pts]

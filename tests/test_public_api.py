@@ -46,8 +46,6 @@ PUBLIC_NAMES = [
     "block_decomposition",
     "build_graph",
     "build_resistance_context",
-    "canonicalize",
-    "covariance_from_distances",
     "covariance_matrix",
     "distance_matrix",
     "edge_point",
@@ -55,26 +53,23 @@ PUBLIC_NAMES = [
     "forbidden_certificate",
     "geodesic_distance",
     "graph_from_json",
-    "graph_to_json",
     "kernel_spec_from_json",
     "kernel_spec_to_json",
     "oracle_effective_resistance",
     "point_from_json",
     "point_label",
     "psd_check",
-    "r_graph_matrix",
     "radial_profile",
     "resistance_distance",
     "sample_canonical_field",
     "sample_from_covariance",
     "star_inequality_check",
-    "theta_witness_graph",
     "vertex_point",
 ]
 
 
 def test_public_names_are_exactly_the_locked_list_and_resolve():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 53
     assert sorted(gf.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gf, name) is not None, name
@@ -109,13 +104,12 @@ def test_built_graph_attributes_are_locked():
 
 
 # The public functions that take an origin, or a context that holds one.
-# The origin changes the output of r_graph_matrix and sample_canonical_field
-# only; distance_matrix and resistance_distance read a context for its
-# graph alone, and keep it because benchmark/ passes one.
+# The origin changes the output of sample_canonical_field only;
+# distance_matrix and resistance_distance read a context for its graph
+# alone, and keep it because benchmark/ passes one.
 ORIGIN_PARAMETERS = {
     "build_resistance_context": "origin",
     "distance_matrix": "ctx",
-    "r_graph_matrix": "ctx",
     "resistance_distance": "ctx",
     "sample_canonical_field": "ctx",
 }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,14 @@ from scipy.sparse.linalg import spsolve_triangular
 
 import graphfields as gf
 from graphfields import MetricKind
+from graphfields.graph import _canonicalize
 from graphfields.metrics import canonical_points
 from graphfields.simulate import _stream
 from .helpers import (
     dense_canonical_covariance,
     figure_eight,
     jittered_grid,
+    r_graph_matrix,
     random_graph,
     random_points,
     single_edge,
@@ -125,7 +128,7 @@ def test_constructive_and_covariance_routes_agree():
     ]
     n = 20000
     constructive = gf.sample_canonical_field(ctx, pts, n, seed=13)
-    target = gf.r_graph_matrix(ctx, [gf.canonicalize(g, p) for p in pts])
+    target = r_graph_matrix(ctx, [_canonicalize(g, p) for p in pts])
     direct = gf.sample_from_covariance(
         certified(target, constructive.labels), n, seed=14
     )
@@ -215,6 +218,25 @@ def test_canonical_draws_refuse_an_edge_whose_conductance_overflows():
     assert info.value.detail == {"edge_id": "ab"}
 
 
+def test_canonical_draws_leave_the_factor_of_the_graph_as_they_found_it():
+    # Every reader of the graph shares its factor of L.  The unit factor's
+    # row indices come unsorted here, and a draw that solved against it in
+    # place would sort them and its values, under a concurrent reader too.
+    g = jittered_grid(np.random.default_rng(5), 12)
+    lu = gf.metrics._conductance_lu(g)
+    before = [a.copy() for a in (lu.L.data, lu.L.indices, lu.L.indptr)]
+    assert not lu.L.has_sorted_indices
+    pts = [gf.vertex_point(v) for v in g.vertices[:5]]
+    gf.sample_canonical_field(gf.build_resistance_context(g), pts, 70, seed=3)
+    for old, new in zip(before, (lu.L.data, lu.L.indices, lu.L.indptr)):
+        assert np.array_equal(old, new)
+
+
+# Sixty checks at 3 sigma fail together about one time in seven, and a
+# derandomized test draws new examples whenever its source changes.  This
+# seed is the digest of the test's source before its covariance reference
+# moved to tests/helpers.py, so it draws the same twenty examples as then.
+@hypothesis.seed(0xF2A242812F48D80510AD9865E7AEB797FBC8A007F5164011719BCAD8934D2D26E5F90AB67D76BC5D85B1E82EED8A53D8)
 @settings(max_examples=20)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -237,7 +259,7 @@ def test_canonical_draws_match_the_covariance(seed, n_vertices, n_chords):
     n = 4000
     draws = gf.sample_canonical_field(ctx, pts, n, seed=seed).draws
     assert draws[:, -1].tobytes() == draws[:, pts.index(pts[-1])].tobytes()
-    cov = gf.r_graph_matrix(ctx, pts)
+    cov = r_graph_matrix(ctx, pts)
     on_edge = np.zeros(len(pts))
     on_edge[4:12] = rng.standard_normal(8)
     on_edge[4:12] -= on_edge[4:12].mean()
