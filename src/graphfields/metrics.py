@@ -29,12 +29,13 @@ This module owns that vertex-row engine; the graph only holds empty slots
 for its caches: the row stores of both metrics (:func:`_stored_block`), the
 flag of a graph's first geodesic query (:func:`geodesic_matrix`) and the one
 factor of ``L`` (:func:`_conductance_lu`), which canonical draws read too,
-through :func:`_vertex_draws`, the one reader of its layout.
+through :func:`_vertex_coloring`, the one reader of its layout.  This
+module draws no random numbers, and its block sizes decide no output bits.
 
 Only the canonical sampler depends on the origin ``o``, where the field
 has unit variance, so only it takes a :class:`ResistanceContext`, the graph
-and an origin checked against it.  It takes the vertex field from
-:func:`_vertex_draws` and shifts it to ``o`` (see :mod:`graphfields.simulate`).
+and an origin checked against it.  It colors white noise by
+:func:`_vertex_coloring` and shifts it to ``o`` (:mod:`graphfields.simulate`).
 
 A query locates each point on the edge table once, in input order
 (``graph._locate``), in :func:`canonical_points`.  Its point table holds the
@@ -77,10 +78,9 @@ _PINV_RTOL = 1e-12
 # the budget.
 _ROW_STORE_BYTES = 256 << 20
 
-# Rows are computed, right-hand sides solved and canonical realizations
-# drawn at most this many at a time: a block that stays in cache solves two
-# to three times faster than one wide block, and a block bounds what a query
-# holds beside the stores.
+# Rows are computed and right-hand sides solved at most this many at a
+# time: a block that stays in cache solves two to three times faster than
+# one wide block, and a block bounds what a query holds beside the stores.
 _SOLVE_COLUMNS = 64
 
 # Columns of L^-1 are solved as many at a time as fill this many bytes of
@@ -352,32 +352,28 @@ def _conductance_lu(g: EuclideanGraph) -> SuperLU:
     return lu
 
 
-def _vertex_draws(g: EuclideanGraph, idx, rng: np.random.Generator, n: int):
-    """A generator of ``n`` draws with covariance ``L^-1`` at the vertex
-    indices ``idx``, in ``(len(idx), k)`` blocks of ``k <= _SOLVE_COLUMNS``
-    draws, one per column; ``L`` is factored and whitened on the call, and
-    no normal is drawn before the first block is asked for.
+def _vertex_coloring(g: EuclideanGraph, idx):
+    """The map of white noise ``w``, ``(len(g.vertices), k)`` with a
+    column per draw, to ``k`` draws with covariance ``L^-1`` at the vertex
+    indices ``idx``, ``(len(idx), k)``; ``L`` is factored on the call.
 
-    The one reader of the factor's layout: for ``L = P^T F D F^T P``, a
-    block takes a row of normals ``w`` per draw, one per vertex, and solves
-    ``F^T x = D^(-1/2) w^T``, so ``x`` has covariance ``P L^-1 P^T`` and
-    vertex ``i`` is row ``perm_r[i]``.  ``F^T`` is a copy of ``lu.L.T``
-    (CSR) with sorted indices, made on the call and solved in place, so the
-    arrays of the factor kept on the graph, which every reader shares, are
-    never written, and no block copies or sorts ``F^T`` again.
+    The one reader of the factor's layout: for ``L = P^T F D F^T P``, it
+    solves ``F^T x = D^(-1/2) w`` in the memory of ``w``, so ``x`` has
+    covariance ``P L^-1 P^T`` and vertex ``i`` is row ``perm_r[i]``.
+    ``F^T`` is a copy of ``lu.L.T`` (CSR) with sorted indices, made once on
+    the call and solved in place, so the factor kept on the graph, which
+    every reader shares, is never written.
     """
     lu = _conductance_lu(g)
     upper, root, rows = lu.L.T.sorted_indices(), np.sqrt(lu.U.diagonal()), lu.perm_r[idx]
 
-    def blocks():
-        for s in range(0, n, _SOLVE_COLUMNS):
-            white = rng.standard_normal((min(_SOLVE_COLUMNS, n - s), root.size)).T
-            white /= root[:, None]
-            yield spsolve_triangular(
-                upper, white, lower=False, unit_diagonal=True, overwrite_A=True, overwrite_b=True
-            )[rows]
+    def color(white: np.ndarray) -> np.ndarray:
+        white /= root[:, None]
+        return spsolve_triangular(
+            upper, white, lower=False, unit_diagonal=True, overwrite_A=True, overwrite_b=True
+        )[rows]
 
-    return blocks()
+    return color
 
 
 # -- geodesic metric ---------------------------------------------------------
@@ -397,7 +393,7 @@ class ResistanceContext:
 
     The origin is the vertex of unit variance of canonical draws, which
     read only the graph's one factor of ``L`` (grounded at vertex 0),
-    through :func:`_vertex_draws`.  Distances do not depend on it.  The
+    through :func:`_vertex_coloring`.  Distances do not depend on it.  The
     context is frozen and holds no cache.
     """
 

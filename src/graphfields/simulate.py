@@ -7,9 +7,9 @@ factors the values by the proof's Cholesky routine.  The constructive
 ``sample_canonical_field`` never forms the point covariance: it builds the
 canonical field as the paper defines it, a vertex field with covariance
 ``L^-1``, shifted to the origin, linearly interpolated along each edge, plus
-an independent Brownian bridge on each edge.  The vertex field comes from
-``metrics._vertex_draws``, the one reader of the layout of the graph's
-sparse factor of ``L``.  The empirical variogram of such samples
+an independent Brownian bridge on each edge.  Its vertex field is white
+noise colored by ``metrics._vertex_coloring``, the one reader of the layout
+of the graph's factor of ``L``.  The empirical variogram of such samples
 converges to the resistance distance, which verifies the metric end to end.
 It is accumulated in one pass over blocks of draws, in memory that grows
 with the square of the point count and not with the number of draws; the
@@ -19,11 +19,12 @@ and never holds the draws.
 Reproducibility: every draw takes all its normals from one stream, the
 Philox generator over ``SeedSequence(seed, spawn_key=(0,))`` (the first
 child of ``SeedSequence(seed).spawn``), so draws are bit-identical for a
-given seed.  The canonical sampler takes them a block of at most
-``_SOLVE_COLUMNS`` draws at a time, in this order: the vertex normals (one
-row per draw, one normal per vertex, in the factor's order), one normal
-``xi`` per draw for the origin, then the bridge normals (one row per draw,
-one normal per distinct interior point, by edge position, then offset).
+given seed; this module makes every call on it.  The canonical sampler
+takes them ``_DRAW_BLOCK`` draws at a time (fewer in the last block), in
+this order: the vertex normals (one row per draw, one normal per vertex, in
+the factor's order), one normal ``xi`` per draw for the origin, then the
+bridge normals (one row per draw, one normal per distinct interior point, by
+edge position, then offset).  No other block size decides output bits.
 """
 
 from __future__ import annotations
@@ -36,12 +37,15 @@ from scipy.linalg.blas import dsyr as _dsyr, dsyrk as _dsyrk
 
 from .errors import NotPSDError, ParamOutOfRangeError, TooFewSamplesError
 from .kernels import CovarianceMatrix, _cholesky
-from .metrics import _SOLVE_COLUMNS, ResistanceContext, _PointTable, _vertex_draws
-from .metrics import canonical_points
+from .metrics import ResistanceContext, _PointTable, _vertex_coloring, canonical_points
 
 # Jitter added to a covariance diagonal when its factorization is borderline;
 # never exceeds this factor times the largest diagonal entry.
 JITTER_SCALE = 1e-10
+
+# Canonical draws are made and variograms folded this many at a time; the
+# stream's layout depends on it, so a new value changes every canonical draw.
+_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,10 @@ def _chol_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _stream(seed: int, n: int) -> np.random.Generator:
     """The one stream of ``seed`` for ``n`` draws; see the module docstring.
-    Both samplers call it first: it refuses fewer than one draw, and a seed
-    that is not a non-negative integer (a bool is not one)."""
+    Both samplers call it first: it refuses an ``n`` that is not an integer
+    >= 1 and a seed that is not one >= 0 (a bool is not an integer)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ParamOutOfRangeError("n", "an integer >= 1", f"n must be an integer, got {n!r}")
     if n < 1:
         raise TooFewSamplesError(f"need at least 1 draw, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -145,31 +151,30 @@ def _bridges(pts: _PointTable):
 
 def _canonical_blocks(ctx: ResistanceContext, points, n: int, seed: int):
     """The point table of ``points`` and a generator of ``n`` canonical
-    draws at its points, in blocks of at most ``_SOLVE_COLUMNS`` rows.
+    draws at its points, in blocks of at most ``_DRAW_BLOCK`` rows.
 
     The seed and ``n`` are checked, and the factor and bridges prepared,
     before this returns; no normal is drawn until the first block is asked
-    for.  Per block, the vertex field ``Z_0`` (covariance ``L^-1``,
-    grounded at vertex 0) comes from :func:`metrics._vertex_draws`, the one
-    reader of the layout of the graph's factor of ``L``.  It is shifted to the
-    origin ``o``, ``Z = Z_0 - Z_0(o) + xi`` with ``xi ~ N(0, 1)``, and read
-    at the points as ``W Z`` over the endpoint vertices ``ends`` of the
-    point table: ``w_lo Z(u) + w_hi Z(v)`` at offset ``s`` of an edge
-    ``(u, v)`` of length ``l``, through the map ``W`` that
-    :func:`metrics.resistance_matrix` reads too (``metrics._PointTable``),
-    plus the edge's bridge (:func:`_bridges`).  The normals are taken in the
-    order of the module docstring, and the points have exactly the
-    canonical covariance.
+    for.  Per block, white noise colored by :func:`metrics._vertex_coloring`
+    gives the vertex field ``Z_0`` (covariance ``L^-1``, grounded at vertex
+    0).  It is shifted to the origin ``o``, ``Z = Z_0 - Z_0(o) + xi`` with
+    ``xi ~ N(0, 1)``, and read at the points as ``W Z`` over the endpoint
+    vertices ``ends`` of the point table: ``w_lo Z(u) + w_hi Z(v)`` at
+    offset ``s`` of an edge ``(u, v)`` of length ``l``, through the map
+    ``W`` that :func:`metrics.resistance_matrix` reads too, plus the edge's
+    bridge (:func:`_bridges`).  The normals are taken in the order of the
+    module docstring, and the points have exactly the canonical covariance.
     """
     rng = _stream(seed, n)
     g = ctx.graph
     pts = canonical_points(g, points)
     carry, sd, col, steps = _bridges(pts)
-    vertex = _vertex_draws(g, [*pts.ends, g.vertex_index(ctx.origin)], rng, n)
+    color = _vertex_coloring(g, [*pts.ends, g.vertex_index(ctx.origin)])
 
     def blocks():
-        for x in vertex:  # rows: the ends, then the origin
-            k = x.shape[1]
+        for s in range(0, n, _DRAW_BLOCK):
+            k = min(_DRAW_BLOCK, n - s)
+            x = color(rng.standard_normal((k, len(g.vertices))).T)  # the ends, then the origin
             z = x[:-1]
             z -= x[-1]
             z += rng.standard_normal(k)
@@ -191,8 +196,8 @@ def sample_canonical_field(
     the blocks of :func:`_canonical_blocks`, one row per draw."""
     pts, blocks = _canonical_blocks(ctx, points, n, seed)
     draws = np.empty((n, len(pts)))
-    for s, block in zip(range(0, n, _SOLVE_COLUMNS), blocks):
-        draws[s : s + _SOLVE_COLUMNS] = block
+    for s, block in zip(range(0, n, _DRAW_BLOCK), blocks):
+        draws[s : s + _DRAW_BLOCK] = block
     return FieldSample(labels=pts.labels, draws=draws, seed=int(seed))
 
 
@@ -217,8 +222,8 @@ def _near_pairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     d = gram.diagonal()
     rows, cols = [], []
-    for s in range(0, len(d), _SOLVE_COLUMNS):
-        e = min(s + _SOLVE_COLUMNS, len(d))
+    for s in range(0, len(d), _DRAW_BLOCK):
+        e = min(s + _DRAW_BLOCK, len(d))
         lost = d[:e, None] + d[s:e]
         lost -= 2.0 * gram[:e, s:e]
         i, j = np.nonzero(lost < _NEAR * np.maximum(d[:e, None], d[s:e]))
@@ -231,7 +236,7 @@ def _near_pairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _variogram(n: int, blocks) -> np.ndarray:
     """The sample variogram of ``n`` draws given as row blocks of at most
-    ``_SOLVE_COLUMNS`` rows, in one pass and ``O(m^2)`` memory for ``m``
+    ``_DRAW_BLOCK`` rows, in one pass and ``O(m^2)`` memory for ``m``
     points, whatever ``n``; fewer than two draws are refused before the
     first block is read.
 
@@ -257,7 +262,7 @@ def _variogram(n: int, blocks) -> np.ndarray:
             if not m:
                 return np.zeros((0, 0))
             shift, total = block.mean(axis=0), np.zeros(m)
-            gram, buf = np.zeros((m, m), order="F"), np.empty((_SOLVE_COLUMNS, m))
+            gram, buf = np.zeros((m, m), order="F"), np.empty((_DRAW_BLOCK, m))
         y = np.subtract(block, shift, out=buf[: len(block)])
         total += y.sum(axis=0)
         gram = _dsyrk(1.0, y.T, beta=1.0, c=gram, overwrite_c=1)
@@ -278,8 +283,8 @@ def _variogram(n: int, blocks) -> np.ndarray:
     out = gram.T
     out *= 1.0 / (n - 1)
     d = out.diagonal().copy()
-    for s in range(0, m, _SOLVE_COLUMNS):
-        e = min(s + _SOLVE_COLUMNS, m)
+    for s in range(0, m, _DRAW_BLOCK):
+        e = min(s + _DRAW_BLOCK, m)
         rows = out[s:e]
         rows[:, e:] = out[e:, s:e].T
         rows[:, s:e] += np.tril(rows[:, s:e], -1).T
@@ -294,7 +299,7 @@ def empirical_variogram(sample: FieldSample) -> np.ndarray:
     """Matrix of sample variances of Z(p_i) - Z(p_j) across draws, with an
     exact zero diagonal.
 
-    The draws are read in blocks of ``_SOLVE_COLUMNS`` rows by
+    The draws are read in blocks of ``_DRAW_BLOCK`` rows by
     :func:`_variogram`, in one pass, which needs two draws or more.  A pair
     whose variogram is tiny beside its variances (two points close together
     far from the origin) takes the variance of its differences directly,
@@ -303,9 +308,8 @@ def empirical_variogram(sample: FieldSample) -> np.ndarray:
     so its matrix is this one of ``sample_canonical_field``'s draws, bit for
     bit.
     """
-    draws = sample.draws
-    n = draws.shape[0]
-    return _variogram(n, (draws[s : s + _SOLVE_COLUMNS] for s in range(0, n, _SOLVE_COLUMNS)))
+    draws, n = sample.draws, len(sample.draws)
+    return _variogram(n, (draws[s : s + _DRAW_BLOCK] for s in range(0, n, _DRAW_BLOCK)))
 
 
 def _canonical_variogram(ctx: ResistanceContext, points, n: int, seed: int):

@@ -765,12 +765,14 @@ def test_variogram_memory_does_not_grow_with_the_draw_count(tmp_path):
 
 def test_variogram_refuses_before_drawing(capsys, workdir, monkeypatch):
     # The draw count, then the seed, then the second draw, all before the
-    # first normal.
-    def draws(*args):
-        raise AssertionError("drew a block")
-        yield
+    # first block of normals is colored.
+    def coloring(g, idx):
+        def color(white):
+            raise AssertionError("drew a block")
 
-    monkeypatch.setattr(gf.simulate, "_vertex_draws", draws)
+        return color
+
+    monkeypatch.setattr(gf.simulate, "_vertex_coloring", coloring)
     inputs = ["variogram", "--graph", str(workdir["edge"]), "--points", str(workdir["points"])]
     for extra, error, message in (
         (["--n", "0", "--seed", "-1"], "TooFewSamples", "need at least 1 draw, got 0"),
@@ -1204,6 +1206,23 @@ def test_a_point_object_mixing_both_forms_exits_2(capsys, workdir, point):
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "OffsetOutOfRange"
+
+
+@pytest.mark.parametrize("point", [1, "a", None])
+def test_a_point_that_is_not_an_object_exits_2(capsys, workdir, point):
+    path = workdir["dir"] / "scalar.json"
+    path.write_text(json.dumps([point]))
+    graph = ["--graph", str(workdir["edge"])]
+    for argv in (
+        ["distmatrix", *graph, "--points", str(path)],
+        ["dist", *graph, "--from", json.dumps(point), "--to", '{"vertex": "1"}'],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "OffsetOutOfRange"
+        assert "must be an object" in payload["message"]
 
 
 _IMPORTS = """

@@ -785,3 +785,8 @@ def test_blocks_match_networkx_on_grid_and_cactus():
     rng = np.random.default_rng(29)
     _assert_blocks_match_networkx(jittered_grid(rng, 12))
     _assert_blocks_match_networkx(random_onesum(rng, 40))
+
+
+def test_duplicate_vertex_labels_are_refused():
+    with pytest.raises(gf.InvalidGraphError, match="duplicate vertex labels"):
+        gf.build_graph(["a", "a"], [])

@@ -840,3 +840,8 @@ def test_kernel_json_rejects_unknown_family_and_bad_params():
         gf.kernel_spec_from_json({"family": "matern", "alpha": 0.5})
     with pytest.raises(gf.ParamOutOfRangeError, match="a number"):
         gf.kernel_spec_from_json({"family": "power_exponential", "alpha": True, "beta": 1.0})
+
+
+def test_star_inequality_check_refuses_a_profile_that_is_not_finite_at_0():
+    with pytest.raises(gf.NonFiniteError):
+        gf.star_inequality_check(lambda t: float("nan"), 3, [0.1])
