@@ -320,7 +320,9 @@ def _cmd_cov(args) -> int:
     """``cov`` emits the covariance matrix, ``psd-check`` only its
     certificate.  The library certifies the matrix at ``PSD_REL_TOL``; both
     commands print, and check under ``--strict``, the band at ``--tol`` of
-    its eigenvalues: the certificate's, or ``psd_check``'s for a proof."""
+    its eigenvalues: the certificate's, or ``psd_check``'s for a proof.  A
+    bad ``--tol`` is refused by that band's rule before any file is read."""
+    _band(0.0, 0.0, args.tol)
     g = _load_graph(args.graph)
     kind = MetricKind(args.metric)
     points = _load_points(g, args.points)
@@ -328,9 +330,8 @@ def _cmd_cov(args) -> int:
     cov = covariance_matrix(g, points, spec, kind, min_separation=MIN_POINT_SEPARATION)
     report = cov.psd_certificate
     if report.min_eig is None:
-        report = psd_check(cov.values, args.tol)
-    else:
-        report = _band(report.min_eig, report.max_eig, args.tol)
+        report = psd_check(cov.values)
+    report = _band(report.min_eig, report.max_eig, args.tol)
     certificate = _psd_json(report)
     if args.certificate_only:
         _emit(args, certificate)

@@ -26,11 +26,12 @@ solved on demand and kept.  So a distance query takes the graph and no
 origin.  The geodesic metric reads the same ends through one min-plus stage.
 
 This module owns that vertex-row engine; the graph only holds empty slots
-for its caches: the row stores of both metrics (:func:`_stored_block`), the
-flag of a graph's first geodesic query (:func:`geodesic_matrix`) and the one
-factor of ``L`` (:func:`_conductance_lu`), which canonical draws read too,
-through :func:`_vertex_coloring`, the one reader of its layout.  This
-module draws no random numbers, and its block sizes decide no output bits.
+for its caches: the row stores of both metrics, maps from a vertex to its
+read-only row (:func:`_stored_block`), the flag of a graph's first geodesic
+query (:func:`geodesic_matrix`) and the one factor of ``L``
+(:func:`_conductance_lu`), which canonical draws read too, through
+:func:`_vertex_coloring`, the one reader of its layout.  This module draws
+no random numbers, and its block sizes decide no output bits.
 
 Only the canonical sampler depends on the origin ``o``, where the field
 has unit variance, so only it takes a :class:`ResistanceContext`, the graph
@@ -51,6 +52,7 @@ as nodes and evaluates the resistance through an eigenvalue pseudoinverse.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,11 +74,14 @@ _PINV_RTOL = 1e-12
 # stores of at most this many bytes in all: 256 MiB holds both full n x n
 # tables up to n = 4096, so a graph of that size that serves repeated
 # queries computes each row once, while a store on a larger graph stays far
-# below its n x n tables (1688 rows of 19881 floats).  Rows beyond the
-# budget serve their query and are dropped.  A growing store briefly holds
-# its old and new arrays, so a store near its budget peaks at about twice
-# the budget.
+# below its n x n tables (1687 rows of 19881 floats).  Rows beyond the
+# budget serve their query and are dropped.  A store grows by adding rows
+# and never copies what it holds, so it never holds more than the budget.
 _ROW_STORE_BYTES = 256 << 20
+
+# Rows are added to the stores under this lock, so concurrent queries keep
+# the budget; readers take no lock.
+_STORE_LOCK = threading.Lock()
 
 # Rows are computed and right-hand sides solved at most this many at a
 # time: a block that stays in cache solves two to three times faster than
@@ -185,54 +190,48 @@ def _min_plus(rows: np.ndarray, pts: _PointTable) -> np.ndarray:
 
 
 def _stores(g: EuclideanGraph) -> dict:
-    """The row stores of ``g`` by metric, made on first use: in a store
-    ``(pos, rows)``, vertex ``i`` has the row ``rows[pos[i]]``, or none
-    where ``pos[i]`` is -1."""
+    """The row stores of ``g`` by metric, made on first use: a store maps
+    a vertex index to that vertex's read-only row of ``n`` floats."""
     stores = g._row_stores
     if stores is None:
-        n = len(g.vertices)
-        empty = (np.full(n, -1, dtype=np.intp), np.empty((0, n)))
-        stores = g._row_stores = {"geodesic": empty, "resistance": empty}
+        stores = g._row_stores = {"geodesic": {}, "resistance": {}}
     return stores
 
 
 def _stored_block(
     g: EuclideanGraph, kind: str, idx: np.ndarray, compute, step: int
 ) -> np.ndarray:
-    """The block ``X[idx][:, idx]`` of the table ``X`` of the store
+    """The block ``X[idx][:, idx]`` of the rows ``X`` of the store
     ``kind``, for distinct vertex indices ``idx``.
 
     Rows the store lacks come from ``compute(rows)``, ``step`` at a
-    time; each is kept while the stores hold at most
+    time; under ``_STORE_LOCK``, each is kept while the stores hold at most
     ``_ROW_STORE_BYTES`` in all, else it serves this block only.
     ``compute`` must give a row the same bits whichever rows it is
-    computed with, so no result depends on what was stored.  A growth
-    publishes fresh stores in one attribute assignment and writes to no
-    array a reader may hold, so concurrent queries read consistent stores,
-    and a race at worst computes a row twice.
+    computed with, so no result depends on what was stored.  A row is
+    added whole in one assignment, C-contiguous and read-only, and shares
+    memory only with rows kept beside it, so concurrent queries read
+    consistent stores, and a race at worst computes a row twice.
     """
     stores = _stores(g)
-    pos, rows = stores[kind]
-    at = pos[idx]
+    store = stores[kind]
     block = np.empty((idx.size, idx.size))
-    block[at >= 0] = rows[np.ix_(at[at >= 0], idx)]
-    fresh = np.flatnonzero(at < 0)
-    n, top = len(g.vertices), len(rows)
-    used = sum(stored.nbytes for _, stored in stores.values())
-    kept = min(fresh.size, max(0, (_ROW_STORE_BYTES - used) // (8 * n)))
-    if kept:
-        grown = np.empty((top + kept, n))
-        grown[:top] = rows
+    held = list(map(store.get, idx.tolist()))
+    for k, row in enumerate(held):
+        if row is not None:
+            block[k] = row[idx]
+    fresh = np.flatnonzero([row is None for row in held])
+    cap = _ROW_STORE_BYTES // (8 * len(g.vertices))
     for s in range(0, fresh.size, step):
-        part = fresh[s : s + step]
-        new = compute(idx[part])
-        block[part] = new[:, idx]
-        if s < kept:
-            grown[top + s : top + kept][: part.size] = new[: kept - s]
-    if kept:
-        pos = pos.copy()
-        pos[idx[fresh[:kept]]] = np.arange(top, top + kept)
-        g._row_stores = {**stores, kind: (pos, grown)}
+        at = fresh[s : s + step]
+        new = compute(idx[at])
+        block[at] = new[:, idx]
+        with _STORE_LOCK:
+            room = cap - sum(map(len, stores.values()))
+            if room > 0:
+                kept = np.ascontiguousarray(new) if room >= at.size else new[:room].copy()
+                kept.flags.writeable = False
+                store.update(zip(idx[at[:room]].tolist(), kept))
     return block
 
 
@@ -518,8 +517,8 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     query searches from every endpoint it lacks, as the first would have.
     """
     pts = canonical_points(g, points)
-    pos, _ = _stores(g)["geodesic"]
-    from_points = not g._geodesic_answered and np.count_nonzero(pos[pts.ends] < 0) > len(pts)
+    missing = len(set(pts.ends.tolist()) - _stores(g)["geodesic"].keys())
+    from_points = not g._geodesic_answered and missing > len(pts)
     if len(pts):
         # Later queries read stored rows, so a long-lived graph warms up; a
         # race at worst lets two first queries search from their points.

@@ -408,6 +408,13 @@ def test_psd_check_rejects_bad_tolerance(capsys, workdir, tol):
             assert code == 2 and out == ""
             payload = json.loads(err)
             assert payload["error"] == "ParamOutOfRange" and payload["field"] == "rel_tol"
+        # The tolerance is refused before any file is read, so a missing
+        # points file is not reached.
+        missing = ["--points", str(workdir["dir"] / "missing.json")]
+        code, out, err = _run(capsys, [command, *inputs, *missing, "--tol", tol])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParamOutOfRange" and payload["field"] == "rel_tol"
 
 
 def test_psd_band_set_by_tol_decides_a_matrix_the_proof_does_not_cover(capsys, workdir):

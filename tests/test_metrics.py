@@ -293,12 +293,14 @@ def test_resistance_matrix_bit_equal_four_pairing_resistance(
     assert resistance_matrix(g, pts).tobytes() == expected.tobytes()
 
 
-def test_concurrent_queries_read_consistent_row_stores():
+def test_concurrent_queries_read_consistent_row_stores(monkeypatch):
     # More threads than cores grow one graph's row stores at once, both
     # metrics interleaved, switching every microsecond, on ten fresh
-    # instances; a reader that saw a position map without its rows would
-    # index the wrong row or fail.  Resistance matrices equal those of one
-    # thread on another instance bit for bit, whichever columns were stored.
+    # instances with the default budget and five whose budget holds four
+    # rows; a row is added whole, so a reader sees all of it or none, and
+    # rows that race past the small budget are dropped, so those stores hold
+    # at most four rows.  Resistance matrices equal those of one thread on
+    # another instance bit for bit, whichever columns were stored.
     # Each instance answers one geodesic query first, the one that may
     # search from its points, so the threads read stored rows only.  Beside
     # the resistance queries, canonical draws of 70 (two blocks) read the
@@ -330,7 +332,9 @@ def test_concurrent_queries_read_consistent_row_stores():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):
+        small = 4 * 8 * len(base.vertices)
+        for budget in (gf.metrics._ROW_STORE_BYTES,) * 10 + (small,) * 5:
+            monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", budget)
             g = gf.build_graph(base.vertices, base.edges)
             warm = gf.distance_matrix(g, sets[0], MetricKind.GEODESIC)
             np.testing.assert_allclose(warm, expected[0], rtol=1e-12, atol=0.0)
@@ -348,12 +352,56 @@ def test_concurrent_queries_read_consistent_row_stores():
             assert {k: d.tobytes() for k, d in draws.items()} == {
                 k: d.tobytes() for k, d in expected_draws.items()
             }
+            assert _stored_bytes(g) <= budget
     finally:
         sys.setswitchinterval(interval)
 
 
 def _stored_bytes(g) -> int:
-    return sum(rows.nbytes for _, rows in gf.metrics._stores(g).values())
+    """The bytes of the arrays that hold the stored rows of ``g``, each
+    counted once: a row is a view of a block kept whole, or of a copy."""
+    held = {}
+    for store in gf.metrics._stores(g).values():
+        for row in store.values():
+            base = row if row.base is None else row.base
+            held[id(base)] = base.nbytes
+    return sum(held.values())
+
+
+def test_a_growing_store_copies_nothing_and_holds_at_most_its_budget(monkeypatch):
+    # On a 900-vertex grid with a budget of 200 rows, a store filled to
+    # half of it grows by 4 rows with a peak far below the 100 rows it
+    # holds, where a store that copied itself to grow would peak above
+    # them.  Then 196 more ends cross the budget: rows are kept up to it,
+    # the block kept in part is copied, so no dropped row stays alive
+    # beside a kept one, and the stored rows are read-only.
+    g = jittered_grid(np.random.default_rng(7), 30)
+    row = 8 * len(g.vertices)
+    monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", 200 * row)
+    pts = random_points(np.random.default_rng(8), g, 300, vertex_share=1.0)
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def array_bytes():
+        # numpy's data buffers traced since tracing started, still alive.
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([numpy_data]).traces)
+
+    for kind in MetricKind:
+        small = gf.build_graph(g.vertices, g.edges)
+        gf.distance_matrix(small, pts[:100], kind)
+        held = _stored_bytes(small)
+        assert held == 100 * row
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gf.distance_matrix(small, pts[100:104], kind)
+            assert tracemalloc.get_traced_memory()[1] - start < held / 2
+            gf.distance_matrix(small, pts[104:], kind)
+            assert held + array_bytes() <= 200 * row
+        finally:
+            tracemalloc.stop()
+        store = gf.metrics._stores(small)[kind.value]
+        assert len(store) == 200 and _stored_bytes(small) == 200 * row
+        assert not any(r.flags.writeable or not r.flags.c_contiguous for r in store.values())
 
 
 @settings(max_examples=30)
@@ -453,8 +501,8 @@ def test_first_geodesic_query_searches_from_points(
     assume(ends.size > len(pts))
 
     def stored(graph):
-        pos, rows = gf.metrics._stores(graph)["geodesic"]
-        return len(rows), np.count_nonzero(pos[ends] >= 0)
+        store = gf.metrics._stores(graph)["geodesic"]
+        return len(store), sum(i in store for i in ends.tolist())
 
     warm = gf.build_graph(g.vertices, g.edges)
     gf.metrics.geodesic_matrix(warm, pts)
@@ -504,8 +552,8 @@ def test_first_geodesic_query_with_few_ends_reads_and_stores_rows(
     gf.metrics.geodesic_matrix(warm, [_ep(e.id, 0.5 * e.length)])
     from_rows = gf.metrics.geodesic_matrix(warm, pts)
     first = gf.metrics.geodesic_matrix(g, pts)
-    pos, rows = gf.metrics._stores(g)["geodesic"]
-    assert len(rows) == ends.size and (pos[ends] >= 0).all()
+    store = gf.metrics._stores(g)["geodesic"]
+    assert sorted(store) == ends.tolist()
     assert first.tobytes() == from_rows.tobytes()
 
 
