@@ -204,15 +204,13 @@ def _stored_block(
     """The block ``X[idx][:, idx]`` of the rows ``X`` of the store
     ``kind``, for distinct vertex indices ``idx``.
 
-    Rows the store lacks come from ``compute(rows)``, ``step`` at a
-    time; under ``_STORE_LOCK``, each is kept while the stores hold at most
-    ``_ROW_STORE_BYTES`` in all, else it serves this block only.
-    ``compute`` must give a row the same bits whichever rows it is
-    computed with, so no result depends on what was stored.  A row is
-    added whole in one assignment, C-contiguous and read-only, and shares
-    memory only with rows kept beside it, so concurrent queries read
-    consistent stores, and a race at worst computes a row twice.
-    """
+    Rows the store lacks come from ``compute(rows)``, ``step`` at a time;
+    under ``_STORE_LOCK``, each the store still lacks is kept while the
+    stores hold at most ``_ROW_STORE_BYTES`` in all.  ``compute`` must give
+    a row the same bits whichever rows it is computed with, so no result
+    depends on what was stored.  A row is added whole, in a copy that holds
+    only kept rows, read-only and never replaced: concurrent queries read
+    consistent stores, and a race at worst computes a row twice."""
     stores = _stores(g)
     store = stores[kind]
     block = np.empty((idx.size, idx.size))
@@ -227,11 +225,12 @@ def _stored_block(
         new = compute(idx[at])
         block[at] = new[:, idx]
         with _STORE_LOCK:
-            room = cap - sum(map(len, stores.values()))
-            if room > 0:
-                kept = np.ascontiguousarray(new) if room >= at.size else new[:room].copy()
+            room = max(cap - sum(map(len, stores.values())), 0)
+            take = [k for k, i in enumerate(idx[at].tolist()) if i not in store][:room]
+            if take:
+                kept = new[take]
                 kept.flags.writeable = False
-                store.update(zip(idx[at[:room]].tolist(), kept))
+                store.update(zip(idx[at[take]].tolist(), kept))
     return block
 
 

@@ -359,7 +359,8 @@ def test_concurrent_queries_read_consistent_row_stores(monkeypatch):
 
 def _stored_bytes(g) -> int:
     """The bytes of the arrays that hold the stored rows of ``g``, each
-    counted once: a row is a view of a block kept whole, or of a copy."""
+    counted once: a row is a view of the copy its kept rows were made
+    into, so this is what the stores hold, dropped or replaced rows too."""
     held = {}
     for store in gf.metrics._stores(g).values():
         for row in store.values():
@@ -373,8 +374,8 @@ def test_a_growing_store_copies_nothing_and_holds_at_most_its_budget(monkeypatch
     # half of it grows by 4 rows with a peak far below the 100 rows it
     # holds, where a store that copied itself to grow would peak above
     # them.  Then 196 more ends cross the budget: rows are kept up to it,
-    # the block kept in part is copied, so no dropped row stays alive
-    # beside a kept one, and the stored rows are read-only.
+    # copied out of their block, so no dropped row stays alive beside a
+    # kept one, and the stored rows are read-only.
     g = jittered_grid(np.random.default_rng(7), 30)
     row = 8 * len(g.vertices)
     monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", 200 * row)
@@ -402,6 +403,30 @@ def test_a_growing_store_copies_nothing_and_holds_at_most_its_budget(monkeypatch
         store = gf.metrics._stores(small)[kind.value]
         assert len(store) == 200 and _stored_bytes(small) == 200 * row
         assert not any(r.flags.writeable or not r.flags.c_contiguous for r in store.values())
+
+
+def test_a_row_kept_by_a_racing_query_is_not_replaced(monkeypatch):
+    # A query computes rows 3 and 7 while another query keeps rows 1, 2
+    # and 3, as two threads may: the first keeps only row 7, so row 3 stays
+    # the one kept first and the stores hold exactly the 4 rows they count,
+    # under a budget of 5.
+    g = jittered_grid(np.random.default_rng(7), 4)
+    n = len(g.vertices)
+    monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", 5 * 8 * n)
+
+    def compute(rows):
+        return np.add.outer(1000.0 * rows, np.arange(n))
+
+    def racing(rows):
+        gf.metrics._stored_block(g, "geodesic", np.array([1, 2, 3]), compute, 64)
+        return compute(rows)
+
+    block = gf.metrics._stored_block(g, "geodesic", np.array([3, 7]), racing, 64)
+    assert np.array_equal(block, compute(np.array([3, 7]))[:, [3, 7]])
+    store = gf.metrics._stores(g)["geodesic"]
+    assert sorted(store) == [1, 2, 3, 7]
+    assert store[3].base is store[1].base
+    assert _stored_bytes(g) == 4 * 8 * n
 
 
 @settings(max_examples=30)

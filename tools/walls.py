@@ -3,26 +3,25 @@ two trees.
 
 Run from the root of a graphfields checkout:
 
-    python3 tools/walls.py --case reuse --metric geodesic [--side 141] [--sites 500]
-                           [--queries 3] [--seed 1]
+    python3 tools/walls.py --metric geodesic [--side 141] [--sites 500]
 
-A case runs in a fresh child process with the BLAS and OpenMP thread counts
+It runs in a fresh child process with the BLAS and OpenMP thread counts
 set to one, ``src`` on the import path and fixed string hashing, as
 ``benchmark/run.py`` runs its workloads (its ``child_env``), so
-``ru_maxrss`` is the case's own.  It reaches the library through its public
+``ru_maxrss`` is the run's own.  It reaches the library through its public
 API only, and takes its inputs from ``benchmark/workloads.py``, as
 ``tools/digest.py`` does.
 
-``reuse``: the repeated queries that grow a graph's row store.  It builds
-``jittered_grid`` (rng ``[seed, 0]``) with ``--side`` vertices a side, then
-answers ``--queries`` ``distance_matrix`` queries of ``--metric`` on that
-one graph, query ``k`` at ``--sites`` fresh ``random_sites`` (rng ``[seed,
-1, k]``).  After each query it prints one JSON line: ``case``, ``metric``,
-``query``, its ``seconds``, the process's ``ru_maxrss_mb`` so far, ``n``
+It times the repeated queries that grow a graph's row store: it builds
+``jittered_grid`` (rng ``[1, 0]``) with ``--side`` vertices a side, then
+answers three ``distance_matrix`` queries of ``--metric`` on that one
+graph, query ``k`` at ``--sites`` fresh ``random_sites`` (rng ``[1, 1,
+k]``).  After each query it prints one JSON line: ``metric``, ``query``,
+its ``seconds``, the process's ``ru_maxrss_mb`` so far, ``n``
 (vertices), ``m`` (points) and ``ends`` (the distinct endpoint vertices of
 the points).
 
-To compare a change with its parent, run a case in both checkouts in
+To compare a change with its parent, run it in both checkouts in
 alternating order, several pairs, and compare the pairs.  No time is
 checked here.
 """
@@ -42,27 +41,23 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 
 from run import child_env  # noqa: E402
 
-CASES = ("reuse",)
-
-
-def reuse(metric: str, side: int, sites: int, queries: int, seed: int):
-    """One JSON-ready record per query of the ``reuse`` case."""
+def reuse(metric: str, side: int, sites: int):
+    """One JSON-ready record per query."""
     import numpy as np
 
     import graphfields as gf
     from workloads import jittered_grid, random_sites
 
-    vertices, edges = jittered_grid(np.random.default_rng([seed, 0]), side)
+    vertices, edges = jittered_grid(np.random.default_rng([1, 0]), side)
     g = gf.build_graph(vertices, edges)
     ends_of = {eid: (u, v) for eid, u, v, _ in edges}
-    for k in range(queries):
-        chosen = random_sites(np.random.default_rng([seed, 1, k]), edges, sites)
+    for k in range(3):
+        chosen = random_sites(np.random.default_rng([1, 1, k]), edges, sites)
         points = [gf.edge_point(eid, off) for eid, off in chosen]
         start = time.perf_counter()
         gf.distance_matrix(g, points, metric)
         seconds = time.perf_counter() - start
         yield {
-            "case": "reuse",
             "metric": metric,
             "query": k,
             "seconds": round(seconds, 6),
@@ -75,18 +70,15 @@ def reuse(metric: str, side: int, sites: int, queries: int, seed: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--case", choices=CASES, required=True)
     parser.add_argument("--metric", choices=("geodesic", "resistance"), required=True)
     parser.add_argument("--side", type=int, default=141)
     parser.add_argument("--sites", type=int, default=500)
-    parser.add_argument("--queries", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if not args.child:
         cmd = [sys.executable, os.path.abspath(__file__), *(argv or sys.argv[1:]), "--child"]
         return subprocess.run(cmd, env=child_env(ROOT)).returncode
-    for record in reuse(args.metric, args.side, args.sites, args.queries, args.seed):
+    for record in reuse(args.metric, args.side, args.sites):
         print(json.dumps(record), flush=True)
     return 0
 
