@@ -208,8 +208,7 @@ class EuclideanGraph:
 
     Vertices, edges and lengths never change after construction.  What
     does is the caches that :mod:`graphfields.metrics` alone fills and
-    reads: the row stores, the first-geodesic-query flag and the factor of
-    ``L``.
+    reads: the row stores and the factor of ``L``.
     """
 
     def __init__(self, vertices, edges):
@@ -264,7 +263,6 @@ class EuclideanGraph:
         self._weights = self._check_connected_and_consistent()
         # Empty slots for the caches that graphfields.metrics alone fills.
         self._row_stores = self._conductance_factor = None
-        self._geodesic_answered = False
 
     def _vertex_indices(self, labels) -> np.ndarray:
         """The index of the vertex ``str(label)`` for each label, or -1."""

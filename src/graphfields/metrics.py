@@ -4,9 +4,9 @@ The geodesic distance between two points is the length of the shortest route
 between them; for vertices this is the usual weighted shortest-path metric,
 and point queries reduce to lookups among the endpoint vertices of the
 points, whose Dijkstra rows are computed on demand and kept on the graph.
-A graph's first query with points searches once from each point instead,
-and keeps nothing, when its points have more endpoints than there are
-points (see :func:`geodesic_matrix`).
+A query whose points have more endpoints than there are points searches
+once from each point instead, and keeps nothing (see
+:func:`geodesic_matrix`).
 
 The resistance metric is the variogram of a canonical Gaussian field: a
 multivariate Gaussian on the vertices with covariance ``L^-1`` (where ``L``
@@ -27,11 +27,11 @@ origin.  The geodesic metric reads the same ends through one min-plus stage.
 
 This module owns that vertex-row engine; the graph only holds empty slots
 for its caches: the row stores of both metrics, maps from a vertex to its
-read-only row (:func:`_stored_block`), the flag of a graph's first geodesic
-query (:func:`geodesic_matrix`) and the one factor of ``L``
+read-only row (:func:`_stored_block`), and the one factor of ``L``
 (:func:`_conductance_lu`), which canonical draws read too, through
 :func:`_vertex_coloring`, the one reader of its layout.  This module draws
-no random numbers, and its block sizes decide no output bits.
+no random numbers, and neither its block sizes nor what the stores hold
+decide output bits.
 
 Only the canonical sampler depends on the origin ``o``, where the field
 has unit variance, so only it takes a :class:`ResistanceContext`, the graph
@@ -505,24 +505,18 @@ def geodesic_matrix(g: EuclideanGraph, points) -> np.ndarray:
     geodesic row store's block over the endpoint vertices ``ends`` of the
     point table (:func:`_distance_block`), so a query costs one Dijkstra row
     per endpoint the graph has not searched from before, and never an
-    ``n x n`` table.  The graph's first query with points instead searches
-    once from each point when the rows its store lacks outnumber the points
-    (:func:`_point_rows`): each search gives that point's row of the first
-    stage, and nothing is stored.  The two routes round differently, so
-    that query may differ from the stored rows' matrix by about ``n 2^-53``
-    relative.  A two-point :func:`geodesic_distance` counts as a query with
-    points.  After a first query that searched from its points (the graph's
-    flag ``_geodesic_answered``, read and set here only), the next cold
-    query searches from every endpoint it lacks, as the first would have.
+    ``n x n`` table.  A query whose points have more endpoints than there
+    are points searches once from each point instead (:func:`_point_rows`):
+    each search gives that point's row of the first stage, and nothing is
+    stored.  The rule reads only the point table, so the matrix is a
+    function of the graph and the points, bit for bit, whatever the graph
+    answered before; the two paths round differently, within about
+    ``n 2^-53`` relative of each other.  A two-point
+    :func:`geodesic_distance` searches from its points when they have
+    three or four endpoints.
     """
     pts = canonical_points(g, points)
-    missing = len(set(pts.ends.tolist()) - _stores(g)["geodesic"].keys())
-    from_points = not g._geodesic_answered and missing > len(pts)
-    if len(pts):
-        # Later queries read stored rows, so a long-lived graph warms up; a
-        # race at worst lets two first queries search from their points.
-        g._geodesic_answered = True
-    if from_points:
+    if pts.ends.size > len(pts):
         reach = _point_rows(g, pts)
     else:
         reach = _min_plus(_distance_block(g, pts.ends), pts)

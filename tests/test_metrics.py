@@ -169,6 +169,21 @@ def test_geodesic_matches_brute_force_enumeration():
                 assert got == pytest.approx(expected, abs=1e-12)
 
 
+def _few_end_points(rng, g, n_edges, per_edge, n_vertex_points=0) -> list:
+    """``per_edge`` points inside each of up to ``n_edges`` edges of a
+    matching of ``g``, then up to ``n_vertex_points`` distinct vertex points
+    at their ends: with ``per_edge >= 2`` the points have no more endpoint
+    vertices than there are points."""
+    pts, used = [], set()
+    for k in rng.permutation(len(g.edges)):
+        e = g.edges[k]
+        if len(used) < 2 * n_edges and not used & {e.u, e.v}:
+            used |= {e.u, e.v}
+            pts += [_ep(e.id, float(x) * e.length) for x in rng.uniform(0.02, 0.98, per_edge)]
+    ends = rng.choice(sorted(used), min(n_vertex_points, len(used)), replace=False)
+    return pts + [_vp(str(v)) for v in ends]
+
+
 def _all_pairs_geodesic(g, pts) -> np.ndarray:
     """Reference: scipy's all-pairs Dijkstra on an edge matrix built here,
     symmetrized as ``minimum(D, D.T)``, read through the four endpoint
@@ -208,12 +223,17 @@ def _all_pairs_geodesic(g, pts) -> np.ndarray:
     n_vertices=st.integers(1, 10),
     n_chords=st.integers(0, 3),
 )
+# The fresh set has 7 endpoint vertices for 5 points; one instance asks it
+# first, the other after sets that stored some of its ends.
+@example(seed=0, n_vertices=10, n_chords=1)
 def test_geodesic_matrix_bit_equals_all_pairs_reference(seed, n_vertices, n_chords):
     # Several point sets in turn on one graph: a cold row store, then a warm
     # one, overlapping sets, a subset and the empty set.  A second instance
-    # of the same graph asks them in the reverse order, so no number may
-    # depend on which rows an earlier query left behind.  An instance's
-    # first query may search from its points, which rounds differently.
+    # of the same graph asks them in the reverse order, and both give each
+    # set the same bits, so no number depends on what the graph answered
+    # before.  A set with no more endpoint vertices than points reads vertex
+    # rows and equals the reference bit for bit; one with more searches from
+    # its points, which rounds differently.
     rng = np.random.default_rng(seed)
     n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
     g = random_graph(rng, n_vertices, n_chords)
@@ -228,15 +248,18 @@ def test_geodesic_matrix_bit_equals_all_pairs_reference(seed, n_vertices, n_chor
         first = fresh = overlap = [_vp(g.vertices[0])]
         subset = []
     sets = [first, overlap, subset, [], fresh]
-    expected = [_all_pairs_geodesic(g, pts) for pts in sets]
     again = gf.build_graph(g.vertices, g.edges)
-    for graph, order in ((g, range(len(sets))), (again, reversed(range(len(sets))))):
-        for turn, k in enumerate(order):
-            got = gf.distance_matrix(graph, sets[k], MetricKind.GEODESIC)
-            if turn == 0:
-                np.testing.assert_allclose(got, expected[k], rtol=1e-12, atol=0.0)
-            else:
-                assert np.array_equal(got, expected[k])
+    got = {k: gf.distance_matrix(g, sets[k], MetricKind.GEODESIC) for k in range(len(sets))}
+    for k in reversed(range(len(sets))):
+        assert gf.distance_matrix(again, sets[k], MetricKind.GEODESIC).tobytes() == (
+            got[k].tobytes()
+        )
+    for k, pts in enumerate(sets):
+        expected = _all_pairs_geodesic(g, pts)
+        if canonical_points(g, pts).ends.size <= len(pts):
+            assert np.array_equal(got[k], expected)
+        else:
+            np.testing.assert_allclose(got[k], expected, rtol=1e-12, atol=0.0)
 
 
 def _crowded_points(seed, cycle, n_vertices, n_chords, vertex_share):
@@ -275,10 +298,16 @@ _CROWDED = dict(
 @given(**_CROWDED)
 def test_geodesic_matrix_bit_equal_four_pairings(seed, cycle, n_vertices, n_chords, vertex_share):
     # The nearer end of one point, then of the other, gives the minimum
-    # over the four pairings bit for bit.
+    # over the four pairings of vertex rows bit for bit.  Points with more
+    # endpoint vertices than points search from themselves instead, which
+    # rounds differently.
     g, pts = _crowded_points(seed, cycle, n_vertices, n_chords, vertex_share)
     expected = four_pairing_geodesic(g, pts)
-    assert gf.metrics.geodesic_matrix(g, pts).tobytes() == expected.tobytes()
+    got = gf.metrics.geodesic_matrix(g, pts)
+    if canonical_points(g, pts).ends.size <= len(pts):
+        assert got.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=100, derandomize=True)
@@ -299,24 +328,30 @@ def test_concurrent_queries_read_consistent_row_stores(monkeypatch):
     # instances with the default budget and five whose budget holds four
     # rows; a row is added whole, so a reader sees all of it or none, and
     # rows that race past the small budget are dropped, so those stores hold
-    # at most four rows.  Resistance matrices equal those of one thread on
-    # another instance bit for bit, whichever columns were stored.
-    # Each instance answers one geodesic query first, the one that may
-    # search from its points, so the threads read stored rows only.  Beside
-    # the resistance queries, canonical draws of 70 (two blocks) read the
-    # factor of L that those queries solve with, and equal serial draws bit
-    # for bit.
+    # at most four rows.  Matrices equal those of one thread on another
+    # instance bit for bit, whichever rows were stored.  Each geodesic set
+    # has no more endpoint vertices than points, so it reads and grows the
+    # store, which under the default budget ends up holding all their ends.
+    # Beside the resistance queries, canonical draws of 70 (two blocks) read
+    # the factor of L that those queries solve with, and equal serial draws
+    # bit for bit.
     rng = np.random.default_rng(12)
     base = random_graph(rng, 40, 6)
-    sets = [random_points(rng, base, int(rng.integers(2, 12))) for _ in range(24)]
-    kinds = [(MetricKind.GEODESIC, MetricKind.RESISTANCE)[k % 3 == 1] for k in range(len(sets))]
-    alone = gf.build_graph(base.vertices, base.edges)
-    expected = [
-        _all_pairs_geodesic(base, pts)
-        if kind is MetricKind.GEODESIC
-        else gf.distance_matrix(alone, pts, kind)
-        for pts, kind in zip(sets, kinds)
+    kinds = [(MetricKind.GEODESIC, MetricKind.RESISTANCE)[k % 3 == 1] for k in range(24)]
+    sets = [
+        random_points(rng, base, int(rng.integers(2, 12)))
+        if kind is MetricKind.RESISTANCE
+        else _few_end_points(rng, base, int(rng.integers(1, 6)), int(rng.integers(2, 4)))
+        for kind in kinds
     ]
+    geodesic_ends = set()
+    for pts, kind in zip(sets, kinds):
+        if kind is MetricKind.GEODESIC:
+            table = canonical_points(base, pts)
+            assert table.ends.size <= len(pts)
+            geodesic_ends.update(table.ends.tolist())
+    alone = gf.build_graph(base.vertices, base.edges)
+    expected = [gf.distance_matrix(alone, pts, kind) for pts, kind in zip(sets, kinds)]
 
     def draw(g, k):
         return gf.sample_canonical_field(gf.build_resistance_context(g), sets[k], 70, seed=k).draws
@@ -336,8 +371,6 @@ def test_concurrent_queries_read_consistent_row_stores(monkeypatch):
         for budget in (gf.metrics._ROW_STORE_BYTES,) * 10 + (small,) * 5:
             monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", budget)
             g = gf.build_graph(base.vertices, base.edges)
-            warm = gf.distance_matrix(g, sets[0], MetricKind.GEODESIC)
-            np.testing.assert_allclose(warm, expected[0], rtol=1e-12, atol=0.0)
             results, draws = [None] * len(sets), {}
             threads = [
                 threading.Thread(target=work, args=(g, k, results, draws)) for k in range(8)
@@ -353,6 +386,8 @@ def test_concurrent_queries_read_consistent_row_stores(monkeypatch):
                 k: d.tobytes() for k, d in expected_draws.items()
             }
             assert _stored_bytes(g) <= budget
+            if budget > small:
+                assert sorted(gf.metrics._stores(g)["geodesic"]) == sorted(geodesic_ends)
     finally:
         sys.setswitchinterval(interval)
 
@@ -443,47 +478,43 @@ def test_matrices_are_bit_equal_cold_warm_and_past_the_store_budget(
     # then warm, overlapping sets, a repeat of the first), and in reverse
     # order on an instance whose stores may hold only budget_rows rows in
     # all: each matrix is the same bits, and the stores keep their bound.
-    # Only an instance's first geodesic query, which may search from its
-    # points, is held to 1e-12 relative instead.
+    # The first set has no more endpoint vertices than points, so its
+    # geodesic queries read and grow the store.
     rng = np.random.default_rng(seed)
     n_chords = min(n_chords, (n_vertices - 1) * (n_vertices - 2) // 2)
     g = random_graph(rng, n_vertices, n_chords)
-    first = random_points(rng, g, int(rng.integers(1, 12)))
+    first = _few_end_points(rng, g, int(rng.integers(1, 5)), int(rng.integers(2, 4)))
+    assert canonical_points(g, first).ends.size <= len(first)
     fresh = random_points(rng, g, int(rng.integers(1, 12)))
     mixed = first[::2] + [p for p in fresh[1::2] if p not in first[::2]]
     sets = [first, fresh, mixed, [], first]
     small = gf.build_graph(g.vertices, g.edges)
     for kind in MetricKind:
         expected = [gf.distance_matrix(g, pts, kind) for pts in sets]
-        if kind is MetricKind.GEODESIC:
-            np.testing.assert_allclose(expected[0], expected[-1], rtol=1e-12, atol=0.0)
-            expected[0] = expected[-1]
-        else:
-            assert np.array_equal(expected[0], expected[-1])
+        assert np.array_equal(expected[0], expected[-1])
         budget = budget_rows * 8 * len(g.vertices)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gf.metrics, "_ROW_STORE_BYTES", budget)
             for k in reversed(range(len(sets))):
                 got = gf.distance_matrix(small, sets[k], kind)
-                if kind is MetricKind.GEODESIC and k == len(sets) - 1:
-                    np.testing.assert_allclose(got, expected[k], rtol=1e-12, atol=0.0)
-                else:
-                    assert got.tobytes() == expected[k].tobytes()
+                assert got.tobytes() == expected[k].tobytes()
                 assert _stored_bytes(small) <= budget
 
 
 def test_rows_past_the_budget_equal_stored_rows_on_a_grid(monkeypatch):
     # Hundreds of endpoints, so rows are computed in several blocks, each
-    # with other rows than on the instance that stores them all.  Each
-    # instance first answers a geodesic query of one point, which searches
-    # from that point and stores nothing, so every query below reads rows.
+    # with other rows than on the instance that stores them all.  Two
+    # points inside each edge of a matching, and vertex points at some of
+    # their ends, so the points have no more endpoints than points and
+    # geodesic queries read rows too.
     g = jittered_grid(np.random.default_rng(3), 20)
-    pts = random_points(np.random.default_rng(4), g, 150, vertex_share=0.1)
-    gf.distance_matrix(g, pts[:1], MetricKind.GEODESIC)
+    pts = _few_end_points(np.random.default_rng(4), g, 100, 2, 20)
+    ends = canonical_points(g, pts).ends
+    assert 2 * gf.metrics._SOLVE_COLUMNS < ends.size <= len(pts)
     expected = {kind: gf.distance_matrix(g, pts, kind) for kind in MetricKind}
+    assert sorted(gf.metrics._stores(g)["geodesic"]) == ends.tolist()
     monkeypatch.setattr(gf.metrics, "_ROW_STORE_BYTES", 5 * 8 * len(g.vertices))
     small = gf.build_graph(g.vertices, g.edges)
-    gf.distance_matrix(small, pts[:1], MetricKind.GEODESIC)
     for kind in MetricKind:
         for _ in range(2):
             assert gf.distance_matrix(small, pts[::-1], kind)[::-1, ::-1].tobytes() == (
@@ -500,15 +531,14 @@ def test_rows_past_the_budget_equal_stored_rows_on_a_grid(monkeypatch):
     n_same=st.integers(1, 4),
     n_vertex_points=st.integers(1, 3),
 )
-def test_first_geodesic_query_searches_from_points(
+def test_geodesic_query_with_many_ends_searches_from_points(
     seed, n_vertices, n_chords, n_same, n_vertex_points
 ):
     # Graphs with cycles; one point inside each edge of a maximal matching,
     # more on one of those edges, vertex points and a repeated point, so the
-    # points have more endpoint vertices than there are points.  The first
-    # query with points searches from them and stores nothing (an empty
-    # query before it does not count); the second reads stored rows, like
-    # every query on a warmed instance.
+    # points have more endpoint vertices than there are points.  Every query
+    # of them searches from them, stores nothing and gives the same bits,
+    # also on an instance whose store holds every endpoint's row.
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_vertices, n_chords)
     pts, used = [], set()
@@ -521,27 +551,18 @@ def test_first_geodesic_query_searches_from_points(
     pts += [_ep(e.id, float(x) * e.length) for x in rng.uniform(0.02, 0.98, n_same)]
     pts += [_vp(g.vertices[int(k)]) for k in rng.integers(len(g.vertices), size=n_vertex_points)]
     pts.append(pts[int(rng.integers(len(pts)))])
-    table = canonical_points(g, pts)
-    ends = table.ends
+    ends = canonical_points(g, pts).ends
     assume(ends.size > len(pts))
 
-    def stored(graph):
-        store = gf.metrics._stores(graph)["geodesic"]
-        return len(store), sum(i in store for i in ends.tolist())
-
-    warm = gf.build_graph(g.vertices, g.edges)
-    gf.metrics.geodesic_matrix(warm, pts)
-    from_rows = gf.metrics.geodesic_matrix(warm, pts)
-    assert gf.metrics.geodesic_matrix(g, []).shape == (0, 0)
     first = gf.metrics.geodesic_matrix(g, pts)
-    assert stored(g) == (0, 0)
-    np.testing.assert_allclose(first, from_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(first, _all_pairs_geodesic(g, pts), rtol=1e-12, atol=0.0)
     assert np.array_equal(first, first.T) and not first.diagonal().any()
-    again = gf.build_graph(g.vertices, g.edges)
-    assert gf.metrics.geodesic_matrix(again, pts).tobytes() == first.tobytes()
-    second = gf.metrics.geodesic_matrix(g, pts)
-    assert stored(g) == (ends.size, ends.size)
-    assert second.tobytes() == from_rows.tobytes()
+    warm = gf.build_graph(g.vertices, g.edges)
+    gf.metrics._distance_block(warm, ends)
+    for graph in (g, warm, gf.build_graph(g.vertices, g.edges)):
+        assert gf.metrics.geodesic_matrix(graph, pts).tobytes() == first.tobytes()
+    assert not gf.metrics._stores(g)["geodesic"]
+    assert sorted(gf.metrics._stores(warm)["geodesic"]) == ends.tolist()
 
 
 @settings(max_examples=40)
@@ -553,33 +574,23 @@ def test_first_geodesic_query_searches_from_points(
     per_edge=st.integers(2, 4),
     n_vertex_points=st.integers(0, 3),
 )
-def test_first_geodesic_query_with_few_ends_reads_and_stores_rows(
+def test_geodesic_query_with_few_ends_reads_and_stores_rows(
     seed, n_vertices, n_chords, n_edges, per_edge, n_vertex_points
 ):
-    # The cov_sites shape: the first query with points on a long-lived graph
-    # has no more endpoint vertices than points (several points inside each
-    # edge of a matching, and vertex points at their ends; equality when
-    # there are none), so it reads rows and stores every one it computes,
-    # and its matrix is that of an instance that answered a query before.
+    # The cov_sites shape: the points have no more endpoint vertices than
+    # points (several points inside each edge of a matching, and vertex
+    # points at their ends; equality when there are none), so a query on a
+    # fresh instance reads rows, stores every one it computes and equals
+    # the all-pairs reference bit for bit, and a repeat reads those rows.
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_vertices, n_chords)
-    pts, used = [], set()
-    for k in rng.permutation(len(g.edges)):
-        e = g.edges[k]
-        if len(used) < 2 * n_edges and not used & {e.u, e.v}:
-            used |= {e.u, e.v}
-            pts += [_ep(e.id, float(x) * e.length) for x in rng.uniform(0.02, 0.98, per_edge)]
-    pts += [_vp(v) for v in rng.choice(sorted(used), n_vertex_points)]
+    pts = _few_end_points(rng, g, n_edges, per_edge, n_vertex_points)
     ends = canonical_points(g, pts).ends
     assert ends.size <= len(pts)
-    warm = gf.build_graph(g.vertices, g.edges)
-    e = g.edges[0]
-    gf.metrics.geodesic_matrix(warm, [_ep(e.id, 0.5 * e.length)])
-    from_rows = gf.metrics.geodesic_matrix(warm, pts)
     first = gf.metrics.geodesic_matrix(g, pts)
-    store = gf.metrics._stores(g)["geodesic"]
-    assert sorted(store) == ends.tolist()
-    assert first.tobytes() == from_rows.tobytes()
+    assert sorted(gf.metrics._stores(g)["geodesic"]) == ends.tolist()
+    assert first.tobytes() == _all_pairs_geodesic(g, pts).tobytes()
+    assert gf.metrics.geodesic_matrix(g, pts).tobytes() == first.tobytes()
 
 
 def test_geodesic_queries_on_large_grid_stay_far_below_all_pairs_table():
