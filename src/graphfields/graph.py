@@ -349,22 +349,22 @@ def _route_lengths(
 ) -> np.ndarray:
     """The length of the shortest route between the ends of each edge
     ``(iu[k], iv[k])``, of length ``lengths[k]``, in the connected graph
-    whose symmetric matrix of edge lengths is ``weights``: the minimum of
-    the directed searches from either end, as
-    :func:`graphfields.metrics._distance_block` reads them.
+    whose symmetric matrix of edge lengths is ``weights``, as the directed
+    search from its ``u`` end finds it.
 
     Any other route leaves one end and enters the other by other edges.  So
     an edge is its own route, with no search, when it is a shortest edge at
     one of its ends, or when it is no longer than the shortest edges at its
-    two ends together.  Routes are searched for the other edges only; they
-    are no longer than the edge, so each search stops at the longest such
-    edge of its source.  Sources are taken in chunks of ``_CHECK_CHUNK``, by
-    the power of two of that limit and then in reverse Cuthill-McKee order,
-    which keeps a chunk compact.  One ``min_only`` search from the whole
-    chunk, to its longest limit, finds the chunk's halo.  Every route a
-    search from the chunk follows lies in the halo, so the searches run on
-    the halo's induced subgraph and give what searches over the whole graph
-    give, bit for bit.
+    two ends together.  The other edges are searched once each, from their
+    ``u`` ends; a search from ``v`` sums the same route in the other order,
+    within n 2^-53 of it.  Routes are no longer than the edge, so each search
+    stops at the longest such edge of its source.  Sources are taken in
+    chunks of ``_CHECK_CHUNK``, by the power of two of that limit and then
+    in reverse Cuthill-McKee order, which keeps a chunk compact.  One
+    ``min_only`` search from the whole chunk, to its longest limit, finds
+    the chunk's halo.  Every route a search from the chunk follows lies in
+    the halo, so the searches run on the halo's induced subgraph and give
+    what searches over the whole graph give, bit for bit.
     """
     n = weights.shape[0]
     # Rounding never takes a sum of positive lengths below one of its terms,
@@ -378,10 +378,8 @@ def _route_lengths(
     )
     if not todo.size:
         return shortest
-    iu, iv = iu[todo], iv[todo]
     reach = np.zeros(n)
-    np.maximum.at(reach, iu, lengths[todo])
-    np.maximum.at(reach, iv, lengths[todo])
+    np.maximum.at(reach, iu[todo], lengths[todo])
     order = reverse_cuthill_mckee(weights, symmetric_mode=True).astype(np.intp)
     order = order[reach[order] > 0]
     # Sources whose limits share a power of two go together, so that a short
@@ -392,13 +390,10 @@ def _route_lengths(
     order = order[np.lexsort((reach[order], np.arange(order.size) // _CHECK_CHUNK))]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(order.size)
-    # Each edge from both ends: edges sorted by the rank of the end the
-    # search starts from, that rank, and the other end.
-    sides = []
-    for src, dst in ((iu, iv), (iv, iu)):
-        by = np.argsort(rank[src], kind="stable")
-        sides.append((by, rank[src[by]], dst[by]))
-    routes = np.full(todo.size, np.inf)
+    # Edges in the order of their u ends' ranks, so a row block's edges are
+    # one slice.
+    todo = todo[np.argsort(rank[iu[todo]], kind="stable")]
+    key = rank[iu[todo]]
     for start in range(0, order.size, _CHECK_CHUNK):
         stop = min(start + _CHECK_CHUNK, order.size)
         near = dijkstra(
@@ -420,13 +415,9 @@ def _route_lengths(
                 indices=np.searchsorted(halo, order[first:last]),
                 limit=reach[order[last - 1]],
             )
-            for by, key, dst in sides:
-                a, b = np.searchsorted(key, (first, last))
-                routes[by[a:b]] = np.minimum(
-                    routes[by[a:b]],
-                    dist[key[a:b] - first, np.searchsorted(halo, dst[a:b])],
-                )
-    shortest[todo] = routes
+            a, b = np.searchsorted(key, (first, last))
+            at = todo[a:b]
+            shortest[at] = dist[key[a:b] - first, np.searchsorted(halo, iv[at])]
     return shortest
 
 
@@ -543,7 +534,7 @@ def block_decomposition(g: EuclideanGraph) -> BlockDecomposition:
     internally disjoint routes).  Tarjan's lowpoint rule splits the tree of
     scipy's depth-first search from the first vertex, in which each vertex
     meets its neighbours in the input order of its edges.  Blocks come in
-    the order Tarjan's search closes them, as before the search was scipy's.
+    the order Tarjan's search closes them.
     """
     n, m = len(g.vertices), len(g._ids)
     # Row v lists v's neighbours in the input order of the edges.

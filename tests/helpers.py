@@ -579,9 +579,9 @@ def _reference_build(vertices, edges) -> None:
 
 
 def blocked_route_lengths(weights, iu, iv) -> np.ndarray:
-    """Shortest route between the ends of each edge: the minimum of the
-    directed searches from both ends, each over the whole graph and stopped
-    at its longest edge, from blocks of 2**21 // n source rows."""
+    """Shortest route between the ends of each edge: the directed search
+    from its ``iu`` end, over the whole graph and stopped at its longest
+    edge, from blocks of 2**21 // n source rows."""
     n = weights.shape[0]
     max_len = float(weights.data.max())
     shortest = np.full(len(iu), np.inf)
@@ -591,9 +591,8 @@ def blocked_route_lengths(weights, iu, iv) -> np.ndarray:
         dist = dijkstra(
             weights, directed=True, indices=np.arange(start, stop), limit=max_len
         )
-        for src, dst in ((iu, iv), (iv, iu)):
-            here = np.flatnonzero((src >= start) & (src < stop))
-            shortest[here] = np.minimum(shortest[here], dist[src[here] - start, dst[here]])
+        here = np.flatnonzero((iu >= start) & (iu < stop))
+        shortest[here] = dist[iu[here] - start, iv[here]]
     return shortest
 
 

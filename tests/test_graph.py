@@ -215,10 +215,9 @@ def test_consistency_errors_match_all_pairs_reference(
     reference = _all_pairs_reference(g.vertices, edges)
     scale = gf.graph.DISTANCE_TOL_SCALE
     offending = [
-        (eid, shortest)
+        (eid, reference[a][b])
         for eid, a, b, length in edges
-        for shortest in [min(reference[a][b], reference[b][a])]
-        if shortest < length - scale * length
+        if reference[a][b] < length - scale * length
     ]
     if not offending:
         gf.build_graph(g.vertices, edges)
@@ -496,6 +495,45 @@ def test_graded_grid_routes_bit_equal_a_search_over_the_whole_graph():
         got = gf.graph._route_lengths(g._weights, g._u, g._v, g._length)
     assert got.tobytes() == expected.tobytes()
     assert np.array_equal(got, lengths)
+
+
+def _assert_orientation_moves_no_verdict(weights, iu, iv, lengths):
+    # Swapping every edge's ends searches each route from its other end:
+    # the same verdict, naming the same edge, and every route within
+    # n 2^-53 of it, relative.
+    n = weights.shape[0]
+    vertices = [f"x{k}" for k in range(n)]
+    edges = [
+        (f"e{k}", vertices[a], vertices[b], float(length))
+        for k, (a, b, length) in enumerate(zip(iu, iv, lengths))
+    ]
+    swapped = [(eid, v, u, length) for eid, u, v, length in edges]
+    there, back = _build_verdict(vertices, edges), _build_verdict(vertices, swapped)
+    assert (there is None) == (back is None)
+    if there is not None:
+        assert back[0] == there[0]
+        assert abs(back[1] - there[1]) <= n * 2.0**-53 * there[1]
+    forth = gf.graph._route_lengths(weights, iu, iv, lengths)
+    reverse = gf.graph._route_lengths(weights, iv, iu, lengths)
+    assert np.all(np.abs(reverse - forth) <= n * 2.0**-53 * forth)
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 40),
+    n_chords=st.integers(0, 30),
+    orders=st.sampled_from([0.0, 3.0, 8.0]),
+)
+def test_swapping_edge_ends_moves_no_verdict(seed, n_vertices, n_chords, orders):
+    _assert_orientation_moves_no_verdict(
+        *_multiscale_table(np.random.default_rng(seed), n_vertices, n_chords, orders)
+    )
+
+
+def test_swapping_edge_ends_of_a_graded_grid_moves_no_verdict():
+    g = gf.build_graph(*graded_grid(np.random.default_rng(3), 40))
+    _assert_orientation_moves_no_verdict(g._weights, g._u, g._v, g._length)
 
 
 def test_edges_are_built_on_first_access():

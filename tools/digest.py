@@ -32,6 +32,10 @@ each octave of the table (so every cell boundary) with the neighbours of
 each octave boundary from ``2^-5`` to ``2^10``, and values past 745, where
 ``e^-z`` underflows, up to ``inf``.
 
+Last, once per run, it runs ``validate`` on two small graphs whose
+consistency check searches: ``VALIDATION_GRAPHS`` below.  Its lines are
+``validate.consistent.stdout`` and the like, as for a seed's commands.
+
 To check that a change keeps the bytes, run this in both checkouts and
 ``diff`` the two outputs.  The bits depend on the platform and the BLAS
 build, so no digest is kept to compare against.
@@ -63,6 +67,24 @@ COV_SITES_REQUESTS = 16
 
 # The Matern smoothness values of the profile lines, 1/2 among them.
 MATERN_NU = (0.5, 0.4999, 0.3, 0.25, 0.1, 1e-6)
+
+# Graphs for ``validate``, each with short pendant edges beside long ones,
+# so that the long edges' routes are searched.  In "consistent", chord ``ac``
+# is exactly as long as the route ``a-b-c``.  In "inconsistent", chord ``ad``
+# is longer than the route ``a-b-c-d``, which sums to 0.6 from ``d`` and to
+# 0.6000000000000001 from ``a``, so the error names the edge and the route
+# from its ``u`` end, and the run exits 2 with ``DistanceInconsistent``.
+VALIDATION_GRAPHS = {
+    "consistent": (
+        ("ab", "a", "b", 3.0), ("bc", "b", "c", 4.0), ("cd", "c", "d", 5.0),
+        ("da", "d", "a", 6.0), ("ac", "a", "c", 7.0),
+        ("ap", "a", "p", 1e-3), ("bq", "b", "q", 1e-3), ("cr", "c", "r", 1e-3),
+    ),
+    "inconsistent": (
+        ("ab", "a", "b", 0.1), ("bc", "b", "c", 0.2), ("cd", "c", "d", 0.3),
+        ("ad", "a", "d", 0.7), ("ap", "a", "p", 1e-3), ("dq", "d", "q", 1e-3),
+    ),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -118,6 +140,21 @@ def digest(seed: int, workdir: str):
         )
 
 
+def validation_lines(workdir: str):
+    """The ``(name, sha256)`` of ``validate`` on each of ``VALIDATION_GRAPHS``."""
+    for name, edges in VALIDATION_GRAPHS.items():
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({
+                "vertices": sorted({x for _, u, v, _ in edges for x in (u, v)}),
+                "edges": [{"id": e, "u": u, "v": v, "length": w} for e, u, v, w in edges],
+            }, fh)
+        stdout, stderr, code = _run(["validate", "--graph", path])
+        yield f"validate.{name}.stdout", _sha(stdout.encode())
+        yield f"validate.{name}.stderr", _sha(stderr.encode())
+        yield f"validate.{name}.exit", _sha(str(code).encode())
+
+
 def matern_grid() -> np.ndarray:
     """The fixed ``z`` of the Matern lines; see the module docstring."""
     tiny = np.finfo(float).smallest_normal
@@ -144,18 +181,23 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--keep", default=None, help="write inputs and outputs here and keep them")
     args = parser.parse_args(argv)
+
+    def workdir(name: str):
+        if not args.keep:
+            return tempfile.TemporaryDirectory()
+        path = os.path.join(args.keep, name)
+        os.makedirs(path, exist_ok=True)
+        return contextlib.nullcontext(path)
+
     for seed in args.seed:
-        if args.keep:
-            workdir = os.path.join(args.keep, f"seed{seed}")
-            os.makedirs(workdir, exist_ok=True)
-            context = contextlib.nullcontext(workdir)
-        else:
-            context = tempfile.TemporaryDirectory()
-        with context as workdir:
-            for name, sha in digest(seed, workdir):
+        with workdir(f"seed{seed}") as path:
+            for name, sha in digest(seed, path):
                 print(name, sha)
     for name, sha in matern_lines():
         print(name, sha)
+    with workdir("validate") as path:
+        for name, sha in validation_lines(path):
+            print(name, sha)
     return 0
 
 
